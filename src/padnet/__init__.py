@@ -15,6 +15,7 @@ from .graph import (
     GraphFormatError,
     VertexSet,
     WeightedGraph,
+    all_pairs,
     ball,
     format_edge_list,
     parse_edge_list,

@@ -141,18 +141,21 @@ class PaddedPartition:
         }
 
 
+def seeded_generator(seed: int, stream: int) -> np.random.Generator:
+    """Counter-based generator keyed by (seed, stream); seed must fit 64 bits."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
 def _center_uniforms(seed: int, center: int, count: int, offset: int = 0) -> np.ndarray:
     """Draws offset..offset+count-1 of the stream keyed by (seed, center)."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    key = np.array([seed, center], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random(offset + count)[offset:]
+    return seeded_generator(seed, center).random(offset + count)[offset:]
 
 
 def _check_inputs(net: TreeOrderedNet, delta: float):
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     if delta != net.delta:
         raise ValueError(f"net was built for delta={net.delta}, asked to sample at {delta}")
 
@@ -283,11 +286,6 @@ def padding_probability_estimate(
     Returns (empirical rate, Wilson 99% lower bound) for the worst vertex.
     `dist_matrix` may carry precomputed all-pairs distances of g.
     """
-    params = DecompositionParams.from_net(net, delta)
-    if not 0 <= gamma <= params.gamma_max:
-        raise ValueError(f"gamma must lie in [0, {params.gamma_max}], got {gamma}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     counts = padded_trial_counts(g, net, delta, [gamma], trials, seed, dist_matrix)[gamma]
     worst = int(counts.min())
     return worst / trials, wilson_lower_bound(worst, trials)
@@ -302,25 +300,61 @@ def padded_trial_counts(
     seed: int,
     dist_matrix: np.ndarray | None = None,
 ) -> dict[float, np.ndarray]:
-    """Per-vertex counts of trials whose gamma-ball stayed in one cluster."""
-    from .graph import VertexSet, shortest_paths
+    """Per-vertex counts of trials whose gamma-ball stayed in one cluster.
 
+    Vertex z is padded in a trial when every u with d(z, u) <= gamma *
+    (alpha+1) * delta shares z's cluster.  The balls of all gammas nest inside
+    those at r_max = max(gammas) * (alpha+1) * delta, so the (z, u) pairs at
+    r_max are listed once, from Dijkstra rows bounded at r_max or from the
+    all-pairs `dist_matrix` a caller supplies, and each gamma selects its
+    pairs from that list.  Memory: the pair list plus one
+    (pairs at r_max) x chunk bool tensor per chunk of trials; no n x n matrix
+    is allocated unless the caller passes one in.
+    """
     params = DecompositionParams.from_net(net, delta)
+    gammas = [float(gm) for gm in gammas]
+    if not gammas:
+        raise ValueError("gammas must be non-empty")
+    for gm in gammas:
+        if not 0 <= gm <= params.gamma_max:
+            raise ValueError(f"gamma must lie in [0, {params.gamma_max}], got {gm}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    r_max = max(gammas) * params.diameter_bound
     if dist_matrix is None:
-        dist_matrix = np.stack(
-            [shortest_paths(g, g.all_vertices(), VertexSet(g.n, [v])) for v in range(g.n)]
-        )
-    # flatten each gamma's balls into (z_flat, u_flat) segments for reduceat
+        rows, cols, pair_d = _ball_pairs(g, r_max)
+    else:
+        rows, cols = np.nonzero(dist_matrix <= r_max)
+        pair_d = dist_matrix[rows, cols]
+    # each gamma: its pairs (rows sorted, every z's ball holds z) and the
+    # start of each z's segment among them, for reduceat
     segments = {}
     for gm in gammas:
-        rows, cols = np.nonzero(dist_matrix <= gm * params.diameter_bound)
-        starts = np.searchsorted(rows, np.arange(g.n))
-        segments[float(gm)] = (rows, cols, starts)
+        sel = np.flatnonzero(pair_d <= gm * params.diameter_bound)
+        segments[gm] = (sel, np.searchsorted(rows[sel], np.arange(g.n)))
     counts = {gm: np.zeros(g.n, dtype=np.int64) for gm in segments}
+    label_dtype = np.min_scalar_type(len(net.centers_in_order()))
     for block in sample_assignments(g, net, delta, seed, trials):
-        for gm, (rows, cols, starts) in segments.items():
-            # z is padded in a trial when no ball member leaves z's cluster
-            diff = block[:, cols] != block[:, rows]
-            cut = np.logical_or.reduceat(diff, starts, axis=1)
-            counts[gm] += (~cut).sum(axis=0)
+        nt = block.T.astype(label_dtype)  # (n, t), C-contiguous
+        # a pair is cut when its two ends land in different clusters
+        diff = nt[cols] != nt[rows]
+        for gm, (sel, starts) in segments.items():
+            part = diff if sel.size == len(diff) else diff[sel]
+            cut = np.logical_or.reduceat(part, starts, axis=0)
+            counts[gm] += nt.shape[1] - cut.sum(axis=1)
     return counts
+
+
+def _ball_pairs(g: WeightedGraph, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z, u, d(z, u)) for every pair with d(z, u) <= radius, sorted by z then u."""
+    from .graph import VertexSet, shortest_paths
+
+    everything = g.all_vertices()
+    rows, cols, pair_d = [], [], []
+    for z in range(g.n):
+        dist = shortest_paths(g, everything, VertexSet(g.n, [z]), radius)
+        (inside,) = np.nonzero(dist <= radius)
+        rows.append(np.full(inside.size, z))
+        cols.append(inside)
+        pair_d.append(dist[inside])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(pair_d)

@@ -199,12 +199,22 @@ class Ball:
     distances: np.ndarray
 
 
-def shortest_paths(g: WeightedGraph, restrict: VertexSet, sources: VertexSet) -> np.ndarray:
+def shortest_paths(
+    g: WeightedGraph, restrict: VertexSet, sources: VertexSet, limit: float = INF
+) -> np.ndarray:
     """Multi-source distances inside the induced subgraph G[restrict].
 
     Returns a float array of length g.n with d_{G[restrict]}(sources, v) for
     v in restrict (+inf when unreachable or outside restrict).
+
+    `limit` bounds the search radius: a tentative distance above it is never
+    recorded, so entries beyond `limit` stay +inf.  Weights are nonnegative,
+    so every vertex within `limit` is reached along a path whose prefixes are
+    all within `limit`, and `d <= r` is bit-for-bit the same as in the
+    unbounded search for every r <= limit.
     """
+    if not limit >= 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     if len(restrict) == 0:
         raise ValueError("restrict must be non-empty")
     if not sources.issubset(restrict):
@@ -227,9 +237,17 @@ def shortest_paths(g: WeightedGraph, restrict: VertexSet, sources: VertexSet) ->
                 continue
             nd = d + adj_w[j]
             if nd < dist[v]:
+                if nd > limit:
+                    continue
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return dist
+
+
+def all_pairs(g: WeightedGraph, limit: float = INF) -> np.ndarray:
+    """(n, n) matrix whose row v is shortest_paths(g, all vertices, {v}, limit)."""
+    everything = g.all_vertices()
+    return np.stack([shortest_paths(g, everything, VertexSet(g.n, [v]), limit) for v in range(g.n)])
 
 
 def ball(g: WeightedGraph, restrict: VertexSet, centers: VertexSet, radius: float) -> Ball:

@@ -22,6 +22,7 @@ therefore produce identical cores, orders, and nets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,8 +214,8 @@ def construct_cores_trace(
     With deep_checks, asserts after every step that each bag's attachment
     stays inside the bag's proper-descendant bags.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     tp.validate(g)
     n = g.n
     nb = len(tp.bags)
@@ -256,7 +257,7 @@ def construct_cores_trace(
                         support[v] = True
                 sources = [v for v in bag_vertices[center_bag] if not covered[v]]
                 dist = shortest_paths(
-                    g, VertexSet.from_mask(support), VertexSet(n, sources)
+                    g, VertexSet.from_mask(support), VertexSet(n, sources), limit=delta
                 )
                 members_arr = np.flatnonzero(dist <= delta)
                 members = frozenset(members_arr.tolist())
@@ -367,8 +368,8 @@ def semi_to_tree_order(
     vertex id); an empty preimage keeps a placeholder node so the tree shape
     survives.  Child paths hang off the parent path's leaf.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     n = semi.assign.shape[0]

@@ -28,9 +28,18 @@ from .decomposition import (
     replay_decomposition,
     sample_padded_decomposition,
     sample_truncated_exp,
+    seeded_generator,
     wilson_lower_bound,
 )
-from .graph import VertexSet, WeightedGraph, ball, shortest_paths, strong_diameter, weak_diameter
+from .graph import (
+    VertexSet,
+    WeightedGraph,
+    all_pairs,
+    ball,
+    shortest_paths,
+    strong_diameter,
+    weak_diameter,
+)
 from .ordered_net import (
     CoreConstruction,
     TreeOrderedNet,
@@ -385,7 +394,7 @@ def verify_net(
             break
     checks.append(_check("order-valid-for-edges", bad is None, witness=bad))
 
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    rng = seeded_generator(seed, 0)
     ecc0 = shortest_paths(g, g.all_vertices(), VertexSet(g.n, [0]))
     scale = 2 * float(ecc0[np.isfinite(ecc0)].max()) or 1.0
     bad = None
@@ -511,9 +520,7 @@ def verify_partition(
     checks.append(_check("partition-total-disjoint", ok, witness=witness))
 
     if dist_matrix is None:
-        dist_matrix = np.stack(
-            [shortest_paths(g, g.all_vertices(), VertexSet(n, [v])) for v in range(n)]
-        )
+        dist_matrix = all_pairs(g)
     bound = (alpha + 1) * delta + TOL
     worst = 0.0
     worst_c = None
@@ -701,7 +708,7 @@ def _verify_partition_cover(g, cover, alpha, delta, oracle_cap, padding_radius, 
 def sampler_ks_check(lam: float, theta1: float, theta2: float, draws: int = 100_000, seed: int = 0) -> CheckResult:
     """Kolmogorov-Smirnov: inverse-CDF draws against the analytic CDF at 1%."""
     texp = TruncatedExp(theta1, theta2, lam)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+    rng = seeded_generator(seed, 1)
     ys = np.sort(sample_truncated_exp(texp, rng.random(draws)))
     cdf = texp.cdf(ys)
     i = np.arange(1, draws + 1)
@@ -758,9 +765,7 @@ def full_report(
     )
 
     params = DecompositionParams.from_net(net, delta)
-    dist_matrix = np.stack(
-        [shortest_paths(host, host.all_vertices(), VertexSet(host.n, [v])) for v in range(host.n)]
-    )
+    dist_matrix = all_pairs(host)
     sweep_fail = None
     replay_fail = None
     for s in range(sweep_seeds):
@@ -826,7 +831,7 @@ def full_report(
 
 
 def _graph_property_checks(g: WeightedGraph, seed: int, oracle_cap: int) -> list[CheckResult]:
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 2], dtype=np.uint64)))
+    rng = seeded_generator(seed, 2)
     everything = g.all_vertices()
     base = shortest_paths(g, everything, VertexSet(g.n, [0]))
 

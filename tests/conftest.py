@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from fixtures import acceptance_fixtures  # noqa: E402
 
 from padnet.decomposition import DecompositionParams  # noqa: E402
-from padnet.graph import VertexSet, shortest_paths  # noqa: E402
+from padnet.graph import all_pairs  # noqa: E402
 from padnet.ordered_net import (  # noqa: E402
     build_semi_tree_order,
     construct_cores_trace,
@@ -43,12 +43,7 @@ class BuiltPipeline:
     @property
     def host_dist(self) -> np.ndarray:
         if self._host_dist is None:
-            self._host_dist = np.stack(
-                [
-                    shortest_paths(self.host, self.host.all_vertices(), VertexSet(self.host.n, [v]))
-                    for v in range(self.host.n)
-                ]
-            )
+            self._host_dist = all_pairs(self.host)
         return self._host_dist
 
 

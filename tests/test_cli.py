@@ -145,6 +145,30 @@ def test_verify_delta_must_be_positive(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "0"])
+def test_delta_not_finite_and_positive_exit_2(capsys, delta):
+    # a NaN delta once left the core carving looping forever
+    for cmd in ("net", "decompose"):
+        code = main([cmd, *PATH_ARGS, "--delta", delta])
+        assert code == 2, cmd
+        assert "delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["decompose", "padding-estimate", "verify"])
+def test_seed_beyond_64_bits_exit_2(capsys, cmd):
+    code = main([cmd, *PATH_ARGS, "--delta", "2", "--trials", "10",
+                 "--seed", "99999999999999999999999"])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_padding_estimate_gamma_out_of_range_exit_2(capsys):
+    code = main(["padding-estimate", *PATH_ARGS, "--delta", "2", "--trials", "10",
+                 "--gamma", "0.5"])
+    assert code == 2
+    assert "gamma" in capsys.readouterr().err
+
+
 def test_verify_exit_one_on_hard_failure(capsys, monkeypatch):
     from padnet import cli
     from padnet.verify import CheckResult, VerificationReport

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from padnet.decomposition import (
     DecompositionParams,
     TruncatedExp,
+    padded_trial_counts,
     padding_probability_estimate,
     replay_decomposition,
     sample_assignments,
@@ -21,7 +22,7 @@ from padnet.decomposition import (
     sample_truncated_exp,
     wilson_lower_bound,
 )
-from padnet.graph import WeightedGraph
+from padnet.graph import WeightedGraph, all_pairs
 from padnet.ordered_net import build_tree_ordered_net
 from padnet.trees import TreePartition
 from padnet.verify import verify_partition
@@ -188,6 +189,60 @@ def test_gamma_out_of_range():
         padding_probability_estimate(g, net, 1.0, 0.2, trials=10, seed=0)
     with pytest.raises(ValueError):
         padding_probability_estimate(g, net, 1.0, -0.01, trials=10, seed=0)
+
+
+def dense_trial_counts(g, net, delta, gammas, trials, seed):
+    """Reference: one dense all-pairs matrix and one int64 gather per gamma."""
+    params = DecompositionParams.from_net(net, delta)
+    dist_matrix = all_pairs(g)
+    segments = {}
+    for gm in gammas:
+        rows, cols = np.nonzero(dist_matrix <= gm * params.diameter_bound)
+        starts = np.searchsorted(rows, np.arange(g.n))
+        segments[float(gm)] = (rows, cols, starts)
+    counts = {gm: np.zeros(g.n, dtype=np.int64) for gm in segments}
+    for block in sample_assignments(g, net, delta, seed, trials):
+        for gm, (rows, cols, starts) in segments.items():
+            diff = block[:, cols] != block[:, rows]
+            cut = np.logical_or.reduceat(diff, starts, axis=1)
+            counts[gm] += (~cut).sum(axis=0)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["grid-7", "sp-50w", "wpath-12"])
+@pytest.mark.parametrize("supply_dist", [False, True])
+def test_padded_trial_counts_match_dense_reference(name, supply_dist):
+    b = built(BY_NAME[name])
+    gmax = b.params.gamma_max
+    # unsorted, duplicated, and gamma 0 (the ball is the zero-distance class)
+    gammas = [gmax / 2, 0.0, gmax, gmax / 2, gmax / 4]
+    trials = 300  # one full chunk of 256 and a partial one
+    expected = dense_trial_counts(b.host, b.net, b.delta, gammas, trials, seed=3)
+    got = padded_trial_counts(
+        b.host, b.net, b.delta, gammas, trials, seed=3,
+        dist_matrix=b.host_dist if supply_dist else None,
+    )
+    assert sorted(got) == sorted(expected)
+    for gm in expected:
+        assert got[gm].tolist() == expected[gm].tolist(), gm
+    assert (got[gmax] < trials).any()  # some ball was cut, so the check has teeth
+
+
+def test_padded_trial_counts_rejects_bad_gammas():
+    g, net = single_center_net()
+    for gammas in ([], [-0.01], [1 / 16, 0.2], [math.nan]):
+        with pytest.raises(ValueError):
+            padded_trial_counts(g, net, 1.0, gammas, trials=10, seed=0)
+    with pytest.raises(ValueError):
+        padded_trial_counts(g, net, 1.0, [0.0], trials=0, seed=0)
+
+
+def test_seed_must_fit_64_bits():
+    g, net = single_center_net()
+    sample_padded_decomposition(g, net, 1.0, 2**64 - 1)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            sample_padded_decomposition(g, net, 1.0, seed)
 
 
 def test_wilson_bound_properties():

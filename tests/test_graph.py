@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from fixtures import grid_fixture
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from padnet.graph import (
     GraphFormatError,
     VertexSet,
     WeightedGraph,
+    all_pairs,
     ball,
     format_edge_list,
     parse_edge_list,
@@ -16,6 +18,7 @@ from padnet.graph import (
     strong_diameter,
     weak_diameter,
 )
+from padnet.trees import td_to_tree_partition
 from padnet.verify import oracle_all_pairs
 
 INF = math.inf
@@ -143,6 +146,65 @@ def test_restriction_never_shortens(g, salt):
     restricted = shortest_paths(g, VertexSet(g.n, members), VertexSet(g.n, [s]))
     free = shortest_paths(g, g.all_vertices(), VertexSet(g.n, [s]))
     assert (restricted >= free).all()
+
+
+# --- radius-bounded search ---------------------------------------------------
+
+
+def assert_bounded_is_thresholded(g, restrict, sources, limit):
+    free = shortest_paths(g, restrict, sources)
+    bounded = shortest_paths(g, restrict, sources, limit)
+    assert bounded.tolist() == np.where(free <= limit, free, INF).tolist()
+
+
+@st.composite
+def decimal_graphs(draw, max_n=12):
+    # zero and non-dyadic weights, whose sums round differently by path
+    weights = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0])
+    n = draw(st.integers(2, max_n))
+    edges = [(i, draw(st.integers(0, i - 1)), draw(weights)) for i in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weights),
+                          max_size=2 * n))
+    edges.extend((u, v, w) for u, v, w in extra if u != v)
+    return WeightedGraph(n, edges)
+
+
+@given(st.one_of(connected_graphs(), decimal_graphs()), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_limit_equals_thresholded_unbounded(g, rnd):
+    members = sorted(rnd.sample(range(g.n), rnd.randint(1, g.n)))
+    restrict = VertexSet(g.n, members)
+    sources = VertexSet(g.n, rnd.sample(members, rnd.randint(1, len(members))))
+    free = shortest_paths(g, restrict, sources)
+    finite = free[np.isfinite(free)].tolist()
+    # limits at every reached distance hit the boundary case d == limit
+    for limit in {0.0, rnd.uniform(0, 5), *finite}:
+        assert_bounded_is_thresholded(g, restrict, sources, limit)
+
+
+def test_limit_on_copy_expanded_host():
+    fx = grid_fixture(4, w=0.1)
+    host = td_to_tree_partition(fx.graph, fx.td).host
+    assert any(w == 0.0 for _, _, w in host.edges)
+    everything = host.all_vertices()
+    for v in range(0, host.n, 7):
+        for limit in (0.0, 0.1, 0.30000000000000004, 0.5):
+            assert_bounded_is_thresholded(host, everything, VertexSet(host.n, [v]), limit)
+    free = all_pairs(host)
+    assert all_pairs(host, 0.3).tolist() == np.where(free <= 0.3, free, INF).tolist()
+
+
+def test_limit_zero_keeps_zero_weight_component():
+    g = WeightedGraph(4, [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 1.0)])
+    d = shortest_paths(g, g.all_vertices(), VertexSet(4, [0]), limit=0.0)
+    assert d.tolist() == [0.0, 0.0, 0.0, INF]
+
+
+@pytest.mark.parametrize("limit", [-1.0, -1e-300, math.nan])
+def test_invalid_limit_rejected(limit):
+    g = path3()
+    with pytest.raises(ValueError):
+        shortest_paths(g, g.all_vertices(), VertexSet(3, [0]), limit)
 
 
 # --- edge-list format ---------------------------------------------------------
