@@ -17,6 +17,7 @@ from .graph import (
     WeightedGraph,
     all_pairs,
     ball,
+    ball_pairs,
     format_edge_list,
     parse_edge_list,
     shortest_paths,

@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, ball_pairs
 from .ordered_net import TreeOrderedNet
 
 
@@ -307,9 +307,12 @@ def padded_trial_counts(
     those at r_max = max(gammas) * (alpha+1) * delta, so the (z, u) pairs at
     r_max are listed once, from Dijkstra rows bounded at r_max or from the
     all-pairs `dist_matrix` a caller supplies, and each gamma selects its
-    pairs from that list.  Memory: the pair list plus one
-    (pairs at r_max) x chunk bool tensor per chunk of trials; no n x n matrix
-    is allocated unless the caller passes one in.
+    pairs from that list.  Memory, besides the pair list: per chunk of t
+    trials, the (n, t) labels in the smallest integer type that holds the
+    center count, two (pairs at r_max) x t gathers of them, one
+    (pairs at r_max) x t bool tensor of cut pairs, and for each gamma in turn
+    a copy of its rows of that tensor.  No n x n matrix is allocated unless
+    the caller passes one in.
     """
     params = DecompositionParams.from_net(net, delta)
     gammas = [float(gm) for gm in gammas]
@@ -322,7 +325,7 @@ def padded_trial_counts(
         raise ValueError(f"trials must be >= 1, got {trials}")
     r_max = max(gammas) * params.diameter_bound
     if dist_matrix is None:
-        rows, cols, pair_d = _ball_pairs(g, r_max)
+        rows, cols, pair_d = ball_pairs(g, r_max)
     else:
         rows, cols = np.nonzero(dist_matrix <= r_max)
         pair_d = dist_matrix[rows, cols]
@@ -339,22 +342,6 @@ def padded_trial_counts(
         # a pair is cut when its two ends land in different clusters
         diff = nt[cols] != nt[rows]
         for gm, (sel, starts) in segments.items():
-            part = diff if sel.size == len(diff) else diff[sel]
-            cut = np.logical_or.reduceat(part, starts, axis=0)
+            cut = np.logical_or.reduceat(diff[sel], starts, axis=0)
             counts[gm] += nt.shape[1] - cut.sum(axis=1)
     return counts
-
-
-def _ball_pairs(g: WeightedGraph, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(z, u, d(z, u)) for every pair with d(z, u) <= radius, sorted by z then u."""
-    from .graph import VertexSet, shortest_paths
-
-    everything = g.all_vertices()
-    rows, cols, pair_d = [], [], []
-    for z in range(g.n):
-        dist = shortest_paths(g, everything, VertexSet(g.n, [z]), radius)
-        (inside,) = np.nonzero(dist <= radius)
-        rows.append(np.full(inside.size, z))
-        cols.append(inside)
-        pair_d.append(dist[inside])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(pair_d)

@@ -244,10 +244,27 @@ def shortest_paths(
     return dist
 
 
-def all_pairs(g: WeightedGraph, limit: float = INF) -> np.ndarray:
-    """(n, n) matrix whose row v is shortest_paths(g, all vertices, {v}, limit)."""
+def all_pairs(g: WeightedGraph) -> np.ndarray:
+    """(n, n) matrix whose row v is shortest_paths(g, all vertices, {v})."""
     everything = g.all_vertices()
-    return np.stack([shortest_paths(g, everything, VertexSet(g.n, [v]), limit) for v in range(g.n)])
+    return np.stack([shortest_paths(g, everything, VertexSet(g.n, [v])) for v in range(g.n)])
+
+
+def ball_pairs(g: WeightedGraph, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z, u, d(z, u)) for every pair with d(z, u) <= radius, sorted by z then u.
+
+    The sparse form of `all_pairs` thresholded at `radius`: each row comes
+    from a Dijkstra bounded at `radius`, and no n x n matrix is allocated.
+    """
+    everything = g.all_vertices()
+    rows, cols, pair_d = [], [], []
+    for z in range(g.n):
+        dist = shortest_paths(g, everything, VertexSet(g.n, [z]), radius)
+        (inside,) = np.nonzero(dist <= radius)
+        rows.append(np.full(inside.size, z))
+        cols.append(inside)
+        pair_d.append(dist[inside])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(pair_d)
 
 
 def ball(g: WeightedGraph, restrict: VertexSet, centers: VertexSet, radius: float) -> Ball:

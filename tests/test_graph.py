@@ -12,6 +12,7 @@ from padnet.graph import (
     WeightedGraph,
     all_pairs,
     ball,
+    ball_pairs,
     format_edge_list,
     parse_edge_list,
     shortest_paths,
@@ -190,8 +191,24 @@ def test_limit_on_copy_expanded_host():
     for v in range(0, host.n, 7):
         for limit in (0.0, 0.1, 0.30000000000000004, 0.5):
             assert_bounded_is_thresholded(host, everything, VertexSet(host.n, [v]), limit)
-    free = all_pairs(host)
-    assert all_pairs(host, 0.3).tolist() == np.where(free <= 0.3, free, INF).tolist()
+    assert_ball_pairs_thresholded(host, 0.3)
+
+
+def assert_ball_pairs_thresholded(g, radius):
+    free = all_pairs(g)
+    rows, cols, pair_d = ball_pairs(g, radius)
+    want_rows, want_cols = np.nonzero(free <= radius)
+    assert rows.tolist() == want_rows.tolist()
+    assert cols.tolist() == want_cols.tolist()
+    assert pair_d.tolist() == free[want_rows, want_cols].tolist()
+
+
+@given(st.one_of(connected_graphs(), decimal_graphs()), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_ball_pairs_is_thresholded_all_pairs(g, rnd):
+    free = all_pairs(g)
+    for radius in {0.0, rnd.uniform(0, 5), rnd.choice(free.ravel().tolist())}:
+        assert_ball_pairs_thresholded(g, radius)
 
 
 def test_limit_zero_keeps_zero_weight_component():
