@@ -30,7 +30,6 @@ from .ordered_net import (
     TreeOrderedNet,
     build_semi_tree_order,
     build_tree_ordered_net,
-    construct_cores,
     packing_profile,
     semi_to_tree_order,
 )

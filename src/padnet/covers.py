@@ -130,28 +130,25 @@ def build_partition_cover(g: WeightedGraph, net: TreeOrderedNet, delta: float) -
     radius = alpha * delta / 2
     member_mask = dist <= radius  # (k, n)
 
-    remaining = list(range(len(centers)))
+    # centers in preorder of their order nodes: ancestors come first
+    tin, tout = net.vertex_intervals()
+    by_tin = np.argsort(tin[centers])
+    tin, tout = tin[centers[by_tin]], tout[centers[by_tin]]
+    remaining = np.ones(len(centers), dtype=bool)
     partial_partitions: list[list[int]] = []
-    while remaining:
-        occupied = np.zeros(g.n, dtype=bool)
+    while remaining.any():
+        candidate = remaining.copy()  # unchosen, ball misses this partition's balls
         chosen: list[int] = []
-        while True:
-            candidates = [i for i in remaining if not (member_mask[i] & occupied).any()]
-            if not candidates:
-                break
-            maximal = [
-                i
-                for i in candidates
-                if not any(
-                    j != i
-                    and net.node_is_ancestor(int(net.assign[centers[j]]), int(net.assign[centers[i]]))
-                    for j in candidates
-                )
-            ]
-            pick = min(maximal, key=lambda i: int(centers[i]))
+        while candidate.any():
+            live = candidate[by_tin]
+            # maximal: no earlier candidate's subtree interval covers its tin
+            reach = np.maximum.accumulate(tout[live])
+            maximal = by_tin[live][tin[live] >= np.concatenate(([0], reach[:-1]))]
+            pick = int(maximal[np.argmin(centers[maximal])])
             chosen.append(pick)
-            remaining.remove(pick)
-            occupied |= member_mask[pick]
+            remaining[pick] = False
+            # keep the unchosen centers whose ball misses the pick's ball
+            candidate &= remaining & ~member_mask[:, member_mask[pick]].any(axis=1)
         partial_partitions.append(chosen)
 
     partitions: list[tuple[PartitionCluster, ...]] = []

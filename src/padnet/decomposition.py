@@ -7,9 +7,13 @@ induced by its descendants.  The rate lambda = 4/(alpha-1) * ln(2 tau) uses
 the measured packing value tau, which is what the padding guarantee
 exp(-16 (alpha+1)/(alpha-1) ln(2 tau) * gamma) actually depends on.
 
-Randomness: one counter-based stream per center, keyed by (seed, center id).
-A single sample reads draw 0 of each stream; trial t of a batch reads draw t,
-so trials are independent, reproducible, and chunkable.
+Randomness: one counter-based Philox4x64-10 stream per center, keyed by
+(seed, center id), as numpy's Philox generator draws it.  A single sample
+reads draw 0 of each stream; trial t of a batch reads draw t, so trials are
+independent, reproducible, and chunkable.  Draw t of a stream is a pure
+function of (seed, center, t), so `center_uniforms` evaluates the draws of
+every center at once in numpy, bit for bit equal to per-center generators:
+one call per sample, and one per chunk of a batch.
 """
 
 from __future__ import annotations
@@ -141,16 +145,64 @@ class PaddedPartition:
         }
 
 
-def seeded_generator(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, stream); seed must fit 64 bits."""
+def _check_seed(seed: int) -> None:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
+def seeded_generator(seed: int, stream: int) -> np.random.Generator:
+    """Counter-based generator keyed by (seed, stream); seed must fit 64 bits."""
+    _check_seed(seed)
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-def _center_uniforms(seed: int, center: int, count: int, offset: int = 0) -> np.ndarray:
-    """Draws offset..offset+count-1 of the stream keyed by (seed, center)."""
-    return seeded_generator(seed, center).random(offset + count)[offset:]
+# Philox4x64-10 multipliers and Weyl key bumps (Salmon et al., SC 2011;
+# numpy's philox.h), one per word pair (x0, x2) of a counter block
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
+
+
+def center_uniforms(seed: int, streams, start: int, stop: int) -> np.ndarray:
+    """Draws start..stop-1 of every stream keyed by (seed, stream), as (streams, draws).
+
+    Row i equals seeded_generator(seed, streams[i]).random(stop)[start:] bit for
+    bit.  Philox is counter-based: the generator's counter block c (c = 1, 2,
+    ...) yields its uint64 draws 4(c-1)..4(c-1)+3, so the blocks covering
+    start..stop-1 are evaluated for all streams at once in uint64 numpy, and
+    each draw becomes (x >> 11) * 2**-53 as in Generator.random.
+    """
+    _check_seed(seed)
+    if not 0 <= start <= stop:
+        raise ValueError(f"need 0 <= start <= stop, got {start}, {stop}")
+    streams = np.asarray(streams, dtype=np.uint64).reshape(-1)
+    first, last = start // 4, -(-stop // 4)  # counter blocks first+1 .. last
+    # words (x0, x2) and (x1, x3) of each block as (2, streams, blocks); the
+    # constants are spelled out at that shape, as numpy's uint64 operations
+    # on equal shapes cost least per call
+    shape = (2, len(streams), last - first)
+    even = np.zeros(shape, dtype=np.uint64)
+    even[0] = np.arange(first + 1, last + 1, dtype=np.uint64)
+    odd = np.zeros(shape, dtype=np.uint64)
+    key = np.empty(shape, dtype=np.uint64)
+    key[0], key[1] = seed, streams[:, None]
+    bump = np.broadcast_to(_PHILOX_W, shape).copy()
+    m = np.broadcast_to(_PHILOX_M, shape).copy()
+    low32, s32 = np.full(shape, 0xFFFFFFFF, dtype=np.uint64), np.full(shape, 32, dtype=np.uint64)
+    m_lo, m_hi = m & low32, m >> s32
+    for r in range(10):
+        if r:
+            key += bump  # wraps mod 2**64
+        # the 128-bit product m * even from 32-bit halves; no partial sum wraps
+        x_lo, x_hi = even & low32, even >> s32
+        t = m_hi * x_lo + ((m_lo * x_lo) >> s32)
+        u = m_lo * x_hi + (t & low32)
+        hi = m_hi * x_hi + (t >> s32) + (u >> s32)
+        # x0, x1, x2, x3 <- hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+        even, odd = hi[::-1] ^ odd ^ key, (m * even)[::-1]
+    words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1)
+    words = words.reshape(len(streams), 4 * shape[2])
+    words = words[:, start - 4 * first : stop - 4 * first]
+    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
 def _check_inputs(net: TreeOrderedNet, delta: float):
@@ -164,10 +216,12 @@ def _assign_from_radii(net: TreeOrderedNet, radii: np.ndarray) -> np.ndarray:
     """First-claiming center per vertex, given one radius per ordered center."""
     dist = net.center_distance_matrix()
     claimed = dist <= radii[:, None]
-    if not claimed.any(axis=0).all():
-        v = int(np.flatnonzero(~claimed.any(axis=0))[0])
+    first = np.argmax(claimed, axis=0)
+    unclaimed = ~claimed[first, np.arange(claimed.shape[1])]
+    if unclaimed.any():
+        v = int(np.flatnonzero(unclaimed)[0])
         raise AssertionError(f"vertex {v} claimed by no center; covering violated")
-    return np.argmax(claimed, axis=0)
+    return first
 
 
 def sample_padded_decomposition(
@@ -176,11 +230,8 @@ def sample_padded_decomposition(
     _check_inputs(net, delta)
     params = DecompositionParams.from_net(net, delta)
     texp = TruncatedExp(1.0, params.beta_internal, params.lam)
-    centers = net.centers_in_order()
-    draws = np.array(
-        [sample_truncated_exp(texp, float(_center_uniforms(seed, int(x), 1)[0])) for x in centers]
-    )
-    radii = draws * delta
+    u = center_uniforms(seed, net.centers_in_order(), 0, 1)[:, 0]
+    radii = sample_truncated_exp(texp, u) * delta
     return _partition_from_radii(net, radii, seed, params)
 
 
@@ -190,7 +241,7 @@ def replay_decomposition(
     """Rebuild a partition from recorded (center, radius) pairs."""
     centers = net.centers_in_order()
     by_center = dict(trace)
-    radii = np.array([by_center[int(x)] for x in centers])
+    radii = np.array([by_center[int(x)] for x in centers], dtype=float)
     params = DecompositionParams.from_net(net, net.delta)
     return _partition_from_radii(net, radii, seed, params)
 
@@ -200,24 +251,22 @@ def _partition_from_radii(
 ) -> PaddedPartition:
     centers = net.centers_in_order()
     raw = _assign_from_radii(net, radii)
-    clusters: list[PaddedCluster] = []
+    # members of center i: one stable sort of the vertices by claiming center
+    sizes = np.bincount(raw, minlength=len(centers))
+    used = np.flatnonzero(sizes)
+    ends = np.cumsum(sizes[used])
+    by_center = np.argsort(raw, kind="stable").tolist()
+    center_ids, radius_list = centers.tolist(), radii.tolist()
+    clusters = tuple(
+        PaddedCluster(center_ids[i], radius_list[i], frozenset(by_center[start:end]))
+        for i, start, end in zip(used.tolist(), (ends - sizes[used]).tolist(), ends.tolist())
+    )
     renumber = np.full(len(centers), -1, dtype=np.int64)
-    for i in range(len(centers)):
-        members = np.flatnonzero(raw == i)
-        if members.size == 0:
-            continue
-        renumber[i] = len(clusters)
-        clusters.append(
-            PaddedCluster(
-                center=int(centers[i]),
-                radius=float(radii[i]),
-                members=frozenset(members.tolist()),
-            )
-        )
+    renumber[used] = np.arange(len(used))
     assignment = renumber[raw]
-    trace = tuple((int(centers[i]), float(radii[i])) for i in range(len(centers)))
+    trace = tuple(zip(center_ids, radius_list))
     return PaddedPartition(
-        clusters=tuple(clusters),
+        clusters=clusters,
         assignment=assignment,
         seed=seed,
         params=params,
@@ -236,7 +285,9 @@ def sample_assignments(
     """Yield assignment matrices (chunk x n) for trials 0..trials-1.
 
     Trial t uses draw t of each per-center stream, so trial 0 reproduces
-    sample_padded_decomposition(seed) cluster-for-cluster.
+    sample_padded_decomposition(seed) cluster-for-cluster.  Each chunk draws
+    only its own trials' uniforms, start..stop-1 of every stream, with one
+    center_uniforms call.
     """
     _check_inputs(net, delta)
     if trials < 1:
@@ -244,14 +295,11 @@ def sample_assignments(
     params = DecompositionParams.from_net(net, delta)
     texp = TruncatedExp(1.0, params.beta_internal, params.lam)
     centers = net.centers_in_order()
-    uniforms = np.stack(
-        [_center_uniforms(seed, int(x), trials) for x in centers]
-    )  # (k, trials)
-    radii_all = sample_truncated_exp(texp, uniforms) * delta
     dist = net.center_distance_matrix()
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        block = radii_all[:, start:stop]  # (k, t)
+        u = center_uniforms(seed, centers, start, stop)
+        block = sample_truncated_exp(texp, u) * delta  # (k, t)
         claimed = dist[:, :, None] <= block[:, None, :]  # (k, n, t)
         if not claimed.any(axis=0).all():
             raise AssertionError("covering violated in batch sampling")

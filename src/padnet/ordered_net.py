@@ -64,8 +64,45 @@ class CoreConstruction:
     rounds: int
 
 
+class _OrderTree:
+    """Ancestor queries on an order tree whose vertices sit at nodes `assign`.
+
+    Node a is an ancestor of node b (or b itself) exactly when
+    tin[a] <= tin[b] < tout[a], with [tin, tout) the preorder interval of a's
+    subtree.
+    """
+
+    assign: np.ndarray
+
+    def _index_order_tree(self, parent: tuple[int, ...], root: int):
+        """Record the intervals; returns the tree's children lists and levels."""
+        children, level, self._tin, self._tout, _ = rooted_tree_arrays(parent, root)
+        self._vertex_tin = np.asarray(self._tin)[self.assign]
+        self._vertex_tout = np.asarray(self._tout)[self.assign]
+        self._vertex_tin.flags.writeable = False
+        self._vertex_tout.flags.writeable = False
+        return children, level
+
+    def node_is_ancestor(self, a: int, b: int) -> bool:
+        return self._tin[a] <= self._tin[b] < self._tout[a]
+
+    def vertex_leq(self, u: int, v: int) -> bool:
+        """u <= v in the order: v's node is an ancestor of u's (or equal)."""
+        return self.node_is_ancestor(int(self.assign[v]), int(self.assign[u]))
+
+    def vertex_intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (tin, tout) of every vertex's node: v <= u iff
+        tin[u] <= tin[v] < tout[u]."""
+        return self._vertex_tin, self._vertex_tout
+
+    def descendant_vertices(self, x: int) -> np.ndarray:
+        """Boolean mask of vertices u with u <= x."""
+        tin = self._vertex_tin
+        return (tin >= tin[x]) & (tin < self._vertex_tout[x])
+
+
 @dataclass
-class SemiTreeOrder:
+class SemiTreeOrder(_OrderTree):
     """Order tree isomorphic to the tree partition; assign may collide.
 
     assign maps each vertex to the bag node of its first covering core.
@@ -79,25 +116,10 @@ class SemiTreeOrder:
     level: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.children, self.level, self._tin, self._tout, _ = rooted_tree_arrays(
-            self.parent, self.root
-        )
-
-    def node_is_ancestor(self, a: int, b: int) -> bool:
-        return self._tin[a] <= self._tin[b] < self._tout[a]
-
-    def vertex_leq(self, u: int, v: int) -> bool:
-        """u <= v in the semi order: v's node is an ancestor of u's (or equal)."""
-        return self.node_is_ancestor(int(self.assign[v]), int(self.assign[u]))
-
-    def descendant_vertices(self, x: int) -> np.ndarray:
-        """Boolean mask of vertices u with u <= x."""
-        node = int(self.assign[x])
-        tin = np.asarray(self._tin)[self.assign]
-        return (tin >= self._tin[node]) & (tin < self._tout[node])
+        self.children, self.level = self._index_order_tree(self.parent, self.root)
 
 
-class TreeOrderedNet:
+class TreeOrderedNet(_OrderTree):
     """Net vertices plus an injective valid tree order of all vertices.
 
     Parameters carried along: the covering radius `delta`, the packing radius
@@ -125,8 +147,7 @@ class TreeOrderedNet:
         self.delta = delta
         self.tp_width = tp_width
         self.cores = cores
-        _, self.node_level, self._tin, self._tout, _ = rooted_tree_arrays(order_parent, 0)
-        self._vertex_tin = np.asarray(self._tin)[assign]
+        _, self.node_level = self._index_order_tree(order_parent, 0)
         self._centers = np.asarray(
             sorted(net.indices.tolist(), key=lambda x: (self.node_level[assign[x]], x)),
             dtype=np.int64,
@@ -153,16 +174,6 @@ class TreeOrderedNet:
     def center_distance_matrix(self) -> np.ndarray:
         """Row i: distances from centers_in_order()[i] inside its descendant subgraph."""
         return self._center_dist
-
-    def node_is_ancestor(self, a: int, b: int) -> bool:
-        return self._tin[a] <= self._tin[b] < self._tout[a]
-
-    def vertex_leq(self, u: int, v: int) -> bool:
-        return self.node_is_ancestor(int(self.assign[v]), int(self.assign[u]))
-
-    def descendant_vertices(self, x: int) -> np.ndarray:
-        node = int(self.assign[x])
-        return (self._vertex_tin >= self._tin[node]) & (self._vertex_tin < self._tout[node])
 
     def packing_counts(self, multiplier: float) -> np.ndarray:
         """Per-vertex count of ancestor net points within multiplier*delta."""
@@ -200,10 +211,6 @@ class TreeOrderedNet:
                 for c in self.cores
             ],
         }
-
-
-def construct_cores(g: WeightedGraph, tp: TreePartition, delta: float) -> list[Core]:
-    return construct_cores_trace(g, tp, delta).cores
 
 
 def construct_cores_trace(
@@ -418,7 +425,7 @@ def build_tree_ordered_net(
     g: WeightedGraph, tp: TreePartition, delta: float, alpha: float = 3.0
 ) -> TreeOrderedNet:
     """Full pipeline: carve cores, order vertices, expand to a tree order."""
-    cores = construct_cores(g, tp, delta)
+    cores = construct_cores_trace(g, tp, delta).cores
     semi, net = build_semi_tree_order(cores, tp)
     return semi_to_tree_order(semi, net, g, delta, alpha=alpha, cores=tuple(cores))
 

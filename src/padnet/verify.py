@@ -823,6 +823,19 @@ def full_report(
             host, cover, alpha, delta, oracle_cap=oracle_cap, packing_counts=pk_counts
         ).checks
     )
+    if alpha <= 2:
+        # the partition cover's padding radius (alpha-2)*delta/4 needs alpha > 2
+        checks.append(
+            _check(
+                "partition-cover-skipped",
+                False,
+                measured=alpha,
+                bound=2,
+                witness=f"partition cover needs alpha > 2, got {alpha}; section not run",
+                warn=True,
+            )
+        )
+        return VerificationReport(checks)
     pcover = build_partition_cover(host, net, delta)
     checks.extend(
         verify_cover(host, pcover, alpha, delta, oracle_cap=oracle_cap, tau=net.tau_emp).checks

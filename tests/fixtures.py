@@ -203,3 +203,23 @@ def acceptance_fixtures() -> list[Fixture]:
         ]
     )
     return out
+
+
+def shuffled_ids(f: Fixture, seed: int) -> Fixture:
+    """The same instance with vertex labels and non-root bag ids permuted.
+
+    The copy-expanded host numbers its vertices bag by bag, so shuffling the
+    bags stops host ids from growing with depth in the tree order.
+    """
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(f.graph.n).tolist()
+    nb = len(f.td.bags)
+    new_bag = [0] + (1 + rng.permutation(nb - 1)).tolist()  # the root stays bag 0
+    bags: list[list[int]] = [[] for _ in range(nb)]
+    parent = [-1] * nb
+    for b in range(nb):
+        bags[new_bag[b]] = [perm[v] for v in f.td.bags[b]]
+        if f.td.parent[b] != -1:
+            parent[new_bag[b]] = new_bag[f.td.parent[b]]
+    g = WeightedGraph(f.graph.n, [(perm[u], perm[v], w) for u, v, w in f.graph.edges])
+    return Fixture(f"{f.name}-shuffled", g, _td(bags, parent), f.delta)

@@ -177,3 +177,22 @@ def test_verify_exit_one_on_hard_failure(capsys, monkeypatch):
     monkeypatch.setattr(cli, "full_report", lambda *a, **k: failing)
     code = main(["verify", *PATH_ARGS, "--delta", "2"])
     assert code == 1
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "2"])
+def test_verify_alpha_at_most_two_skips_partition_cover(capsys, alpha):
+    # the partition cover needs alpha > 2; the rest of the report still runs
+    code, out = run(
+        capsys, "verify", *GRID_ARGS, "--delta", "1", "--alpha", alpha, "--trials", "400"
+    )
+    payload = json.loads(out)
+    validate(payload, "verify")
+    assert code == 0 and payload["ok"] is True
+    by_name = {c["name"]: c for c in payload["checks"]}
+    skipped = by_name.pop("partition-cover-skipped")
+    assert skipped["status"] == "warn" and "alpha > 2" in skipped["witness"]
+    assert not any(name.startswith("partition-cover") for name in by_name)
+    for name in ("net-covering", "partition-total-disjoint", "sampler-ks", "cover-strong-diameter"):
+        assert name in by_name
+    assert sum(name.startswith("padding-lcb-gamma-") for name in by_name) == 3
+    assert all(c["status"] == "pass" for c in by_name.values())

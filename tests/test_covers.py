@@ -1,12 +1,27 @@
 import numpy as np
 import pytest
 from conftest import built
-from fixtures import acceptance_fixtures, heavy_path5, triangle_single_bag
+from fixtures import (
+    acceptance_fixtures,
+    binary_tree_fixture,
+    grid_fixture,
+    heavy_path5,
+    partial_ktree_fixture,
+    path_fixture,
+    shuffled_ids,
+    triangle_single_bag,
+    weighted_path_fixture,
+)
 
-from padnet.covers import build_partition_cover, build_sparse_cover
+from padnet.covers import (
+    PartitionCluster,
+    PartitionCover,
+    build_partition_cover,
+    build_sparse_cover,
+)
 from padnet.graph import WeightedGraph
 from padnet.ordered_net import build_tree_ordered_net
-from padnet.trees import TreePartition
+from padnet.trees import TreePartition, td_to_tree_partition
 from padnet.verify import oracle_all_pairs, verify_cover
 
 BY_NAME = {f.name: f for f in acceptance_fixtures()}
@@ -135,3 +150,87 @@ def test_verify_cover_integration():
     pcover = build_partition_cover(b.host, b.net, b.delta)
     rep = verify_cover(b.host, pcover, 3.0, b.delta, oracle_cap=b.host.n, tau=b.net.tau_emp)
     assert rep.ok, rep.format_table()
+
+
+# --- partition cover against the original greedy --------------------------------
+
+
+def reference_partition_cover(g, net, delta) -> PartitionCover:
+    """The original greedy: every pick rescans all candidate pairs, O(k^2)."""
+    alpha = net.alpha
+    centers = net.centers_in_order()
+    member_mask = net.center_distance_matrix() <= alpha * delta / 2
+    remaining = list(range(len(centers)))
+    partial_partitions = []
+    while remaining:
+        occupied = np.zeros(g.n, dtype=bool)
+        chosen = []
+        while True:
+            candidates = [i for i in remaining if not (member_mask[i] & occupied).any()]
+            if not candidates:
+                break
+            maximal = [
+                i
+                for i in candidates
+                if not any(
+                    j != i
+                    and net.node_is_ancestor(int(net.assign[centers[j]]), int(net.assign[centers[i]]))
+                    for j in candidates
+                )
+            ]
+            pick = min(maximal, key=lambda i: int(centers[i]))
+            chosen.append(pick)
+            remaining.remove(pick)
+            occupied |= member_mask[pick]
+        partial_partitions.append(chosen)
+    partitions = []
+    for chosen in partial_partitions:
+        part = []
+        occupied = np.zeros(g.n, dtype=bool)
+        for i in chosen:
+            members = np.flatnonzero(member_mask[i])
+            members_set = frozenset(members.tolist())
+            part.append(PartitionCluster("net", int(centers[i]), alpha * delta / 2, members_set))
+            occupied[members] = True
+        for v in np.flatnonzero(~occupied).tolist():
+            part.append(PartitionCluster("singleton", v, 0.0, frozenset([v])))
+        partitions.append(tuple(part))
+    return PartitionCover(tuple(partitions), alpha, delta, 4 * alpha / (alpha - 2), alpha * delta)
+
+
+def fixture_net(fixture, alpha):
+    emb = td_to_tree_partition(fixture.graph, fixture.td)
+    net = build_tree_ordered_net(emb.host, emb.tree_partition, fixture.delta, alpha=alpha)
+    return emb.host, net
+
+
+def _seeded(make, seeds_deltas):
+    fixtures = [(make(s, d), s) for s, d in seeds_deltas]
+    return [pytest.param(f, id=f"{f.name}-seed{s}-delta{f.delta:g}") for f, s in fixtures]
+
+
+def _ktree(n, k, **kw):
+    return lambda s, d: partial_ktree_fixture(n, k, seed=s, delta=d, **kw)
+
+
+COVER_FIXTURES = (
+    [pytest.param(path_fixture(40, delta=d), id=f"path-40-delta{d:g}") for d in (1.0, 2.0)]
+    + [
+        pytest.param(grid_fixture(k, delta=d), id=f"grid-{k}-delta{d:g}")
+        for k, d in ((6, 1.0), (7, 2.0), (8, 4.0))
+    ]
+    + _seeded(_ktree(60, 3, drop=0.3), ((1, 1.0), (2, 2.0), (3, 1.0)))
+    # host ids not following depth, so a deep candidate can have the smallest id
+    + _seeded(lambda s, d: shuffled_ids(_ktree(40, 2, drop=0.3)(s, d), s), ((1, 1.0), (3, 1.0)))
+    + _seeded(lambda s, d: shuffled_ids(binary_tree_fixture(4, delta=d), s), ((1, 1.0),))
+    + _seeded(_ktree(50, 2, weighted=True), ((4, 4.0), (5, 4.0)))
+    + _seeded(lambda s, d: weighted_path_fixture(150, s, d), ((0, 6.0), (1, 3.0), (2, 9.0)))
+)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 5.0])
+@pytest.mark.parametrize("fixture", COVER_FIXTURES)
+def test_partition_cover_matches_original_greedy(fixture, alpha):
+    host, net = fixture_net(fixture, alpha)
+    got = build_partition_cover(host, net, fixture.delta).to_json_dict()
+    assert got == reference_partition_cover(host, net, fixture.delta).to_json_dict()

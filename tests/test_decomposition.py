@@ -7,24 +7,35 @@ import scipy.integrate
 import scipy.optimize
 import scipy.stats
 from conftest import built
-from fixtures import acceptance_fixtures, heavy_path5
-from hypothesis import given, settings
+from fixtures import (
+    acceptance_fixtures,
+    grid_fixture,
+    heavy_path5,
+    partial_ktree_fixture,
+    path_fixture,
+    weighted_path_fixture,
+)
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padnet.decomposition import (
     DecompositionParams,
+    PaddedCluster,
+    PaddedPartition,
     TruncatedExp,
+    center_uniforms,
     padded_trial_counts,
     padding_probability_estimate,
     replay_decomposition,
     sample_assignments,
     sample_padded_decomposition,
     sample_truncated_exp,
+    seeded_generator,
     wilson_lower_bound,
 )
 from padnet.graph import WeightedGraph, all_pairs
 from padnet.ordered_net import build_tree_ordered_net
-from padnet.trees import TreePartition
+from padnet.trees import TreePartition, td_to_tree_partition
 from padnet.verify import verify_partition
 
 BY_NAME = {f.name: f for f in acceptance_fixtures()}
@@ -156,6 +167,13 @@ def test_radius_law_and_validity_over_seeds():
             assert rep.ok, rep.format_table()
 
 
+def test_unclaimed_vertex_is_reported():
+    # radii below the covering radius leave the leaves unclaimed
+    g, net = single_center_net()
+    with pytest.raises(AssertionError, match="vertex 1 claimed by no center"):
+        replay_decomposition(g, net, [(0, 0.5)])
+
+
 def test_sampler_input_validation():
     g, net = single_center_net()
     with pytest.raises(ValueError):
@@ -164,6 +182,123 @@ def test_sampler_input_validation():
         sample_padded_decomposition(g, net, 2.0, 0)  # net built for delta=1
     with pytest.raises(ValueError):
         next(sample_assignments(g, net, 1.0, 0, trials=0))
+
+
+# --- vectorised Philox draws and the original per-center sampler ---------------
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    streams=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    start=st.integers(0, 23),
+    count=st.integers(0, 23),
+)
+@example(seed=0, streams=[0], start=0, count=1)
+@example(seed=2**64 - 1, streams=[2**64 - 1, 0, 7], start=0, count=1)
+@example(seed=2**64 - 1, streams=[3], start=5, count=1)
+@example(seed=0, streams=[1, 2], start=3, count=6)
+@settings(max_examples=150, deadline=None)
+def test_center_uniforms_match_numpy_philox(seed, streams, start, count):
+    stop = start + count
+    got = center_uniforms(seed, streams, start, stop)
+    expected = np.stack([seeded_generator(seed, s).random(stop)[start:] for s in streams])
+    assert got.shape == (len(streams), count)
+    assert got.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_center_uniforms_long_streams():
+    # more than one 256-trial chunk, counts not multiples of 4
+    streams = [0, 5, 123456789]
+    for seed in (7, 2**63 + 5):
+        for start, stop in ((0, 1001), (253, 2000), (999, 1003)):
+            expected = np.stack([seeded_generator(seed, s).random(stop)[start:] for s in streams])
+            assert center_uniforms(seed, streams, start, stop).tobytes() == expected.tobytes()
+
+
+def test_center_uniforms_rejects_bad_seeds_and_ranges():
+    for seed in (-1, 2**64, 2**70):
+        with pytest.raises(ValueError):
+            center_uniforms(seed, [0], 0, 1)
+    with pytest.raises(ValueError):
+        center_uniforms(0, [0], 5, 4)
+    with pytest.raises(ValueError):
+        center_uniforms(0, [0], -1, 4)
+    g, net = single_center_net()
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            next(sample_assignments(g, net, 1.0, seed, trials=3))
+
+
+def reference_decomposition(net, delta, seed) -> PaddedPartition:
+    """The original sampler: one Philox generator and one scalar draw per
+    center, then one full scan of the assignment per cluster."""
+    params = DecompositionParams.from_net(net, delta)
+    texp = TruncatedExp(1.0, params.beta_internal, params.lam)
+    centers = net.centers_in_order()
+    draws = [float(seeded_generator(seed, int(x)).random(1)[0]) for x in centers]
+    radii = np.array([sample_truncated_exp(texp, u) for u in draws]) * delta
+    raw = np.argmax(net.center_distance_matrix() <= radii[:, None], axis=0)
+    clusters = []
+    renumber = np.full(len(centers), -1, dtype=np.int64)
+    for i in range(len(centers)):
+        members = np.flatnonzero(raw == i)
+        if members.size:
+            renumber[i] = len(clusters)
+            cluster = PaddedCluster(int(centers[i]), float(radii[i]), frozenset(members.tolist()))
+            clusters.append(cluster)
+    trace = tuple((int(centers[i]), float(radii[i])) for i in range(len(centers)))
+    return PaddedPartition(tuple(clusters), renumber[raw], seed, params, trace)
+
+
+def reference_assignments(net, delta, seed, trials) -> np.ndarray:
+    """(trials, n) first-claiming center ranks from whole per-center streams."""
+    params = DecompositionParams.from_net(net, delta)
+    texp = TruncatedExp(1.0, params.beta_internal, params.lam)
+    centers = net.centers_in_order()
+    uniforms = np.stack([seeded_generator(seed, int(x)).random(trials) for x in centers])
+    radii = sample_truncated_exp(texp, uniforms) * delta  # (k, trials)
+    claimed = net.center_distance_matrix()[:, :, None] <= radii[:, None, :]
+    return np.argmax(claimed, axis=0).T
+
+
+def fixture_net(fixture):
+    emb = td_to_tree_partition(fixture.graph, fixture.td)
+    return emb.host, build_tree_ordered_net(emb.host, emb.tree_partition, fixture.delta)
+
+
+SAMPLER_FIXTURES = [
+    pytest.param(path_fixture(40, delta=2.0), id="path-40"),
+    pytest.param(grid_fixture(6, delta=2.0), id="grid-6"),
+    pytest.param(partial_ktree_fixture(50, 3, seed=2, drop=0.3, delta=2.0), id="ktree3-50d"),
+    pytest.param(weighted_path_fixture(120, seed=3), id="wpath-120-seed3"),
+    pytest.param(weighted_path_fixture(120, seed=4, delta=3.0), id="wpath-120-seed4"),
+]
+
+
+@pytest.mark.parametrize("fixture", SAMPLER_FIXTURES)
+def test_sampler_matches_original_per_center_draws(fixture):
+    host, net = fixture_net(fixture)
+    for seed in (0, 1, 17, 2**64 - 1):
+        got = sample_padded_decomposition(host, net, fixture.delta, seed)
+        expected = reference_decomposition(net, fixture.delta, seed)
+        assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
+        assert got.clusters == expected.clusters
+        replayed = replay_decomposition(host, net, list(got.trace), seed=seed)
+        assert json.dumps(replayed.to_json_dict()) == json.dumps(got.to_json_dict())
+
+
+@pytest.mark.parametrize("fixture", SAMPLER_FIXTURES[1:4])
+def test_batch_matches_whole_stream_draws_across_chunks(fixture):
+    host, net = fixture_net(fixture)
+    trials = 300  # one full chunk of 256 and a partial one of 44
+    blocks = list(sample_assignments(host, net, fixture.delta, seed=11, trials=trials))
+    assert [b.shape[0] for b in blocks] == [256, 44]
+    got = np.concatenate(blocks)
+    assert np.array_equal(got, reference_assignments(net, fixture.delta, 11, trials))
+    single = sample_padded_decomposition(host, net, fixture.delta, 11)
+    centers = net.centers_in_order().tolist()
+    assert [centers.index(single.clusters[c].center) for c in single.assignment] == got[0].tolist()
 
 
 # --- padding estimate -----------------------------------------------------------

@@ -8,7 +8,6 @@ from padnet.ordered_net import (
     SemiTreeOrder,
     build_semi_tree_order,
     build_tree_ordered_net,
-    construct_cores,
     construct_cores_trace,
     packing_profile,
     semi_to_tree_order,
@@ -38,7 +37,7 @@ def test_heavy_path_hand_simulation():
 
 def test_triangle_single_bag():
     g, tp, delta = triangle_single_bag()
-    cores = construct_cores(g, tp, delta)
+    cores = construct_cores_trace(g, tp, delta).cores
     assert len(cores) == 1
     assert sorted(cores[0].members) == [0, 1, 2]
     assert sorted(cores[0].centers) == [0, 1, 2]
@@ -54,7 +53,7 @@ def test_star_single_round():
         bags=(frozenset([0]),) + tuple(frozenset([i]) for i in range(1, 5)),
         parent=(-1, 0, 0, 0, 0),
     )
-    cores = construct_cores(g, tp, 1.0)
+    cores = construct_cores_trace(g, tp, 1.0).cores
     assert len(cores) == 1
     assert sorted(cores[0].members) == [0, 1, 2, 3, 4]
 
@@ -62,9 +61,9 @@ def test_star_single_round():
 def test_delta_must_be_positive():
     g, tp, _ = triangle_single_bag()
     with pytest.raises(ValueError):
-        construct_cores(g, tp, 0.0)
+        construct_cores_trace(g, tp, 0.0)
     with pytest.raises(ValueError):
-        construct_cores(g, tp, -1.0)
+        construct_cores_trace(g, tp, -1.0)
 
 
 def test_core_fields_on_fixtures():
@@ -127,7 +126,7 @@ def test_net_first_in_expansion_order():
 
 def test_injective_semi_expands_to_isomorphic_order():
     g, tp, delta = heavy_path5()
-    cores = construct_cores(g, tp, delta)
+    cores = construct_cores_trace(g, tp, delta).cores
     semi, net = build_semi_tree_order(cores, tp)
     ton = semi_to_tree_order(semi, net, g, delta, cores=tuple(cores))
     assert ton.node_vertex == (0, 1, 2, 3, 4)
@@ -193,3 +192,14 @@ def test_converted_net_covering_packing_oracle():
             counts2 += row <= 2 * delta
         assert covered.all()
         assert counts2.max() <= net.tau_bound
+
+
+def test_vertex_intervals_agree_with_ancestor_queries():
+    b = built(BY_NAME["grid-4"])
+    for order in (b.semi, b.net):
+        tin, tout = order.vertex_intervals()
+        assert not tin.flags.writeable and not tout.flags.writeable
+        for u in range(0, b.host.n, 3):
+            below = order.descendant_vertices(u)
+            assert below.tolist() == [order.vertex_leq(v, u) for v in range(b.host.n)]
+            assert below.tolist() == ((tin[u] <= tin) & (tin < tout[u])).tolist()
