@@ -35,8 +35,9 @@ from .trees import TreePartition, rooted_tree_arrays
 class Core:
     """One carved ball: members, where it was carved from, and its snapshot.
 
-    `support_restrict` is the vertex set of the support graph at creation,
-    kept so invariant checks can replay the ball computation.
+    `support_restrict` is the vertex set of the support graph at creation
+    (one n-byte mask), kept so invariant checks can replay the ball
+    computation.
     """
 
     id: int
@@ -44,7 +45,7 @@ class Core:
     center_bag: int
     centers: frozenset[int]
     rank: int
-    support_restrict: frozenset[int]
+    support_restrict: VertexSet
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,10 @@ class TreeOrderedNet(_OrderTree):
     Parameters carried along: the covering radius `delta`, the packing radius
     multiplier `alpha`, the measured packing value `tau_emp` at alpha*delta,
     and the structural bound `tau_bound` = tp^4 + tp^2.
+
+    The center table only reaches `center_radius` = max(alpha, 3) * delta,
+    the largest radius any reader asks for (the sampler's beta*delta, the
+    covers' alpha*delta and alpha*delta/2, the 2/3/alpha packing profile).
     """
 
     def __init__(
@@ -160,23 +165,40 @@ class TreeOrderedNet(_OrderTree):
         d = np.full((len(self._centers), g.n), np.inf)
         for i, x in enumerate(self._centers.tolist()):
             restrict = VertexSet.from_mask(self.descendant_vertices(x))
-            d[i] = shortest_paths(g, restrict, VertexSet(g.n, [x]))
+            d[i] = shortest_paths(g, restrict, VertexSet(g.n, [x]), limit=self.center_radius)
         return d
 
     @property
     def n(self) -> int:
         return self.assign.shape[0]
 
+    @property
+    def center_radius(self) -> float:
+        """Reach of the center table: max(alpha, 3) * delta."""
+        return max(self.alpha, 3.0) * self.delta
+
     def centers_in_order(self) -> np.ndarray:
         """Net vertices sorted root-to-leaf in the order tree, ties by id."""
         return self._centers
 
     def center_distance_matrix(self) -> np.ndarray:
-        """Row i: distances from centers_in_order()[i] inside its descendant subgraph."""
+        """Row i: distances from centers_in_order()[i] inside its descendant subgraph.
+
+        Entries beyond `center_radius` are +inf; every entry within it is the
+        exact restricted distance, so `d <= r` is exact for r <= center_radius.
+        """
         return self._center_dist
 
     def packing_counts(self, multiplier: float) -> np.ndarray:
-        """Per-vertex count of ancestor net points within multiplier*delta."""
+        """Per-vertex count of ancestor net points within multiplier*delta.
+
+        The multiplier may not exceed max(alpha, 3): the table ends there.
+        """
+        reach = max(self.alpha, 3.0)
+        if multiplier > reach:
+            raise ValueError(
+                f"radius multiplier must be <= max(alpha, 3) = {reach}, got {multiplier}"
+            )
         return (self._center_dist <= multiplier * self.delta).sum(axis=0)
 
     def to_json_dict(self) -> dict:
@@ -263,9 +285,8 @@ def construct_cores_trace(
                     for v in attach[b]:
                         support[v] = True
                 sources = [v for v in bag_vertices[center_bag] if not covered[v]]
-                dist = shortest_paths(
-                    g, VertexSet.from_mask(support), VertexSet(n, sources), limit=delta
-                )
+                support_restrict = VertexSet.from_mask(support)
+                dist = shortest_paths(g, support_restrict, VertexSet(n, sources), limit=delta)
                 members_arr = np.flatnonzero(dist <= delta)
                 members = frozenset(members_arr.tolist())
                 cores.append(
@@ -275,7 +296,7 @@ def construct_cores_trace(
                         center_bag=center_bag,
                         centers=frozenset(sources),
                         rank=round_no,
-                        support_restrict=frozenset(np.flatnonzero(support).tolist()),
+                        support_restrict=support_restrict,
                     )
                 )
                 covered[members_arr] = True
@@ -433,7 +454,10 @@ def build_tree_ordered_net(
 def packing_profile(
     net: TreeOrderedNet, g: WeightedGraph, radius_multipliers: list[float]
 ) -> dict[float, int]:
-    """Exact worst-vertex count of ancestor net points within m*delta, per m."""
+    """Exact worst-vertex count of ancestor net points within m*delta, per m.
+
+    Each m must lie in [0, max(alpha, 3)], the reach of the center table.
+    """
     for m in radius_multipliers:
         if m < 0:
             raise ValueError(f"radius multiplier must be >= 0, got {m}")

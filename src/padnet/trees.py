@@ -80,37 +80,32 @@ class TreeDecomposition:
         return max(len(b) for b in self.bags)
 
     def validate(self, g: WeightedGraph) -> None:
-        """Check the three tree-decomposition axioms against g."""
-        seen = set()
+        """Check the three tree-decomposition axioms against g.
+
+        Linear in the total bag size plus the edge count: each vertex's
+        holding bags are indexed once, and they form a connected subtree
+        exactly when one of them has a parent that does not hold the vertex.
+        """
+        holding: list[list[int]] = [[] for _ in range(g.n)]
         for i, bag in enumerate(self.bags):
             for v in bag:
                 if not 0 <= v < g.n:
                     raise TdValidationError(f"bag {i + 1} references unknown vertex {v + 1}")
-            seen |= bag
-        if seen != set(range(g.n)):
-            missing = min(set(range(g.n)) - seen)
-            raise TdValidationError(f"vertex {missing + 1} appears in no bag")
+                holding[v].append(i)
+        for x in range(g.n):
+            if not holding[x]:
+                raise TdValidationError(f"vertex {x + 1} appears in no bag")
         for u, v, _ in g.edges:
-            if not any(u in bag and v in bag for bag in self.bags):
+            if not any(v in self.bags[b] for b in holding[u]):
                 raise TdValidationError(f"edge ({u + 1},{v + 1}) is covered by no bag")
         for x in range(g.n):
-            holding = [i for i, bag in enumerate(self.bags) if x in bag]
-            if not self._bags_connected(holding):
+            tops = sum(
+                1 for b in holding[x] if self.parent[b] == -1 or x not in self.bags[self.parent[b]]
+            )
+            if tops != 1:
                 raise TdValidationError(
                     f"bags containing vertex {x + 1} do not form a connected subtree"
                 )
-
-    def _bags_connected(self, bag_ids: list[int]) -> bool:
-        member = set(bag_ids)
-        stack = [bag_ids[0]]
-        reached = {bag_ids[0]}
-        while stack:
-            b = stack.pop()
-            for nb in self.children[b] + ([self.parent[b]] if self.parent[b] != -1 else []):
-                if nb in member and nb not in reached:
-                    reached.add(nb)
-                    stack.append(nb)
-        return reached == member
 
 
 @dataclass

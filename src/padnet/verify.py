@@ -42,6 +42,7 @@ from .graph import (
 )
 from .ordered_net import (
     CoreConstruction,
+    SemiTreeOrder,
     TreeOrderedNet,
     build_semi_tree_order,
     construct_cores_trace,
@@ -240,7 +241,7 @@ def verify_cores(
 
     bad = None
     for c in cores:
-        if not c.members <= c.support_restrict:
+        if not VertexSet(g.n, c.members).issubset(c.support_restrict):
             bad = f"core {c.id} leaves its support snapshot"
             break
     checks.append(_check("core-members-in-support", bad is None, witness=bad))
@@ -254,8 +255,7 @@ def verify_cores(
 
     bad = None
     for c in cores:
-        restrict = VertexSet(g.n, c.support_restrict)
-        dist = shortest_paths(g, restrict, VertexSet(g.n, c.centers))
+        dist = shortest_paths(g, c.support_restrict, VertexSet(g.n, c.centers))
         replay = frozenset(np.flatnonzero(dist <= delta).tolist())
         if replay != c.members:
             bad = f"core {c.id}: recorded members differ from replayed ball"
@@ -375,6 +375,21 @@ def _oracle_center_distances(
     return d
 
 
+def count_maximal(order: TreeOrderedNet | SemiTreeOrder, members: np.ndarray) -> int:
+    """Number of members u with no other member v such that u <= v in the order.
+
+    One interval test over the members sorted by tin: u is maximal when no
+    earlier member's interval reaches past tin[u] and no other member shares
+    its node.
+    """
+    tin, tout = order.vertex_intervals()
+    by_tin = members[np.argsort(tin[members])]
+    m_tin, m_tout = tin[by_tin], tout[by_tin]
+    reach = np.concatenate(([0], np.maximum.accumulate(m_tout)[:-1]))
+    shared = np.concatenate((m_tin[1:] == m_tin[:-1], [False]))
+    return int(np.count_nonzero((m_tin >= reach) & ~shared))
+
+
 def verify_net(
     g: WeightedGraph,
     net: TreeOrderedNet,
@@ -402,27 +417,16 @@ def verify_net(
         center = int(rng.integers(g.n))
         radius = float(rng.uniform(0, scale))
         members = ball(g, g.all_vertices(), VertexSet(g.n, [center]), radius).members
-        idx = members.indices.tolist()
-        maximal = [
-            u
-            for u in idx
-            if not any(
-                v != u and net.node_is_ancestor(int(node_of[v]), int(node_of[u])) for v in idx
-            )
-        ]
-        if len(maximal) != 1:
-            bad = f"ball({center},{radius:.3g}) has {len(maximal)} maximal elements"
+        maximal = count_maximal(net, members.indices)
+        if maximal != 1:
+            bad = f"ball({center},{radius:.3g}) has {maximal} maximal elements"
             break
     checks.append(_check("connected-subset-unique-maximum", bad is None, witness=bad))
 
+    # the net's table ends at center_radius; the oracle's rows are complete
     oracle_d = _oracle_center_distances(g, net, oracle_cap)
-    prod_d = net.center_distance_matrix()
-    agree = bool(
-        np.array_equal(np.isinf(oracle_d), np.isinf(prod_d))
-        and np.array_equal(
-            oracle_d[np.isfinite(oracle_d)], prod_d[np.isfinite(prod_d)]
-        )
-    )
+    bounded = np.where(oracle_d <= net.center_radius, oracle_d, np.inf)
+    agree = np.array_equal(net.center_distance_matrix(), bounded)
     checks.append(_check("net-distance-oracle-agreement", agree))
 
     covered = (oracle_d <= delta).any(axis=0)

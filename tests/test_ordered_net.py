@@ -1,9 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import built
-from fixtures import acceptance_fixtures, heavy_path5, triangle_single_bag
+from fixtures import (
+    acceptance_fixtures,
+    heavy_path5,
+    partial_ktree_fixture,
+    triangle_single_bag,
+)
 
-from padnet.graph import VertexSet, WeightedGraph
+from padnet.graph import VertexSet, WeightedGraph, shortest_paths
 from padnet.ordered_net import (
     SemiTreeOrder,
     build_semi_tree_order,
@@ -12,7 +19,7 @@ from padnet.ordered_net import (
     packing_profile,
     semi_to_tree_order,
 )
-from padnet.trees import TreePartition
+from padnet.trees import TreePartition, td_to_tree_partition
 from padnet.verify import oracle_all_pairs
 
 BY_NAME = {f.name: f for f in acceptance_fixtures()}
@@ -73,7 +80,7 @@ def test_core_fields_on_fixtures():
         for c in b.construction.cores:
             assert c.centers <= tp.bags[c.center_bag]
             assert c.centers <= c.members
-            assert c.members <= c.support_restrict
+            assert VertexSet(b.host.n, c.members).issubset(c.support_restrict)
             bag_of = tp.bag_of()
             for v in c.members:
                 assert tp.is_bag_ancestor(c.center_bag, int(bag_of[v]))
@@ -203,3 +210,58 @@ def test_vertex_intervals_agree_with_ancestor_queries():
             below = order.descendant_vertices(u)
             assert below.tolist() == [order.vertex_leq(v, u) for v in range(b.host.n)]
             assert below.tolist() == ((tin[u] <= tin) & (tin < tout[u])).tolist()
+
+
+# --- the center table ends at center_radius --------------------------------------
+
+
+def unbounded_center_rows(net, g) -> np.ndarray:
+    """The table as it was before it was bounded: one unbounded search per center."""
+    return np.array(
+        [
+            shortest_paths(g, VertexSet.from_mask(net.descendant_vertices(x)), VertexSet(g.n, [x]))
+            for x in net.centers_in_order().tolist()
+        ]
+    )
+
+
+def decimal_weight_fixture(seed: int = 4):
+    """A partial 3-tree with non-dyadic weights, whose sums round by path."""
+    f = partial_ktree_fixture(50, 3, seed=seed, delta=1.0)
+    rng = np.random.default_rng(seed)
+    weights = rng.choice([0.1, 0.2, 0.3, 0.7], size=f.graph.m).tolist()
+    g = WeightedGraph(f.graph.n, [(u, v, w) for (u, v, _), w in zip(f.graph.edges, weights)])
+    return dataclasses.replace(f, name=f"{f.name}-decimal", graph=g)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 5.0])
+def test_bounded_table_is_thresholded_unbounded_rows(alpha):
+    fixtures = acceptance_fixtures() + [decimal_weight_fixture()]
+    beyond = 0
+    for f in fixtures:
+        emb = td_to_tree_partition(f.graph, f.td)
+        net = build_tree_ordered_net(emb.host, emb.tree_partition, f.delta, alpha=alpha)
+        assert net.center_radius == max(alpha, 3.0) * f.delta
+        free = unbounded_center_rows(net, emb.host)
+        expected = np.where(free <= net.center_radius, free, np.inf)
+        assert np.array_equal(net.center_distance_matrix(), expected), f.name
+        beyond += int((np.isfinite(free) & (free > net.center_radius)).sum())
+    assert beyond > 0  # the bound cut something off
+
+
+def test_packing_counts_stop_at_center_radius():
+    b = built(BY_NAME["path-30"])
+    assert b.net.packing_counts(3.0).max() == b.net.tau_emp
+    for m in (3.0 + 1e-9, 4.0, float("inf")):
+        with pytest.raises(ValueError, match="max\\(alpha, 3\\)"):
+            b.net.packing_counts(m)
+        with pytest.raises(ValueError):
+            packing_profile(b.net, b.host, [2.0, m])
+    wide = build_tree_ordered_net(b.host, b.tp, b.delta, alpha=5.0)
+    assert packing_profile(wide, b.host, [5.0])[5.0] == wide.tau_emp
+    with pytest.raises(ValueError):
+        wide.packing_counts(5.5)
+    narrow = build_tree_ordered_net(b.host, b.tp, b.delta, alpha=2.5)
+    assert set(packing_profile(narrow, b.host, [2.0, 3.0, 2.5])) == {2.0, 2.5, 3.0}
+    with pytest.raises(ValueError):
+        narrow.packing_counts(3.5)

@@ -126,3 +126,73 @@ def test_conversion_isometric_on_fixtures(fixture):
     for copies in emb.copies:
         idx = np.array(copies)
         assert dh[np.ix_(idx, idx)].max() == 0.0
+
+
+def reference_validate(td: TreeDecomposition, g: WeightedGraph) -> str | None:
+    """The quadratic validate the linear one replaced; returns its first error."""
+    seen = set()
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            if not 0 <= v < g.n:
+                return f"bag {i + 1} references unknown vertex {v + 1}"
+        seen |= bag
+    if seen != set(range(g.n)):
+        return f"vertex {min(set(range(g.n)) - seen) + 1} appears in no bag"
+    for u, v, _ in g.edges:
+        if not any(u in bag and v in bag for bag in td.bags):
+            return f"edge ({u + 1},{v + 1}) is covered by no bag"
+    for x in range(g.n):
+        holding = [i for i, bag in enumerate(td.bags) if x in bag]
+        reached, stack = {holding[0]}, [holding[0]]
+        while stack:
+            b = stack.pop()
+            for nb in td.children[b] + ([td.parent[b]] if td.parent[b] != -1 else []):
+                if nb in holding and nb not in reached:
+                    reached.add(nb)
+                    stack.append(nb)
+        if reached != set(holding):
+            return f"bags containing vertex {x + 1} do not form a connected subtree"
+    return None
+
+
+def validate_error(td: TreeDecomposition, g: WeightedGraph) -> str | None:
+    try:
+        td.validate(g)
+    except TdValidationError as exc:
+        return str(exc)
+    return None
+
+
+ERROR_KINDS = (
+    "references unknown vertex",
+    "appears in no bag",
+    "is covered by no bag",
+    "do not form a connected subtree",
+)
+
+
+def test_validate_matches_quadratic_reference():
+    rng = np.random.default_rng(3)
+    kinds = set()
+    for f in acceptance_fixtures():
+        g, td = f.graph, f.td
+        assert validate_error(td, g) is None and reference_validate(td, g) is None
+        for _ in range(12):
+            bags = [set(b) for b in td.bags]
+            for _ in range(int(rng.integers(1, 4))):
+                b = int(rng.integers(len(bags)))
+                action = rng.integers(4)
+                if action == 0:  # an unknown vertex
+                    bags[b].add(g.n + int(rng.integers(3)))
+                elif action == 1:  # a vertex dropped from every bag
+                    x = int(rng.integers(g.n))
+                    bags = [bag - {x} for bag in bags]
+                elif action == 2 and bags[b]:  # a vertex dropped from one bag
+                    bags[b].discard(int(rng.choice(sorted(bags[b]))))
+                else:  # a vertex added to one more bag
+                    bags[b].add(int(rng.integers(g.n)))
+            tampered = TreeDecomposition(tuple(frozenset(x) for x in bags), td.parent)
+            error = validate_error(tampered, g)
+            assert error == reference_validate(tampered, g)
+            kinds.update(k for k in ERROR_KINDS if error and k in error)
+    assert kinds == set(ERROR_KINDS)

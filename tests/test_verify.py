@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -7,7 +8,7 @@ from fixtures import acceptance_fixtures, triangle_single_bag
 
 from padnet.covers import CoverCluster, PartitionCluster, build_partition_cover, build_sparse_cover
 from padnet.decomposition import sample_padded_decomposition
-from padnet.graph import VertexSet, WeightedGraph, shortest_paths
+from padnet.graph import VertexSet, WeightedGraph, ball, shortest_paths
 from padnet.ordered_net import (
     ComponentTrace,
     build_tree_ordered_net,
@@ -16,6 +17,8 @@ from padnet.ordered_net import (
 from padnet.trees import TreePartition
 from padnet.verify import (
     OracleCapError,
+    _oracle_center_distances,
+    count_maximal,
     deep_packing_assertions,
     oracle_all_pairs,
     sampler_ks_check,
@@ -281,3 +284,95 @@ def test_deep_packing_assertions_hold():
         b = built(BY_NAME[name])
         for v in range(0, b.host.n, max(1, b.host.n // 10)):
             deep_packing_assertions(b.host, b.net, b.tp, v, oracle_cap=b.host.n)
+
+
+# --- the bounded center table, the core snapshot, the unique maximum ----------
+
+
+def with_table(net, table):
+    tampered = copy.copy(net)
+    tampered._center_dist = table
+    return tampered
+
+
+def test_tampered_center_table_fails_oracle_agreement():
+    b = built(BY_NAME["path-30"])
+    rep = verify_net(b.host, b.net, b.delta, oracle_cap=b.host.n)
+    assert find(rep, "net-distance-oracle-agreement").status == "pass"
+
+    oracle_d = _oracle_center_distances(b.host, b.net, b.host.n)
+    table = b.net.center_distance_matrix()
+    far = np.argwhere(np.isfinite(oracle_d) & (oracle_d > b.net.center_radius))
+    near = np.argwhere(np.isfinite(table) & (table > 0))
+    assert far.size and near.size
+    (i, v), (j, u) = far[0], near[len(near) // 2]
+
+    finite_beyond = table.copy()
+    finite_beyond[i, v] = oracle_d[i, v]  # the true distance, but past the radius
+    wrong_inside = table.copy()
+    wrong_inside[j, u] = np.nextafter(table[j, u], np.inf)
+    inf_inside = table.copy()
+    inf_inside[j, u] = np.inf
+    for tampered in (finite_beyond, wrong_inside, inf_inside):
+        rep = verify_net(b.host, with_table(b.net, tampered), b.delta, oracle_cap=b.host.n)
+        assert find(rep, "net-distance-oracle-agreement").status == "fail"
+
+
+def test_tampered_support_snapshot_fails_ball_replay():
+    b = built(BY_NAME["cycle-16"])
+    cons = b.construction
+    everything = b.host.all_vertices()
+
+    def whole_graph_ball(c):
+        d = shortest_paths(b.host, everything, VertexSet(b.host.n, c.centers))
+        return frozenset(np.flatnonzero(d <= b.delta).tolist())
+
+    shrunk_core = next(c for c in cons.cores if c.members - c.centers)
+    shrunk = shrunk_core.support_restrict.mask.copy()
+    shrunk[min(shrunk_core.members - shrunk_core.centers)] = False
+    # a snapshot that is too large lets the replayed ball grow past the members
+    grown_core = next(c for c in cons.cores if whole_graph_ball(c) != c.members)
+    for target, snapshot in (
+        (shrunk_core, VertexSet.from_mask(shrunk)),
+        (grown_core, everything),
+    ):
+        bad = dataclasses.replace(cons)
+        bad.cores = [
+            dataclasses.replace(c, support_restrict=snapshot) if c is target else c
+            for c in cons.cores
+        ]
+        names = {c.name: c.status for c in verify_cores(b.host, b.tp, b.delta, bad)}
+        assert names["core-ball-replay"] == "fail"
+
+
+def reference_maximal(order, members) -> int:
+    """The double loop count_maximal replaced: members below no other member."""
+    node_of = order.assign
+    idx = members.tolist()
+    return sum(
+        1
+        for u in idx
+        if not any(
+            v != u and order.node_is_ancestor(int(node_of[v]), int(node_of[u])) for v in idx
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["path-8", "wpath-12", "cycle-16", "grid-5", "btree-4", "sp-35d", "ktree3-30"]
+)
+def test_count_maximal_matches_double_loop(name):
+    b = built(BY_NAME[name])
+    rng = np.random.default_rng(len(name))
+    everything = b.host.all_vertices()
+    # the semi order puts several vertices on one node; the net's order is injective
+    for order in (b.net, b.semi):
+        for _ in range(40):
+            if rng.random() < 0.5:
+                size = int(rng.integers(1, min(b.host.n, 60) + 1))
+                members = np.sort(rng.choice(b.host.n, size=size, replace=False))
+            else:
+                center = VertexSet(b.host.n, [int(rng.integers(b.host.n))])
+                radius = float(rng.uniform(0, 4 * b.delta))
+                members = ball(b.host, everything, center, radius).members.indices
+            assert count_maximal(order, members) == reference_maximal(order, members)
