@@ -6,7 +6,6 @@ from .decomposition import (
     DecompositionParams,
     PaddedPartition,
     TruncatedExp,
-    padding_probability_estimate,
     sample_padded_decomposition,
     sample_truncated_exp,
 )

@@ -107,7 +107,7 @@ def cmd_net(args) -> int:
     emb, net = _build_net(g, td, args.delta, args.alpha)
     payload = net.to_json_dict()
     payload["command"] = "net"
-    profile = packing_profile(net, emb.host, [2.0, 3.0, net.alpha])
+    profile = packing_profile(net, [2.0, 3.0, net.alpha])
     payload["packing_profile"] = {str(m): v for m, v in sorted(profile.items())}
     _emit(args, payload)
     return 0

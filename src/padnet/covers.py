@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import WeightedGraph
-from .ordered_net import TreeOrderedNet
+from .ordered_net import TreeOrderedNet, check_net_delta
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,7 @@ def build_sparse_cover(g: WeightedGraph, net: TreeOrderedNet, delta: float) -> S
     alpha = net.alpha
     if alpha <= 1:
         raise ValueError(f"sparse cover needs alpha > 1, got {alpha}")
-    if delta != net.delta:
-        raise ValueError(f"net was built for delta={net.delta}, asked for {delta}")
+    check_net_delta(net, delta)
     centers = net.centers_in_order()
     dist = net.center_distance_matrix()
     radius = alpha * delta
@@ -123,8 +122,7 @@ def build_partition_cover(g: WeightedGraph, net: TreeOrderedNet, delta: float) -
     alpha = net.alpha
     if alpha <= 2:
         raise ValueError(f"partition cover needs alpha > 2, got {alpha}")
-    if delta != net.delta:
-        raise ValueError(f"net was built for delta={net.delta}, asked for {delta}")
+    check_net_delta(net, delta)
     centers = net.centers_in_order()
     dist = net.center_distance_matrix()
     radius = alpha * delta / 2

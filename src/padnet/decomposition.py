@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .graph import WeightedGraph, ball_pairs
-from .ordered_net import TreeOrderedNet
+from .ordered_net import TreeOrderedNet, check_net_delta
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,7 @@ class DecompositionParams:
 
     @classmethod
     def from_net(cls, net: TreeOrderedNet, delta: float) -> "DecompositionParams":
+        check_net_delta(net, delta)
         alpha = net.alpha
         if net.tau_emp < 1:
             raise ValueError(f"net packing value must be >= 1, got {net.tau_emp}")
@@ -205,29 +206,24 @@ def center_uniforms(seed: int, streams, start: int, stop: int) -> np.ndarray:
     return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
-def _check_inputs(net: TreeOrderedNet, delta: float):
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
-    if delta != net.delta:
-        raise ValueError(f"net was built for delta={net.delta}, asked to sample at {delta}")
+def _first_claims(dist: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """First claiming center of every vertex in every trial, as (t, n) ranks.
 
-
-def _assign_from_radii(net: TreeOrderedNet, radii: np.ndarray) -> np.ndarray:
-    """First-claiming center per vertex, given one radius per ordered center."""
-    dist = net.center_distance_matrix()
-    claimed = dist <= radii[:, None]
-    first = np.argmax(claimed, axis=0)
-    unclaimed = ~claimed[first, np.arange(claimed.shape[1])]
-    if unclaimed.any():
-        v = int(np.flatnonzero(unclaimed)[0])
+    dist is the (k, n) center table and radii holds each ordered center's
+    radius in each of t trials, shaped (k, t).  Raises when some vertex lies
+    in no center's ball, naming the first such vertex.
+    """
+    claimed = dist[:, :, None] <= radii[:, None, :]  # (k, n, t)
+    covered = claimed.any(axis=0)
+    if not covered.all():
+        v = int(np.flatnonzero(~covered.all(axis=1))[0])
         raise AssertionError(f"vertex {v} claimed by no center; covering violated")
-    return first
+    return np.argmax(claimed, axis=0).T
 
 
 def sample_padded_decomposition(
     g: WeightedGraph, net: TreeOrderedNet, delta: float, seed: int
 ) -> PaddedPartition:
-    _check_inputs(net, delta)
     params = DecompositionParams.from_net(net, delta)
     texp = TruncatedExp(1.0, params.beta_internal, params.lam)
     u = center_uniforms(seed, net.centers_in_order(), 0, 1)[:, 0]
@@ -236,7 +232,7 @@ def sample_padded_decomposition(
 
 
 def replay_decomposition(
-    g: WeightedGraph, net: TreeOrderedNet, trace: list[tuple[int, float]], seed: int = -1
+    net: TreeOrderedNet, trace: list[tuple[int, float]], seed: int = -1
 ) -> PaddedPartition:
     """Rebuild a partition from recorded (center, radius) pairs."""
     centers = net.centers_in_order()
@@ -250,7 +246,7 @@ def _partition_from_radii(
     net: TreeOrderedNet, radii: np.ndarray, seed: int, params: DecompositionParams
 ) -> PaddedPartition:
     centers = net.centers_in_order()
-    raw = _assign_from_radii(net, radii)
+    raw = _first_claims(net.center_distance_matrix(), radii[:, None])[0]
     # members of center i: one stable sort of the vertices by claiming center
     sizes = np.bincount(raw, minlength=len(centers))
     used = np.flatnonzero(sizes)
@@ -274,36 +270,27 @@ def _partition_from_radii(
     )
 
 
-def sample_assignments(
-    g: WeightedGraph,
-    net: TreeOrderedNet,
-    delta: float,
-    seed: int,
-    trials: int,
-    chunk: int = 256,
-) -> Iterator[np.ndarray]:
-    """Yield assignment matrices (chunk x n) for trials 0..trials-1.
+CHUNK = 256  # trials per block of sample_assignments
+
+
+def sample_assignments(net: TreeOrderedNet, seed: int, trials: int) -> Iterator[np.ndarray]:
+    """Yield (t, n) first-claiming center ranks, CHUNK trials at a time,
+    for trials 0..trials-1 at the net's own delta.
 
     Trial t uses draw t of each per-center stream, so trial 0 reproduces
     sample_padded_decomposition(seed) cluster-for-cluster.  Each chunk draws
     only its own trials' uniforms, start..stop-1 of every stream, with one
     center_uniforms call.
     """
-    _check_inputs(net, delta)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    params = DecompositionParams.from_net(net, delta)
+    params = DecompositionParams.from_net(net, net.delta)
     texp = TruncatedExp(1.0, params.beta_internal, params.lam)
     centers = net.centers_in_order()
     dist = net.center_distance_matrix()
-    for start in range(0, trials, chunk):
-        stop = min(start + chunk, trials)
-        u = center_uniforms(seed, centers, start, stop)
-        block = sample_truncated_exp(texp, u) * delta  # (k, t)
-        claimed = dist[:, :, None] <= block[:, None, :]  # (k, n, t)
-        if not claimed.any(axis=0).all():
-            raise AssertionError("covering violated in batch sampling")
-        yield np.argmax(claimed, axis=0).T  # (t, n)
+    for start in range(0, trials, CHUNK):
+        u = center_uniforms(seed, centers, start, min(start + CHUNK, trials))
+        yield _first_claims(dist, sample_truncated_exp(texp, u) * net.delta)
 
 
 _WILSON_Z99 = 2.3263478740408408  # one-sided 99% normal quantile
@@ -318,25 +305,6 @@ def wilson_lower_bound(successes: int, trials: int, z: float = _WILSON_Z99) -> f
     center = p + z * z / (2 * trials)
     rad = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
     return max(0.0, (center - rad) / denom)
-
-
-def padding_probability_estimate(
-    g: WeightedGraph,
-    net: TreeOrderedNet,
-    delta: float,
-    gamma: float,
-    trials: int,
-    seed: int,
-    dist_matrix: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """Monte Carlo worst-vertex rate of B(z, gamma*(alpha+1)*delta) staying whole.
-
-    Returns (empirical rate, Wilson 99% lower bound) for the worst vertex.
-    `dist_matrix` may carry precomputed all-pairs distances of g.
-    """
-    counts = padded_trial_counts(g, net, delta, [gamma], trials, seed, dist_matrix)[gamma]
-    worst = int(counts.min())
-    return worst / trials, wilson_lower_bound(worst, trials)
 
 
 def padded_trial_counts(
@@ -385,7 +353,7 @@ def padded_trial_counts(
         segments[gm] = (sel, np.searchsorted(rows[sel], np.arange(g.n)))
     counts = {gm: np.zeros(g.n, dtype=np.int64) for gm in segments}
     label_dtype = np.min_scalar_type(len(net.centers_in_order()))
-    for block in sample_assignments(g, net, delta, seed, trials):
+    for block in sample_assignments(net, seed, trials):
         nt = block.T.astype(label_dtype)  # (n, t), C-contiguous
         # a pair is cut when its two ends land in different clusters
         diff = nt[cols] != nt[rows]

@@ -77,7 +77,7 @@ class _OrderTree:
 
     def _index_order_tree(self, parent: tuple[int, ...], root: int):
         """Record the intervals; returns the tree's children lists and levels."""
-        children, level, self._tin, self._tout, _ = rooted_tree_arrays(parent, root)
+        children, level, self._tin, self._tout = rooted_tree_arrays(parent, root)
         self._vertex_tin = np.asarray(self._tin)[self.assign]
         self._vertex_tout = np.asarray(self._tout)[self.assign]
         self._vertex_tin.flags.writeable = False
@@ -235,6 +235,19 @@ class TreeOrderedNet(_OrderTree):
         }
 
 
+def _check_delta(delta: float) -> None:
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
+
+
+def check_net_delta(net: TreeOrderedNet, delta: float) -> None:
+    """Reject a delta other than the net's own: a construction from a net is
+    only defined at the covering radius the net was built for."""
+    _check_delta(delta)
+    if delta != net.delta:
+        raise ValueError(f"net was built for delta={net.delta}, asked for delta={delta}")
+
+
 def construct_cores_trace(
     g: WeightedGraph, tp: TreePartition, delta: float, deep_checks: bool = False
 ) -> CoreConstruction:
@@ -243,8 +256,7 @@ def construct_cores_trace(
     With deep_checks, asserts after every step that each bag's attachment
     stays inside the bag's proper-descendant bags.
     """
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
+    _check_delta(delta)
     tp.validate(g)
     n = g.n
     nb = len(tp.bags)
@@ -396,8 +408,7 @@ def semi_to_tree_order(
     vertex id); an empty preimage keeps a placeholder node so the tree shape
     survives.  Child paths hang off the parent path's leaf.
     """
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
+    _check_delta(delta)
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     n = semi.assign.shape[0]
@@ -451,9 +462,7 @@ def build_tree_ordered_net(
     return semi_to_tree_order(semi, net, g, delta, alpha=alpha, cores=tuple(cores))
 
 
-def packing_profile(
-    net: TreeOrderedNet, g: WeightedGraph, radius_multipliers: list[float]
-) -> dict[float, int]:
+def packing_profile(net: TreeOrderedNet, radius_multipliers: list[float]) -> dict[float, int]:
     """Exact worst-vertex count of ancestor net points within m*delta, per m.
 
     Each m must lie in [0, max(alpha, 3)], the reach of the center table.

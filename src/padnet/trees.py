@@ -35,7 +35,6 @@ def rooted_tree_arrays(parent: tuple[int, ...], root: int):
     level = [-1] * n
     tin = [0] * n
     tout = [0] * n
-    order: list[int] = []
     level[root] = 0
     clock = 0
     stack: list[tuple[int, bool]] = [(root, False)]
@@ -46,19 +45,19 @@ def rooted_tree_arrays(parent: tuple[int, ...], root: int):
             continue
         tin[node] = clock
         clock += 1
-        order.append(node)
         stack.append((node, True))
         for c in reversed(children[node]):
             level[c] = level[node] + 1
             stack.append((c, False))
-    if len(order) != n:
+    if clock != n:
         raise TdValidationError("parent pointers do not form a single rooted tree")
-    return children, level, tin, tout, order
+    return children, level, tin, tout
 
 
 @dataclass
-class TreeDecomposition:
-    """Rooted tree of (possibly overlapping) vertex bags."""
+class _BagTree:
+    """Rooted tree of vertex bags given by parent pointers, with its children
+    lists, hop levels and ancestor queries."""
 
     bags: tuple[frozenset[int], ...]
     parent: tuple[int, ...]
@@ -67,9 +66,17 @@ class TreeDecomposition:
     level: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.children, self.level, self._tin, self._tout, self._order = rooted_tree_arrays(
+        self.children, self.level, self._tin, self._tout = rooted_tree_arrays(
             self.parent, self.root
         )
+
+    def is_bag_ancestor(self, a: int, b: int) -> bool:
+        """True when bag a is an ancestor of bag b (or a == b)."""
+        return self._tin[a] <= self._tin[b] < self._tout[a]
+
+
+class TreeDecomposition(_BagTree):
+    """Rooted tree of (possibly overlapping) vertex bags."""
 
     @property
     def width(self) -> int:
@@ -108,20 +115,8 @@ class TreeDecomposition:
                 )
 
 
-@dataclass
-class TreePartition:
+class TreePartition(_BagTree):
     """Rooted tree of pairwise-disjoint vertex bags covering the whole graph."""
-
-    bags: tuple[frozenset[int], ...]
-    parent: tuple[int, ...]
-    root: int = 0
-    children: list[list[int]] = field(init=False, repr=False)
-    level: list[int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.children, self.level, self._tin, self._tout, self._order = rooted_tree_arrays(
-            self.parent, self.root
-        )
 
     @property
     def n(self) -> int:
@@ -137,10 +132,6 @@ class TreePartition:
             for v in bag:
                 out[v] = i
         return out
-
-    def is_bag_ancestor(self, a: int, b: int) -> bool:
-        """True when bag a is an ancestor of bag b (or a == b)."""
-        return self._tin[a] <= self._tin[b] < self._tout[a]
 
     def validate(self, g: WeightedGraph) -> None:
         seen: dict[int, int] = {}

@@ -51,6 +51,7 @@ from .ordered_net import (
 from .trees import IsometricEmbedding, TreeDecomposition, TreePartition
 
 TOL = 1e-9
+SWEEP_SEEDS = 100  # consecutive seeds whose sampled partitions full_report certifies
 KS_CRITICAL_1PCT = 1.62762  # Kolmogorov statistic quantile, large-sample
 
 
@@ -502,8 +503,9 @@ def verify_partition(
     p: PaddedPartition,
     alpha: float,
     delta: float,
-    dist_matrix: np.ndarray | None = None,
+    dist_matrix: np.ndarray,
 ) -> VerificationReport:
+    """Certify one sampled partition; dist_matrix holds g's all-pairs distances."""
     checks: list[CheckResult] = []
     n = g.n
     beta = (alpha + 1) / 2
@@ -523,8 +525,6 @@ def verify_partition(
         witness = f"vertex {int(stray[0])} in {int(seen[stray[0]])} clusters" if stray.size else "assignment mismatch"
     checks.append(_check("partition-total-disjoint", ok, witness=witness))
 
-    if dist_matrix is None:
-        dist_matrix = all_pairs(g)
     bound = (alpha + 1) * delta + TOL
     worst = 0.0
     worst_c = None
@@ -567,12 +567,11 @@ def verify_cover(
     delta: float,
     oracle_cap: int = 60,
     packing_counts: np.ndarray | None = None,
-    padding_radius: float | None = None,
     tau: int | None = None,
 ) -> VerificationReport:
     if isinstance(cover, SparseCover):
-        return _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, packing_counts, padding_radius)
-    return _verify_partition_cover(g, cover, alpha, delta, oracle_cap, padding_radius, tau)
+        return _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, packing_counts)
+    return _verify_partition_cover(g, cover, alpha, delta, oracle_cap, tau)
 
 
 def _cluster_matrix(n: int, clusters) -> np.ndarray:
@@ -594,7 +593,7 @@ def _ball_containment(
     return True, None
 
 
-def _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, packing_counts, padding_radius):
+def _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, packing_counts):
     checks: list[CheckResult] = []
     mask = _cluster_matrix(g.n, [c.members for c in cover.clusters])
     per_vertex = mask.sum(axis=0)
@@ -636,7 +635,7 @@ def _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, packing_counts, pad
         )
     )
 
-    radius = padding_radius if padding_radius is not None else (alpha - 1) * delta / 2
+    radius = (alpha - 1) * delta / 2
     ok, witness = _ball_containment(g, mask, radius, oracle_cap)
     checks.append(
         _check("cover-ball-containment", ok, measured=radius, witness=witness)
@@ -644,7 +643,7 @@ def _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, packing_counts, pad
     return VerificationReport(checks)
 
 
-def _verify_partition_cover(g, cover, alpha, delta, oracle_cap, padding_radius, tau):
+def _verify_partition_cover(g, cover, alpha, delta, oracle_cap, tau):
     checks: list[CheckResult] = []
     bad = None
     for pi, part in enumerate(cover.partitions):
@@ -697,7 +696,7 @@ def _verify_partition_cover(g, cover, alpha, delta, oracle_cap, padding_radius, 
 
     all_clusters = [c.members for part in cover.partitions for c in part]
     mask = _cluster_matrix(g.n, all_clusters)
-    radius = padding_radius if padding_radius is not None else (alpha - 2) * delta / 4
+    radius = (alpha - 2) * delta / 4
     ok, witness = _ball_containment(g, mask, radius, oracle_cap)
     checks.append(
         _check("partition-cover-ball-containment", ok, measured=radius, witness=witness)
@@ -732,9 +731,7 @@ def full_report(
     alpha: float = 3.0,
     seed: int = 0,
     trials: int = 10_000,
-    sweep_seeds: int = 100,
     oracle_cap: int = 60,
-    gammas: list[float] | None = None,
 ) -> VerificationReport:
     """Run every invariant check of the whole pipeline on one instance."""
     from .trees import td_to_tree_partition
@@ -772,7 +769,7 @@ def full_report(
     dist_matrix = all_pairs(host)
     sweep_fail = None
     replay_fail = None
-    for s in range(sweep_seeds):
+    for s in range(SWEEP_SEEDS):
         part = sample_padded_decomposition(host, net, delta, seed + s)
         rep = verify_partition(host, part, alpha, delta, dist_matrix=dist_matrix)
         if not rep.ok:
@@ -781,7 +778,7 @@ def full_report(
             )
             break
         if s == 0:
-            replayed = replay_decomposition(host, net, list(part.trace), seed=part.seed)
+            replayed = replay_decomposition(net, list(part.trace), seed=part.seed)
             if not (
                 np.array_equal(replayed.assignment, part.assignment)
                 and replayed.clusters == part.clusters
@@ -799,8 +796,7 @@ def full_report(
     checks.append(_check("partition-radius-range", sweep_fail is None, witness=sweep_fail))
     checks.append(_check("partition-replay-identical", replay_fail is None, witness=replay_fail))
 
-    if gammas is None:
-        gammas = [params.gamma_max / 4, params.gamma_max / 2, params.gamma_max]
+    gammas = [params.gamma_max / 4, params.gamma_max / 2, params.gamma_max]
     counts = padded_trial_counts(host, net, delta, gammas, trials, seed, dist_matrix)
     for gm in gammas:
         worst = int(counts[float(gm)].min())

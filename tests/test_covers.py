@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import built
@@ -19,6 +21,7 @@ from padnet.covers import (
     build_partition_cover,
     build_sparse_cover,
 )
+from padnet.decomposition import DecompositionParams
 from padnet.graph import WeightedGraph
 from padnet.ordered_net import build_tree_ordered_net
 from padnet.trees import TreePartition, td_to_tree_partition
@@ -106,6 +109,22 @@ def test_alpha_preconditions():
     build_sparse_cover(g, net_two, delta)  # fine for the cover
     with pytest.raises(ValueError):
         build_partition_cover(g, net_two, delta)
+
+
+def test_constructions_only_at_the_nets_delta():
+    g, net = single_center_net()
+    builders = [
+        build_sparse_cover,
+        build_partition_cover,
+        lambda g, net, delta: DecompositionParams.from_net(net, delta),
+    ]
+    for build in builders:
+        build(g, net, 1.0)
+        with pytest.raises(ValueError, match="net was built for delta=1.0, asked for delta=2.0"):
+            build(g, net, 2.0)
+        for delta in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="delta must be finite and > 0"):
+                build(g, net, delta)
 
 
 def test_ball_containment_exhaustive():

@@ -18,6 +18,7 @@ from fixtures import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from padnet import decomposition
 from padnet.decomposition import (
     DecompositionParams,
     PaddedCluster,
@@ -25,7 +26,6 @@ from padnet.decomposition import (
     TruncatedExp,
     center_uniforms,
     padded_trial_counts,
-    padding_probability_estimate,
     replay_decomposition,
     sample_assignments,
     sample_padded_decomposition,
@@ -140,7 +140,7 @@ def test_fixed_seed_reproducible():
 def test_replay_reproduces_partition():
     b = built(BY_NAME["grid-5"])
     part = sample_padded_decomposition(b.host, b.net, b.delta, seed=9)
-    again = replay_decomposition(b.host, b.net, list(part.trace), seed=9)
+    again = replay_decomposition(b.net, list(part.trace), seed=9)
     assert np.array_equal(again.assignment, part.assignment)
     assert again.clusters == part.clusters
 
@@ -148,7 +148,7 @@ def test_replay_reproduces_partition():
 def test_batch_trial_zero_matches_single_sample():
     b = built(BY_NAME["cycle-16"])
     part = sample_padded_decomposition(b.host, b.net, b.delta, seed=5)
-    block = next(sample_assignments(b.host, b.net, b.delta, seed=5, trials=3))
+    block = next(sample_assignments(b.net, seed=5, trials=3))
     centers = b.net.centers_in_order()
     raw_single = np.array([centers.tolist().index(part.clusters[part.assignment[v]].center)
                            for v in range(b.host.n)])
@@ -171,7 +171,36 @@ def test_unclaimed_vertex_is_reported():
     # radii below the covering radius leave the leaves unclaimed
     g, net = single_center_net()
     with pytest.raises(AssertionError, match="vertex 1 claimed by no center"):
-        replay_decomposition(g, net, [(0, 0.5)])
+        replay_decomposition(net, [(0, 0.5)])
+
+
+def test_unclaimed_vertex_is_named_by_single_and_batch_sampling(monkeypatch):
+    # blank two columns of the center table: no radius reaches those vertices
+    fixture = path_fixture(40, delta=2.0)
+    host, net = fixture_net(fixture)
+    table = net.center_distance_matrix().copy()
+    table[:, [7, 12]] = np.inf
+    monkeypatch.setattr(net, "center_distance_matrix", lambda: table)
+    with pytest.raises(AssertionError, match="^vertex 7 claimed by no center"):
+        sample_padded_decomposition(host, net, fixture.delta, 0)
+    with pytest.raises(AssertionError, match="^vertex 7 claimed by no center"):
+        padded_trial_counts(host, net, fixture.delta, [0.0], trials=10, seed=0)
+
+
+def test_radius_equal_to_distance_claims(monkeypatch):
+    # every uniform 0 gives every center radius exactly delta, the distance
+    # from the single center to each leaf
+    g, net = single_center_net()
+    assert len(replay_decomposition(net, [(0, 1.0)]).clusters) == 1
+
+    def zeros(seed, streams, start, stop):
+        return np.zeros((len(streams), stop - start))
+
+    monkeypatch.setattr(decomposition, "center_uniforms", zeros)
+    part = sample_padded_decomposition(g, net, 1.0, 0)
+    assert part.trace == ((0, 1.0),)
+    assert sorted(part.clusters[0].members) == list(range(5))
+    assert next(sample_assignments(net, 0, trials=3)).tolist() == [[0] * 5] * 3
 
 
 def test_sampler_input_validation():
@@ -181,7 +210,7 @@ def test_sampler_input_validation():
     with pytest.raises(ValueError):
         sample_padded_decomposition(g, net, 2.0, 0)  # net built for delta=1
     with pytest.raises(ValueError):
-        next(sample_assignments(g, net, 1.0, 0, trials=0))
+        next(sample_assignments(net, 0, trials=0))
 
 
 # --- vectorised Philox draws and the original per-center sampler ---------------
@@ -227,7 +256,7 @@ def test_center_uniforms_rejects_bad_seeds_and_ranges():
     g, net = single_center_net()
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
-            next(sample_assignments(g, net, 1.0, seed, trials=3))
+            next(sample_assignments(net, seed, trials=3))
 
 
 def reference_decomposition(net, delta, seed) -> PaddedPartition:
@@ -284,7 +313,7 @@ def test_sampler_matches_original_per_center_draws(fixture):
         expected = reference_decomposition(net, fixture.delta, seed)
         assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
         assert got.clusters == expected.clusters
-        replayed = replay_decomposition(host, net, list(got.trace), seed=seed)
+        replayed = replay_decomposition(net, list(got.trace), seed=seed)
         assert json.dumps(replayed.to_json_dict()) == json.dumps(got.to_json_dict())
 
 
@@ -292,7 +321,7 @@ def test_sampler_matches_original_per_center_draws(fixture):
 def test_batch_matches_whole_stream_draws_across_chunks(fixture):
     host, net = fixture_net(fixture)
     trials = 300  # one full chunk of 256 and a partial one of 44
-    blocks = list(sample_assignments(host, net, fixture.delta, seed=11, trials=trials))
+    blocks = list(sample_assignments(net, seed=11, trials=trials))
     assert [b.shape[0] for b in blocks] == [256, 44]
     got = np.concatenate(blocks)
     assert np.array_equal(got, reference_assignments(net, fixture.delta, 11, trials))
@@ -306,24 +335,32 @@ def test_batch_matches_whole_stream_draws_across_chunks(fixture):
 
 def test_gamma_zero_rate_one():
     g, net = single_center_net()
-    rate, lcb = padding_probability_estimate(g, net, 1.0, 0.0, trials=50, seed=1)
-    assert rate == 1.0
-    assert lcb > 0.9
+    counts = padded_trial_counts(g, net, 1.0, [0.0], trials=50, seed=1)[0.0]
+    assert counts.tolist() == [50] * g.n
+    assert wilson_lower_bound(int(counts.min()), 50) > 0.9
 
 
 def test_single_center_rate_one_for_all_gamma():
     g, net = single_center_net()
-    for gamma in (1 / 64, 1 / 32, 1 / 16):
-        rate, _ = padding_probability_estimate(g, net, 1.0, gamma, trials=50, seed=1)
-        assert rate == 1.0
+    gammas = [1 / 64, 1 / 32, 1 / 16]
+    counts = padded_trial_counts(g, net, 1.0, gammas, trials=50, seed=1)
+    for gamma in gammas:
+        assert counts[gamma].tolist() == [50] * g.n
 
 
 def test_gamma_out_of_range():
     g, net = single_center_net()
     with pytest.raises(ValueError):
-        padding_probability_estimate(g, net, 1.0, 0.2, trials=10, seed=0)
+        padded_trial_counts(g, net, 1.0, [0.2], trials=10, seed=0)
     with pytest.raises(ValueError):
-        padding_probability_estimate(g, net, 1.0, -0.01, trials=10, seed=0)
+        padded_trial_counts(g, net, 1.0, [-0.01], trials=10, seed=0)
+
+
+def test_padded_trial_counts_rejects_nan_delta_first():
+    g, net = single_center_net()
+    for gammas in ([1 / 16], [0.2]):
+        with pytest.raises(ValueError, match="delta must be finite and > 0, got nan"):
+            padded_trial_counts(g, net, math.nan, gammas, trials=10, seed=0)
 
 
 def dense_trial_counts(g, net, delta, gammas, trials, seed):
@@ -336,7 +373,7 @@ def dense_trial_counts(g, net, delta, gammas, trials, seed):
         starts = np.searchsorted(rows, np.arange(g.n))
         segments[float(gm)] = (rows, cols, starts)
     counts = {gm: np.zeros(g.n, dtype=np.int64) for gm in segments}
-    for block in sample_assignments(g, net, delta, seed, trials):
+    for block in sample_assignments(net, seed, trials):
         for gm, (rows, cols, starts) in segments.items():
             diff = block[:, cols] != block[:, rows]
             cut = np.logical_or.reduceat(diff, starts, axis=1)

@@ -64,7 +64,6 @@ def test_full_report_enumerates_every_check_once():
         fixture.td,
         fixture.delta,
         trials=500,
-        sweep_seeds=10,
         oracle_cap=200,
     )
     assert report.ok, report.format_table()

@@ -156,18 +156,18 @@ def test_placeholder_nodes_for_empty_preimages():
 def test_packing_profile_zero_multiplier_distinct_weights():
     g, tp, delta = heavy_path5()
     ton = build_tree_ordered_net(g, tp, delta)
-    assert packing_profile(ton, g, [0.0]) == {0.0: 1}
+    assert packing_profile(ton, [0.0]) == {0.0: 1}
 
 
 def test_packing_profile_triangle():
     g, tp, delta = triangle_single_bag()
     ton = build_tree_ordered_net(g, tp, delta)
-    assert packing_profile(ton, g, [2.0]) == {2.0: 3}
+    assert packing_profile(ton, [2.0]) == {2.0: 3}
 
 
 def test_packing_profile_grid_within_bound():
     b = built(BY_NAME["grid-5"])
-    prof = packing_profile(b.net, b.host, [2.0, 3.0])
+    prof = packing_profile(b.net, [2.0, 3.0])
     assert prof[2.0] <= b.tp.width**4 + b.tp.width**2
     assert b.net.tau_emp == prof[3.0]
 
@@ -256,12 +256,12 @@ def test_packing_counts_stop_at_center_radius():
         with pytest.raises(ValueError, match="max\\(alpha, 3\\)"):
             b.net.packing_counts(m)
         with pytest.raises(ValueError):
-            packing_profile(b.net, b.host, [2.0, m])
+            packing_profile(b.net, [2.0, m])
     wide = build_tree_ordered_net(b.host, b.tp, b.delta, alpha=5.0)
-    assert packing_profile(wide, b.host, [5.0])[5.0] == wide.tau_emp
+    assert packing_profile(wide, [5.0])[5.0] == wide.tau_emp
     with pytest.raises(ValueError):
         wide.packing_counts(5.5)
     narrow = build_tree_ordered_net(b.host, b.tp, b.delta, alpha=2.5)
-    assert set(packing_profile(narrow, b.host, [2.0, 3.0, 2.5])) == {2.0, 2.5, 3.0}
+    assert set(packing_profile(narrow, [2.0, 3.0, 2.5])) == {2.0, 2.5, 3.0}
     with pytest.raises(ValueError):
         narrow.packing_counts(3.5)

@@ -112,6 +112,19 @@ def test_tree_partition_validation():
         ).validate(g)
 
 
+def test_bag_trees_share_structure_and_ancestor_queries():
+    # bag 0 roots children 1 and 3; bag 2 hangs below 1
+    parent = (-1, 0, 1, 0)
+    bags = tuple(frozenset({i}) for i in range(4))
+    for tree in (TreeDecomposition(bags, parent), TreePartition(bags, parent)):
+        assert tree.children == [[1, 3], [2], [], []]
+        assert tree.level == [0, 1, 2, 1]
+        ancestors = {(a, b) for a in range(4) for b in range(4) if tree.is_bag_ancestor(a, b)}
+        assert ancestors == {(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (2, 2), (3, 3)}
+    with pytest.raises(TdValidationError, match="single rooted tree"):
+        TreePartition(bags, (-1, 2, 1, 0))
+
+
 @pytest.mark.parametrize("fixture", acceptance_fixtures(), ids=lambda f: f.name)
 def test_conversion_isometric_on_fixtures(fixture):
     g, td = fixture.graph, fixture.td

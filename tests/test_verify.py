@@ -233,14 +233,11 @@ def test_cover_all_pass_single_cluster():
 
 
 def test_inflated_padding_radius_detected():
-    # doubling the guaranteed radius on a path must break containment
+    # checking the alpha-3 cover as an alpha-5 one doubles the guaranteed
+    # radius, (5-1)*delta/2 = 2*delta; on a path that must break containment
     b = built(BY_NAME["path-30"])
     cover = build_sparse_cover(b.host, b.net, b.delta)
-    alpha = 3.0
-    rep = verify_cover(
-        b.host, cover, alpha, b.delta, oracle_cap=b.host.n,
-        padding_radius=2 * (alpha - 1) * b.delta / 2,
-    )
+    rep = verify_cover(b.host, cover, 5.0, b.delta, oracle_cap=b.host.n)
     assert find(rep, "cover-ball-containment").status == "fail"
 
 
