@@ -19,6 +19,7 @@ one call per sample, and one per chunk of a batch.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -42,17 +43,40 @@ class TruncatedExp:
         if self.theta1 >= self.theta2:
             raise ValueError(f"need theta1 < theta2, got [{self.theta1}, {self.theta2}]")
 
+    @property
+    def shifted(self) -> bool:
+        """Whether exp(-lam * theta1) underflows (is subnormal or 0).
+
+        The plain forms divide by exp(-lam*theta1) - exp(-lam*theta2), which
+        is then inexact or 0 (lam ~ 921 at alpha = 1.01, tau = 5).  They are
+        kept wherever it is normal, so every draw there keeps its bits;
+        otherwise the forms shifted by theta1 divide by
+        -expm1(-lam*(theta2-theta1)) instead.
+        """
+        return math.exp(-self.lam * self.theta1) < sys.float_info.min
+
     def density(self, y):
         y = np.asarray(y, dtype=float)
-        lo, hi = math.exp(-self.lam * self.theta1), math.exp(-self.lam * self.theta2)
-        val = self.lam * np.exp(-self.lam * y) / (lo - hi)
+        if self.shifted:
+            val = self.lam * np.exp(-self.lam * (y - self.theta1)) / self.shifted_mass()
+        else:
+            lo, hi = math.exp(-self.lam * self.theta1), math.exp(-self.lam * self.theta2)
+            val = self.lam * np.exp(-self.lam * y) / (lo - hi)
         return np.where((y >= self.theta1) & (y <= self.theta2), val, 0.0)
 
     def cdf(self, y):
         y = np.asarray(y, dtype=float)
-        lo, hi = math.exp(-self.lam * self.theta1), math.exp(-self.lam * self.theta2)
-        out = (lo - np.exp(-self.lam * np.clip(y, self.theta1, self.theta2))) / (lo - hi)
+        inside = np.clip(y, self.theta1, self.theta2)
+        if self.shifted:
+            out = -np.expm1(-self.lam * (inside - self.theta1)) / self.shifted_mass()
+        else:
+            lo, hi = math.exp(-self.lam * self.theta1), math.exp(-self.lam * self.theta2)
+            out = (lo - np.exp(-self.lam * inside)) / (lo - hi)
         return np.where(y < self.theta1, 0.0, np.where(y > self.theta2, 1.0, out))
+
+    def shifted_mass(self) -> float:
+        """1 - exp(-lam*(theta2-theta1)): the mass on [theta1, theta2] over exp(-lam*theta1)."""
+        return -math.expm1(-self.lam * (self.theta2 - self.theta1))
 
 
 def sample_truncated_exp(dist: TruncatedExp, u) -> np.ndarray | float:
@@ -61,9 +85,12 @@ def sample_truncated_exp(dist: TruncatedExp, u) -> np.ndarray | float:
     u = np.asarray(u, dtype=float)
     if ((u < 0) | (u > 1)).any():
         raise ValueError("uniform draw outside [0, 1]")
-    lo, hi = math.exp(-dist.lam * dist.theta1), math.exp(-dist.lam * dist.theta2)
-    with np.errstate(divide="ignore"):
-        y = -np.log(lo - u * (lo - hi)) / dist.lam
+    if dist.shifted:
+        y = dist.theta1 - np.log1p(-u * dist.shifted_mass()) / dist.lam
+    else:
+        lo, hi = math.exp(-dist.lam * dist.theta1), math.exp(-dist.lam * dist.theta2)
+        with np.errstate(divide="ignore"):
+            y = -np.log(lo - u * (lo - hi)) / dist.lam
     y = np.clip(y, dist.theta1, dist.theta2)
     y = np.where(u == 0.0, dist.theta1, np.where(u == 1.0, dist.theta2, y))
     return float(y) if scalar else y

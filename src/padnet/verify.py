@@ -10,6 +10,21 @@ exactly once per full report.
 
 Distance comparisons use absolute tolerance 1e-9 where a bound is checked;
 oracle-vs-search agreement is exact (fixtures use integer or dyadic weights).
+
+`full_report` computes each oracle matrix once and passes it on as an
+argument; nothing is cached between calls, and a check called on its own
+computes what it reads.
+- The host's all-pairs matrix, computed after the input graph's: the
+  isometry and copy checks, both ball-containment checks, the balls sampled
+  for the unique-maximum check, the partition sweep's weak diameters and
+  `padded_trial_counts`.  The sweep and the padding counts are thus
+  certified against the oracle, not the Dijkstra rows they would otherwise
+  share with the code under test.
+- The net's center rows (`_oracle_center_distances`): the net checks, the
+  sparse cover's packing counts and `deep_packing_assertions`.
+- One oracle run per cover cluster (strong diameters, in the induced
+  subgraph), and the graph-core checks' own Dijkstra-vs-oracle runs on the
+  input graph.
 """
 
 from __future__ import annotations
@@ -34,7 +49,6 @@ from .decomposition import (
 from .graph import (
     VertexSet,
     WeightedGraph,
-    all_pairs,
     ball,
     shortest_paths,
     strong_diameter,
@@ -146,6 +160,17 @@ def _check(name, passed, measured=None, bound=None, witness=None, warn=False) ->
 def verify_embedding(
     g: WeightedGraph, td: TreeDecomposition, emb: IsometricEmbedding, oracle_cap: int
 ) -> list[CheckResult]:
+    return _embedding_checks(g, td, emb, oracle_cap)[0]
+
+
+def _embedding_checks(
+    g: WeightedGraph, td: TreeDecomposition, emb: IsometricEmbedding, oracle_cap: int
+) -> tuple[list[CheckResult], np.ndarray]:
+    """The embedding checks and the host oracle matrix they read.
+
+    The input graph's oracle runs first, so an input over the cap is named by
+    its own size rather than its host's.
+    """
     checks = []
     host, tp = emb.host, emb.tree_partition
 
@@ -203,7 +228,7 @@ def verify_embedding(
             bound=td.max_bag_size,
         )
     )
-    return checks
+    return checks, dh
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +423,19 @@ def verify_net(
     oracle_cap: int = 60,
     seed: int = 0,
     samples: int = 100,
+    host_dist: np.ndarray | None = None,
+    center_dist: np.ndarray | None = None,
 ) -> VerificationReport:
+    """Certify the net and its order against the oracle.
+
+    host_dist is g's oracle matrix and center_dist the net's oracle center
+    rows (`_oracle_center_distances`); each is computed here when not given.
+    """
     checks: list[CheckResult] = []
+    if host_dist is None:
+        host_dist = oracle_all_pairs(g, g.all_vertices(), cap=oracle_cap)
+    if center_dist is None:
+        center_dist = _oracle_center_distances(g, net, oracle_cap)
 
     node_of = net.assign
     bad = None
@@ -411,32 +447,30 @@ def verify_net(
     checks.append(_check("order-valid-for-edges", bad is None, witness=bad))
 
     rng = seeded_generator(seed, 0)
-    ecc0 = shortest_paths(g, g.all_vertices(), VertexSet(g.n, [0]))
+    ecc0 = host_dist[0]
     scale = 2 * float(ecc0[np.isfinite(ecc0)].max()) or 1.0
     bad = None
     for _ in range(samples):
         center = int(rng.integers(g.n))
         radius = float(rng.uniform(0, scale))
-        members = ball(g, g.all_vertices(), VertexSet(g.n, [center]), radius).members
-        maximal = count_maximal(net, members.indices)
+        maximal = count_maximal(net, np.flatnonzero(host_dist[center] <= radius))
         if maximal != 1:
             bad = f"ball({center},{radius:.3g}) has {maximal} maximal elements"
             break
     checks.append(_check("connected-subset-unique-maximum", bad is None, witness=bad))
 
     # the net's table ends at center_radius; the oracle's rows are complete
-    oracle_d = _oracle_center_distances(g, net, oracle_cap)
-    bounded = np.where(oracle_d <= net.center_radius, oracle_d, np.inf)
+    bounded = np.where(center_dist <= net.center_radius, center_dist, np.inf)
     agree = np.array_equal(net.center_distance_matrix(), bounded)
     checks.append(_check("net-distance-oracle-agreement", agree))
 
-    covered = (oracle_d <= delta).any(axis=0)
+    covered = (center_dist <= delta).any(axis=0)
     witness = None if covered.all() else f"vertex {int(np.flatnonzero(~covered)[0])}"
     checks.append(
         _check("net-covering", bool(covered.all()), measured=int(covered.sum()), bound=g.n, witness=witness)
     )
 
-    counts2 = (oracle_d <= 2 * delta).sum(axis=0)
+    counts2 = (center_dist <= 2 * delta).sum(axis=0)
     checks.append(
         _check(
             "net-packing-2delta",
@@ -446,9 +480,9 @@ def verify_net(
             witness=f"vertex {int(counts2.argmax())}",
         )
     )
-    counts3 = (oracle_d <= 3 * delta).sum(axis=0)
+    counts3 = (center_dist <= 3 * delta).sum(axis=0)
     checks.append(CheckResult("net-packing-3delta", "pass", int(counts3.max()), None))
-    counts_a = (oracle_d <= net.alpha * delta).sum(axis=0)
+    counts_a = (center_dist <= net.alpha * delta).sum(axis=0)
     checks.append(
         _check(
             "net-packing-alpha-delta",
@@ -461,7 +495,12 @@ def verify_net(
 
 
 def deep_packing_assertions(
-    g: WeightedGraph, net: TreeOrderedNet, tp: TreePartition, v: int, oracle_cap: int = 60
+    g: WeightedGraph,
+    net: TreeOrderedNet,
+    tp: TreePartition,
+    v: int,
+    oracle_cap: int = 60,
+    center_dist: np.ndarray | None = None,
 ) -> None:
     """Opt-in deep assertions on the ancestor-core chain of one vertex.
 
@@ -470,13 +509,15 @@ def deep_packing_assertions(
     realized by a single core and that every ancestor core in a link
     intersects its anchor's center set.  These are the structural facts the
     packing bound rests on, exposed for spot checks rather than every run.
+    center_dist, the net's oracle center rows, is computed when not given.
     """
     cores = net.cores
     if not cores:
         raise ValueError("net carries no core table")
-    oracle_d = _oracle_center_distances(g, net, oracle_cap)
+    if center_dist is None:
+        center_dist = _oracle_center_distances(g, net, oracle_cap)
     centers = net.centers_in_order()
-    near = {int(centers[i]) for i in np.flatnonzero(oracle_d[:, v] <= 2 * net.delta)}
+    near = {int(centers[i]) for i in np.flatnonzero(center_dist[:, v] <= 2 * net.delta)}
     meeting = [c for c in cores if c.members & near]
     remaining = sorted((c for c in meeting if v not in c.members), key=lambda c: c.id)
     while remaining:
@@ -510,14 +551,14 @@ def verify_partition(
     n = g.n
     beta = (alpha + 1) / 2
 
+    # every cluster's members end to end, each labelled with its cluster
+    members = [np.fromiter(c.members, dtype=np.int64, count=len(c.members)) for c in p.clusters]
+    flat = np.concatenate(members) if members else np.zeros(0, dtype=np.int64)
+    labels = np.repeat(np.arange(len(members)), [m.size for m in members])
+
     total = p.assignment.shape[0] == n and (p.assignment >= 0).all()
-    seen = np.zeros(n, dtype=np.int64)
-    for c in p.clusters:
-        for v in c.members:
-            seen[v] += 1
-    consistent = all(
-        p.assignment[v] == i for i, c in enumerate(p.clusters) for v in c.members
-    )
+    seen = np.bincount(flat, minlength=n)
+    consistent = np.array_equal(p.assignment[flat], labels)
     ok = bool(total and (seen == 1).all() and consistent)
     witness = None
     if not ok:
@@ -528,9 +569,8 @@ def verify_partition(
     bound = (alpha + 1) * delta + TOL
     worst = 0.0
     worst_c = None
-    for i, c in enumerate(p.clusters):
-        idx = np.fromiter(c.members, dtype=np.int64)
-        d = float(dist_matrix[np.ix_(idx, idx)].max())
+    for i, idx in enumerate(members):
+        d = float(dist_matrix[idx][:, idx].max())  # two gathers beat one np.ix_ gather
         if d > worst:
             worst, worst_c = d, i
     checks.append(
@@ -568,10 +608,14 @@ def verify_cover(
     oracle_cap: int = 60,
     packing_counts: np.ndarray | None = None,
     tau: int | None = None,
+    host_dist: np.ndarray | None = None,
 ) -> VerificationReport:
+    """Certify a cover; host_dist, g's oracle matrix, is computed when not given."""
+    if host_dist is None:
+        host_dist = oracle_all_pairs(g, g.all_vertices(), cap=oracle_cap)
     if isinstance(cover, SparseCover):
-        return _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, packing_counts)
-    return _verify_partition_cover(g, cover, alpha, delta, oracle_cap, tau)
+        return _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, host_dist, packing_counts)
+    return _verify_partition_cover(g, cover, alpha, delta, oracle_cap, host_dist, tau)
 
 
 def _cluster_matrix(n: int, clusters) -> np.ndarray:
@@ -582,18 +626,17 @@ def _cluster_matrix(n: int, clusters) -> np.ndarray:
 
 
 def _ball_containment(
-    g: WeightedGraph, cluster_mask: np.ndarray, radius: float, oracle_cap: int
+    host_dist: np.ndarray, cluster_mask: np.ndarray, radius: float
 ) -> tuple[bool, str | None]:
-    dg = oracle_all_pairs(g, g.all_vertices(), cap=oracle_cap)
-    for v in range(g.n):
-        ball_mask = dg[v] <= radius
+    for v in range(host_dist.shape[0]):
+        ball_mask = host_dist[v] <= radius
         leaves = (ball_mask[None, :] & ~cluster_mask).any(axis=1)
         if leaves.all():
             return False, f"ball around vertex {v} fits in no cluster"
     return True, None
 
 
-def _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, packing_counts):
+def _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, host_dist, packing_counts):
     checks: list[CheckResult] = []
     mask = _cluster_matrix(g.n, [c.members for c in cover.clusters])
     per_vertex = mask.sum(axis=0)
@@ -636,14 +679,14 @@ def _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, packing_counts):
     )
 
     radius = (alpha - 1) * delta / 2
-    ok, witness = _ball_containment(g, mask, radius, oracle_cap)
+    ok, witness = _ball_containment(host_dist, mask, radius)
     checks.append(
         _check("cover-ball-containment", ok, measured=radius, witness=witness)
     )
     return VerificationReport(checks)
 
 
-def _verify_partition_cover(g, cover, alpha, delta, oracle_cap, tau):
+def _verify_partition_cover(g, cover, alpha, delta, oracle_cap, host_dist, tau):
     checks: list[CheckResult] = []
     bad = None
     for pi, part in enumerate(cover.partitions):
@@ -697,7 +740,7 @@ def _verify_partition_cover(g, cover, alpha, delta, oracle_cap, tau):
     all_clusters = [c.members for part in cover.partitions for c in part]
     mask = _cluster_matrix(g.n, all_clusters)
     radius = (alpha - 2) * delta / 4
-    ok, witness = _ball_containment(g, mask, radius, oracle_cap)
+    ok, witness = _ball_containment(host_dist, mask, radius)
     checks.append(
         _check("partition-cover-ball-containment", ok, measured=radius, witness=witness)
     )
@@ -740,7 +783,9 @@ def full_report(
     checks.extend(_graph_property_checks(g, seed, oracle_cap))
 
     emb = td_to_tree_partition(g, td)
-    checks.extend(verify_embedding(g, td, emb, oracle_cap))
+    # the report's one host oracle matrix; every host-distance check reads it
+    embedding_checks, dh = _embedding_checks(g, td, emb, oracle_cap)
+    checks.extend(embedding_checks)
 
     host, tp = emb.host, emb.tree_partition
     construction = construct_cores_trace(host, tp, delta)
@@ -750,7 +795,10 @@ def full_report(
     net = semi_to_tree_order(
         semi, net_set, host, delta, alpha=alpha, cores=tuple(construction.cores)
     )
-    net_report = verify_net(host, net, delta, oracle_cap=oracle_cap, seed=seed)
+    center_dist = _oracle_center_distances(host, net, oracle_cap)
+    net_report = verify_net(
+        host, net, delta, oracle_cap=oracle_cap, seed=seed, host_dist=dh, center_dist=center_dist
+    )
     checks.extend(net_report.checks)
 
     rebuilt = semi_to_tree_order(
@@ -766,12 +814,11 @@ def full_report(
     )
 
     params = DecompositionParams.from_net(net, delta)
-    dist_matrix = all_pairs(host)
     sweep_fail = None
     replay_fail = None
     for s in range(SWEEP_SEEDS):
         part = sample_padded_decomposition(host, net, delta, seed + s)
-        rep = verify_partition(host, part, alpha, delta, dist_matrix=dist_matrix)
+        rep = verify_partition(host, part, alpha, delta, dist_matrix=dh)
         if not rep.ok:
             sweep_fail = f"seed {seed + s}: " + "; ".join(
                 c.name for c in rep.checks if c.status == "fail"
@@ -797,7 +844,7 @@ def full_report(
     checks.append(_check("partition-replay-identical", replay_fail is None, witness=replay_fail))
 
     gammas = [params.gamma_max / 4, params.gamma_max / 2, params.gamma_max]
-    counts = padded_trial_counts(host, net, delta, gammas, trials, seed, dist_matrix)
+    counts = padded_trial_counts(host, net, delta, gammas, trials, seed, dist_matrix=dh)
     for gm in gammas:
         worst = int(counts[float(gm)].min())
         lcb = wilson_lower_bound(worst, trials)
@@ -815,12 +862,11 @@ def full_report(
 
     from .covers import build_partition_cover, build_sparse_cover
 
-    oracle_d = _oracle_center_distances(host, net, oracle_cap)
-    pk_counts = (oracle_d <= alpha * delta).sum(axis=0)
+    pk_counts = (center_dist <= alpha * delta).sum(axis=0)
     cover = build_sparse_cover(host, net, delta)
     checks.extend(
         verify_cover(
-            host, cover, alpha, delta, oracle_cap=oracle_cap, packing_counts=pk_counts
+            host, cover, alpha, delta, oracle_cap=oracle_cap, packing_counts=pk_counts, host_dist=dh
         ).checks
     )
     if alpha <= 2:
@@ -838,7 +884,9 @@ def full_report(
         return VerificationReport(checks)
     pcover = build_partition_cover(host, net, delta)
     checks.extend(
-        verify_cover(host, pcover, alpha, delta, oracle_cap=oracle_cap, tau=net.tau_emp).checks
+        verify_cover(
+            host, pcover, alpha, delta, oracle_cap=oracle_cap, tau=net.tau_emp, host_dist=dh
+        ).checks
     )
     return VerificationReport(checks)
 

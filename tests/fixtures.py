@@ -138,6 +138,21 @@ def partial_ktree_fixture(
     return Fixture(f"{label}-{n}{suffix}", g, _td(bags, parent), delta)
 
 
+def decimal_weight_fixture(f: Fixture, seed: int, weights=(0.1, 0.2, 0.3, 0.7)) -> Fixture:
+    """The same instance with each edge weight redrawn from decimal `weights`.
+
+    Decimal weights are not exactly representable, so distances summed in a
+    different order can differ in the last bit; the verifier's exact
+    comparisons see that.
+    """
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(len(weights), size=len(f.graph.edges))
+    g = WeightedGraph(
+        f.graph.n, [(u, v, float(weights[i])) for (u, v, _), i in zip(f.graph.edges, picks)]
+    )
+    return Fixture(f"{f.name}-dec", g, f.td, f.delta)
+
+
 def _still_connected(n: int, edges: set[tuple[int, int]]) -> bool:
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:

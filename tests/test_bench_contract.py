@@ -1,4 +1,4 @@
-"""The benchmark's calls still bind: one traced round of two perfbench workloads.
+"""The benchmark's calls still bind: one traced round of each perfbench workload.
 
 A traced run wraps padnet's public functions and binds their arguments by
 name, so renaming or dropping a parameter the benchmark uses fails here.
@@ -14,8 +14,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["path-chain", "grid-padding"])
-def test_traced_round_runs_clean(workload):
+# verify-mix's decimal-weight instance fails these exact float comparisons on
+# a last-bit difference; the failure is known and must stay visible
+DECIMAL_FALSE_FAILURE = (
+    "failed op verify:ktree3-50-dec: full_report not ok: "
+    "dijkstra-floyd-warshall-agreement, isometry-exact, net-distance-oracle-agreement"
+)
+
+
+def traced_round(workload: str) -> tuple[list[str], dict]:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "0", "--trace", "1"],
@@ -25,5 +32,18 @@ def test_traced_round_runs_clean(workload):
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
     assert result["correct"] is True
-    assert result["failed"] == 0
     assert "run unwrapped: []" in lines
+    return lines, result
+
+
+@pytest.mark.parametrize("workload", ["path-chain", "grid-padding"])
+def test_traced_round_runs_clean(workload):
+    _, result = traced_round(workload)
+    assert result["failed"] == 0
+
+
+def test_traced_verify_round_fails_only_the_decimal_instance():
+    lines, result = traced_round("verify-mix")
+    failed = [line for line in lines if line.startswith("failed op ")]
+    assert failed and len(failed) == result["failed"]
+    assert set(failed) == {DECIMAL_FALSE_FAILURE}

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -44,8 +45,6 @@ def test_net(capsys, tmp_path):
 
 
 def test_decompose_params_block(capsys):
-    import math
-
     code, out = run(capsys, "decompose", *GRID_ARGS, "--delta", "2", "--seed", "11")
     assert code == 0
     payload = json.loads(out)
@@ -196,3 +195,12 @@ def test_verify_alpha_at_most_two_skips_partition_cover(capsys, alpha):
         assert name in by_name
     assert sum(name.startswith("padding-lcb-gamma-") for name in by_name) == 3
     assert all(c["status"] == "pass" for c in by_name.values())
+
+
+def test_sampler_ks_passes_at_alpha_near_one(capsys):
+    # lambda ~ 921 here; the sampler must not collapse onto the interval's end
+    main(["verify", *GRID_ARGS, "--delta", "1", "--alpha", "1.01"])
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    ks = checks["sampler-ks"]
+    assert ks["status"] == "pass"
+    assert math.isfinite(ks["measured"])

@@ -95,6 +95,31 @@ def test_ks_against_scipy():
     assert stat < 1.62762 / math.sqrt(draws.size)
 
 
+def test_steep_rate_draws_stay_inside_the_interval():
+    # alpha = 1.01, tau = 5: exp(-lam * theta1) underflows to 0
+    d = TruncatedExp(1.0, 1.005, 921.0)
+    y = sample_truncated_exp(d, np.linspace(0, 1, 7))
+    assert y[0] == 1.0 and y[-1] == 1.005
+    interior = y[1:-1]
+    assert (np.diff(y) > 0).all()
+    assert ((interior > 1.0) & (interior < 1.005)).all()
+    cdf = d.cdf(y)
+    assert np.isfinite(cdf).all()
+    assert cdf == pytest.approx(np.linspace(0, 1, 7), abs=1e-12)
+    assert np.isfinite(d.density(y)).all()
+
+
+def test_steep_rate_matches_scipy_truncexpon():
+    # scipy's truncexpon on [0, b] with scale 1/lam, shifted to theta1
+    d = TruncatedExp(1.0, 1.005, 921.0)
+    ref = scipy.stats.truncexpon(b=921.0 * 0.005, loc=1.0, scale=1 / 921.0)
+    ys = np.linspace(1.0, 1.005, 11)
+    assert d.cdf(ys) == pytest.approx(ref.cdf(ys), abs=1e-12)
+    assert d.density(ys) == pytest.approx(ref.pdf(ys), rel=1e-9)
+    u = np.linspace(0.05, 0.95, 10)
+    assert sample_truncated_exp(d, u) == pytest.approx(ref.ppf(u), abs=1e-12)
+
+
 # --- decomposition sampler ----------------------------------------------------
 
 

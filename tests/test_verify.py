@@ -220,6 +220,45 @@ def test_partition_checks_and_fault_injection():
     assert find(rep, "partition-total-disjoint").status == "fail"
 
 
+def _total_disjoint_by_loop(n, p):
+    """Reference for partition-total-disjoint: one Python pass per vertex."""
+    total = p.assignment.shape[0] == n and (p.assignment >= 0).all()
+    seen = np.zeros(n, dtype=np.int64)
+    for c in p.clusters:
+        for v in c.members:
+            seen[v] += 1
+    consistent = all(p.assignment[v] == i for i, c in enumerate(p.clusters) for v in c.members)
+    if total and (seen == 1).all() and consistent:
+        return "pass", None
+    stray = np.flatnonzero(seen != 1)
+    if stray.size:
+        return "fail", f"vertex {int(stray[0])} in {int(seen[stray[0]])} clusters"
+    return "fail", "assignment mismatch"
+
+
+def test_partition_total_disjoint_matches_loop_reference():
+    b = built(BY_NAME["grid-5"])
+    part = sample_padded_decomposition(b.host, b.net, b.delta, seed=1)
+    assert len(part.clusters) >= 2
+    first, second = part.clusters[0], part.clusters[1]
+    v = min(second.members)
+    duplicated = dataclasses.replace(first, members=first.members | {v})
+    swapped = part.assignment.copy()
+    swapped[v] = 0
+    variants = [
+        part,
+        dataclasses.replace(part, clusters=(duplicated,) + part.clusters[1:]),
+        dataclasses.replace(part, assignment=swapped),
+        dataclasses.replace(part, clusters=part.clusters[1:]),
+    ]
+    statuses = []
+    for p in variants:
+        got = find(verify_partition(b.host, p, 3.0, b.delta, b.host_dist), "partition-total-disjoint")
+        assert (got.status, got.witness) == _total_disjoint_by_loop(b.host.n, p)
+        statuses.append(got.status)
+    assert statuses == ["pass", "fail", "fail", "fail"]
+
+
 # --- cover checks ------------------------------------------------------------
 
 
@@ -279,8 +318,10 @@ def test_sampler_ks_check_passes():
 def test_deep_packing_assertions_hold():
     for name in ["path-30", "cycle-16", "grid-5"]:
         b = built(BY_NAME[name])
+        deep_packing_assertions(b.host, b.net, b.tp, 0, oracle_cap=b.host.n)
+        rows = _oracle_center_distances(b.host, b.net, b.host.n)
         for v in range(0, b.host.n, max(1, b.host.n // 10)):
-            deep_packing_assertions(b.host, b.net, b.tp, v, oracle_cap=b.host.n)
+            deep_packing_assertions(b.host, b.net, b.tp, v, center_dist=rows)
 
 
 # --- the bounded center table, the core snapshot, the unique maximum ----------
