@@ -20,8 +20,8 @@ computes what it reads.
   `padded_trial_counts`.  The sweep and the padding counts are thus
   certified against the oracle, not the Dijkstra rows they would otherwise
   share with the code under test.
-- The net's center rows (`_oracle_center_distances`): the net checks, the
-  sparse cover's packing counts and `deep_packing_assertions`.
+- The net's center rows (`_oracle_center_distances`): the net checks and
+  the sparse cover's packing counts.
 - One oracle run per cover cluster (strong diameters, in the induced
   subgraph), and the graph-core checks' own Dijkstra-vs-oracle runs on the
   input graph.
@@ -495,12 +495,7 @@ def verify_net(
 
 
 def deep_packing_assertions(
-    g: WeightedGraph,
-    net: TreeOrderedNet,
-    tp: TreePartition,
-    v: int,
-    oracle_cap: int = 60,
-    center_dist: np.ndarray | None = None,
+    g: WeightedGraph, net: TreeOrderedNet, tp: TreePartition, v: int, oracle_cap: int = 60
 ) -> None:
     """Opt-in deep assertions on the ancestor-core chain of one vertex.
 
@@ -509,15 +504,13 @@ def deep_packing_assertions(
     realized by a single core and that every ancestor core in a link
     intersects its anchor's center set.  These are the structural facts the
     packing bound rests on, exposed for spot checks rather than every run.
-    center_dist, the net's oracle center rows, is computed when not given.
     """
     cores = net.cores
     if not cores:
         raise ValueError("net carries no core table")
-    if center_dist is None:
-        center_dist = _oracle_center_distances(g, net, oracle_cap)
+    oracle_d = _oracle_center_distances(g, net, oracle_cap)
     centers = net.centers_in_order()
-    near = {int(centers[i]) for i in np.flatnonzero(center_dist[:, v] <= 2 * net.delta)}
+    near = {int(centers[i]) for i in np.flatnonzero(oracle_d[:, v] <= 2 * net.delta)}
     meeting = [c for c in cores if c.members & near]
     remaining = sorted((c for c in meeting if v not in c.members), key=lambda c: c.id)
     while remaining:

@@ -119,8 +119,6 @@ def test_one_host_oracle_pass_per_report(monkeypatch):
     monkeypatch.setattr(verify, "oracle_all_pairs", counting_oracle)
     monkeypatch.setattr(verify, "_oracle_center_distances", counting_center_rows)
     monkeypatch.setattr(padnet.graph, "all_pairs", refuse("graph.all_pairs"))
-    # and verify's own binding, should it ever import all_pairs again
-    monkeypatch.setattr(verify, "all_pairs", refuse("graph.all_pairs"), raising=False)
     monkeypatch.setattr(padnet.decomposition, "ball_pairs", refuse("ball_pairs"))
     # no cover cluster spans the host, so the embedding check's is the only
     # whole-host call outside the center rows

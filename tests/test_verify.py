@@ -318,10 +318,8 @@ def test_sampler_ks_check_passes():
 def test_deep_packing_assertions_hold():
     for name in ["path-30", "cycle-16", "grid-5"]:
         b = built(BY_NAME[name])
-        deep_packing_assertions(b.host, b.net, b.tp, 0, oracle_cap=b.host.n)
-        rows = _oracle_center_distances(b.host, b.net, b.host.n)
         for v in range(0, b.host.n, max(1, b.host.n // 10)):
-            deep_packing_assertions(b.host, b.net, b.tp, v, center_dist=rows)
+            deep_packing_assertions(b.host, b.net, b.tp, v, oracle_cap=b.host.n)
 
 
 # --- the bounded center table, the core snapshot, the unique maximum ----------
