@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from .covers import build_partition_cover, build_sparse_cover
 from .decomposition import (
     DecompositionParams,
-    padded_trial_counts,
+    padding_estimates,
     sample_padded_decomposition,
-    wilson_lower_bound,
 )
 from .graph import GraphFormatError, parse_edge_list
 from .ordered_net import build_tree_ordered_net, packing_profile
@@ -187,22 +185,18 @@ def cmd_padding_estimate(args) -> int:
     g, td = _load_inputs(args)
     emb, net = _build_net(g, td, args.delta, args.alpha)
     params = DecompositionParams.from_net(net, args.delta)
-    gammas = args.gamma or [params.gamma_max / 4, params.gamma_max / 2, params.gamma_max]
-    counts = padded_trial_counts(emb.host, net, args.delta, gammas, args.trials, args.seed)
-    rows = []
-    for gm in gammas:
-        worst = int(counts[float(gm)].min())
-        rows.append(
-            {
-                "gamma": gm,
-                "ball_radius": gm * params.diameter_bound,
-                "worst_rate": worst / args.trials,
-                "wilson_lcb_99": wilson_lower_bound(worst, args.trials),
-                "target": math.exp(-params.padding_beta * gm),
-                "satisfied": wilson_lower_bound(worst, args.trials)
-                >= math.exp(-params.padding_beta * gm),
-            }
-        )
+    estimates = padding_estimates(emb.host, net, args.delta, args.trials, args.seed, args.gamma)
+    rows = [
+        {
+            "gamma": e.gamma,
+            "ball_radius": e.gamma * params.diameter_bound,
+            "worst_rate": e.worst / args.trials,
+            "wilson_lcb_99": e.lcb,
+            "target": e.target,
+            "satisfied": e.lcb >= e.target,
+        }
+        for e in estimates
+    ]
     payload = {
         "command": "padding-estimate",
         "params": params.to_json_dict(),

@@ -388,3 +388,41 @@ def padded_trial_counts(
             cut = np.logical_or.reduceat(diff[sel], starts, axis=0)
             counts[gm] += nt.shape[1] - cut.sum(axis=1)
     return counts
+
+
+@dataclass(frozen=True)
+class PaddingEstimate:
+    """One gamma's fewest padded trials over all vertices, a vertex with that
+    count, the Wilson 99% lower bound of its rate, and the target
+    exp(-padding_beta * gamma)."""
+
+    gamma: float
+    worst: int
+    worst_vertex: int
+    lcb: float
+    target: float
+
+
+def padding_estimates(
+    g: WeightedGraph,
+    net: TreeOrderedNet,
+    delta: float,
+    trials: int,
+    seed: int,
+    gammas: list[float] | None = None,
+    dist_matrix: np.ndarray | None = None,
+) -> list[PaddingEstimate]:
+    """One estimate per gamma, in order and repeats included; by default
+    gamma_max/4, gamma_max/2 and gamma_max."""
+    params = DecompositionParams.from_net(net, delta)
+    if gammas is None:
+        gammas = [params.gamma_max / 4, params.gamma_max / 2, params.gamma_max]
+    counts = padded_trial_counts(g, net, delta, gammas, trials, seed, dist_matrix=dist_matrix)
+    out = []
+    for gm in gammas:
+        c = counts[float(gm)]
+        worst, target = int(c.min()), math.exp(-params.padding_beta * gm)
+        out.append(
+            PaddingEstimate(gm, worst, int(c.argmin()), wilson_lower_bound(worst, trials), target)
+        )
+    return out

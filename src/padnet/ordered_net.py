@@ -75,14 +75,14 @@ class _OrderTree:
 
     assign: np.ndarray
 
-    def _index_order_tree(self, parent: tuple[int, ...], root: int):
-        """Record the intervals; returns the tree's children lists and levels."""
-        children, level, self._tin, self._tout = rooted_tree_arrays(parent, root)
+    def _index_order_tree(self, parent: tuple[int, ...], root: int) -> list[int]:
+        """Record the intervals; returns the tree's levels."""
+        _, level, self._tin, self._tout = rooted_tree_arrays(parent, root)
         self._vertex_tin = np.asarray(self._tin)[self.assign]
         self._vertex_tout = np.asarray(self._tout)[self.assign]
         self._vertex_tin.flags.writeable = False
         self._vertex_tout.flags.writeable = False
-        return children, level
+        return level
 
     def node_is_ancestor(self, a: int, b: int) -> bool:
         return self._tin[a] <= self._tin[b] < self._tout[a]
@@ -113,11 +113,10 @@ class SemiTreeOrder(_OrderTree):
     root: int
     assign: np.ndarray
     tp_width: int
-    children: list[list[int]] = field(init=False, repr=False)
     level: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.children, self.level = self._index_order_tree(self.parent, self.root)
+        self.level = self._index_order_tree(self.parent, self.root)
 
 
 class TreeOrderedNet(_OrderTree):
@@ -152,7 +151,7 @@ class TreeOrderedNet(_OrderTree):
         self.delta = delta
         self.tp_width = tp_width
         self.cores = cores
-        _, self.node_level = self._index_order_tree(order_parent, 0)
+        self.node_level = self._index_order_tree(order_parent, 0)
         self._centers = np.asarray(
             sorted(net.indices.tolist(), key=lambda x: (self.node_level[assign[x]], x)),
             dtype=np.int64,
@@ -253,6 +252,11 @@ def construct_cores_trace(
 ) -> CoreConstruction:
     """Run the round-based carving; returns cores plus the component trace.
 
+    `attached[v]` is the one bag whose attachment holds v (`nb`: none): a
+    core's members come from its support, so they leave every attachment
+    below the center bag and join at most its parent's.  Bag arrays carry a
+    spare slot `nb` that no test selects, so no index wraps.
+
     With deep_checks, asserts after every step that each bag's attachment
     stays inside the bag's proper-descendant bags.
     """
@@ -260,13 +264,14 @@ def construct_cores_trace(
     tp.validate(g)
     n = g.n
     nb = len(tp.bags)
-    bag_vertices = [sorted(b) for b in tp.bags]
     bag_of = tp.bag_of()
-    level = tp.level
-    parent = tp.parent
+    level = np.asarray(tp.level)
+    parent = np.append(tp.parent, nb)
+    tin, tout = (np.append(a, 0) for a in tp.bag_intervals())
 
     covered = np.zeros(n, dtype=bool)
-    attach: list[set[int]] = [set() for _ in range(nb)]
+    attached = np.full(n, nb)
+    visited = np.zeros(nb + 1, dtype=bool)
     cores: list[Core] = []
     comps: list[ComponentTrace] = []
     round_no = 0
@@ -275,98 +280,57 @@ def construct_cores_trace(
         round_no += 1
         if round_no > n + 1:
             raise AssertionError("carving failed to terminate")
-        uncov_bag = [any(not covered[v] for v in bag_vertices[b]) for b in range(nb)]
-        components = _uncovered_components(tp, uncov_bag)
-        for comp_root, comp_bags in sorted(components, key=lambda c: c[0]):
-            cluster = set()
-            for b in comp_bags:
-                cluster.update(v for v in bag_vertices[b] if not covered[v])
-                cluster.update(attach[b])
-            comps.append(
-                ComponentTrace(round_no, comp_root, frozenset(comp_bags), frozenset(cluster))
-            )
-            unvisited = set(comp_bags)
-            while unvisited:
-                center_bag = min(unvisited, key=lambda b: (level[b], b))
-                subtree = _component_subtree(tp, comp_bags, center_bag)
-                support = np.zeros(n, dtype=bool)
-                for b in subtree:
-                    for v in bag_vertices[b]:
-                        if not covered[v]:
-                            support[v] = True
-                    for v in attach[b]:
-                        support[v] = True
-                sources = [v for v in bag_vertices[center_bag] if not covered[v]]
+        uncov = np.zeros(nb + 1, dtype=bool)
+        uncov[bag_of[~covered]] = True
+        # label each uncovered bag with its topmost uncovered ancestor by
+        # pointer doubling; the root's parent -1 reads the spare slot
+        label = np.where(uncov & uncov[parent], parent, np.arange(nb + 1))
+        while not np.array_equal(label[label], label):
+            label = label[label]
+        # components by root id, each one's bags by (level, id): root first
+        todo = np.flatnonzero(uncov)
+        todo = todo[np.lexsort((todo, level[todo], label[todo]))]
+        for comp in np.split(todo, np.flatnonzero(np.diff(label[todo])) + 1):
+            bags = comp.tolist()
+            root = bags[0]
+            in_comp = label == root
+            cluster = np.flatnonzero((in_comp[bag_of] & ~covered) | in_comp[attached]).tolist()
+            comps.append(ComponentTrace(round_no, root, frozenset(bags), frozenset(cluster)))
+            # a core's attached members can sit in another component's bags
+            visited[comp] = False
+            for center_bag in bags:
+                if visited[center_bag]:
+                    continue
+                # the component is connected: its part below the center bag
+                # is its bags inside the center bag's preorder interval
+                in_sub = in_comp & (tin >= tin[center_bag]) & (tin < tout[center_bag])
+                support = (in_sub[bag_of] & ~covered) | in_sub[attached]
+                sources = [v for v in sorted(tp.bags[center_bag]) if not covered[v]]
                 support_restrict = VertexSet.from_mask(support)
                 dist = shortest_paths(g, support_restrict, VertexSet(n, sources), limit=delta)
-                members_arr = np.flatnonzero(dist <= delta)
-                members = frozenset(members_arr.tolist())
+                members = np.flatnonzero(dist <= delta)
                 cores.append(
                     Core(
                         id=len(cores),
-                        members=members,
+                        members=frozenset(members.tolist()),
                         center_bag=center_bag,
                         centers=frozenset(sources),
                         rank=round_no,
                         support_restrict=support_restrict,
                     )
                 )
-                covered[members_arr] = True
-                for v in members:
-                    unvisited.discard(int(bag_of[v]))
-                for b in subtree:
-                    if attach[b] & members:
-                        attach[b] -= members
-                if center_bag != comp_root:
-                    attach[parent[center_bag]] |= members
+                covered[members] = True
+                visited[bag_of[members]] = True
+                attached[members] = nb if center_bag == root else parent[center_bag]
                 if deep_checks:
-                    for b in range(nb):
-                        for v in attach[b]:
-                            vb = int(bag_of[v])
-                            assert vb != b and tp.is_bag_ancestor(b, vb), (
-                                f"attachment of bag {b} holds vertex {v} of bag {vb}, "
-                                "not a proper descendant"
-                            )
+                    held = np.flatnonzero(attached < nb)
+                    a, vb = attached[held], bag_of[held]
+                    bad = held[(tin[vb] <= tin[a]) | (tin[vb] >= tout[a])]
+                    assert not len(bad), (
+                        f"attachment of bag {attached[bad[0]]} holds vertex {bad[0]} "
+                        f"of bag {bag_of[bad[0]]}, not a proper descendant"
+                    )
     return CoreConstruction(cores=cores, components=comps, rounds=round_no)
-
-
-def _uncovered_components(tp: TreePartition, uncov_bag: list[bool]):
-    """Connected components of uncovered bags, as (root, bag set) pairs."""
-    nb = len(tp.bags)
-    seen = [False] * nb
-    out = []
-    for b in range(nb):
-        if not uncov_bag[b] or seen[b]:
-            continue
-        comp = {b}
-        seen[b] = True
-        stack = [b]
-        while stack:
-            x = stack.pop()
-            nbs = list(tp.children[x])
-            if tp.parent[x] != -1:
-                nbs.append(tp.parent[x])
-            for y in nbs:
-                if uncov_bag[y] and not seen[y]:
-                    seen[y] = True
-                    comp.add(y)
-                    stack.append(y)
-        root = min(comp, key=lambda x: tp.level[x])
-        out.append((root, comp))
-    return out
-
-
-def _component_subtree(tp: TreePartition, comp_bags: set[int], b: int) -> list[int]:
-    """Bags of the component that are descendants of b (b included)."""
-    out = [b]
-    stack = [b]
-    while stack:
-        x = stack.pop()
-        for c in tp.children[x]:
-            if c in comp_bags:
-                out.append(c)
-                stack.append(c)
-    return out
 
 
 def build_semi_tree_order(

@@ -74,6 +74,11 @@ class _BagTree:
         """True when bag a is an ancestor of bag b (or a == b)."""
         return self._tin[a] <= self._tin[b] < self._tout[a]
 
+    def bag_intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Preorder (tin, tout) of every bag, as new arrays: bag a is an
+        ancestor of bag b (or b itself) iff tin[a] <= tin[b] < tout[a]."""
+        return np.asarray(self._tin), np.asarray(self._tout)
+
 
 class TreeDecomposition(_BagTree):
     """Rooted tree of (possibly overlapping) vertex bags."""
@@ -261,6 +266,8 @@ def td_to_tree_partition(g: WeightedGraph, td: TreeDecomposition) -> IsometricEm
     nearest the root (ties by smaller bag id); the designated copy of a vertex
     is likewise its root-most one.
     """
+    # a td with one vertex's bags disconnected still converts to a valid
+    # partition, over a host that is not isometric; only this check sees it
     td.validate(g)
     nb = len(td.bags)
     order_key = lambda b: (td.level[b], b)
@@ -295,7 +302,6 @@ def td_to_tree_partition(g: WeightedGraph, td: TreeDecomposition) -> IsometricEm
 
     host = WeightedGraph(len(host_origin), host_edges)
     tp = TreePartition(bags=tuple(host_bag), parent=td.parent, root=td.root)
-    tp.validate(host)
 
     forward = np.zeros(g.n, dtype=np.int64)
     copies: list[tuple[int, ...]] = []

@@ -47,13 +47,16 @@ class BuiltPipeline:
         return self._host_dist
 
 
-_CACHE: dict[str, BuiltPipeline] = {}
+_CACHE: dict[tuple, BuiltPipeline] = {}
 
 
 def built(fixture) -> BuiltPipeline:
-    if fixture.name not in _CACHE:
-        _CACHE[fixture.name] = BuiltPipeline(fixture)
-    return _CACHE[fixture.name]
+    # fixture names leave out seeds and deltas, so the key is the instance itself
+    g, td = fixture.graph, fixture.td
+    key = (fixture.name, fixture.delta, g.n, g.edges, td.bags, td.parent)
+    if key not in _CACHE:
+        _CACHE[key] = BuiltPipeline(fixture)
+    return _CACHE[key]
 
 
 @pytest.fixture(scope="session")

@@ -2,15 +2,16 @@
 
 The twin below shares nothing with the production implementation: distances
 come from the Floyd-Warshall oracle (multi-source = min over source rows),
-ancestry from explicit parent walks, components from its own search.  Both
-follow the same documented tie rules, so the produced core sequences must be
-identical item for item.
+ancestry from explicit parent walks, components from its own search, and
+attachments are one set per bag.  Both follow the same documented tie rules,
+so every output of the carving must be identical item for item: the cores
+with their support snapshots, the component trace and the round count.
 """
 
 import numpy as np
 import pytest
 from conftest import built
-from fixtures import acceptance_fixtures, partial_ktree_fixture
+from fixtures import acceptance_fixtures, partial_ktree_fixture, shuffled_ids
 
 from padnet.graph import VertexSet
 from padnet.ordered_net import construct_cores_trace
@@ -21,6 +22,11 @@ BY_NAME = {f.name: f for f in acceptance_fixtures()}
 
 
 def brute_cores(g, tp, delta):
+    """Returns (cores, components, rounds).
+
+    A core is (members, center bag, sources, rank, support); a component is
+    (round, root, bags, cluster), its cluster taken at the component's turn.
+    """
     n = g.n
     nb = len(tp.bags)
     bag_items = [sorted(b) for b in tp.bags]
@@ -39,6 +45,7 @@ def brute_cores(g, tp, delta):
     covered = set()
     attach = {b: set() for b in range(nb)}
     out = []
+    traces = []
     rank = 0
     while len(covered) < n:
         rank += 1
@@ -63,6 +70,11 @@ def brute_cores(g, tp, delta):
 
         for comp in sorted(comps, key=root_of):
             root = root_of(comp)
+            cluster = set()
+            for x in comp:
+                cluster |= {v for v in bag_items[x] if v not in covered}
+                cluster |= attach[x]
+            traces.append((rank, root, frozenset(comp), frozenset(cluster)))
             unvisited = set(comp)
             while unvisited:
                 center_bag = min(unvisited, key=lambda b: (tp.level[b], b))
@@ -76,29 +88,41 @@ def brute_cores(g, tp, delta):
                 members = {
                     v for v in support if min(matrix[s][v] for s in sources) <= delta
                 }
-                out.append((frozenset(members), center_bag, frozenset(sources), rank))
+                out.append(
+                    (frozenset(members), center_bag, frozenset(sources), rank, frozenset(support))
+                )
                 covered |= members
                 unvisited -= {bag_of[v] for v in members if bag_of[v] in unvisited}
                 for x in sub:
                     attach[x] -= members
                 if center_bag != root:
                     attach[tp.parent[center_bag]] |= members
-    return out
+    return out, traces, rank
 
 
 def _compare(g, tp, delta):
-    cons = construct_cores_trace(g, tp, delta)
-    expected = brute_cores(g, tp, delta)
-    got = [(c.members, c.center_bag, c.centers, c.rank) for c in cons.cores]
-    assert got == expected
+    cons = construct_cores_trace(g, tp, delta, deep_checks=True)
+    cores, traces, rounds = brute_cores(g, tp, delta)
+    got = [
+        (c.members, c.center_bag, c.centers, c.rank, frozenset(c.support_restrict))
+        for c in cons.cores
+    ]
+    assert got == cores
+    assert [(t.round_no, t.root_bag, t.bags, t.cluster) for t in cons.components] == traces
+    assert cons.rounds == rounds
 
 
-@pytest.mark.parametrize(
-    "name", ["path-30", "star-25", "cycle-16", "btree-4", "grid-5", "wpath-12", "sp-35d"]
-)
+@pytest.mark.parametrize("name", sorted(BY_NAME))
 def test_carving_matches_brute_twin(name):
     b = built(BY_NAME[name])
     _compare(b.host, b.tp, b.delta)
+
+
+@pytest.mark.parametrize("name", sorted(BY_NAME))
+def test_carving_matches_brute_twin_shuffled_ids(name):
+    f = shuffled_ids(BY_NAME[name], seed=3)
+    emb = td_to_tree_partition(f.graph, f.td)
+    _compare(emb.host, emb.tree_partition, f.delta)
 
 
 def test_carving_matches_brute_twin_randomized():
@@ -110,6 +134,7 @@ def test_carving_matches_brute_twin_randomized():
             n, k, seed=int(rng.integers(10**6)), drop=float(rng.uniform(0, 0.4)),
             weighted=bool(rng.integers(2)),
         )
-        emb = td_to_tree_partition(f.graph, f.td)
-        for delta in (0.5, 1.0, 3.0):
-            _compare(emb.host, emb.tree_partition, delta)
+        for inst in (f, shuffled_ids(f, seed=trial)):
+            emb = td_to_tree_partition(inst.graph, inst.td)
+            for delta in (0.5, 1.0, 3.0):
+                _compare(emb.host, emb.tree_partition, delta)

@@ -184,6 +184,21 @@ def test_construction_deterministic():
     assert np.array_equal(net2.center_distance_matrix(), b.net.center_distance_matrix())
 
 
+def test_built_cache_tells_same_named_instances_apart():
+    base = BY_NAME["sp-35d"]
+    built(base)
+    for f in (
+        partial_ktree_fixture(35, 2, seed=12, drop=0.4, delta=1.0),
+        partial_ktree_fixture(35, 2, seed=99, drop=0.4, delta=2.0),
+    ):
+        assert f.name == base.name
+        b = built(f)
+        assert b.delta == f.delta
+        assert b.graph.edges == f.graph.edges
+        assert b.construction == construct_cores_trace(b.host, b.tp, f.delta)
+    assert built(base).delta == base.delta
+
+
 def test_converted_net_covering_packing_oracle():
     # after path expansion: covering still at delta, packing measured via oracle
     for name in ["path-30", "grid-5"]:
