@@ -15,6 +15,7 @@ from pathlib import Path
 from .covers import build_partition_cover, build_sparse_cover
 from .decomposition import (
     DecompositionParams,
+    padded_trial_counts,
     padding_estimates,
     sample_padded_decomposition,
 )
@@ -185,7 +186,9 @@ def cmd_padding_estimate(args) -> int:
     g, td = _load_inputs(args)
     emb, net = _build_net(g, td, args.delta, args.alpha)
     params = DecompositionParams.from_net(net, args.delta)
-    estimates = padding_estimates(emb.host, net, args.delta, args.trials, args.seed, args.gamma)
+    gammas = args.gamma or params.default_gammas()
+    counts = padded_trial_counts(emb.host, net, args.delta, gammas, args.trials, args.seed)
+    estimates = padding_estimates(counts, params, args.trials, gammas)
     rows = [
         {
             "gamma": e.gamma,

@@ -126,6 +126,10 @@ class DecompositionParams:
             diameter_bound=(alpha + 1) * delta,
         )
 
+    def default_gammas(self) -> list[float]:
+        """The padding-estimate gamma grid: gamma_max/4, gamma_max/2, gamma_max."""
+        return [self.gamma_max / 4, self.gamma_max / 2, self.gamma_max]
+
     def to_json_dict(self) -> dict:
         return {
             "alpha": self.alpha,
@@ -404,20 +408,13 @@ class PaddingEstimate:
 
 
 def padding_estimates(
-    g: WeightedGraph,
-    net: TreeOrderedNet,
-    delta: float,
+    counts: dict[float, np.ndarray],
+    params: DecompositionParams,
     trials: int,
-    seed: int,
-    gammas: list[float] | None = None,
-    dist_matrix: np.ndarray | None = None,
+    gammas: list[float],
 ) -> list[PaddingEstimate]:
-    """One estimate per gamma, in order and repeats included; by default
-    gamma_max/4, gamma_max/2 and gamma_max."""
-    params = DecompositionParams.from_net(net, delta)
-    if gammas is None:
-        gammas = [params.gamma_max / 4, params.gamma_max / 2, params.gamma_max]
-    counts = padded_trial_counts(g, net, delta, gammas, trials, seed, dist_matrix=dist_matrix)
+    """Summarise `padded_trial_counts` output: one estimate per gamma, in the
+    order of `gammas`, repeats included."""
     out = []
     for gm in gammas:
         c = counts[float(gm)]

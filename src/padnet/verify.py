@@ -39,7 +39,7 @@ from .decomposition import (
     DecompositionParams,
     PaddedPartition,
     TruncatedExp,
-    padded_trial_counts,  # noqa: F401  perfbench's tracer wraps this binding
+    padded_trial_counts,
     padding_estimates,
     replay_decomposition,
     sample_padded_decomposition,
@@ -836,7 +836,9 @@ def full_report(
     checks.append(_check("partition-radius-range", sweep_fail is None, witness=sweep_fail))
     checks.append(_check("partition-replay-identical", replay_fail is None, witness=replay_fail))
 
-    for e in padding_estimates(host, net, delta, trials, seed, dist_matrix=dh):
+    gammas = params.default_gammas()
+    counts = padded_trial_counts(host, net, delta, gammas, trials, seed, dist_matrix=dh)
+    for e in padding_estimates(counts, params, trials, gammas):
         checks.append(
             _check(
                 f"padding-lcb-gamma-{e.gamma:g}",
