@@ -10,9 +10,7 @@ from .decomposition import (
     sample_truncated_exp,
 )
 from .graph import (
-    Ball,
     GraphFormatError,
-    VertexSet,
     WeightedGraph,
     all_pairs,
     ball,

@@ -4,6 +4,10 @@ Immutable undirected graphs with nonnegative edge weights, induced-subgraph
 shortest paths (multi-source Dijkstra), balls, and weak/strong diameters.
 Every other module treats these as its metric substrate.
 
+A vertex set is a bool mask of length n where it is tested for membership
+(a restricting subgraph, a ball, a cluster) and a sequence of vertex ids
+where it is iterated (the sources of a search).
+
 Vertices are dense integer ids 0..n-1.  Input files use 1-indexed labels; the
 parser maps label k to id k-1.  Zero-weight edges are first class (the tree
 conversion produces them), so all routines use nonnegative-weight semantics
@@ -14,8 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,71 +33,6 @@ class GraphFormatError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class VertexSet:
-    """Immutable membership bitmap over vertex ids 0..n-1."""
-
-    __slots__ = ("mask",)
-
-    def __init__(self, n: int, members: Iterable[int] = ()):
-        mask = np.zeros(n, dtype=bool)
-        for v in members:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} outside 0..{n - 1}")
-            mask[v] = True
-        mask.setflags(write=False)
-        object.__setattr__(self, "mask", mask)
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "VertexSet":
-        vs = cls.__new__(cls)
-        m = np.asarray(mask, dtype=bool).copy()
-        m.setflags(write=False)
-        object.__setattr__(vs, "mask", m)
-        return vs
-
-    @classmethod
-    def full(cls, n: int) -> "VertexSet":
-        return cls.from_mask(np.ones(n, dtype=bool))
-
-    @property
-    def n(self) -> int:
-        return self.mask.shape[0]
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
-
-    def __contains__(self, v: int) -> bool:
-        return bool(self.mask[v])
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices.tolist())
-
-    def __len__(self) -> int:
-        return int(self.mask.sum())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VertexSet) and np.array_equal(self.mask, other.mask)
-
-    def __hash__(self) -> int:
-        return hash(self.mask.tobytes())
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet.from_mask(self.mask | other.mask)
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet.from_mask(self.mask & other.mask)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet.from_mask(self.mask & ~other.mask)
-
-    def issubset(self, other: "VertexSet") -> bool:
-        return not bool((self.mask & ~other.mask).any())
-
-    def __repr__(self) -> str:
-        return f"VertexSet(n={self.n}, members={self.indices.tolist()})"
 
 
 class WeightedGraph:
@@ -164,12 +102,11 @@ class WeightedGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> list[tuple[int, float]]:
-        lo, hi = self._adj_ptr[v], self._adj_ptr[v + 1]
-        return [(int(self._adj_v[j]), float(self._adj_w[j])) for j in range(lo, hi)]
-
-    def all_vertices(self) -> VertexSet:
-        return VertexSet.full(self.n)
+    def all_vertices(self) -> np.ndarray:
+        """Read-only all-True membership mask."""
+        mask = np.ones(self.n, dtype=bool)
+        mask.setflags(write=False)
+        return mask
 
     def __eq__(self, other) -> bool:
         return (
@@ -185,27 +122,15 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Ball around a center set inside a restricting induced subgraph.
-
-    `distances` has one entry per vertex of the host graph: the distance from
-    the center set realized inside the restricting subgraph, +inf outside.
-    """
-
-    center_set: VertexSet
-    radius: float
-    members: VertexSet
-    distances: np.ndarray
-
-
 def shortest_paths(
-    g: WeightedGraph, restrict: VertexSet, sources: VertexSet, limit: float = INF
+    g: WeightedGraph, restrict: np.ndarray, sources: Sequence[int], limit: float = INF
 ) -> np.ndarray:
     """Multi-source distances inside the induced subgraph G[restrict].
 
-    Returns a float array of length g.n with d_{G[restrict]}(sources, v) for
-    v in restrict (+inf when unreachable or outside restrict).
+    `restrict` is a bool mask of length g.n and `sources` a sequence of
+    vertex ids inside it.  Returns a float array of length g.n with
+    d_{G[restrict]}(sources, v) for v in restrict (+inf when unreachable or
+    outside restrict).
 
     `limit` bounds the search radius: a tentative distance above it is never
     recorded, so entries beyond `limit` stay +inf.  Weights are nonnegative,
@@ -215,14 +140,14 @@ def shortest_paths(
     """
     if not limit >= 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    if len(restrict) == 0:
+    if not restrict.any():
         raise ValueError("restrict must be non-empty")
-    if not sources.issubset(restrict):
+    sources = np.asarray(sources, dtype=np.int64)
+    if not restrict[sources].all():
         raise ValueError("sources must be a subset of restrict")
     dist = np.full(g.n, INF, dtype=np.float64)
-    rmask = restrict.mask
     heap: list[tuple[float, int]] = []
-    for s in sources:
+    for s in sources.tolist():
         dist[s] = 0.0
         heap.append((0.0, s))
     heapq.heapify(heap)
@@ -233,7 +158,7 @@ def shortest_paths(
             continue
         for j in range(ptr[u], ptr[u + 1]):
             v = int(adj_v[j])
-            if not rmask[v]:
+            if not restrict[v]:
                 continue
             nd = d + adj_w[j]
             if nd < dist[v]:
@@ -245,9 +170,9 @@ def shortest_paths(
 
 
 def all_pairs(g: WeightedGraph) -> np.ndarray:
-    """(n, n) matrix whose row v is shortest_paths(g, all vertices, {v})."""
+    """(n, n) matrix whose row v is shortest_paths(g, all vertices, [v])."""
     everything = g.all_vertices()
-    return np.stack([shortest_paths(g, everything, VertexSet(g.n, [v])) for v in range(g.n)])
+    return np.stack([shortest_paths(g, everything, [v]) for v in range(g.n)])
 
 
 def ball_pairs(g: WeightedGraph, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -259,7 +184,7 @@ def ball_pairs(g: WeightedGraph, radius: float) -> tuple[np.ndarray, np.ndarray,
     everything = g.all_vertices()
     rows, cols, pair_d = [], [], []
     for z in range(g.n):
-        dist = shortest_paths(g, everything, VertexSet(g.n, [z]), radius)
+        dist = shortest_paths(g, everything, [z], radius)
         (inside,) = np.nonzero(dist <= radius)
         rows.append(np.full(inside.size, z))
         cols.append(inside)
@@ -267,18 +192,19 @@ def ball_pairs(g: WeightedGraph, radius: float) -> tuple[np.ndarray, np.ndarray,
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(pair_d)
 
 
-def ball(g: WeightedGraph, restrict: VertexSet, centers: VertexSet, radius: float) -> Ball:
-    """All vertices of restrict within `radius` of the centers in G[restrict]."""
+def ball(
+    g: WeightedGraph, restrict: np.ndarray, centers: Sequence[int], radius: float
+) -> np.ndarray:
+    """Member mask: the vertices of restrict within `radius` of the centers
+    in G[restrict]."""
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    dist = shortest_paths(g, restrict, centers)
-    members = VertexSet.from_mask(dist <= radius)
-    return Ball(center_set=centers, radius=radius, members=members, distances=dist)
+    return shortest_paths(g, restrict, centers) <= radius
 
 
-def weak_diameter(g: WeightedGraph, cluster: VertexSet) -> float:
-    """max d_G(u, v) over pairs of the cluster, measured in the whole graph."""
-    members = cluster.indices
+def weak_diameter(g: WeightedGraph, cluster: np.ndarray) -> float:
+    """max d_G(u, v) over pairs of the cluster mask, measured in the whole graph."""
+    members = np.flatnonzero(cluster)
     if members.size == 0:
         raise ValueError("cluster must be non-empty")
     if members.size == 1:
@@ -286,21 +212,21 @@ def weak_diameter(g: WeightedGraph, cluster: VertexSet) -> float:
     everything = g.all_vertices()
     best = 0.0
     for u in members.tolist():
-        dist = shortest_paths(g, everything, VertexSet(g.n, [u]))
+        dist = shortest_paths(g, everything, [u])
         best = max(best, float(dist[members].max()))
     return best
 
 
-def strong_diameter(g: WeightedGraph, cluster: VertexSet) -> float:
+def strong_diameter(g: WeightedGraph, cluster: np.ndarray) -> float:
     """Diameter of the induced subgraph G[cluster]; +inf when disconnected."""
-    members = cluster.indices
+    members = np.flatnonzero(cluster)
     if members.size == 0:
         raise ValueError("cluster must be non-empty")
     if members.size == 1:
         return 0.0
     best = 0.0
     for u in members.tolist():
-        dist = shortest_paths(g, cluster, VertexSet(g.n, [u]))
+        dist = shortest_paths(g, cluster, [u])
         best = max(best, float(dist[members].max()))
     return best
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import VertexSet, WeightedGraph, shortest_paths
+from .graph import WeightedGraph, shortest_paths
 from .trees import TreePartition, rooted_tree_arrays
 
 
@@ -35,9 +35,9 @@ from .trees import TreePartition, rooted_tree_arrays
 class Core:
     """One carved ball: members, where it was carved from, and its snapshot.
 
-    `support_restrict` is the vertex set of the support graph at creation
-    (one n-byte mask), kept so invariant checks can replay the ball
-    computation.
+    `support_restrict` holds the support graph's vertex mask at creation as
+    n bytes, so cores compare and hash by value; `support_mask` reads it back
+    for the invariant checks that replay the ball computation.
     """
 
     id: int
@@ -45,7 +45,12 @@ class Core:
     center_bag: int
     centers: frozenset[int]
     rank: int
-    support_restrict: VertexSet
+    support_restrict: bytes
+
+    @property
+    def support_mask(self) -> np.ndarray:
+        """Read-only bool mask of the support snapshot."""
+        return np.frombuffer(self.support_restrict, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ class _OrderTree:
 
     def _index_order_tree(self, parent: tuple[int, ...], root: int) -> list[int]:
         """Record the intervals; returns the tree's levels."""
-        _, level, self._tin, self._tout = rooted_tree_arrays(parent, root)
+        level, self._tin, self._tout = rooted_tree_arrays(parent, root)
         self._vertex_tin = np.asarray(self._tin)[self.assign]
         self._vertex_tout = np.asarray(self._tout)[self.assign]
         self._vertex_tin.flags.writeable = False
@@ -133,7 +138,7 @@ class TreeOrderedNet(_OrderTree):
 
     def __init__(
         self,
-        net: VertexSet,
+        net: np.ndarray,
         order_parent: tuple[int, ...],
         node_vertex: tuple[int | None, ...],
         assign: np.ndarray,
@@ -143,7 +148,8 @@ class TreeOrderedNet(_OrderTree):
         cores: tuple[Core, ...],
         g: WeightedGraph,
     ):
-        self.net = net
+        self.net = np.array(net, dtype=bool)
+        self.net.flags.writeable = False
         self.order_parent = order_parent
         self.node_vertex = node_vertex
         self.assign = assign
@@ -153,7 +159,9 @@ class TreeOrderedNet(_OrderTree):
         self.cores = cores
         self.node_level = self._index_order_tree(order_parent, 0)
         self._centers = np.asarray(
-            sorted(net.indices.tolist(), key=lambda x: (self.node_level[assign[x]], x)),
+            sorted(
+                np.flatnonzero(self.net).tolist(), key=lambda x: (self.node_level[assign[x]], x)
+            ),
             dtype=np.int64,
         )
         self._center_dist = self._compute_center_distances(g)
@@ -163,8 +171,7 @@ class TreeOrderedNet(_OrderTree):
     def _compute_center_distances(self, g: WeightedGraph) -> np.ndarray:
         d = np.full((len(self._centers), g.n), np.inf)
         for i, x in enumerate(self._centers.tolist()):
-            restrict = VertexSet.from_mask(self.descendant_vertices(x))
-            d[i] = shortest_paths(g, restrict, VertexSet(g.n, [x]), limit=self.center_radius)
+            d[i] = shortest_paths(g, self.descendant_vertices(x), [x], limit=self.center_radius)
         return d
 
     @property
@@ -201,7 +208,8 @@ class TreeOrderedNet(_OrderTree):
         return (self._center_dist <= multiplier * self.delta).sum(axis=0)
 
     def to_json_dict(self) -> dict:
-        net_set = set(self.net.indices.tolist())
+        net_ids = np.flatnonzero(self.net).tolist()
+        net_set = set(net_ids)
         return {
             "parameters": {
                 "alpha": self.alpha,
@@ -220,7 +228,7 @@ class TreeOrderedNet(_OrderTree):
                 for i in range(len(self.order_parent))
             ],
             "assign": {str(v): int(self.assign[v]) for v in range(self.n)},
-            "net": sorted(int(x) for x in self.net.indices),
+            "net": net_ids,
             "cores": [
                 {
                     "id": c.id,
@@ -245,6 +253,20 @@ def check_net_delta(net: TreeOrderedNet, delta: float) -> None:
     _check_delta(delta)
     if delta != net.delta:
         raise ValueError(f"net was built for delta={net.delta}, asked for delta={delta}")
+
+
+def misplaced_attachments(
+    attached: np.ndarray, bag_of: np.ndarray, tin: np.ndarray, tout: np.ndarray
+) -> np.ndarray:
+    """Vertices held by an attachment whose bag is not a proper ancestor of
+    their own bag.
+
+    attached[v] is the bag whose attachment holds v, len(tin) for none;
+    bag a is a proper ancestor of bag b iff tin[a] < tin[b] < tout[a].
+    """
+    held = np.flatnonzero(attached < len(tin))
+    a, vb = attached[held], bag_of[held]
+    return held[(tin[vb] <= tin[a]) | (tin[vb] >= tout[a])]
 
 
 def construct_cores_trace(
@@ -306,8 +328,7 @@ def construct_cores_trace(
                 in_sub = in_comp & (tin >= tin[center_bag]) & (tin < tout[center_bag])
                 support = (in_sub[bag_of] & ~covered) | in_sub[attached]
                 sources = [v for v in sorted(tp.bags[center_bag]) if not covered[v]]
-                support_restrict = VertexSet.from_mask(support)
-                dist = shortest_paths(g, support_restrict, VertexSet(n, sources), limit=delta)
+                dist = shortest_paths(g, support, sources, limit=delta)
                 members = np.flatnonzero(dist <= delta)
                 cores.append(
                     Core(
@@ -316,16 +337,14 @@ def construct_cores_trace(
                         center_bag=center_bag,
                         centers=frozenset(sources),
                         rank=round_no,
-                        support_restrict=support_restrict,
+                        support_restrict=support.tobytes(),
                     )
                 )
                 covered[members] = True
                 visited[bag_of[members]] = True
                 attached[members] = nb if center_bag == root else parent[center_bag]
                 if deep_checks:
-                    held = np.flatnonzero(attached < nb)
-                    a, vb = attached[held], bag_of[held]
-                    bad = held[(tin[vb] <= tin[a]) | (tin[vb] >= tout[a])]
+                    bad = misplaced_attachments(attached, bag_of, tin[:nb], tout[:nb])
                     assert not len(bad), (
                         f"attachment of bag {attached[bad[0]]} holds vertex {bad[0]} "
                         f"of bag {bag_of[bad[0]]}, not a proper descendant"
@@ -335,7 +354,7 @@ def construct_cores_trace(
 
 def build_semi_tree_order(
     cores: list[Core], tp: TreePartition
-) -> tuple[SemiTreeOrder, VertexSet]:
+) -> tuple[SemiTreeOrder, np.ndarray]:
     """Assign each vertex to the bag of its first covering core; collect the net.
 
     Cores are created in round order, so the first core (by id) containing a
@@ -354,13 +373,14 @@ def build_semi_tree_order(
     for core in cores:
         for v in core.centers:
             net_mask[v] = True
+    net_mask.flags.writeable = False
     semi = SemiTreeOrder(parent=tp.parent, root=tp.root, assign=assign, tp_width=tp.width)
-    return semi, VertexSet.from_mask(net_mask)
+    return semi, net_mask
 
 
 def semi_to_tree_order(
     semi: SemiTreeOrder,
-    net: VertexSet,
+    net: np.ndarray,
     g: WeightedGraph,
     delta: float,
     alpha: float = 3.0,
@@ -370,14 +390,14 @@ def semi_to_tree_order(
 
     Vertices sharing a bag node become a chain ordered by (non-net last,
     vertex id); an empty preimage keeps a placeholder node so the tree shape
-    survives.  Child paths hang off the parent path's leaf.
+    survives.  Child paths hang off the parent path's leaf.  `net` is the
+    net's bool vertex mask.
     """
     _check_delta(delta)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     n = semi.assign.shape[0]
     nb = len(semi.parent)
-    net_mask = net.mask
     preimage: list[list[int]] = [[] for _ in range(nb)]
     for v in range(n):
         preimage[semi.assign[v]].append(v)
@@ -390,8 +410,8 @@ def semi_to_tree_order(
     for b in bag_order:
         members = preimage[b]
         seq: list[int | None] = sorted(
-            (v for v in members if net_mask[v])
-        ) + sorted(v for v in members if not net_mask[v])
+            (v for v in members if net[v])
+        ) + sorted(v for v in members if not net[v])
         if not seq:
             seq = [None]
         prev = path_leaf[semi.parent[b]] if semi.parent[b] != -1 else -1

@@ -21,7 +21,7 @@ class TdValidationError(ValueError):
 
 
 def rooted_tree_arrays(parent: tuple[int, ...], root: int):
-    """Children lists, hop levels, and Euler tin/tout for a parent-pointer tree."""
+    """Hop levels and Euler tin/tout for a parent-pointer tree."""
     n = len(parent)
     children: list[list[int]] = [[] for _ in range(n)]
     for v, p in enumerate(parent):
@@ -51,24 +51,21 @@ def rooted_tree_arrays(parent: tuple[int, ...], root: int):
             stack.append((c, False))
     if clock != n:
         raise TdValidationError("parent pointers do not form a single rooted tree")
-    return children, level, tin, tout
+    return level, tin, tout
 
 
 @dataclass
 class _BagTree:
-    """Rooted tree of vertex bags given by parent pointers, with its children
-    lists, hop levels and ancestor queries."""
+    """Rooted tree of vertex bags given by parent pointers, with its hop
+    levels and ancestor queries."""
 
     bags: tuple[frozenset[int], ...]
     parent: tuple[int, ...]
     root: int = 0
-    children: list[list[int]] = field(init=False, repr=False)
     level: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.children, self.level, self._tin, self._tout = rooted_tree_arrays(
-            self.parent, self.root
-        )
+        self.level, self._tin, self._tout = rooted_tree_arrays(self.parent, self.root)
 
     def is_bag_ancestor(self, a: int, b: int) -> bool:
         """True when bag a is an ancestor of bag b (or a == b)."""
@@ -167,15 +164,13 @@ class TreePartition(_BagTree):
 class IsometricEmbedding:
     """Distance-preserving embedding of a graph into a tree-partition host.
 
-    `forward[v]` is the designated host copy of v, `copies[v]` all of them,
-    and `host_origin[x]` the original vertex a host vertex copies.
+    `forward[v]` is the designated host copy of v and `copies[v]` all of them.
     """
 
     host: WeightedGraph
     tree_partition: TreePartition
     forward: np.ndarray
     copies: tuple[tuple[int, ...], ...]
-    host_origin: np.ndarray
 
 
 def load_tree_decomposition(text: str, g: WeightedGraph) -> TreeDecomposition:
@@ -273,14 +268,12 @@ def td_to_tree_partition(g: WeightedGraph, td: TreeDecomposition) -> IsometricEm
     order_key = lambda b: (td.level[b], b)
 
     copy_id: dict[tuple[int, int], int] = {}
-    host_origin: list[int] = []
     host_bag: list[frozenset[int]] = []
     for b in range(nb):
         ids = []
         for v in sorted(td.bags[b]):
-            copy_id[(v, b)] = len(host_origin)
-            ids.append(len(host_origin))
-            host_origin.append(v)
+            ids.append(len(copy_id))
+            copy_id[(v, b)] = ids[-1]
         host_bag.append(frozenset(ids))
 
     holding: list[list[int]] = [[] for _ in range(g.n)]
@@ -300,7 +293,7 @@ def td_to_tree_partition(g: WeightedGraph, td: TreeDecomposition) -> IsometricEm
         b = min(common, key=order_key)
         host_edges.append((copy_id[(u, b)], copy_id[(v, b)], w))
 
-    host = WeightedGraph(len(host_origin), host_edges)
+    host = WeightedGraph(len(copy_id), host_edges)
     tp = TreePartition(bags=tuple(host_bag), parent=td.parent, root=td.root)
 
     forward = np.zeros(g.n, dtype=np.int64)
@@ -310,9 +303,5 @@ def td_to_tree_partition(g: WeightedGraph, td: TreeDecomposition) -> IsometricEm
         copies.append(tuple(copy_id[(v, b)] for b in sorted(holding[v])))
 
     return IsometricEmbedding(
-        host=host,
-        tree_partition=tp,
-        forward=forward,
-        copies=tuple(copies),
-        host_origin=np.asarray(host_origin, dtype=np.int64),
+        host=host, tree_partition=tp, forward=forward, copies=tuple(copies)
     )

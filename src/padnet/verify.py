@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from .decomposition import (
     seeded_generator,
 )
 from .graph import (
-    VertexSet,
     WeightedGraph,
     ball,
     shortest_paths,
@@ -73,13 +73,14 @@ class OracleCapError(ValueError):
     """The all-pairs oracle refuses instances beyond its configured cap."""
 
 
-def oracle_all_pairs(g: WeightedGraph, restrict: VertexSet, cap: int = 60) -> np.ndarray:
+def oracle_all_pairs(g: WeightedGraph, restrict: Sequence[int], cap: int = 60) -> np.ndarray:
     """Exact all-pairs distances in G[restrict] via the O(n^3) recurrence.
 
-    Returns an (n, n) matrix with +inf for pairs not both inside restrict.
-    Refuses (never truncates) when |restrict| exceeds cap.
+    `restrict` holds distinct vertex ids, in any order.  Returns an (n, n)
+    matrix with +inf for pairs not both inside restrict.  Refuses (never
+    truncates) when |restrict| exceeds cap.
     """
-    idx = restrict.indices
+    idx = np.sort(np.asarray(restrict, dtype=np.int64))
     if idx.size == 0:
         raise ValueError("restrict must be non-empty")
     if idx.size > cap:
@@ -153,6 +154,12 @@ def _check(name, passed, measured=None, bound=None, witness=None, warn=False) ->
     return CheckResult(name, status, measured, bound, witness if not passed else None)
 
 
+def _mask(n: int, ids) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # conversion checks
 
@@ -193,8 +200,8 @@ def _embedding_checks(
             break
     checks.append(_check("host-edge-validity", bad is None, witness=bad))
 
-    dg = oracle_all_pairs(g, g.all_vertices(), cap=oracle_cap)
-    dh = oracle_all_pairs(host, host.all_vertices(), cap=oracle_cap)
+    dg = oracle_all_pairs(g, range(g.n), cap=oracle_cap)
+    dh = oracle_all_pairs(host, range(host.n), cap=oracle_cap)
     fwd = emb.forward
     diff = np.abs(dh[np.ix_(fwd, fwd)] - dg)
     worst = float(diff.max())
@@ -267,7 +274,7 @@ def verify_cores(
 
     bad = None
     for c in cores:
-        if not VertexSet(g.n, c.members).issubset(c.support_restrict):
+        if not c.support_mask[list(c.members)].all():
             bad = f"core {c.id} leaves its support snapshot"
             break
     checks.append(_check("core-members-in-support", bad is None, witness=bad))
@@ -281,7 +288,7 @@ def verify_cores(
 
     bad = None
     for c in cores:
-        dist = shortest_paths(g, c.support_restrict, VertexSet(g.n, c.centers))
+        dist = shortest_paths(g, c.support_mask, sorted(c.centers))
         replay = frozenset(np.flatnonzero(dist <= delta).tolist())
         if replay != c.members:
             bad = f"core {c.id}: recorded members differ from replayed ball"
@@ -395,8 +402,7 @@ def _oracle_center_distances(
     centers = net.centers_in_order()
     d = np.full((len(centers), g.n), np.inf)
     for i, x in enumerate(centers.tolist()):
-        restrict = VertexSet.from_mask(net.descendant_vertices(x))
-        full = oracle_all_pairs(g, restrict, cap=oracle_cap)
+        full = oracle_all_pairs(g, np.flatnonzero(net.descendant_vertices(x)), cap=oracle_cap)
         d[i] = full[x]
     return d
 
@@ -433,7 +439,7 @@ def verify_net(
     """
     checks: list[CheckResult] = []
     if host_dist is None:
-        host_dist = oracle_all_pairs(g, g.all_vertices(), cap=oracle_cap)
+        host_dist = oracle_all_pairs(g, range(g.n), cap=oracle_cap)
     if center_dist is None:
         center_dist = _oracle_center_distances(g, net, oracle_cap)
 
@@ -605,7 +611,7 @@ def verify_cover(
 ) -> VerificationReport:
     """Certify a cover; host_dist, g's oracle matrix, is computed when not given."""
     if host_dist is None:
-        host_dist = oracle_all_pairs(g, g.all_vertices(), cap=oracle_cap)
+        host_dist = oracle_all_pairs(g, range(g.n), cap=oracle_cap)
     if isinstance(cover, SparseCover):
         return _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, host_dist, packing_counts)
     return _verify_partition_cover(g, cover, alpha, delta, oracle_cap, host_dist, tau)
@@ -656,7 +662,7 @@ def _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, host_dist, packing_
     bound = 2 * alpha * delta + TOL
     worst, worst_c = 0.0, None
     for i, c in enumerate(cover.clusters):
-        d = oracle_all_pairs(g, VertexSet(g.n, c.members), cap=oracle_cap)
+        d = oracle_all_pairs(g, sorted(c.members), cap=oracle_cap)
         idx = np.fromiter(c.members, dtype=np.int64)
         m = float(d[np.ix_(idx, idx)].max())
         if m > worst:
@@ -715,7 +721,7 @@ def _verify_partition_cover(g, cover, alpha, delta, oracle_cap, host_dist, tau):
         for c in part:
             if len(c.members) == 1:
                 continue
-            d = oracle_all_pairs(g, VertexSet(g.n, c.members), cap=oracle_cap)
+            d = oracle_all_pairs(g, sorted(c.members), cap=oracle_cap)
             idx = np.fromiter(c.members, dtype=np.int64)
             m = float(d[np.ix_(idx, idx)].max())
             if c.kind == "net" and m > worst:
@@ -772,6 +778,8 @@ def full_report(
     """Run every invariant check of the whole pipeline on one instance."""
     from .trees import td_to_tree_partition
 
+    if oracle_cap < 1:
+        raise ValueError(f"oracle_cap must be >= 1, got {oracle_cap}")
     checks: list[CheckResult] = []
     checks.extend(_graph_property_checks(g, seed, oracle_cap))
 
@@ -884,7 +892,7 @@ def full_report(
 def _graph_property_checks(g: WeightedGraph, seed: int, oracle_cap: int) -> list[CheckResult]:
     rng = seeded_generator(seed, 2)
     everything = g.all_vertices()
-    base = shortest_paths(g, everything, VertexSet(g.n, [0]))
+    base = shortest_paths(g, everything, [0])
 
     bad = None
     for _ in range(10):
@@ -892,8 +900,7 @@ def _graph_property_checks(g: WeightedGraph, seed: int, oracle_cap: int) -> list
         members = rng.choice(g.n, size=size, replace=False).tolist()
         if 0 not in members:
             members.append(0)
-        restrict = VertexSet(g.n, members)
-        d = shortest_paths(g, restrict, VertexSet(g.n, [0]))
+        d = shortest_paths(g, _mask(g.n, members), [0])
         if (d + TOL < base).any():
             bad = "restricted distance below unrestricted"
             break
@@ -903,9 +910,9 @@ def _graph_property_checks(g: WeightedGraph, seed: int, oracle_cap: int) -> list
     for _ in range(10):
         c = int(rng.integers(g.n))
         r1, r2 = sorted(rng.uniform(0, float(base[np.isfinite(base)].max()) + 1, size=2).tolist())
-        b1 = ball(g, everything, VertexSet(g.n, [c]), r1).members
-        b2 = ball(g, everything, VertexSet(g.n, [c]), r2).members
-        if not b1.issubset(b2):
+        b1 = ball(g, everything, [c], r1)
+        b2 = ball(g, everything, [c], r2)
+        if (b1 & ~b2).any():
             bad = f"ball({c},{r1:.3g}) not inside ball({c},{r2:.3g})"
             break
     checks.append(_check("ball-monotone", bad is None, witness=bad))
@@ -913,7 +920,7 @@ def _graph_property_checks(g: WeightedGraph, seed: int, oracle_cap: int) -> list
     bad = None
     for _ in range(10):
         size = int(rng.integers(1, g.n + 1))
-        members = VertexSet(g.n, rng.choice(g.n, size=size, replace=False).tolist())
+        members = _mask(g.n, rng.choice(g.n, size=size, replace=False))
         if weak_diameter(g, members) > strong_diameter(g, members) + TOL:
             bad = "weak diameter exceeds strong diameter"
             break
@@ -923,10 +930,10 @@ def _graph_property_checks(g: WeightedGraph, seed: int, oracle_cap: int) -> list
     for _ in range(5):
         size = int(rng.integers(1, min(g.n, oracle_cap) + 1))
         members = rng.choice(g.n, size=size, replace=False).tolist()
-        restrict = VertexSet(g.n, members)
-        matrix = oracle_all_pairs(g, restrict, cap=oracle_cap)
+        matrix = oracle_all_pairs(g, members, cap=oracle_cap)
+        restrict = _mask(g.n, members)
         for s in members:
-            d = shortest_paths(g, restrict, VertexSet(g.n, [s]))
+            d = shortest_paths(g, restrict, [s])
             row = matrix[s]
             if not (
                 np.array_equal(np.isinf(d[members]), np.isinf(row[members]))
@@ -941,3 +948,4 @@ def _graph_property_checks(g: WeightedGraph, seed: int, oracle_cap: int) -> list
             break
     checks.append(_check("dijkstra-floyd-warshall-agreement", bad is None, witness=bad))
     return checks
+

@@ -24,6 +24,14 @@ class Fixture:
     delta: float
 
 
+def vertex_mask(n: int, ids=()) -> np.ndarray:
+    """Read-only bool mask over 0..n-1 holding the given vertex ids."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(ids)] = True
+    mask.flags.writeable = False
+    return mask
+
+
 def _td(bags, parent) -> TreeDecomposition:
     return TreeDecomposition(bags=tuple(frozenset(b) for b in bags), parent=tuple(parent))
 

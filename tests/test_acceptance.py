@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import built
-from fixtures import acceptance_fixtures
+from fixtures import acceptance_fixtures, vertex_mask
 
 from padnet.cli import main
 from padnet.covers import build_partition_cover, build_sparse_cover
@@ -22,7 +22,7 @@ from padnet.decomposition import (
     sample_truncated_exp,
     wilson_lower_bound,
 )
-from padnet.graph import VertexSet, WeightedGraph, shortest_paths
+from padnet.graph import WeightedGraph, shortest_paths
 from padnet.verify import (
     _oracle_center_distances,
     oracle_all_pairs,
@@ -48,8 +48,8 @@ def test_c1_isometric_conversion():
     assert len(REGISTRY) >= 20
     for f in REGISTRY:
         b = built(f)
-        dg = oracle_all_pairs(f.graph, f.graph.all_vertices(), cap=f.graph.n)
-        dh = oracle_all_pairs(b.host, b.host.all_vertices(), cap=b.host.n)
+        dg = oracle_all_pairs(f.graph, range(f.graph.n), cap=f.graph.n)
+        dh = oracle_all_pairs(b.host, range(b.host.n), cap=b.host.n)
         fwd = b.embedding.forward
         assert np.array_equal(dh[np.ix_(fwd, fwd)], dg), f.name
         assert b.tp.width == f.td.max_bag_size, f.name
@@ -162,10 +162,10 @@ def test_c7_oracle_equivalence():
         for _ in range(5):
             size = int(rng.integers(1, n + 1))
             members = sorted(rng.choice(n, size=size, replace=False).tolist())
-            restrict = VertexSet(n, members)
-            matrix = oracle_all_pairs(g, restrict, cap=60)
+            restrict = vertex_mask(n, members)
+            matrix = oracle_all_pairs(g, members, cap=60)
             for s in members:
-                d = shortest_paths(g, restrict, VertexSet(n, [s]))
+                d = shortest_paths(g, restrict, [s])
                 assert d[members].tolist() == matrix[s][members].tolist()
             checked += 1
     _report(7, "oracle equivalence", f"{checked} induced subgraphs")

@@ -13,7 +13,6 @@ import pytest
 from conftest import built
 from fixtures import acceptance_fixtures, partial_ktree_fixture, shuffled_ids
 
-from padnet.graph import VertexSet
 from padnet.ordered_net import construct_cores_trace
 from padnet.trees import td_to_tree_partition
 from padnet.verify import oracle_all_pairs
@@ -34,6 +33,12 @@ def brute_cores(g, tp, delta):
     for b in range(nb):
         for v in bag_items[b]:
             bag_of[v] = b
+
+    adjacent = {b: [] for b in range(nb)}
+    for b, p in enumerate(tp.parent):
+        if p != -1:
+            adjacent[b].append(p)
+            adjacent[p].append(b)
 
     def is_ancestor(a, x):
         while x != -1:
@@ -58,8 +63,7 @@ def brute_cores(g, tp, delta):
             frontier = [start]
             while frontier:
                 x = frontier.pop()
-                neighbors = list(tp.children[x]) + ([tp.parent[x]] if tp.parent[x] != -1 else [])
-                for y in neighbors:
+                for y in adjacent[x]:
                     if y in uncov and y not in comp:
                         comp.add(y)
                         frontier.append(y)
@@ -84,7 +88,7 @@ def brute_cores(g, tp, delta):
                     support |= {v for v in bag_items[x] if v not in covered}
                     support |= attach[x]
                 sources = [v for v in bag_items[center_bag] if v not in covered]
-                matrix = oracle_all_pairs(g, VertexSet(n, support), cap=n)
+                matrix = oracle_all_pairs(g, sorted(support), cap=n)
                 members = {
                     v for v in support if min(matrix[s][v] for s in sources) <= delta
                 }
@@ -104,7 +108,7 @@ def _compare(g, tp, delta):
     cons = construct_cores_trace(g, tp, delta, deep_checks=True)
     cores, traces, rounds = brute_cores(g, tp, delta)
     got = [
-        (c.members, c.center_bag, c.centers, c.rank, frozenset(c.support_restrict))
+        (c.members, c.center_bag, c.centers, c.rank, frozenset(np.flatnonzero(c.support_mask)))
         for c in cons.cores
     ]
     assert got == cores

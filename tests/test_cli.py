@@ -153,6 +153,22 @@ def test_delta_not_finite_and_positive_exit_2(capsys, delta):
         assert "delta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+@pytest.mark.parametrize("cmd", ["net", "cover"])
+def test_alpha_not_finite_exit_2(capsys, cmd, alpha):
+    # an infinite alpha once exited 0 with "alpha": Infinity in the JSON
+    code = main([cmd, *GRID_ARGS, "--delta", "2", "--alpha", alpha])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"alpha must be finite and > 0, got {alpha}" in captured.err
+
+
+def test_oracle_cap_below_one_exit_2(capsys):
+    code = main(["verify", *GRID_ARGS, "--delta", "2", "--trials", "10", "--oracle-cap", "0"])
+    assert code == 2
+    assert "oracle_cap must be >= 1, got 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cmd", ["decompose", "padding-estimate", "verify"])
 def test_seed_beyond_64_bits_exit_2(capsys, cmd):
     code = main([cmd, *PATH_ARGS, "--delta", "2", "--trials", "10",

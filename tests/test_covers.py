@@ -131,7 +131,7 @@ def test_ball_containment_exhaustive():
     for name in ["path-30", "cycle-16", "grid-5", "sp-50w"]:
         b = built(BY_NAME[name])
         alpha, delta = 3.0, b.delta
-        dg = oracle_all_pairs(b.host, b.host.all_vertices(), cap=b.host.n)
+        dg = oracle_all_pairs(b.host, range(b.host.n), cap=b.host.n)
         cover = build_sparse_cover(b.host, b.net, delta)
         masks = np.zeros((len(cover.clusters), b.host.n), dtype=bool)
         for i, c in enumerate(cover.clusters):

@@ -145,7 +145,7 @@ def test_alpha3_parameter_values():
 
 def test_single_center_always_one_cluster():
     g, net = single_center_net()
-    assert len(net.net) == 1
+    assert net.net.tolist() == [True, False, False, False, False]
     for seed in range(5):
         part = sample_padded_decomposition(g, net, 1.0, seed)
         assert len(part.clusters) == 1

@@ -133,6 +133,18 @@ def test_one_host_oracle_pass_per_report(monkeypatch):
     assert calls == {"host oracle": 1, "center rows": 1}
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_oracle_cap_below_one_rejected_before_any_check(monkeypatch, cap):
+    f = next(f for f in acceptance_fixtures() if f.name == "path-8")
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "_graph_property_checks", fail)
+    with pytest.raises(ValueError, match=f"oracle_cap must be >= 1, got {cap}"):
+        full_report(f.graph, f.td, f.delta, trials=10, oracle_cap=cap)
+
+
 def test_standalone_checks_keep_no_state_between_graphs():
     a = built(next(f for f in acceptance_fixtures() if f.name == "path-30"))
     other = partial_ktree_fixture(20, 2, seed=11, drop=0.3, delta=2.0)

@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from fixtures import grid_fixture
+from fixtures import grid_fixture, vertex_mask
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padnet.graph import (
     GraphFormatError,
-    VertexSet,
     WeightedGraph,
     all_pairs,
     ball,
@@ -32,52 +31,59 @@ def path3():
 
 def test_unit_path_distances():
     g = path3()
-    d = shortest_paths(g, g.all_vertices(), VertexSet(3, [0]))
+    d = shortest_paths(g, g.all_vertices(), [0])
     assert d.tolist() == [0.0, 1.0, 2.0]
 
 
 def test_induced_subgraph_cut():
     g = path3()
-    d = shortest_paths(g, VertexSet(3, [0, 2]), VertexSet(3, [0]))
+    d = shortest_paths(g, vertex_mask(3, [0, 2]), [0])
     assert d[2] == INF
 
 
 def test_sources_must_be_inside_restrict():
     g = path3()
     with pytest.raises(ValueError):
-        shortest_paths(g, VertexSet(3, [0, 1]), VertexSet(3, [2]))
+        shortest_paths(g, vertex_mask(3, [0, 1]), [2])
     with pytest.raises(ValueError):
-        shortest_paths(g, VertexSet(3, []), VertexSet(3, []))
+        shortest_paths(g, vertex_mask(3), [])
 
 
 def test_ball_basic():
     g = path3()
-    b = ball(g, g.all_vertices(), VertexSet(3, [1]), 1.0)
-    assert sorted(b.members) == [0, 1, 2]
-    assert b.center_set.issubset(b.members)
+    b = ball(g, g.all_vertices(), [1], 1.0)
+    assert np.flatnonzero(b).tolist() == [0, 1, 2]
+    assert b[1]
 
 
 def test_zero_radius_ball_with_zero_weight_edges():
     g = WeightedGraph(3, [(0, 1, 0.0), (1, 2, 1.0)])
-    b = ball(g, g.all_vertices(), VertexSet(3, [0]), 0.0)
-    assert sorted(b.members) == [0, 1]
+    b = ball(g, g.all_vertices(), [0], 0.0)
+    assert np.flatnonzero(b).tolist() == [0, 1]
 
 
 def test_negative_radius_rejected():
     with pytest.raises(ValueError):
-        ball(path3(), path3().all_vertices(), VertexSet(3, [0]), -0.5)
+        ball(path3(), path3().all_vertices(), [0], -0.5)
 
 
 def test_diameters():
     g = path3()
-    assert weak_diameter(g, VertexSet(3, [1])) == 0.0
-    assert weak_diameter(g, VertexSet(3, [0, 2])) == 2.0
-    assert strong_diameter(g, VertexSet(3, [0, 2])) == INF
+    assert weak_diameter(g, vertex_mask(3, [1])) == 0.0
+    assert weak_diameter(g, vertex_mask(3, [0, 2])) == 2.0
+    assert strong_diameter(g, vertex_mask(3, [0, 2])) == INF
     assert strong_diameter(g, g.all_vertices()) == 2.0
     with pytest.raises(ValueError):
-        weak_diameter(g, VertexSet(3, []))
+        weak_diameter(g, vertex_mask(3))
     with pytest.raises(ValueError):
-        strong_diameter(g, VertexSet(3, []))
+        strong_diameter(g, vertex_mask(3))
+
+
+def test_all_vertices_is_a_read_only_mask():
+    everything = path3().all_vertices()
+    assert everything.dtype == bool and everything.tolist() == [True, True, True]
+    with pytest.raises(ValueError):
+        everything[0] = False
 
 
 def test_graph_validation():
@@ -110,10 +116,10 @@ def connected_graphs(draw, max_n=12):
 @settings(max_examples=60, deadline=None)
 def test_dijkstra_matches_floyd_warshall(g, rnd):
     members = sorted(rnd.sample(range(g.n), rnd.randint(1, g.n)))
-    restrict = VertexSet(g.n, members)
-    matrix = oracle_all_pairs(g, restrict, cap=60)
+    restrict = vertex_mask(g.n, members)
+    matrix = oracle_all_pairs(g, members, cap=60)
     for s in members:
-        d = shortest_paths(g, restrict, VertexSet(g.n, [s]))
+        d = shortest_paths(g, restrict, [s])
         assert d[members].tolist() == matrix[s][members].tolist()
 
 
@@ -123,9 +129,9 @@ def test_ball_monotone(g, salt):
     rnd = np.random.default_rng(salt)
     c = int(rnd.integers(g.n))
     r1, r2 = sorted(rnd.uniform(0, 20, size=2).tolist())
-    b1 = ball(g, g.all_vertices(), VertexSet(g.n, [c]), r1).members
-    b2 = ball(g, g.all_vertices(), VertexSet(g.n, [c]), r2).members
-    assert b1.issubset(b2)
+    b1 = ball(g, g.all_vertices(), [c], r1)
+    b2 = ball(g, g.all_vertices(), [c], r2)
+    assert not (b1 & ~b2).any()
 
 
 @given(connected_graphs(), st.integers(0, 10 ** 6))
@@ -133,7 +139,7 @@ def test_ball_monotone(g, salt):
 def test_weak_at_most_strong(g, salt):
     rnd = np.random.default_rng(salt)
     size = int(rnd.integers(1, g.n + 1))
-    cluster = VertexSet(g.n, rnd.choice(g.n, size=size, replace=False).tolist())
+    cluster = vertex_mask(g.n, rnd.choice(g.n, size=size, replace=False).tolist())
     assert weak_diameter(g, cluster) <= strong_diameter(g, cluster)
 
 
@@ -144,8 +150,8 @@ def test_restriction_never_shortens(g, salt):
     size = int(rnd.integers(1, g.n + 1))
     members = rnd.choice(g.n, size=size, replace=False).tolist()
     s = members[0]
-    restricted = shortest_paths(g, VertexSet(g.n, members), VertexSet(g.n, [s]))
-    free = shortest_paths(g, g.all_vertices(), VertexSet(g.n, [s]))
+    restricted = shortest_paths(g, vertex_mask(g.n, members), [s])
+    free = shortest_paths(g, g.all_vertices(), [s])
     assert (restricted >= free).all()
 
 
@@ -174,8 +180,8 @@ def decimal_graphs(draw, max_n=12):
 @settings(max_examples=80, deadline=None)
 def test_limit_equals_thresholded_unbounded(g, rnd):
     members = sorted(rnd.sample(range(g.n), rnd.randint(1, g.n)))
-    restrict = VertexSet(g.n, members)
-    sources = VertexSet(g.n, rnd.sample(members, rnd.randint(1, len(members))))
+    restrict = vertex_mask(g.n, members)
+    sources = sorted(rnd.sample(members, rnd.randint(1, len(members))))
     free = shortest_paths(g, restrict, sources)
     finite = free[np.isfinite(free)].tolist()
     # limits at every reached distance hit the boundary case d == limit
@@ -190,7 +196,7 @@ def test_limit_on_copy_expanded_host():
     everything = host.all_vertices()
     for v in range(0, host.n, 7):
         for limit in (0.0, 0.1, 0.30000000000000004, 0.5):
-            assert_bounded_is_thresholded(host, everything, VertexSet(host.n, [v]), limit)
+            assert_bounded_is_thresholded(host, everything, [v], limit)
     assert_ball_pairs_thresholded(host, 0.3)
 
 
@@ -213,7 +219,7 @@ def test_ball_pairs_is_thresholded_all_pairs(g, rnd):
 
 def test_limit_zero_keeps_zero_weight_component():
     g = WeightedGraph(4, [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 1.0)])
-    d = shortest_paths(g, g.all_vertices(), VertexSet(4, [0]), limit=0.0)
+    d = shortest_paths(g, g.all_vertices(), [0], limit=0.0)
     assert d.tolist() == [0.0, 0.0, 0.0, INF]
 
 
@@ -221,7 +227,7 @@ def test_limit_zero_keeps_zero_weight_component():
 def test_invalid_limit_rejected(limit):
     g = path3()
     with pytest.raises(ValueError):
-        shortest_paths(g, g.all_vertices(), VertexSet(3, [0]), limit)
+        shortest_paths(g, g.all_vertices(), [0], limit)
 
 
 # --- edge-list format ---------------------------------------------------------

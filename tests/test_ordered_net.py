@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,14 +9,16 @@ from fixtures import (
     heavy_path5,
     partial_ktree_fixture,
     triangle_single_bag,
+    vertex_mask,
 )
 
-from padnet.graph import VertexSet, WeightedGraph, shortest_paths
+from padnet.graph import WeightedGraph, shortest_paths
 from padnet.ordered_net import (
     SemiTreeOrder,
     build_semi_tree_order,
     build_tree_ordered_net,
     construct_cores_trace,
+    misplaced_attachments,
     packing_profile,
     semi_to_tree_order,
 )
@@ -39,7 +42,8 @@ def test_heavy_path_hand_simulation():
     ]
     semi, net = build_semi_tree_order(cons.cores, tp)
     assert semi.assign.tolist() == [0, 1, 2, 3, 4]
-    assert sorted(net.indices.tolist()) == [0, 1, 2, 3, 4]
+    assert net.tolist() == [True] * 5
+    assert not net.flags.writeable
 
 
 def test_triangle_single_bag():
@@ -51,7 +55,7 @@ def test_triangle_single_bag():
     assert cores[0].rank == 1
     semi, net = build_semi_tree_order(cores, tp)
     assert set(semi.assign.tolist()) == {0}
-    assert len(net) == 3
+    assert net.tolist() == [True] * 3
 
 
 def test_star_single_round():
@@ -80,7 +84,9 @@ def test_core_fields_on_fixtures():
         for c in b.construction.cores:
             assert c.centers <= tp.bags[c.center_bag]
             assert c.centers <= c.members
-            assert VertexSet(b.host.n, c.members).issubset(c.support_restrict)
+            assert c.support_mask[sorted(c.members)].all()
+            assert not c.support_mask.flags.writeable
+            assert len(c.support_restrict) == b.host.n
             bag_of = tp.bag_of()
             for v in c.members:
                 assert tp.is_bag_ancestor(c.center_bag, int(bag_of[v]))
@@ -101,13 +107,13 @@ def test_semi_order_covering_and_packing_oracle():
     for name in ["path-30", "cycle-16", "wpath-12", "grid-5"]:
         b = built(BY_NAME[name])
         host, semi, delta = b.host, b.semi, b.delta
-        net = sorted(b.net.net.indices.tolist())
+        net = np.flatnonzero(b.net.net).tolist()
         tpw = b.tp.width
         counts2 = np.zeros(host.n, dtype=int)
         covered = np.zeros(host.n, dtype=bool)
         for x in net:
-            restrict = VertexSet.from_mask(semi.descendant_vertices(x))
-            row = oracle_all_pairs(host, restrict, cap=host.n)[x]
+            below = np.flatnonzero(semi.descendant_vertices(x))
+            row = oracle_all_pairs(host, below, cap=host.n)[x]
             covered |= row <= delta
             counts2 += row <= 2 * delta
         assert covered.all()
@@ -118,16 +124,59 @@ def test_single_node_expansion():
     # one shared order node, net = {0}: expansion is the rooted path 0 -> 1 -> 2
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     semi = SemiTreeOrder(parent=(-1,), root=0, assign=np.zeros(3, dtype=np.int64), tp_width=3)
-    ton = semi_to_tree_order(semi, VertexSet(3, [0]), g, 1.0)
+    ton = semi_to_tree_order(semi, vertex_mask(3, [0]), g, 1.0)
     assert ton.node_vertex == (0, 1, 2)
     assert ton.order_parent == (-1, 0, 1)
     assert ton.assign.tolist() == [0, 1, 2]
 
 
+def test_net_mask_is_a_read_only_copy():
+    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+    semi = SemiTreeOrder(parent=(-1,), root=0, assign=np.zeros(3, dtype=np.int64), tp_width=3)
+    given = np.array([True, False, False])
+    ton = semi_to_tree_order(semi, given, g, 1.0)
+    given[1] = True
+    assert ton.net.tolist() == [True, False, False]
+    with pytest.raises(ValueError):
+        ton.net[2] = True
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -1.0])
+def test_alpha_must_be_finite_and_positive(alpha):
+    g, tp, delta = heavy_path5()
+    with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+        build_tree_ordered_net(g, tp, delta, alpha=alpha)
+
+
+def test_misplaced_attachments_flags_all_but_proper_descendants():
+    # bag 0 roots bags 1 and 3, bag 2 hangs below 1; vertex v sits in bag v
+    tp = TreePartition(bags=tuple(frozenset({i}) for i in range(4)), parent=(-1, 0, 1, 0))
+    tin, tout = tp.bag_intervals()
+    bag_of = tp.bag_of()
+    none = len(tp.bags)
+
+    def flagged(held: dict[int, int]) -> list[int]:
+        """Vertices misplaced when each held vertex v sits in bag held[v]'s attachment."""
+        attached = np.full(4, none)
+        attached[list(held)] = list(held.values())
+        return misplaced_attachments(attached, bag_of, tin, tout).tolist()
+
+    assert flagged({}) == []
+    # proper descendants: bag 2 below bags 1 and 0, bags 1 and 3 below bag 0
+    assert flagged({2: 0}) == flagged({2: 1}) == flagged({1: 0, 3: 0}) == []
+    # the attachment's own bag
+    assert flagged({1: 1}) == [1]
+    assert flagged({0: 0}) == [0]
+    # an ancestor bag, and a bag in another branch
+    assert flagged({1: 2}) == [1]
+    assert flagged({0: 3}) == [0]
+    assert flagged({3: 1, 2: 1}) == [3]
+
+
 def test_net_first_in_expansion_order():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     semi = SemiTreeOrder(parent=(-1,), root=0, assign=np.zeros(3, dtype=np.int64), tp_width=3)
-    ton = semi_to_tree_order(semi, VertexSet(3, [2]), g, 1.0)
+    ton = semi_to_tree_order(semi, vertex_mask(3, [2]), g, 1.0)
     assert ton.node_vertex == (2, 0, 1)
 
 
@@ -208,8 +257,8 @@ def test_converted_net_covering_packing_oracle():
         covered = np.zeros(host.n, dtype=bool)
         counts2 = np.zeros(host.n, dtype=int)
         for i, x in enumerate(centers.tolist()):
-            restrict = VertexSet.from_mask(net.descendant_vertices(x))
-            row = oracle_all_pairs(host, restrict, cap=host.n)[x]
+            below = np.flatnonzero(net.descendant_vertices(x))
+            row = oracle_all_pairs(host, below, cap=host.n)[x]
             covered |= row <= delta
             counts2 += row <= 2 * delta
         assert covered.all()
@@ -234,7 +283,7 @@ def unbounded_center_rows(net, g) -> np.ndarray:
     """The table as it was before it was bounded: one unbounded search per center."""
     return np.array(
         [
-            shortest_paths(g, VertexSet.from_mask(net.descendant_vertices(x)), VertexSet(g.n, [x]))
+            shortest_paths(g, net.descendant_vertices(x), [x])
             for x in net.centers_in_order().tolist()
         ]
     )

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from padnet.covers import build_partition_cover, build_sparse_cover
 from padnet.decomposition import sample_padded_decomposition
-from padnet.graph import VertexSet
 from padnet.ordered_net import build_tree_ordered_net
 from padnet.trees import td_to_tree_partition
 from padnet.verify import oracle_all_pairs
@@ -39,15 +38,15 @@ def test_net_and_structures_on_random_pipelines(args):
     covered = np.zeros(host.n, dtype=bool)
     pack2 = np.zeros(host.n, dtype=int)
     for x in net.centers_in_order().tolist():
-        restrict = VertexSet.from_mask(net.descendant_vertices(x))
-        row = oracle_all_pairs(host, restrict, cap=host.n)[x]
+        below = np.flatnonzero(net.descendant_vertices(x))
+        row = oracle_all_pairs(host, below, cap=host.n)[x]
         covered |= row <= delta
         pack2 += row <= 2 * delta
     assert covered.all()
     assert pack2.max() <= net.tau_bound
 
     # decomposition: total, disjoint, bounded; cover: containment at the radius
-    dg = oracle_all_pairs(host, host.all_vertices(), cap=host.n)
+    dg = oracle_all_pairs(host, range(host.n), cap=host.n)
     part = sample_padded_decomposition(host, net, delta, seed=0)
     assert (part.assignment >= 0).all()
     for c in part.clusters:

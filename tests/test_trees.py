@@ -75,7 +75,7 @@ def test_conversion_on_two_bag_path():
     weights = sorted(w for _, _, w in host.edges)
     assert weights == [0.0, 1.0, 1.0]
     assert emb.copies[1] == (1, 2)
-    d = oracle_all_pairs(host, host.all_vertices(), cap=10)
+    d = oracle_all_pairs(host, range(host.n), cap=10)
     assert d[emb.forward[0], emb.forward[2]] == 2.0
 
 
@@ -117,7 +117,7 @@ def test_bag_trees_share_structure_and_ancestor_queries():
     parent = (-1, 0, 1, 0)
     bags = tuple(frozenset({i}) for i in range(4))
     for tree in (TreeDecomposition(bags, parent), TreePartition(bags, parent)):
-        assert tree.children == [[1, 3], [2], [], []]
+        assert [a.tolist() for a in tree.bag_intervals()] == [[0, 1, 2, 3], [4, 3, 3, 4]]
         assert tree.level == [0, 1, 2, 1]
         ancestors = {(a, b) for a in range(4) for b in range(4) if tree.is_bag_ancestor(a, b)}
         assert ancestors == {(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (2, 2), (3, 3)}
@@ -132,8 +132,8 @@ def test_conversion_isometric_on_fixtures(fixture):
     host, tp = emb.host, emb.tree_partition
     tp.validate(host)
     assert tp.width == td.max_bag_size
-    dg = oracle_all_pairs(g, g.all_vertices(), cap=g.n)
-    dh = oracle_all_pairs(host, host.all_vertices(), cap=host.n)
+    dg = oracle_all_pairs(g, range(g.n), cap=g.n)
+    dh = oracle_all_pairs(host, range(host.n), cap=host.n)
     fwd = emb.forward
     assert np.array_equal(dh[np.ix_(fwd, fwd)], dg)
     for copies in emb.copies:
@@ -154,12 +154,17 @@ def reference_validate(td: TreeDecomposition, g: WeightedGraph) -> str | None:
     for u, v, _ in g.edges:
         if not any(u in bag and v in bag for bag in td.bags):
             return f"edge ({u + 1},{v + 1}) is covered by no bag"
+    adjacent = [[] for _ in td.bags]
+    for b, p in enumerate(td.parent):
+        if p != -1:
+            adjacent[b].append(p)
+            adjacent[p].append(b)
     for x in range(g.n):
         holding = [i for i, bag in enumerate(td.bags) if x in bag]
         reached, stack = {holding[0]}, [holding[0]]
         while stack:
             b = stack.pop()
-            for nb in td.children[b] + ([td.parent[b]] if td.parent[b] != -1 else []):
+            for nb in adjacent[b]:
                 if nb in holding and nb not in reached:
                     reached.add(nb)
                     stack.append(nb)

@@ -4,11 +4,11 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import built
-from fixtures import acceptance_fixtures, triangle_single_bag
+from fixtures import acceptance_fixtures, triangle_single_bag, vertex_mask
 
 from padnet.covers import CoverCluster, PartitionCluster, build_partition_cover, build_sparse_cover
 from padnet.decomposition import sample_padded_decomposition
-from padnet.graph import VertexSet, WeightedGraph, ball, shortest_paths
+from padnet.graph import WeightedGraph, ball, shortest_paths
 from padnet.ordered_net import (
     ComponentTrace,
     build_tree_ordered_net,
@@ -41,14 +41,14 @@ def find(report, name):
 
 def test_oracle_triangle():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-    d = oracle_all_pairs(g, g.all_vertices(), cap=10)
+    d = oracle_all_pairs(g, range(3), cap=10)
     off = d[~np.eye(3, dtype=bool)]
     assert set(off.tolist()) == {1.0}
 
 
 def test_oracle_respects_restriction():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    d = oracle_all_pairs(g, VertexSet(3, [0, 2]), cap=10)
+    d = oracle_all_pairs(g, [2, 0], cap=10)
     assert d[0, 2] == np.inf
     assert d[0, 1] == np.inf  # 1 outside restrict
 
@@ -56,7 +56,7 @@ def test_oracle_respects_restriction():
 def test_oracle_cap_refusal():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     with pytest.raises(OracleCapError):
-        oracle_all_pairs(g, g.all_vertices(), cap=2)
+        oracle_all_pairs(g, range(3), cap=2)
 
 
 def test_oracle_matches_search_on_random_graphs():
@@ -70,10 +70,10 @@ def test_oracle_matches_search_on_random_graphs():
                 edges.append((int(u), int(v), float(rng.integers(1, 7))))
         g = WeightedGraph(n, edges)
         members = sorted(rng.choice(n, size=30, replace=False).tolist())
-        restrict = VertexSet(n, members)
-        matrix = oracle_all_pairs(g, restrict, cap=60)
+        restrict = vertex_mask(n, members)
+        matrix = oracle_all_pairs(g, members, cap=60)
         for s in members:
-            d = shortest_paths(g, restrict, VertexSet(n, [s]))
+            d = shortest_paths(g, restrict, [s])
             assert d[members].tolist() == matrix[s][members].tolist()
 
 
@@ -95,8 +95,8 @@ def test_verify_net_all_pass():
 
 def test_corrupted_net_fails_covering():
     b = built(BY_NAME["path-30"])
-    full = sorted(b.net.net.indices.tolist())
-    smaller = VertexSet(b.host.n, full[:-4])
+    full = np.flatnonzero(b.net.net).tolist()
+    smaller = vertex_mask(b.host.n, full[:-4])
     corrupted = semi_to_tree_order(
         b.semi, smaller, b.host, b.delta, alpha=3.0, cores=tuple(b.construction.cores)
     )
@@ -122,7 +122,7 @@ def test_invalid_order_fails_validity_and_maximum():
     # path 0-1-2 but vertices 1 and 2 sit on sibling nodes: edge (1,2) incomparable
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     broken = TreeOrderedNet(
-        net=VertexSet(3, [0]),
+        net=vertex_mask(3, [0]),
         order_parent=(-1, 0, 0),
         node_vertex=(0, 1, 2),
         assign=np.array([0, 1, 2]),
@@ -360,17 +360,17 @@ def test_tampered_support_snapshot_fails_ball_replay():
     everything = b.host.all_vertices()
 
     def whole_graph_ball(c):
-        d = shortest_paths(b.host, everything, VertexSet(b.host.n, c.centers))
+        d = shortest_paths(b.host, everything, sorted(c.centers))
         return frozenset(np.flatnonzero(d <= b.delta).tolist())
 
     shrunk_core = next(c for c in cons.cores if c.members - c.centers)
-    shrunk = shrunk_core.support_restrict.mask.copy()
+    shrunk = shrunk_core.support_mask.copy()
     shrunk[min(shrunk_core.members - shrunk_core.centers)] = False
     # a snapshot that is too large lets the replayed ball grow past the members
     grown_core = next(c for c in cons.cores if whole_graph_ball(c) != c.members)
     for target, snapshot in (
-        (shrunk_core, VertexSet.from_mask(shrunk)),
-        (grown_core, everything),
+        (shrunk_core, shrunk.tobytes()),
+        (grown_core, everything.tobytes()),
     ):
         bad = dataclasses.replace(cons)
         bad.cores = [
@@ -408,7 +408,7 @@ def test_count_maximal_matches_double_loop(name):
                 size = int(rng.integers(1, min(b.host.n, 60) + 1))
                 members = np.sort(rng.choice(b.host.n, size=size, replace=False))
             else:
-                center = VertexSet(b.host.n, [int(rng.integers(b.host.n))])
+                center = int(rng.integers(b.host.n))
                 radius = float(rng.uniform(0, 4 * b.delta))
-                members = ball(b.host, everything, center, radius).members.indices
+                members = np.flatnonzero(ball(b.host, everything, [center], radius))
             assert count_maximal(order, members) == reference_maximal(order, members)
