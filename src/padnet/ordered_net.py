@@ -33,24 +33,14 @@ from .trees import TreePartition, rooted_tree_arrays
 
 @dataclass(frozen=True)
 class Core:
-    """One carved ball: members, where it was carved from, and its snapshot.
-
-    `support_restrict` holds the support graph's vertex mask at creation as
-    n bytes, so cores compare and hash by value; `support_mask` reads it back
-    for the invariant checks that replay the ball computation.
-    """
+    """One carved ball: its members and where it was carved from.  The support
+    it was carved in is not stored; `verify.verify_cores` replays it."""
 
     id: int
     members: frozenset[int]
     center_bag: int
     centers: frozenset[int]
     rank: int
-    support_restrict: bytes
-
-    @property
-    def support_mask(self) -> np.ndarray:
-        """Read-only bool mask of the support snapshot."""
-        return np.frombuffer(self.support_restrict, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -255,32 +245,13 @@ def check_net_delta(net: TreeOrderedNet, delta: float) -> None:
         raise ValueError(f"net was built for delta={net.delta}, asked for delta={delta}")
 
 
-def misplaced_attachments(
-    attached: np.ndarray, bag_of: np.ndarray, tin: np.ndarray, tout: np.ndarray
-) -> np.ndarray:
-    """Vertices held by an attachment whose bag is not a proper ancestor of
-    their own bag.
-
-    attached[v] is the bag whose attachment holds v, len(tin) for none;
-    bag a is a proper ancestor of bag b iff tin[a] < tin[b] < tout[a].
-    """
-    held = np.flatnonzero(attached < len(tin))
-    a, vb = attached[held], bag_of[held]
-    return held[(tin[vb] <= tin[a]) | (tin[vb] >= tout[a])]
-
-
-def construct_cores_trace(
-    g: WeightedGraph, tp: TreePartition, delta: float, deep_checks: bool = False
-) -> CoreConstruction:
+def construct_cores_trace(g: WeightedGraph, tp: TreePartition, delta: float) -> CoreConstruction:
     """Run the round-based carving; returns cores plus the component trace.
 
     `attached[v]` is the one bag whose attachment holds v (`nb`: none): a
     core's members come from its support, so they leave every attachment
     below the center bag and join at most its parent's.  Bag arrays carry a
     spare slot `nb` that no test selects, so no index wraps.
-
-    With deep_checks, asserts after every step that each bag's attachment
-    stays inside the bag's proper-descendant bags.
     """
     _check_delta(delta)
     tp.validate(g)
@@ -337,18 +308,11 @@ def construct_cores_trace(
                         center_bag=center_bag,
                         centers=frozenset(sources),
                         rank=round_no,
-                        support_restrict=support.tobytes(),
                     )
                 )
                 covered[members] = True
                 visited[bag_of[members]] = True
                 attached[members] = nb if center_bag == root else parent[center_bag]
-                if deep_checks:
-                    bad = misplaced_attachments(attached, bag_of, tin[:nb], tout[:nb])
-                    assert not len(bad), (
-                        f"attachment of bag {attached[bad[0]]} holds vertex {bad[0]} "
-                        f"of bag {bag_of[bad[0]]}, not a proper descendant"
-                    )
     return CoreConstruction(cores=cores, components=comps, rounds=round_no)
 
 

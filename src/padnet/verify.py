@@ -129,9 +129,6 @@ class VerificationReport:
     def ok(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
 
-    def names(self) -> list[str]:
-        return [c.name for c in self.checks]
-
     def to_json_dict(self) -> dict:
         return {
             "ok": self.ok,
@@ -242,6 +239,71 @@ def _embedding_checks(
 # core-carving checks
 
 
+def misplaced_attachments(
+    attached: np.ndarray, bag_of: np.ndarray, tin: np.ndarray, tout: np.ndarray
+) -> np.ndarray:
+    """Vertices held by an attachment whose bag is not a proper ancestor of
+    their own bag.
+
+    attached[v] is the bag whose attachment holds v, len(tin) for none;
+    bag a is a proper ancestor of bag b iff tin[a] < tin[b] < tout[a].
+    """
+    held = np.flatnonzero(attached < len(tin))
+    a, vb = attached[held], bag_of[held]
+    return held[(tin[vb] <= tin[a]) | (tin[vb] >= tout[a])]
+
+
+def _replay_carving(
+    g: WeightedGraph, tp: TreePartition, delta: float, construction: CoreConstruction
+) -> tuple[str | None, str | None, str | None]:
+    """First witness (None: no fault) of core-members-in-support,
+    core-ball-replay and attachments-descendant-only.
+
+    Each core's support is replayed from the record alone.  In id order, a
+    vertex is covered once an earlier core holds it, and attached[v] is the
+    parent of the center bag of the latest earlier core holding v (`nb`:
+    none, when that bag was its component's root).  The support is the
+    uncovered vertices of the bags of the center bag's round-`rank` component
+    inside the center bag's preorder interval, plus those bags' attachments;
+    a center bag that no such component holds gets an empty support.
+    """
+    nb = len(tp.bags)
+    bag_of = tp.bag_of()
+    tin, tout = tp.bag_intervals()
+    component = {}
+    for comp in construction.components:
+        bags = np.fromiter(comp.bags, dtype=np.int64, count=len(comp.bags))
+        entry = (comp.root_bag, bags, tin[bags])
+        component.update({(comp.round_no, b): entry for b in comp.bags})
+    no_bags = np.zeros(0, dtype=np.int64)
+    covered = np.zeros(g.n, dtype=bool)
+    attached = np.full(g.n, nb)
+    leaves = replay = misplaced = None
+    for c in sorted(construction.cores, key=lambda c: c.id):
+        members = np.fromiter(c.members, dtype=np.int64, count=len(c.members))
+        root, bags, bag_tin = component.get((c.rank, c.center_bag), (c.center_bag, no_bags, no_bags))
+        in_sub = np.zeros(nb + 1, dtype=bool)  # slot nb: no attachment
+        in_sub[bags[(bag_tin >= tin[c.center_bag]) & (bag_tin < tout[c.center_bag])]] = True
+        support = (in_sub[bag_of] & ~covered) | in_sub[attached]
+        if leaves is None and not support[members].all():
+            leaves = f"core {c.id} leaves its replayed support"
+        centers = sorted(c.centers)
+        if replay is None and not (support.any() and support[centers].all()):
+            replay = f"core {c.id}: centers outside its replayed support"
+        elif replay is None:
+            dist = shortest_paths(g, support, centers, limit=delta)  # exact up to delta
+            if c.members != set(np.flatnonzero(dist <= delta).tolist()):
+                replay = f"core {c.id}: recorded members differ from replayed ball"
+        covered[members] = True
+        attached[members] = nb if c.center_bag == root else tp.parent[c.center_bag]
+        if misplaced is None and len(bad := misplaced_attachments(attached, bag_of, tin, tout)):
+            misplaced = (
+                f"attachment of bag {attached[bad[0]]} holds vertex {bad[0]} "
+                f"of bag {bag_of[bad[0]]}, not a proper descendant"
+            )
+    return leaves, replay, misplaced
+
+
 def verify_cores(
     g: WeightedGraph, tp: TreePartition, delta: float, construction: CoreConstruction
 ) -> list[CheckResult]:
@@ -272,12 +334,8 @@ def verify_cores(
             break
     checks.append(_check("core-members-in-center-subtree", bad is None, witness=bad))
 
-    bad = None
-    for c in cores:
-        if not c.support_mask[list(c.members)].all():
-            bad = f"core {c.id} leaves its support snapshot"
-            break
-    checks.append(_check("core-members-in-support", bad is None, witness=bad))
+    leaves, replay, misplaced = _replay_carving(g, tp, delta, construction)
+    checks.append(_check("core-members-in-support", leaves is None, witness=leaves))
 
     bad = None
     for c in cores:
@@ -286,14 +344,7 @@ def verify_cores(
             break
     checks.append(_check("core-centers-in-center-bag", bad is None, witness=bad))
 
-    bad = None
-    for c in cores:
-        dist = shortest_paths(g, c.support_mask, sorted(c.centers))
-        replay = frozenset(np.flatnonzero(dist <= delta).tolist())
-        if replay != c.members:
-            bad = f"core {c.id}: recorded members differ from replayed ball"
-            break
-    checks.append(_check("core-ball-replay", bad is None, witness=bad))
+    checks.append(_check("core-ball-replay", replay is None, witness=replay))
 
     bad = None
     by_rank: dict[int, set[int]] = {}
@@ -348,19 +399,10 @@ def verify_cores(
             break
     checks.append(_check("noncenter-rank-drop", bad is None, witness=bad))
 
-    # attachments-descendant-only is asserted inline during a deep-check rerun
-    try:
-        rerun = construct_cores_trace(g, tp, delta, deep_checks=True)
-        attach_ok, attach_witness = True, None
-    except AssertionError as exc:
-        rerun, attach_ok, attach_witness = None, False, str(exc)
-    checks.append(_check("attachments-descendant-only", attach_ok, witness=attach_witness))
+    checks.append(_check("attachments-descendant-only", misplaced is None, witness=misplaced))
+    same = construct_cores_trace(g, tp, delta).cores == cores
     checks.append(
-        _check(
-            "core-construction-deterministic",
-            rerun is not None and rerun.cores == cores,
-            witness=None if rerun is not None and rerun.cores == cores else "rerun differs",
-        )
+        _check("core-construction-deterministic", same, witness=None if same else "rerun differs")
     )
 
     bad = None
@@ -624,6 +666,19 @@ def _cluster_matrix(n: int, clusters) -> np.ndarray:
     return out
 
 
+def _worst_strong_diameter(g: WeightedGraph, clusters, oracle_cap: int) -> tuple[float, int | None]:
+    """Largest oracle diameter of G[members] over the clusters' member sets,
+    and the index of the first cluster reaching it (None when all are 0)."""
+    worst, worst_i = 0.0, None
+    for i, members in enumerate(clusters):
+        d = oracle_all_pairs(g, sorted(members), cap=oracle_cap)
+        idx = np.fromiter(members, dtype=np.int64)
+        m = float(d[np.ix_(idx, idx)].max())
+        if m > worst:
+            worst, worst_i = m, i
+    return worst, worst_i
+
+
 def _ball_containment(
     host_dist: np.ndarray, cluster_mask: np.ndarray, radius: float
 ) -> tuple[bool, str | None]:
@@ -660,13 +715,7 @@ def _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, host_dist, packing_
         )
 
     bound = 2 * alpha * delta + TOL
-    worst, worst_c = 0.0, None
-    for i, c in enumerate(cover.clusters):
-        d = oracle_all_pairs(g, sorted(c.members), cap=oracle_cap)
-        idx = np.fromiter(c.members, dtype=np.int64)
-        m = float(d[np.ix_(idx, idx)].max())
-        if m > worst:
-            worst, worst_c = m, i
+    worst, worst_c = _worst_strong_diameter(g, [c.members for c in cover.clusters], oracle_cap)
     checks.append(
         _check(
             "cover-strong-diameter",
@@ -716,16 +765,10 @@ def _verify_partition_cover(g, cover, alpha, delta, oracle_cap, host_dist, tau):
             )
 
     bound = alpha * delta + TOL
-    worst, worst_w = 0.0, None
-    for pi, part in enumerate(cover.partitions):
-        for c in part:
-            if len(c.members) == 1:
-                continue
-            d = oracle_all_pairs(g, sorted(c.members), cap=oracle_cap)
-            idx = np.fromiter(c.members, dtype=np.int64)
-            m = float(d[np.ix_(idx, idx)].max())
-            if c.kind == "net" and m > worst:
-                worst, worst_w = m, f"partition {pi} cluster center {c.center}"
+    # a cluster of more than one member is a net cluster
+    spans = [(pi, c) for pi, p in enumerate(cover.partitions) for c in p if len(c.members) > 1]
+    worst, i = _worst_strong_diameter(g, [c.members for _, c in spans], oracle_cap)
+    worst_w = None if i is None else f"partition {spans[i][0]} cluster center {spans[i][1].center}"
     checks.append(
         _check(
             "partition-cover-diameter",
@@ -815,16 +858,14 @@ def full_report(
     )
 
     params = DecompositionParams.from_net(net, delta)
-    sweep_fail = None
+    # each sweep check names the first seed it fails on; seed 0 is also replayed
+    sweep_fail: dict[str, str] = {}
     replay_fail = None
     for s in range(SWEEP_SEEDS):
         part = sample_padded_decomposition(host, net, delta, seed + s)
-        rep = verify_partition(host, part, alpha, delta, dist_matrix=dh)
-        if not rep.ok:
-            sweep_fail = f"seed {seed + s}: " + "; ".join(
-                c.name for c in rep.checks if c.status == "fail"
-            )
-            break
+        for c in verify_partition(host, part, alpha, delta, dist_matrix=dh).checks:
+            if c.status == "fail" and c.name not in sweep_fail:
+                sweep_fail[c.name] = f"seed {seed + s}" + (f": {c.witness}" if c.witness else "")
         if s == 0:
             replayed = replay_decomposition(net, list(part.trace), seed=part.seed)
             if not (
@@ -832,16 +873,10 @@ def full_report(
                 and replayed.clusters == part.clusters
             ):
                 replay_fail = "replayed partition differs"
-    checks.append(_check("partition-total-disjoint", sweep_fail is None, witness=sweep_fail))
-    checks.append(
-        _check(
-            "partition-weak-diameter",
-            sweep_fail is None,
-            bound=(alpha + 1) * delta + TOL,
-            witness=sweep_fail,
-        )
-    )
-    checks.append(_check("partition-radius-range", sweep_fail is None, witness=sweep_fail))
+    for name in ("partition-total-disjoint", "partition-weak-diameter", "partition-radius-range"):
+        fail = sweep_fail.get(name)
+        bound = (alpha + 1) * delta + TOL if name == "partition-weak-diameter" else None
+        checks.append(_check(name, fail is None, bound=bound, witness=fail))
     checks.append(_check("partition-replay-identical", replay_fail is None, witness=replay_fail))
 
     gammas = params.default_gammas()

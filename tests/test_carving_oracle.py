@@ -4,8 +4,8 @@ The twin below shares nothing with the production implementation: distances
 come from the Floyd-Warshall oracle (multi-source = min over source rows),
 ancestry from explicit parent walks, components from its own search, and
 attachments are one set per bag.  Both follow the same documented tie rules,
-so every output of the carving must be identical item for item: the cores
-with their support snapshots, the component trace and the round count.
+so every output of the carving must be identical item for item: the cores,
+the component trace and the round count.
 """
 
 import numpy as np
@@ -13,18 +13,20 @@ import pytest
 from conftest import built
 from fixtures import acceptance_fixtures, partial_ktree_fixture, shuffled_ids
 
-from padnet.ordered_net import construct_cores_trace
+from padnet.ordered_net import ComponentTrace, Core, CoreConstruction, construct_cores_trace
 from padnet.trees import td_to_tree_partition
-from padnet.verify import oracle_all_pairs
+from padnet.verify import oracle_all_pairs, verify_cores
 
 BY_NAME = {f.name: f for f in acceptance_fixtures()}
 
 
-def brute_cores(g, tp, delta):
+def brute_cores(g, tp, delta, attachments=True):
     """Returns (cores, components, rounds).
 
-    A core is (members, center bag, sources, rank, support); a component is
+    A core is (members, center bag, sources, rank); a component is
     (round, root, bags, cluster), its cluster taken at the component's turn.
+    attachments=False leaves the attachments out of every support, a broken
+    carving for the verifier to catch.
     """
     n = g.n
     nb = len(tp.bags)
@@ -86,15 +88,14 @@ def brute_cores(g, tp, delta):
                 support = set()
                 for x in sub:
                     support |= {v for v in bag_items[x] if v not in covered}
-                    support |= attach[x]
+                    if attachments:
+                        support |= attach[x]
                 sources = [v for v in bag_items[center_bag] if v not in covered]
                 matrix = oracle_all_pairs(g, sorted(support), cap=n)
                 members = {
                     v for v in support if min(matrix[s][v] for s in sources) <= delta
                 }
-                out.append(
-                    (frozenset(members), center_bag, frozenset(sources), rank, frozenset(support))
-                )
+                out.append((frozenset(members), center_bag, frozenset(sources), rank))
                 covered |= members
                 unvisited -= {bag_of[v] for v in members if bag_of[v] in unvisited}
                 for x in sub:
@@ -105,13 +106,9 @@ def brute_cores(g, tp, delta):
 
 
 def _compare(g, tp, delta):
-    cons = construct_cores_trace(g, tp, delta, deep_checks=True)
+    cons = construct_cores_trace(g, tp, delta)
     cores, traces, rounds = brute_cores(g, tp, delta)
-    got = [
-        (c.members, c.center_bag, c.centers, c.rank, frozenset(np.flatnonzero(c.support_mask)))
-        for c in cons.cores
-    ]
-    assert got == cores
+    assert [(c.members, c.center_bag, c.centers, c.rank) for c in cons.cores] == cores
     assert [(t.round_no, t.root_bag, t.bags, t.cluster) for t in cons.components] == traces
     assert cons.rounds == rounds
 
@@ -142,3 +139,16 @@ def test_carving_matches_brute_twin_randomized():
             emb = td_to_tree_partition(inst.graph, inst.td)
             for delta in (0.5, 1.0, 3.0):
                 _compare(emb.host, emb.tree_partition, delta)
+
+
+@pytest.mark.parametrize("name", ["path-30", "cycle-16"])
+def test_carving_without_attachments_fails_ball_replay(name):
+    b = built(BY_NAME[name])
+    cores, traces, rounds = brute_cores(b.host, b.tp, b.delta, attachments=False)
+    record = CoreConstruction(
+        cores=[Core(i, *core) for i, core in enumerate(cores)],
+        components=[ComponentTrace(*t) for t in traces],
+        rounds=rounds,
+    )
+    checks = {c.name: c.status for c in verify_cores(b.host, b.tp, b.delta, record)}
+    assert checks["core-ball-replay"] == "fail"

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from conftest import BuiltPipeline, built
@@ -10,6 +12,8 @@ import padnet.decomposition
 import padnet.graph
 import padnet.verify as verify
 from padnet.covers import build_partition_cover, build_sparse_cover
+from padnet.graph import parse_edge_list
+from padnet.trees import load_tree_decomposition
 from padnet.verify import full_report, verify_cover, verify_net
 
 CATALOG = [
@@ -198,3 +202,26 @@ def test_full_report_bytes_pinned(name, seed):
     report = full_report(f.graph, f.td, f.delta, seed=seed, trials=500, oracle_cap=1000)
     blob = json.dumps(report.to_json_dict(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == PINNED_REPORTS[(name, seed)]
+
+
+# --- the partition sweep --------------------------------------------------------
+
+
+def test_sweep_checks_report_their_own_failures(monkeypatch):
+    data = Path(__file__).resolve().parents[1] / "data"
+    g = parse_edge_list((data / "grid4.gr").read_text())
+    td = load_tree_decomposition((data / "grid4.td").read_text(), g)
+    sample = verify.sample_padded_decomposition
+
+    def out_of_range_radii(*args):
+        part = sample(*args)
+        return dataclasses.replace(part, trace=tuple((x, 99.0) for x, _ in part.trace))
+
+    monkeypatch.setattr(verify, "sample_padded_decomposition", out_of_range_radii)
+    checks = {c.name: c for c in full_report(g, td, 2.0, seed=7, trials=200).checks}
+    assert checks["partition-total-disjoint"].status == "pass"
+    assert checks["partition-weak-diameter"].status == "pass"
+    assert checks["partition-radius-range"].status == "fail"
+    assert checks["partition-radius-range"].witness == "seed 7"
+    # the seed-0 replay ran: the recorded radii rebuild another partition
+    assert checks["partition-replay-identical"].status == "fail"

@@ -354,31 +354,38 @@ def test_tampered_center_table_fails_oracle_agreement():
         assert find(rep, "net-distance-oracle-agreement").status == "fail"
 
 
-def test_tampered_support_snapshot_fails_ball_replay():
+def _tampered_core_checks(b, target, **fields):
+    """verify_cores on b's carving with the fields of one core replaced."""
+    bad = dataclasses.replace(b.construction)
+    bad.cores = [dataclasses.replace(c, **fields) if c is target else c for c in bad.cores]
+    return {c.name: c for c in verify_cores(b.host, b.tp, b.delta, bad)}
+
+
+def test_tampered_members_fail_ball_replay():
     b = built(BY_NAME["cycle-16"])
-    cons = b.construction
-    everything = b.host.all_vertices()
+    core = next(c for c in b.construction.cores if c.members - c.centers)
+    dropped = core.members - {min(core.members - core.centers)}
+    added = core.members | {min(set(range(b.host.n)) - core.members)}
+    for members in (dropped, added):
+        checks = _tampered_core_checks(b, core, members=frozenset(members))
+        assert checks["core-ball-replay"].status == "fail"
 
-    def whole_graph_ball(c):
-        d = shortest_paths(b.host, everything, sorted(c.centers))
-        return frozenset(np.flatnonzero(d <= b.delta).tolist())
 
-    shrunk_core = next(c for c in cons.cores if c.members - c.centers)
-    shrunk = shrunk_core.support_mask.copy()
-    shrunk[min(shrunk_core.members - shrunk_core.centers)] = False
-    # a snapshot that is too large lets the replayed ball grow past the members
-    grown_core = next(c for c in cons.cores if whole_graph_ball(c) != c.members)
-    for target, snapshot in (
-        (shrunk_core, shrunk.tobytes()),
-        (grown_core, everything.tobytes()),
-    ):
-        bad = dataclasses.replace(cons)
-        bad.cores = [
-            dataclasses.replace(c, support_restrict=snapshot) if c is target else c
-            for c in cons.cores
-        ]
-        names = {c.name: c.status for c in verify_cores(b.host, b.tp, b.delta, bad)}
-        assert names["core-ball-replay"] == "fail"
+def test_tampered_record_fails_without_raising():
+    b = built(BY_NAME["cycle-16"])
+    cores = b.construction.cores
+    last = cores[-1]
+    # no component of that round holds the center bag: the replayed support is empty
+    checks = _tampered_core_checks(b, last, rank=b.construction.rounds + 1)
+    assert checks["core-members-in-support"].status == "fail"
+    assert "centers outside" in checks["core-ball-replay"].witness
+    other_bag = next(c.center_bag for c in cores if c.center_bag != last.center_bag)
+    checks = _tampered_core_checks(b, last, center_bag=other_bag)
+    assert checks["core-ball-replay"].status == "fail"
+    # a covered vertex of the first core that no later core holds, as an extra center
+    stray = min(cores[0].members - set().union(*(c.members for c in cores[1:])))
+    checks = _tampered_core_checks(b, last, centers=last.centers | {stray})
+    assert "centers outside" in checks["core-ball-replay"].witness
 
 
 def reference_maximal(order, members) -> int:
