@@ -23,7 +23,6 @@ from .graph import (
 )
 from .ordered_net import (
     Core,
-    SemiTreeOrder,
     TreeOrderedNet,
     build_semi_tree_order,
     build_tree_ordered_net,

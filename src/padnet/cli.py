@@ -61,7 +61,10 @@ def _build_net(g, td, delta: float, alpha: float):
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise CliError(f"{args.out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 

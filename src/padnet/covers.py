@@ -106,14 +106,13 @@ def build_sparse_cover(g: WeightedGraph, net: TreeOrderedNet, delta: float) -> S
         )
         for i in range(len(centers))
     )
-    membership = (dist <= radius).sum(axis=0)
     return SparseCover(
         clusters=clusters,
         alpha=alpha,
         delta=delta,
         padding_ratio=4 * alpha / (alpha - 1),
         diameter_bound=2 * alpha * delta,
-        sparsity=int(membership.max()),
+        sparsity=net.tau_emp,  # a vertex's clusters are its packing count at alpha*delta
     )
 
 

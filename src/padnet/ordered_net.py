@@ -23,7 +23,7 @@ therefore produce identical cores, orders, and nets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,61 +60,7 @@ class CoreConstruction:
     rounds: int
 
 
-class _OrderTree:
-    """Ancestor queries on an order tree whose vertices sit at nodes `assign`.
-
-    Node a is an ancestor of node b (or b itself) exactly when
-    tin[a] <= tin[b] < tout[a], with [tin, tout) the preorder interval of a's
-    subtree.
-    """
-
-    assign: np.ndarray
-
-    def _index_order_tree(self, parent: tuple[int, ...], root: int) -> list[int]:
-        """Record the intervals; returns the tree's levels."""
-        level, self._tin, self._tout = rooted_tree_arrays(parent, root)
-        self._vertex_tin = np.asarray(self._tin)[self.assign]
-        self._vertex_tout = np.asarray(self._tout)[self.assign]
-        self._vertex_tin.flags.writeable = False
-        self._vertex_tout.flags.writeable = False
-        return level
-
-    def node_is_ancestor(self, a: int, b: int) -> bool:
-        return self._tin[a] <= self._tin[b] < self._tout[a]
-
-    def vertex_leq(self, u: int, v: int) -> bool:
-        """u <= v in the order: v's node is an ancestor of u's (or equal)."""
-        return self.node_is_ancestor(int(self.assign[v]), int(self.assign[u]))
-
-    def vertex_intervals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (tin, tout) of every vertex's node: v <= u iff
-        tin[u] <= tin[v] < tout[u]."""
-        return self._vertex_tin, self._vertex_tout
-
-    def descendant_vertices(self, x: int) -> np.ndarray:
-        """Boolean mask of vertices u with u <= x."""
-        tin = self._vertex_tin
-        return (tin >= tin[x]) & (tin < self._vertex_tout[x])
-
-
-@dataclass
-class SemiTreeOrder(_OrderTree):
-    """Order tree isomorphic to the tree partition; assign may collide.
-
-    assign maps each vertex to the bag node of its first covering core.
-    """
-
-    parent: tuple[int, ...]
-    root: int
-    assign: np.ndarray
-    tp_width: int
-    level: list[int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.level = self._index_order_tree(self.parent, self.root)
-
-
-class TreeOrderedNet(_OrderTree):
+class TreeOrderedNet:
     """Net vertices plus an injective valid tree order of all vertices.
 
     Parameters carried along: the covering radius `delta`, the packing radius
@@ -147,7 +93,11 @@ class TreeOrderedNet(_OrderTree):
         self.delta = delta
         self.tp_width = tp_width
         self.cores = cores
-        self.node_level = self._index_order_tree(order_parent, 0)
+        self.node_level, tin, tout = rooted_tree_arrays(order_parent, 0)
+        self._vertex_tin = np.asarray(tin)[assign]
+        self._vertex_tout = np.asarray(tout)[assign]
+        self._vertex_tin.flags.writeable = False
+        self._vertex_tout.flags.writeable = False
         self._centers = np.asarray(
             sorted(
                 np.flatnonzero(self.net).tolist(), key=lambda x: (self.node_level[assign[x]], x)
@@ -167,6 +117,16 @@ class TreeOrderedNet(_OrderTree):
     @property
     def n(self) -> int:
         return self.assign.shape[0]
+
+    def vertex_intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (tin, tout) of every vertex's node: v <= u iff
+        tin[u] <= tin[v] < tout[u]."""
+        return self._vertex_tin, self._vertex_tout
+
+    def descendant_vertices(self, x: int) -> np.ndarray:
+        """Boolean mask of vertices u with u <= x."""
+        tin = self._vertex_tin
+        return (tin >= tin[x]) & (tin < self._vertex_tout[x])
 
     @property
     def center_radius(self) -> float:
@@ -316,13 +276,12 @@ def construct_cores_trace(g: WeightedGraph, tp: TreePartition, delta: float) -> 
     return CoreConstruction(cores=cores, components=comps, rounds=round_no)
 
 
-def build_semi_tree_order(
-    cores: list[Core], tp: TreePartition
-) -> tuple[SemiTreeOrder, np.ndarray]:
-    """Assign each vertex to the bag of its first covering core; collect the net.
+def build_semi_tree_order(cores: list[Core], tp: TreePartition) -> tuple[np.ndarray, np.ndarray]:
+    """The semi order on the tree partition's own bag tree: returns `assign`,
+    each vertex's bag of its first covering core, and the net's bool mask.
 
     Cores are created in round order, so the first core (by id) containing a
-    vertex is its smallest-rank core.
+    vertex is its smallest-rank core.  Several vertices may share a bag.
     """
     n = tp.n
     assign = np.full(n, -1, dtype=np.int64)
@@ -338,38 +297,39 @@ def build_semi_tree_order(
         for v in core.centers:
             net_mask[v] = True
     net_mask.flags.writeable = False
-    semi = SemiTreeOrder(parent=tp.parent, root=tp.root, assign=assign, tp_width=tp.width)
-    return semi, net_mask
+    return assign, net_mask
 
 
 def semi_to_tree_order(
-    semi: SemiTreeOrder,
+    tp: TreePartition,
+    assign: np.ndarray,
     net: np.ndarray,
     g: WeightedGraph,
     delta: float,
     alpha: float = 3.0,
     cores: tuple[Core, ...] = (),
 ) -> TreeOrderedNet:
-    """Expand every bag node into a rooted path, net vertices first.
+    """Expand every bag of the semi order `assign` into a rooted path, net
+    vertices first.
 
-    Vertices sharing a bag node become a chain ordered by (non-net last,
-    vertex id); an empty preimage keeps a placeholder node so the tree shape
+    Vertices sharing a bag become a chain ordered by (non-net last, vertex
+    id); an empty preimage keeps a placeholder node so the tree shape
     survives.  Child paths hang off the parent path's leaf.  `net` is the
     net's bool vertex mask.
     """
     _check_delta(delta)
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    n = semi.assign.shape[0]
-    nb = len(semi.parent)
+    n = assign.shape[0]
+    nb = len(tp.parent)
     preimage: list[list[int]] = [[] for _ in range(nb)]
     for v in range(n):
-        preimage[semi.assign[v]].append(v)
+        preimage[assign[v]].append(v)
 
-    bag_order = sorted(range(nb), key=lambda b: (semi.level[b], b))
+    bag_order = sorted(range(nb), key=lambda b: (tp.level[b], b))
     order_parent: list[int] = []
     node_vertex: list[int | None] = []
-    assign = np.full(n, -1, dtype=np.int64)
+    node_of = np.full(n, -1, dtype=np.int64)
     path_leaf = [-1] * nb
     for b in bag_order:
         members = preimage[b]
@@ -378,13 +338,13 @@ def semi_to_tree_order(
         ) + sorted(v for v in members if not net[v])
         if not seq:
             seq = [None]
-        prev = path_leaf[semi.parent[b]] if semi.parent[b] != -1 else -1
+        prev = path_leaf[tp.parent[b]] if tp.parent[b] != -1 else -1
         for item in seq:
             node = len(node_vertex)
             node_vertex.append(item)
             order_parent.append(prev)
             if item is not None:
-                assign[item] = node
+                node_of[item] = node
             prev = node
         path_leaf[b] = prev
 
@@ -392,10 +352,10 @@ def semi_to_tree_order(
         net=net,
         order_parent=tuple(order_parent),
         node_vertex=tuple(node_vertex),
-        assign=assign,
+        assign=node_of,
         alpha=alpha,
         delta=delta,
-        tp_width=semi.tp_width,
+        tp_width=tp.width,
         cores=tuple(cores),
         g=g,
     )
@@ -406,8 +366,8 @@ def build_tree_ordered_net(
 ) -> TreeOrderedNet:
     """Full pipeline: carve cores, order vertices, expand to a tree order."""
     cores = construct_cores_trace(g, tp, delta).cores
-    semi, net = build_semi_tree_order(cores, tp)
-    return semi_to_tree_order(semi, net, g, delta, alpha=alpha, cores=tuple(cores))
+    assign, net = build_semi_tree_order(cores, tp)
+    return semi_to_tree_order(tp, assign, net, g, delta, alpha=alpha, cores=tuple(cores))
 
 
 def packing_profile(net: TreeOrderedNet, radius_multipliers: list[float]) -> dict[float, int]:

@@ -57,7 +57,7 @@ def rooted_tree_arrays(parent: tuple[int, ...], root: int):
 @dataclass
 class _BagTree:
     """Rooted tree of vertex bags given by parent pointers, with its hop
-    levels and ancestor queries."""
+    levels and preorder intervals."""
 
     bags: tuple[frozenset[int], ...]
     parent: tuple[int, ...]
@@ -66,10 +66,6 @@ class _BagTree:
 
     def __post_init__(self):
         self.level, self._tin, self._tout = rooted_tree_arrays(self.parent, self.root)
-
-    def is_bag_ancestor(self, a: int, b: int) -> bool:
-        """True when bag a is an ancestor of bag b (or a == b)."""
-        return self._tin[a] <= self._tin[b] < self._tout[a]
 
     def bag_intervals(self) -> tuple[np.ndarray, np.ndarray]:
         """Preorder (tin, tout) of every bag, as new arrays: bag a is an

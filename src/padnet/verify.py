@@ -55,8 +55,8 @@ from .graph import (
     weak_diameter,
 )
 from .ordered_net import (
+    Core,
     CoreConstruction,
-    SemiTreeOrder,
     TreeOrderedNet,
     build_semi_tree_order,
     construct_cores_trace,
@@ -254,7 +254,11 @@ def misplaced_attachments(
 
 
 def _replay_carving(
-    g: WeightedGraph, tp: TreePartition, delta: float, construction: CoreConstruction
+    g: WeightedGraph,
+    tp: TreePartition,
+    delta: float,
+    construction: CoreConstruction,
+    stray: dict[Core, str],
 ) -> tuple[str | None, str | None, str | None]:
     """First witness (None: no fault) of core-members-in-support,
     core-ball-replay and attachments-descendant-only.
@@ -265,7 +269,8 @@ def _replay_carving(
     none, when that bag was its component's root).  The support is the
     uncovered vertices of the bags of the center bag's round-`rank` component
     inside the center bag's preorder interval, plus those bags' attachments;
-    a center bag that no such component holds gets an empty support.
+    a center bag that no such component holds gets an empty support.  A core
+    in `stray` (core -> witness) has a center bag outside the partition.
     """
     nb = len(tp.bags)
     bag_of = tp.bag_of()
@@ -283,12 +288,15 @@ def _replay_carving(
         members = np.fromiter(c.members, dtype=np.int64, count=len(c.members))
         root, bags, bag_tin = component.get((c.rank, c.center_bag), (c.center_bag, no_bags, no_bags))
         in_sub = np.zeros(nb + 1, dtype=bool)  # slot nb: no attachment
-        in_sub[bags[(bag_tin >= tin[c.center_bag]) & (bag_tin < tout[c.center_bag])]] = True
+        if c not in stray:
+            in_sub[bags[(bag_tin >= tin[c.center_bag]) & (bag_tin < tout[c.center_bag])]] = True
         support = (in_sub[bag_of] & ~covered) | in_sub[attached]
         if leaves is None and not support[members].all():
             leaves = f"core {c.id} leaves its replayed support"
         centers = sorted(c.centers)
-        if replay is None and not (support.any() and support[centers].all()):
+        if replay is None and c in stray:
+            replay = stray[c]
+        elif replay is None and not (support.any() and support[centers].all()):
             replay = f"core {c.id}: centers outside its replayed support"
         elif replay is None:
             dist = shortest_paths(g, support, centers, limit=delta)  # exact up to delta
@@ -311,6 +319,14 @@ def verify_cores(
     cores = construction.cores
     tpw = tp.width
     bag_of = tp.bag_of()
+    nb = len(tp.bags)
+    tin, tout = tp.bag_intervals()
+    # the checks that read a core's center bag fail on one outside the partition
+    stray = {
+        c: f"core {c.id}: center bag {c.center_bag} outside bags 0..{nb - 1}"
+        for c in cores
+        if not 0 <= c.center_bag < nb
+    }
 
     union = set()
     for c in cores:
@@ -326,19 +342,25 @@ def verify_cores(
 
     bad = None
     for c in cores:
-        for v in c.members:
-            if not tp.is_bag_ancestor(c.center_bag, int(bag_of[v])):
-                bad = f"core {c.id}: member {v} outside subtree of bag {c.center_bag}"
-                break
-        if bad:
+        if c in stray:
+            bad = stray[c]
+            break
+        members = np.fromiter(c.members, dtype=np.int64, count=len(c.members))
+        at = tin[bag_of[members]]
+        out = members[(at < tin[c.center_bag]) | (at >= tout[c.center_bag])]
+        if out.size:
+            bad = f"core {c.id}: member {out[0]} outside subtree of bag {c.center_bag}"
             break
     checks.append(_check("core-members-in-center-subtree", bad is None, witness=bad))
 
-    leaves, replay, misplaced = _replay_carving(g, tp, delta, construction)
+    leaves, replay, misplaced = _replay_carving(g, tp, delta, construction, stray)
     checks.append(_check("core-members-in-support", leaves is None, witness=leaves))
 
     bad = None
     for c in cores:
+        if c in stray:
+            bad = stray[c]
+            break
         if not c.centers <= (tp.bags[c.center_bag] & c.members):
             bad = f"core {c.id}: centers not inside its center bag and members"
             break
@@ -391,6 +413,8 @@ def verify_cores(
             vrank[v] = min(vrank[v], c.rank)
     bad = None
     for c in cores:
+        if c in stray:
+            continue
         for v in tp.bags[c.center_bag] - c.centers:
             if not vrank[v] < c.rank:
                 bad = f"core {c.id} rank {c.rank}: non-center {v} has rank {vrank[v]}"
@@ -449,14 +473,15 @@ def _oracle_center_distances(
     return d
 
 
-def count_maximal(order: TreeOrderedNet | SemiTreeOrder, members: np.ndarray) -> int:
-    """Number of members u with no other member v such that u <= v in the order.
+def count_maximal(tin: np.ndarray, tout: np.ndarray, members: np.ndarray) -> int:
+    """Number of members u with no other member v such that u <= v in the
+    order whose per-vertex intervals are (tin, tout): u <= v iff
+    tin[v] <= tin[u] < tout[v].
 
     One interval test over the members sorted by tin: u is maximal when no
     earlier member's interval reaches past tin[u] and no other member shares
     its node.
     """
-    tin, tout = order.vertex_intervals()
     by_tin = members[np.argsort(tin[members])]
     m_tin, m_tout = tin[by_tin], tout[by_tin]
     reach = np.concatenate(([0], np.maximum.accumulate(m_tout)[:-1]))
@@ -485,13 +510,13 @@ def verify_net(
     if center_dist is None:
         center_dist = _oracle_center_distances(g, net, oracle_cap)
 
-    node_of = net.assign
-    bad = None
-    for u, v, _ in g.edges:
-        a, b = int(node_of[u]), int(node_of[v])
-        if not (net.node_is_ancestor(a, b) or net.node_is_ancestor(b, a)):
-            bad = f"edge ({u},{v}) order-incomparable"
-            break
+    tin, tout = net.vertex_intervals()
+    a, b = np.array([e[:2] for e in g.edges], dtype=np.int64).reshape(-1, 2).T
+    # an edge's ends are comparable when the interval of the end entered
+    # first (either, on a tie) holds the other's tin
+    first_out = np.where(tin[a] <= tin[b], tout[a], tout[b])
+    wrong = np.flatnonzero(np.maximum(tin[a], tin[b]) >= first_out)
+    bad = f"edge ({a[wrong[0]]},{b[wrong[0]]}) order-incomparable" if wrong.size else None
     checks.append(_check("order-valid-for-edges", bad is None, witness=bad))
 
     rng = seeded_generator(seed, 0)
@@ -501,7 +526,7 @@ def verify_net(
     for _ in range(samples):
         center = int(rng.integers(g.n))
         radius = float(rng.uniform(0, scale))
-        maximal = count_maximal(net, np.flatnonzero(host_dist[center] <= radius))
+        maximal = count_maximal(tin, tout, np.flatnonzero(host_dist[center] <= radius))
         if maximal != 1:
             bad = f"ball({center},{radius:.3g}) has {maximal} maximal elements"
             break
@@ -561,6 +586,7 @@ def deep_packing_assertions(
     near = {int(centers[i]) for i in np.flatnonzero(oracle_d[:, v] <= 2 * net.delta)}
     meeting = [c for c in cores if c.members & near]
     remaining = sorted((c for c in meeting if v not in c.members), key=lambda c: c.id)
+    tin, tout = tp.bag_intervals()
     while remaining:
         lowest = min(c.rank for c in remaining)
         lowest_cores = [c for c in remaining if c.rank == lowest]
@@ -568,7 +594,8 @@ def deep_packing_assertions(
             f"vertex {v}: {len(lowest_cores)} chain cores share minimum rank {lowest}"
         )
         anchor = lowest_cores[0]
-        link = [c for c in remaining if tp.is_bag_ancestor(c.center_bag, anchor.center_bag)]
+        at = tin[anchor.center_bag]
+        link = [c for c in remaining if tin[c.center_bag] <= at < tout[c.center_bag]]
         for c in link:
             assert c is anchor or c.members & anchor.centers, (
                 f"vertex {v}: core {c.id} in chain link misses the center of core {anchor.id}"
@@ -835,9 +862,9 @@ def full_report(
     construction = construct_cores_trace(host, tp, delta)
     checks.extend(verify_cores(host, tp, delta, construction))
 
-    semi, net_set = build_semi_tree_order(construction.cores, tp)
+    assign, net_set = build_semi_tree_order(construction.cores, tp)
     net = semi_to_tree_order(
-        semi, net_set, host, delta, alpha=alpha, cores=tuple(construction.cores)
+        tp, assign, net_set, host, delta, alpha=alpha, cores=tuple(construction.cores)
     )
     center_dist = _oracle_center_distances(host, net, oracle_cap)
     net_report = verify_net(
@@ -846,7 +873,7 @@ def full_report(
     checks.extend(net_report.checks)
 
     rebuilt = semi_to_tree_order(
-        semi, net_set, host, delta, alpha=alpha, cores=tuple(construction.cores)
+        tp, assign, net_set, host, delta, alpha=alpha, cores=tuple(construction.cores)
     )
     checks.append(
         _check(

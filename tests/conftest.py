@@ -31,10 +31,10 @@ class BuiltPipeline:
         self.host = self.embedding.host
         self.tp = self.embedding.tree_partition
         self.construction = construct_cores_trace(self.host, self.tp, fixture.delta)
-        semi, net_set = build_semi_tree_order(self.construction.cores, self.tp)
-        self.semi = semi
+        # the semi order: each host vertex's bag in the tree partition
+        self.semi, net_set = build_semi_tree_order(self.construction.cores, self.tp)
         self.net = semi_to_tree_order(
-            semi, net_set, self.host, fixture.delta, alpha=3.0,
+            self.tp, self.semi, net_set, self.host, fixture.delta, alpha=3.0,
             cores=tuple(self.construction.cores),
         )
         self.params = DecompositionParams.from_net(self.net, fixture.delta)

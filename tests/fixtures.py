@@ -32,6 +32,16 @@ def vertex_mask(n: int, ids=()) -> np.ndarray:
     return mask
 
 
+def is_ancestor(parent, a: int, b: int) -> bool:
+    """Node a is an ancestor of node b (or b itself) in the parent-pointer
+    tree: found by walking up from b, not from preorder intervals."""
+    while b != -1:
+        if b == a:
+            return True
+        b = parent[b]
+    return False
+
+
 def _td(bags, parent) -> TreeDecomposition:
     return TreeDecomposition(bags=tuple(frozenset(b) for b in bags), parent=tuple(parent))
 

@@ -133,6 +133,18 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cmd", ["net", "verify"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_exit_2(capsys, tmp_path, cmd, target):
+    # exit 1 means "verification failed": a write error is bad input, not that
+    out = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
+    code = main([cmd, *PATH_ARGS, "--delta", "2", "--trials", "10", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {out}: ")
+    assert "Traceback" not in err
+
+
 def test_oracle_cap_refusal_message(capsys):
     code = main(["verify", *GRID_ARGS, "--delta", "2", "--trials", "10", "--oracle-cap", "5"])
     assert code == 2

@@ -8,6 +8,7 @@ from fixtures import (
     binary_tree_fixture,
     grid_fixture,
     heavy_path5,
+    is_ancestor,
     partial_ktree_fixture,
     path_fixture,
     shuffled_ids,
@@ -193,7 +194,7 @@ def reference_partition_cover(g, net, delta) -> PartitionCover:
                 for i in candidates
                 if not any(
                     j != i
-                    and net.node_is_ancestor(int(net.assign[centers[j]]), int(net.assign[centers[i]]))
+                    and is_ancestor(net.order_parent, net.assign[centers[j]], net.assign[centers[i]])
                     for j in candidates
                 )
             ]

@@ -7,6 +7,7 @@ from conftest import built
 from fixtures import (
     acceptance_fixtures,
     heavy_path5,
+    is_ancestor,
     partial_ktree_fixture,
     triangle_single_bag,
     vertex_mask,
@@ -14,7 +15,6 @@ from fixtures import (
 
 from padnet.graph import WeightedGraph, shortest_paths
 from padnet.ordered_net import (
-    SemiTreeOrder,
     build_semi_tree_order,
     build_tree_ordered_net,
     construct_cores_trace,
@@ -25,6 +25,7 @@ from padnet.trees import TreePartition, td_to_tree_partition
 from padnet.verify import misplaced_attachments, oracle_all_pairs
 
 BY_NAME = {f.name: f for f in acceptance_fixtures()}
+ONE_BAG = TreePartition(bags=(frozenset({0, 1, 2}),), parent=(-1,))  # every vertex on one node
 
 
 def test_heavy_path_hand_simulation():
@@ -39,8 +40,8 @@ def test_heavy_path_hand_simulation():
         (3, [3], 3, [3], 1),
         (4, [4], 4, [4], 1),
     ]
-    semi, net = build_semi_tree_order(cons.cores, tp)
-    assert semi.assign.tolist() == [0, 1, 2, 3, 4]
+    assign, net = build_semi_tree_order(cons.cores, tp)
+    assert assign.tolist() == [0, 1, 2, 3, 4]
     assert net.tolist() == [True] * 5
     assert not net.flags.writeable
 
@@ -52,8 +53,8 @@ def test_triangle_single_bag():
     assert sorted(cores[0].members) == [0, 1, 2]
     assert sorted(cores[0].centers) == [0, 1, 2]
     assert cores[0].rank == 1
-    semi, net = build_semi_tree_order(cores, tp)
-    assert set(semi.assign.tolist()) == {0}
+    assign, net = build_semi_tree_order(cores, tp)
+    assert set(assign.tolist()) == {0}
     assert net.tolist() == [True] * 3
 
 
@@ -85,7 +86,7 @@ def test_core_fields_on_fixtures():
             assert c.centers <= c.members
             bag_of = tp.bag_of()
             for v in c.members:
-                assert tp.is_bag_ancestor(c.center_bag, int(bag_of[v]))
+                assert is_ancestor(tp.parent, c.center_bag, int(bag_of[v]))
 
 
 def test_attachments_let_later_cores_overlap_earlier():
@@ -102,13 +103,14 @@ def test_semi_order_covering_and_packing_oracle():
     # exhaustive witness search with oracle distances, at the semi level
     for name in ["path-30", "cycle-16", "wpath-12", "grid-5"]:
         b = built(BY_NAME[name])
-        host, semi, delta = b.host, b.semi, b.delta
+        host, delta = b.host, b.delta
+        tin, tout = (a[b.semi] for a in b.tp.bag_intervals())
         net = np.flatnonzero(b.net.net).tolist()
         tpw = b.tp.width
         counts2 = np.zeros(host.n, dtype=int)
         covered = np.zeros(host.n, dtype=bool)
         for x in net:
-            below = np.flatnonzero(semi.descendant_vertices(x))
+            below = np.flatnonzero((tin >= tin[x]) & (tin < tout[x]))
             row = oracle_all_pairs(host, below, cap=host.n)[x]
             covered |= row <= delta
             counts2 += row <= 2 * delta
@@ -119,8 +121,7 @@ def test_semi_order_covering_and_packing_oracle():
 def test_single_node_expansion():
     # one shared order node, net = {0}: expansion is the rooted path 0 -> 1 -> 2
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-    semi = SemiTreeOrder(parent=(-1,), root=0, assign=np.zeros(3, dtype=np.int64), tp_width=3)
-    ton = semi_to_tree_order(semi, vertex_mask(3, [0]), g, 1.0)
+    ton = semi_to_tree_order(ONE_BAG, np.zeros(3, dtype=np.int64), vertex_mask(3, [0]), g, 1.0)
     assert ton.node_vertex == (0, 1, 2)
     assert ton.order_parent == (-1, 0, 1)
     assert ton.assign.tolist() == [0, 1, 2]
@@ -128,9 +129,8 @@ def test_single_node_expansion():
 
 def test_net_mask_is_a_read_only_copy():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-    semi = SemiTreeOrder(parent=(-1,), root=0, assign=np.zeros(3, dtype=np.int64), tp_width=3)
     given = np.array([True, False, False])
-    ton = semi_to_tree_order(semi, given, g, 1.0)
+    ton = semi_to_tree_order(ONE_BAG, np.zeros(3, dtype=np.int64), given, g, 1.0)
     given[1] = True
     assert ton.net.tolist() == [True, False, False]
     with pytest.raises(ValueError):
@@ -171,16 +171,15 @@ def test_misplaced_attachments_flags_all_but_proper_descendants():
 
 def test_net_first_in_expansion_order():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-    semi = SemiTreeOrder(parent=(-1,), root=0, assign=np.zeros(3, dtype=np.int64), tp_width=3)
-    ton = semi_to_tree_order(semi, vertex_mask(3, [2]), g, 1.0)
+    ton = semi_to_tree_order(ONE_BAG, np.zeros(3, dtype=np.int64), vertex_mask(3, [2]), g, 1.0)
     assert ton.node_vertex == (2, 0, 1)
 
 
 def test_injective_semi_expands_to_isomorphic_order():
     g, tp, delta = heavy_path5()
     cores = construct_cores_trace(g, tp, delta).cores
-    semi, net = build_semi_tree_order(cores, tp)
-    ton = semi_to_tree_order(semi, net, g, delta, cores=tuple(cores))
+    assign, net = build_semi_tree_order(cores, tp)
+    ton = semi_to_tree_order(tp, assign, net, g, delta, cores=tuple(cores))
     assert ton.node_vertex == (0, 1, 2, 3, 4)
     assert ton.order_parent == (-1, 0, 1, 2, 3)
 
@@ -195,7 +194,7 @@ def test_placeholder_nodes_for_empty_preimages():
     # order must still be valid for every edge
     for u, v, _ in g.edges:
         a, b = int(ton.assign[u]), int(ton.assign[v])
-        assert ton.node_is_ancestor(a, b) or ton.node_is_ancestor(b, a)
+        assert is_ancestor(ton.order_parent, a, b) or is_ancestor(ton.order_parent, b, a)
 
 
 def test_packing_profile_zero_multiplier_distinct_weights():
@@ -263,13 +262,22 @@ def test_converted_net_covering_packing_oracle():
 
 def test_vertex_intervals_agree_with_ancestor_queries():
     b = built(BY_NAME["grid-4"])
-    for order in (b.semi, b.net):
-        tin, tout = order.vertex_intervals()
-        assert not tin.flags.writeable and not tout.flags.writeable
+    tin, tout = b.net.vertex_intervals()
+    assert not tin.flags.writeable and not tout.flags.writeable
+    bag_tin, bag_tout = b.tp.bag_intervals()
+    # each order as (per-vertex intervals, parent pointers, each vertex's node)
+    orders = [
+        (bag_tin[b.semi], bag_tout[b.semi], b.tp.parent, b.semi),
+        (tin, tout, b.net.order_parent, b.net.assign),
+    ]
+    for v_tin, v_tout, parent, node_of in orders:
         for u in range(0, b.host.n, 3):
-            below = order.descendant_vertices(u)
-            assert below.tolist() == [order.vertex_leq(v, u) for v in range(b.host.n)]
-            assert below.tolist() == ((tin[u] <= tin) & (tin < tout[u])).tolist()
+            below = (v_tin[u] <= v_tin) & (v_tin < v_tout[u])
+            assert below.tolist() == [
+                is_ancestor(parent, node_of[u], node_of[v]) for v in range(b.host.n)
+            ]
+    for u in range(0, b.host.n, 3):
+        assert np.array_equal(b.net.descendant_vertices(u), (tin[u] <= tin) & (tin < tout[u]))
 
 
 # --- the center table ends at center_radius --------------------------------------

@@ -1,7 +1,7 @@
 """Whole-pipeline property tests on randomly grown partial k-trees."""
 
 import numpy as np
-from fixtures import partial_ktree_fixture
+from fixtures import is_ancestor, partial_ktree_fixture
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +34,7 @@ def test_net_and_structures_on_random_pipelines(args):
     # order validity and exact covering/packing via the oracle
     for u, v, _ in host.edges:
         a, b = int(net.assign[u]), int(net.assign[v])
-        assert net.node_is_ancestor(a, b) or net.node_is_ancestor(b, a)
+        assert is_ancestor(net.order_parent, a, b) or is_ancestor(net.order_parent, b, a)
     covered = np.zeros(host.n, dtype=bool)
     pack2 = np.zeros(host.n, dtype=int)
     for x in net.centers_in_order().tolist():

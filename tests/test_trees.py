@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from fixtures import acceptance_fixtures
+from fixtures import acceptance_fixtures, is_ancestor
 
 from padnet.graph import GraphFormatError, WeightedGraph
 from padnet.trees import (
@@ -119,7 +119,9 @@ def test_bag_trees_share_structure_and_ancestor_queries():
     for tree in (TreeDecomposition(bags, parent), TreePartition(bags, parent)):
         assert [a.tolist() for a in tree.bag_intervals()] == [[0, 1, 2, 3], [4, 3, 3, 4]]
         assert tree.level == [0, 1, 2, 1]
-        ancestors = {(a, b) for a in range(4) for b in range(4) if tree.is_bag_ancestor(a, b)}
+        tin, tout = tree.bag_intervals()
+        ancestors = {(a, b) for a in range(4) for b in range(4) if tin[a] <= tin[b] < tout[a]}
+        assert ancestors == {(a, b) for a in range(4) for b in range(4) if is_ancestor(parent, a, b)}
         assert ancestors == {(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (2, 2), (3, 3)}
     with pytest.raises(TdValidationError, match="single rooted tree"):
         TreePartition(bags, (-1, 2, 1, 0))

@@ -4,13 +4,14 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import built
-from fixtures import acceptance_fixtures, triangle_single_bag, vertex_mask
+from fixtures import acceptance_fixtures, is_ancestor, triangle_single_bag, vertex_mask
 
 from padnet.covers import CoverCluster, PartitionCluster, build_partition_cover, build_sparse_cover
 from padnet.decomposition import sample_padded_decomposition
 from padnet.graph import WeightedGraph, ball, shortest_paths
 from padnet.ordered_net import (
     ComponentTrace,
+    TreeOrderedNet,
     build_tree_ordered_net,
     semi_to_tree_order,
 )
@@ -98,7 +99,7 @@ def test_corrupted_net_fails_covering():
     full = np.flatnonzero(b.net.net).tolist()
     smaller = vertex_mask(b.host.n, full[:-4])
     corrupted = semi_to_tree_order(
-        b.semi, smaller, b.host, b.delta, alpha=3.0, cores=tuple(b.construction.cores)
+        b.tp, b.semi, smaller, b.host, b.delta, alpha=3.0, cores=tuple(b.construction.cores)
     )
     rep = verify_net(b.host, corrupted, b.delta, oracle_cap=b.host.n)
     cov = find(rep, "net-covering")
@@ -110,15 +111,22 @@ def test_fake_tight_bound_fails_packing():
     # lie about the tree-partition width: clique-5's real packing count is 5
     f = BY_NAME["clique-5"]
     b = built(f)
-    semi = dataclasses.replace(b.semi, tp_width=1)
-    lied = semi_to_tree_order(semi, b.net.net, b.host, b.delta, alpha=3.0)
+    lied = TreeOrderedNet(
+        net=b.net.net,
+        order_parent=b.net.order_parent,
+        node_vertex=b.net.node_vertex,
+        assign=b.net.assign,
+        alpha=3.0,
+        delta=b.delta,
+        tp_width=1,
+        cores=(),
+        g=b.host,
+    )
     rep = verify_net(b.host, lied, b.delta, oracle_cap=b.host.n)
     assert find(rep, "net-packing-2delta").status == "fail"
 
 
 def test_invalid_order_fails_validity_and_maximum():
-    from padnet.ordered_net import TreeOrderedNet
-
     # path 0-1-2 but vertices 1 and 2 sit on sibling nodes: edge (1,2) incomparable
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     broken = TreeOrderedNet(
@@ -135,6 +143,70 @@ def test_invalid_order_fails_validity_and_maximum():
     rep = verify_net(g, broken, 1.0, oracle_cap=10, seed=0, samples=200)
     assert find(rep, "order-valid-for-edges").status == "fail"
     assert find(rep, "connected-subset-unique-maximum").status == "fail"
+
+
+def test_edge_validity_witness_matches_edge_loop():
+    # random orders over random graphs: the first incomparable edge in g.edges
+    # order, found by walking parent pointers
+    rng = np.random.default_rng(5)
+    failing = 0
+    for _ in range(100):
+        n = int(rng.integers(2, 12))
+        edges = [(i, int(rng.integers(i)), 1.0) for i in range(1, n)]
+        edges += [(int(u), int(v), 1.0) for u, v in rng.integers(n, size=(4, 2)) if u != v]
+        g = WeightedGraph(n, edges)
+        nodes = int(rng.integers(1, n + 3))
+        parent = (-1, *(int(rng.integers(i)) for i in range(1, nodes)))
+        assign = rng.integers(nodes, size=n)
+        order = TreeOrderedNet(
+            net=vertex_mask(n), order_parent=parent, node_vertex=(None,) * nodes,
+            assign=assign, alpha=3.0, delta=1.0, tp_width=1, cores=(), g=g,
+        )
+        expected = next(
+            (
+                f"edge ({u},{v}) order-incomparable"
+                for u, v, _ in g.edges
+                if not (
+                    is_ancestor(parent, assign[u], assign[v])
+                    or is_ancestor(parent, assign[v], assign[u])
+                )
+            ),
+            None,
+        )
+        rep = verify_net(g, order, 1.0, oracle_cap=n, samples=1)
+        assert find(rep, "order-valid-for-edges").witness == expected
+        failing += expected is not None
+    assert 20 < failing < 80
+
+
+def test_center_subtree_witness_matches_member_loop():
+    # cores moved to random bags: the first member, in each core's iteration
+    # order, whose bag is not below the center bag
+    b = built(BY_NAME["grid-5"])
+    rng = np.random.default_rng(6)
+    bag_of = b.tp.bag_of()
+    failing = 0
+    for _ in range(20):
+        bad = dataclasses.replace(b.construction)
+        bad.cores = [
+            dataclasses.replace(c, center_bag=int(rng.integers(len(b.tp.bags))))
+            if rng.random() < 0.5
+            else c
+            for c in b.construction.cores
+        ]
+        expected = next(
+            (
+                f"core {c.id}: member {v} outside subtree of bag {c.center_bag}"
+                for c in bad.cores
+                for v in c.members
+                if not is_ancestor(b.tp.parent, c.center_bag, bag_of[v])
+            ),
+            None,
+        )
+        checks = {c.name: c for c in verify_cores(b.host, b.tp, b.delta, bad)}
+        assert checks["core-members-in-center-subtree"].witness == expected
+        failing += expected is not None
+    assert failing > 10
 
 
 def test_core_checks_pass_and_fault_injection():
@@ -388,16 +460,29 @@ def test_tampered_record_fails_without_raising():
     assert "centers outside" in checks["core-ball-replay"].witness
 
 
-def reference_maximal(order, members) -> int:
-    """The double loop count_maximal replaced: members below no other member."""
-    node_of = order.assign
+@pytest.mark.parametrize("center_bag", ["len", -1])
+def test_center_bag_outside_partition_fails_without_raising(center_bag):
+    b = built(BY_NAME["cycle-16"])
+    last = b.construction.cores[-1]
+    nb = len(b.tp.bags)
+    bag = nb if center_bag == "len" else center_bag
+    checks = _tampered_core_checks(b, last, center_bag=bag)
+    witness = f"core {last.id}: center bag {bag} outside bags 0..{nb - 1}"
+    for name in ("core-members-in-center-subtree", "core-centers-in-center-bag", "core-ball-replay"):
+        assert checks[name].status == "fail"
+        assert checks[name].witness == witness
+    assert checks["core-members-in-support"].status == "fail"
+    assert checks["noncenter-rank-drop"].status == "pass"
+
+
+def reference_maximal(parent, node_of, members) -> int:
+    """The double loop count_maximal replaced: members below no other member,
+    with vertex v at node node_of[v] of the parent-pointer tree."""
     idx = members.tolist()
     return sum(
         1
         for u in idx
-        if not any(
-            v != u and order.node_is_ancestor(int(node_of[v]), int(node_of[u])) for v in idx
-        )
+        if not any(v != u and is_ancestor(parent, node_of[v], node_of[u]) for v in idx)
     )
 
 
@@ -408,8 +493,13 @@ def test_count_maximal_matches_double_loop(name):
     b = built(BY_NAME[name])
     rng = np.random.default_rng(len(name))
     everything = b.host.all_vertices()
-    # the semi order puts several vertices on one node; the net's order is injective
-    for order in (b.net, b.semi):
+    # the semi order puts several vertices on one bag; the net's order is injective
+    bag_tin, bag_tout = b.tp.bag_intervals()
+    orders = [
+        (*b.net.vertex_intervals(), b.net.order_parent, b.net.assign),
+        (bag_tin[b.semi], bag_tout[b.semi], b.tp.parent, b.semi),
+    ]
+    for tin, tout, parent, node_of in orders:
         for _ in range(40):
             if rng.random() < 0.5:
                 size = int(rng.integers(1, min(b.host.n, 60) + 1))
@@ -418,4 +508,4 @@ def test_count_maximal_matches_double_loop(name):
                 center = int(rng.integers(b.host.n))
                 radius = float(rng.uniform(0, 4 * b.delta))
                 members = np.flatnonzero(ball(b.host, everything, [center], radius))
-            assert count_maximal(order, members) == reference_maximal(order, members)
+            assert count_maximal(tin, tout, members) == reference_maximal(parent, node_of, members)
