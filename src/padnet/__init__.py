@@ -15,7 +15,6 @@ from .graph import (
     all_pairs,
     ball,
     ball_pairs,
-    format_edge_list,
     parse_edge_list,
     shortest_paths,
     strong_diameter,

@@ -62,6 +62,8 @@ class WeightedGraph:
                 collapsed[key] = min(collapsed[key], w)
             else:
                 collapsed[key] = w
+        if len(collapsed) < n - 1:  # too few edges to connect n vertices: no n-sized array yet
+            raise GraphFormatError("graph is not connected")
         self.n = n
         self.edges = tuple(sorted((u, v, w) for (u, v), w in collapsed.items()))
         self._build_adjacency()
@@ -273,11 +275,3 @@ def parse_edge_list(text: str) -> WeightedGraph:
         raise
     except ValueError as exc:
         raise GraphFormatError(str(exc))
-
-
-def format_edge_list(g: WeightedGraph) -> str:
-    """Serialize to the edge-list format; round-trips bit-exactly through parse."""
-    lines = [f"p ge {g.n} {g.m}"]
-    for u, v, w in g.edges:
-        lines.append(f"e {u + 1} {v + 1} {w!r}")
-    return "\n".join(lines) + "\n"

@@ -216,8 +216,9 @@ def load_tree_decomposition(text: str, g: WeightedGraph) -> TreeDecomposition:
     nb, _, nv = header
     if nv != g.n:
         raise GraphFormatError(f"header declares {nv} vertices, graph has {g.n}")
-    if set(bag_map) != set(range(1, nb + 1)):
-        missing = min(set(range(1, nb + 1)) - set(bag_map))
+    # bag ids are distinct and in 1..nb, so a short map misses one of 1..len(bag_map) + 1
+    if len(bag_map) < nb:
+        missing = next(i for i in range(1, nb + 1) if i not in bag_map)
         raise GraphFormatError(f"bag {missing} is not defined")
     if len(tree_edges) != nb - 1:
         raise GraphFormatError(f"expected {nb - 1} tree edges, found {len(tree_edges)}")

@@ -8,6 +8,16 @@ guarantees.  Checks never raise on violation - they return report entries
 with a witness - and each check listed in the module docstrings appears
 exactly once per full report.
 
+Every check reads the members of a record's sets (cores, partition and cover
+clusters, host bags) from one table, `_memberships`, that keeps ids in
+0..n-1.  An int64 id outside that range fails one check per record with a
+witness naming the set and the id (`host-bags-partition`,
+`partition-total-disjoint`, `cover-every-vertex-covered`,
+`partition-cover-partitions-valid`; a core with such a member fails like one
+whose center bag is outside the partition, and `cores-cover-all-vertices`
+fails too), and no other check reads it: no verify function raises on, or is
+fooled by, a member of these sets out of range.
+
 Distance comparisons use absolute tolerance 1e-9 where a bound is checked;
 oracle-vs-search agreement is exact (fixtures use integer or dyadic weights).
 
@@ -31,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -55,7 +66,6 @@ from .graph import (
     weak_diameter,
 )
 from .ordered_net import (
-    Core,
     CoreConstruction,
     TreeOrderedNet,
     build_semi_tree_order,
@@ -157,6 +167,27 @@ def _mask(n: int, ids) -> np.ndarray:
     return mask
 
 
+def _memberships(sets, n: int) -> tuple[np.ndarray, np.ndarray, tuple[int, int] | None]:
+    """(owner, member, dropped): every membership of a record's sets, in set
+    order and each set's iteration order, keeping members in 0..n-1; dropped
+    is the first membership left out, as (set index, member), or None.
+    Members are read as int64: one beyond that range raises OverflowError."""
+    sizes = [len(s) for s in sets]
+    member = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=sum(sizes))
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    keep = (member >= 0) & (member < n)
+    if keep.all():
+        return owner, member, None
+    first = int(np.argmin(keep))
+    return owner[keep], member[keep], (int(owner[first]), int(member[first]))
+
+
+def _split(owner: np.ndarray, member: np.ndarray, k: int) -> list[np.ndarray]:
+    """The members of each of the k sets of a membership table."""
+    bounds = np.searchsorted(owner, np.arange(k + 1)).tolist()
+    return [member[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 # ---------------------------------------------------------------------------
 # conversion checks
 
@@ -178,21 +209,23 @@ def _embedding_checks(
     checks = []
     host, tp = emb.host, emb.tree_partition
 
-    seen: dict[int, int] = {}
+    owner, member, dropped = _memberships(tp.bags, host.n)
+    count = np.bincount(member, minlength=host.n)
     bad = None
-    for i, bag in enumerate(tp.bags):
-        for v in bag:
-            if v in seen:
-                bad = f"host vertex {v} in bags {seen[v]} and {i}"
-            seen[v] = i
-    covering = len(seen) == host.n
-    checks.append(_check("host-bags-partition", bad is None and covering, witness=bad))
+    if dropped:
+        bad = f"bag {dropped[0]}: member {dropped[1]} outside host vertices 0..{host.n - 1}"
+    elif (count > 1).any():
+        v = int(np.argmax(count > 1))
+        bags = owner[member == v]
+        bad = f"host vertex {v} in bags {bags[0]} and {bags[1]}"
+    checks.append(_check("host-bags-partition", bad is None and (count == 1).all(), witness=bad))
 
-    bag_of = tp.bag_of()
+    bag_of = np.full(host.n, -1)
+    bag_of[member] = owner
     bad = None
     for u, v, _ in host.edges:
         bu, bv = int(bag_of[u]), int(bag_of[v])
-        if bu != bv and tp.parent[bu] != bv and tp.parent[bv] != bu:
+        if min(bu, bv) < 0 or (bu != bv and tp.parent[bu] != bv and tp.parent[bv] != bu):
             bad = f"host edge ({u},{v}) spans bags {bu},{bv}"
             break
     checks.append(_check("host-edge-validity", bad is None, witness=bad))
@@ -258,7 +291,9 @@ def _replay_carving(
     tp: TreePartition,
     delta: float,
     construction: CoreConstruction,
-    stray: dict[Core, str],
+    members: list[np.ndarray],
+    stray: dict[int, str],
+    bag_of: np.ndarray,
 ) -> tuple[str | None, str | None, str | None]:
     """First witness (None: no fault) of core-members-in-support,
     core-ball-replay and attachments-descendant-only.
@@ -269,11 +304,11 @@ def _replay_carving(
     none, when that bag was its component's root).  The support is the
     uncovered vertices of the bags of the center bag's round-`rank` component
     inside the center bag's preorder interval, plus those bags' attachments;
-    a center bag that no such component holds gets an empty support.  A core
-    in `stray` (core -> witness) has a center bag outside the partition.
+    a center bag that no such component holds gets an empty support.
+    members[i] holds the in-range members of core i, and a core index in
+    `stray` (index -> witness) has a center bag or a member out of range.
     """
     nb = len(tp.bags)
-    bag_of = tp.bag_of()
     tin, tout = tp.bag_intervals()
     component = {}
     for comp in construction.components:
@@ -284,26 +319,24 @@ def _replay_carving(
     covered = np.zeros(g.n, dtype=bool)
     attached = np.full(g.n, nb)
     leaves = replay = misplaced = None
-    for c in sorted(construction.cores, key=lambda c: c.id):
-        members = np.fromiter(c.members, dtype=np.int64, count=len(c.members))
+    for i, c in sorted(enumerate(construction.cores), key=lambda ic: ic[1].id):
         root, bags, bag_tin = component.get((c.rank, c.center_bag), (c.center_bag, no_bags, no_bags))
         in_sub = np.zeros(nb + 1, dtype=bool)  # slot nb: no attachment
-        if c not in stray:
+        if i not in stray:
             in_sub[bags[(bag_tin >= tin[c.center_bag]) & (bag_tin < tout[c.center_bag])]] = True
         support = (in_sub[bag_of] & ~covered) | in_sub[attached]
-        if leaves is None and not support[members].all():
+        if leaves is None and not support[members[i]].all():
             leaves = f"core {c.id} leaves its replayed support"
-        centers = sorted(c.centers)
-        if replay is None and c in stray:
-            replay = stray[c]
-        elif replay is None and not (support.any() and support[centers].all()):
+        if replay is None and i in stray:
+            replay = stray[i]
+        elif replay is None and not (support.any() and c.centers <= set(np.flatnonzero(support).tolist())):
             replay = f"core {c.id}: centers outside its replayed support"
         elif replay is None:
-            dist = shortest_paths(g, support, centers, limit=delta)  # exact up to delta
+            dist = shortest_paths(g, support, sorted(c.centers), limit=delta)  # exact up to delta
             if c.members != set(np.flatnonzero(dist <= delta).tolist()):
                 replay = f"core {c.id}: recorded members differ from replayed ball"
-        covered[members] = True
-        attached[members] = nb if c.center_bag == root else tp.parent[c.center_bag]
+        covered[members[i]] = True
+        attached[members[i]] = nb if c.center_bag == root else tp.parent[c.center_bag]
         if misplaced is None and len(bad := misplaced_attachments(attached, bag_of, tin, tout)):
             misplaced = (
                 f"attachment of bag {attached[bad[0]]} holds vertex {bad[0]} "
@@ -321,106 +354,85 @@ def verify_cores(
     bag_of = tp.bag_of()
     nb = len(tp.bags)
     tin, tout = tp.bag_intervals()
-    # the checks that read a core's center bag fail on one outside the partition
+    owner, member, dropped = _memberships([c.members for c in cores], g.n)
+    # the checks that read a core's center bag or members fail on one out of range
     stray = {
-        c: f"core {c.id}: center bag {c.center_bag} outside bags 0..{nb - 1}"
-        for c in cores
+        i: f"core {c.id}: center bag {c.center_bag} outside bags 0..{nb - 1}"
+        for i, c in enumerate(cores)
         if not 0 <= c.center_bag < nb
     }
+    if dropped:
+        i, v = dropped
+        stray.setdefault(i, f"core {cores[i].id}: member {v} outside vertices 0..{g.n - 1}")
 
-    union = set()
-    for c in cores:
-        union |= c.members
+    per_vertex = np.bincount(member, minlength=g.n)
+    covered = int(np.count_nonzero(per_vertex))
     checks.append(
-        _check(
-            "cores-cover-all-vertices",
-            union == set(range(g.n)),
-            measured=len(union),
-            bound=g.n,
-        )
+        _check("cores-cover-all-vertices", dropped is None and covered == g.n, measured=covered, bound=g.n)
     )
 
-    bad = None
-    for c in cores:
-        if c in stray:
-            bad = stray[c]
-            break
-        members = np.fromiter(c.members, dtype=np.int64, count=len(c.members))
-        at = tin[bag_of[members]]
-        out = members[(at < tin[c.center_bag]) | (at >= tout[c.center_bag])]
-        if out.size:
-            bad = f"core {c.id}: member {out[0]} outside subtree of bag {c.center_bag}"
-            break
+    # a stray core's members are tested against the root bag, which holds them all
+    center = np.array(
+        [tp.root if i in stray else c.center_bag for i, c in enumerate(cores)], dtype=np.int64
+    )
+    at, cb = tin[bag_of[member]], center[owner]
+    out = np.flatnonzero((at < tin[cb]) | (at >= tout[cb]))
+    first_stray = min(stray, default=len(cores))
+    if out.size and owner[out[0]] < first_stray:
+        c = cores[owner[out[0]]]
+        bad = f"core {c.id}: member {member[out[0]]} outside subtree of bag {c.center_bag}"
+    else:
+        bad = stray.get(first_stray)
     checks.append(_check("core-members-in-center-subtree", bad is None, witness=bad))
 
-    leaves, replay, misplaced = _replay_carving(g, tp, delta, construction, stray)
+    leaves, replay, misplaced = _replay_carving(
+        g, tp, delta, construction, _split(owner, member, len(cores)), stray, bag_of
+    )
     checks.append(_check("core-members-in-support", leaves is None, witness=leaves))
 
-    bad = None
-    for c in cores:
-        if c in stray:
-            bad = stray[c]
-            break
-        if not c.centers <= (tp.bags[c.center_bag] & c.members):
-            bad = f"core {c.id}: centers not inside its center bag and members"
-            break
+    bad = next(
+        (
+            stray.get(i, f"core {c.id}: centers not inside its center bag and members")
+            for i, c in enumerate(cores)
+            if i in stray or not c.centers <= (tp.bags[c.center_bag] & c.members)
+        ),
+        None,
+    )
     checks.append(_check("core-centers-in-center-bag", bad is None, witness=bad))
 
     checks.append(_check("core-ball-replay", replay is None, witness=replay))
 
+    rank = np.array([c.rank for c in cores], dtype=np.int64)[owner]
+    by = np.lexsort((owner, member, rank))  # by rank, then vertex, then core
+    again = by[1:][(rank[by[1:]] == rank[by[:-1]]) & (member[by[1:]] == member[by[:-1]])]
     bad = None
-    by_rank: dict[int, set[int]] = {}
-    for c in cores:
-        hit = by_rank.setdefault(c.rank, set()) & c.members
-        if hit:
-            bad = f"rank {c.rank}: vertex {min(hit)} in two cores"
-            break
-        by_rank[c.rank] |= c.members
+    if again.size:  # the first core holding a vertex of an earlier core of its rank
+        i = owner[again].min()
+        bad = f"rank {cores[i].rank}: vertex {member[again[owner[again] == i]].min()} in two cores"
     checks.append(_check("same-rank-cores-disjoint", bad is None, witness=bad))
 
     checks.append(
         _check("round-count-bound", construction.rounds <= tpw, measured=construction.rounds, bound=tpw)
     )
 
-    per_vertex = np.zeros(g.n, dtype=np.int64)
-    per_bag = np.zeros(len(tp.bags), dtype=np.int64)
-    for c in cores:
-        touched_bags = {int(bag_of[v]) for v in c.members}
-        for v in c.members:
-            per_vertex[v] += 1
-        for b in touched_bags:
-            per_bag[b] += 1
-    checks.append(
-        _check(
-            "per-vertex-core-bound",
-            int(per_vertex.max()) <= tpw,
-            measured=int(per_vertex.max()),
-            bound=tpw,
-        )
-    )
-    checks.append(
-        _check(
-            "per-bag-core-bound",
-            int(per_bag.max()) <= tpw * tpw,
-            measured=int(per_bag.max()),
-            bound=tpw * tpw,
-        )
-    )
+    pairs = np.sort(owner * nb + bag_of[member])  # a core counts once in each bag it touches
+    per_bag = np.bincount(pairs[np.diff(pairs, prepend=-1) != 0] % nb, minlength=nb)
+    most_v, most_b = int(per_vertex.max()), int(per_bag.max())
+    checks.append(_check("per-vertex-core-bound", most_v <= tpw, measured=most_v, bound=tpw))
+    checks.append(_check("per-bag-core-bound", most_b <= tpw * tpw, measured=most_b, bound=tpw * tpw))
 
     vrank = np.full(g.n, np.inf)
-    for c in cores:
-        for v in c.members:
-            vrank[v] = min(vrank[v], c.rank)
-    bad = None
-    for c in cores:
-        if c in stray:
-            continue
-        for v in tp.bags[c.center_bag] - c.centers:
-            if not vrank[v] < c.rank:
-                bad = f"core {c.id} rank {c.rank}: non-center {v} has rank {vrank[v]}"
-                break
-        if bad:
-            break
+    np.minimum.at(vrank, member, rank)
+    bad = next(
+        (
+            f"core {c.id} rank {c.rank}: non-center {v} has rank {vrank[v]}"
+            for i, c in enumerate(cores)
+            if i not in stray
+            for v in tp.bags[c.center_bag] - c.centers
+            if not vrank[v] < c.rank
+        ),
+        None,
+    )
     checks.append(_check("noncenter-rank-drop", bad is None, witness=bad))
 
     checks.append(_check("attachments-descendant-only", misplaced is None, witness=misplaced))
@@ -567,42 +579,6 @@ def verify_net(
     return VerificationReport(checks)
 
 
-def deep_packing_assertions(
-    g: WeightedGraph, net: TreeOrderedNet, tp: TreePartition, v: int, oracle_cap: int = 60
-) -> None:
-    """Opt-in deep assertions on the ancestor-core chain of one vertex.
-
-    Splits the cores that meet v's 2*delta ancestor net points into greedy
-    links anchored at minimum-rank cores; asserts each minimum rank is
-    realized by a single core and that every ancestor core in a link
-    intersects its anchor's center set.  These are the structural facts the
-    packing bound rests on, exposed for spot checks rather than every run.
-    """
-    cores = net.cores
-    if not cores:
-        raise ValueError("net carries no core table")
-    oracle_d = _oracle_center_distances(g, net, oracle_cap)
-    centers = net.centers_in_order()
-    near = {int(centers[i]) for i in np.flatnonzero(oracle_d[:, v] <= 2 * net.delta)}
-    meeting = [c for c in cores if c.members & near]
-    remaining = sorted((c for c in meeting if v not in c.members), key=lambda c: c.id)
-    tin, tout = tp.bag_intervals()
-    while remaining:
-        lowest = min(c.rank for c in remaining)
-        lowest_cores = [c for c in remaining if c.rank == lowest]
-        assert len(lowest_cores) == 1, (
-            f"vertex {v}: {len(lowest_cores)} chain cores share minimum rank {lowest}"
-        )
-        anchor = lowest_cores[0]
-        at = tin[anchor.center_bag]
-        link = [c for c in remaining if tin[c.center_bag] <= at < tout[c.center_bag]]
-        for c in link:
-            assert c is anchor or c.members & anchor.centers, (
-                f"vertex {v}: core {c.id} in chain link misses the center of core {anchor.id}"
-            )
-        remaining = [c for c in remaining if c not in link]
-
-
 # ---------------------------------------------------------------------------
 # decomposition checks
 
@@ -619,17 +595,15 @@ def verify_partition(
     n = g.n
     beta = (alpha + 1) / 2
 
-    # every cluster's members end to end, each labelled with its cluster
-    members = [np.fromiter(c.members, dtype=np.int64, count=len(c.members)) for c in p.clusters]
-    flat = np.concatenate(members) if members else np.zeros(0, dtype=np.int64)
-    labels = np.repeat(np.arange(len(members)), [m.size for m in members])
-
+    owner, member, dropped = _memberships([c.members for c in p.clusters], n)
     total = p.assignment.shape[0] == n and (p.assignment >= 0).all()
-    seen = np.bincount(flat, minlength=n)
-    consistent = np.array_equal(p.assignment[flat], labels)
-    ok = bool(total and (seen == 1).all() and consistent)
+    seen = np.bincount(member, minlength=n)
+    consistent = total and np.array_equal(p.assignment[member], owner)
+    ok = bool(dropped is None and total and (seen == 1).all() and consistent)
     witness = None
-    if not ok:
+    if dropped:
+        witness = f"cluster {dropped[0]}: member {dropped[1]} outside vertices 0..{n - 1}"
+    elif not ok:
         stray = np.flatnonzero(seen != 1)
         witness = f"vertex {int(stray[0])} in {int(seen[stray[0]])} clusters" if stray.size else "assignment mismatch"
     checks.append(_check("partition-total-disjoint", ok, witness=witness))
@@ -637,8 +611,9 @@ def verify_partition(
     bound = (alpha + 1) * delta + TOL
     worst = 0.0
     worst_c = None
-    for i, idx in enumerate(members):
-        d = float(dist_matrix[idx][:, idx].max())  # two gathers beat one np.ix_ gather
+    for i, idx in enumerate(_split(owner, member, len(p.clusters))):
+        # two gathers beat one np.ix_ gather; a cluster of no vertex has diameter 0
+        d = float(dist_matrix[idx][:, idx].max(initial=0.0))
         if d > worst:
             worst, worst_c = d, i
     checks.append(
@@ -686,20 +661,14 @@ def verify_cover(
     return _verify_partition_cover(g, cover, alpha, delta, oracle_cap, host_dist, tau)
 
 
-def _cluster_matrix(n: int, clusters) -> np.ndarray:
-    out = np.zeros((len(clusters), n), dtype=bool)
-    for i, members in enumerate(clusters):
-        out[i, list(members)] = True
-    return out
-
-
 def _worst_strong_diameter(g: WeightedGraph, clusters, oracle_cap: int) -> tuple[float, int | None]:
-    """Largest oracle diameter of G[members] over the clusters' member sets,
+    """Largest oracle diameter of G[members] over the clusters' member arrays,
     and the index of the first cluster reaching it (None when all are 0)."""
     worst, worst_i = 0.0, None
-    for i, members in enumerate(clusters):
-        d = oracle_all_pairs(g, sorted(members), cap=oracle_cap)
-        idx = np.fromiter(members, dtype=np.int64)
+    for i, idx in enumerate(clusters):
+        if idx.size < 2:  # diameter 0
+            continue
+        d = oracle_all_pairs(g, idx, cap=oracle_cap)
         m = float(d[np.ix_(idx, idx)].max())
         if m > worst:
             worst, worst_i = m, i
@@ -719,14 +688,17 @@ def _ball_containment(
 
 def _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, host_dist, packing_counts):
     checks: list[CheckResult] = []
-    mask = _cluster_matrix(g.n, [c.members for c in cover.clusters])
+    owner, member, dropped = _memberships([c.members for c in cover.clusters], g.n)
+    mask = np.zeros((len(cover.clusters), g.n), dtype=bool)
+    mask[owner, member] = True
     per_vertex = mask.sum(axis=0)
     checks.append(
         _check(
             "cover-every-vertex-covered",
-            bool((per_vertex >= 1).all()),
+            dropped is None and bool((per_vertex >= 1).all()),
             measured=int(per_vertex.min()),
             bound=1,
+            witness=dropped and f"cluster {dropped[0]}: member {dropped[1]} outside vertices 0..{g.n - 1}",
         )
     )
     if packing_counts is not None:
@@ -742,7 +714,7 @@ def _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, host_dist, packing_
         )
 
     bound = 2 * alpha * delta + TOL
-    worst, worst_c = _worst_strong_diameter(g, [c.members for c in cover.clusters], oracle_cap)
+    worst, worst_c = _worst_strong_diameter(g, _split(owner, member, len(cover.clusters)), oracle_cap)
     checks.append(
         _check(
             "cover-strong-diameter",
@@ -763,16 +735,17 @@ def _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, host_dist, packing_
 
 def _verify_partition_cover(g, cover, alpha, delta, oracle_cap, host_dist, tau):
     checks: list[CheckResult] = []
+    clusters = [c for part in cover.partitions for c in part]
+    owner, member, dropped = _memberships([c.members for c in clusters], g.n)
+    part_of = np.repeat(np.arange(len(cover.partitions)), [len(p) for p in cover.partitions])
+    seen = np.zeros((len(cover.partitions), g.n), dtype=np.int64)  # clusters per (partition, vertex)
+    np.add.at(seen, (part_of[owner], member), 1)
     bad = None
-    for pi, part in enumerate(cover.partitions):
-        seen = np.zeros(g.n, dtype=np.int64)
-        for c in part:
-            for v in c.members:
-                seen[v] += 1
-        if not (seen == 1).all():
-            v = int(np.flatnonzero(seen != 1)[0])
-            bad = f"partition {pi}: vertex {v} in {int(seen[v])} clusters"
-            break
+    if dropped:
+        bad = f"partition {part_of[dropped[0]]}: member {dropped[1]} outside vertices 0..{g.n - 1}"
+    elif (seen != 1).any():
+        pi, v = np.argwhere(seen != 1)[0]
+        bad = f"partition {pi}: vertex {v} in {seen[pi, v]} clusters"
     checks.append(_check("partition-cover-partitions-valid", bad is None, witness=bad))
 
     if tau is not None:
@@ -792,10 +765,8 @@ def _verify_partition_cover(g, cover, alpha, delta, oracle_cap, host_dist, tau):
             )
 
     bound = alpha * delta + TOL
-    # a cluster of more than one member is a net cluster
-    spans = [(pi, c) for pi, p in enumerate(cover.partitions) for c in p if len(c.members) > 1]
-    worst, i = _worst_strong_diameter(g, [c.members for _, c in spans], oracle_cap)
-    worst_w = None if i is None else f"partition {spans[i][0]} cluster center {spans[i][1].center}"
+    worst, i = _worst_strong_diameter(g, _split(owner, member, len(clusters)), oracle_cap)
+    worst_w = None if i is None else f"partition {part_of[i]} cluster center {clusters[i].center}"
     checks.append(
         _check(
             "partition-cover-diameter",
@@ -806,8 +777,8 @@ def _verify_partition_cover(g, cover, alpha, delta, oracle_cap, host_dist, tau):
         )
     )
 
-    all_clusters = [c.members for part in cover.partitions for c in part]
-    mask = _cluster_matrix(g.n, all_clusters)
+    mask = np.zeros((len(clusters), g.n), dtype=bool)
+    mask[owner, member] = True
     radius = (alpha - 2) * delta / 4
     ok, witness = _ball_containment(host_dist, mask, radius)
     checks.append(

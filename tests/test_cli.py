@@ -128,6 +128,23 @@ def test_bad_td_file_exit_2(tmp_path, capsys):
     assert "no bag" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "suffix, text, message",
+    [
+        (".gr", "p ge 1000000 0\n", "graph is not connected"),
+        (".td", "s td 100000 2 8\nb 1 1 2\nb 2 2 3\n1 2\n", "bag 3 is not defined"),
+    ],
+    ids=["gr", "td"],
+)
+def test_inflated_header_exit_2(tmp_path, capsys, suffix, text, message):
+    bad = tmp_path / f"bad{suffix}"
+    bad.write_text(text)
+    files = {".gr": str(DATA / "path8.gr"), ".td": str(DATA / "path8.td"), suffix: str(bad)}
+    code = main(["net", "--graph", files[".gr"], "--td", files[".td"], "--delta", "2"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_file_exit_2(capsys):
     code = main(["convert", "--graph", "/nonexistent.gr", "--td", str(DATA / "path8.td")])
     assert code == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from padnet.graph import (
     all_pairs,
     ball,
     ball_pairs,
-    format_edge_list,
     parse_edge_list,
     shortest_paths,
     strong_diameter,
@@ -246,24 +246,29 @@ def test_parse_edge_list():
     assert g.edges == ((0, 1, 1.0), (1, 2, 0.5))
 
 
+def edge_list_text(g: WeightedGraph) -> str:
+    """g in the `p ge` format, each weight written as its shortest round-trip repr."""
+    return f"p ge {g.n} {g.m}\n" + "".join(f"e {u + 1} {v + 1} {w!r}\n" for u, v, w in g.edges)
+
+
 def test_round_trip_bit_exact():
     g = parse_edge_list(EXAMPLE)
-    text = format_edge_list(g)
-    assert format_edge_list(parse_edge_list(text)) == text
+    text = edge_list_text(g)
+    assert edge_list_text(parse_edge_list(text)) == text
 
 
 @given(connected_graphs())
 @settings(max_examples=40, deadline=None)
 def test_round_trip_random(g):
-    text = format_edge_list(g)
+    text = edge_list_text(g)
     g2 = parse_edge_list(text)
     assert g2 == g
-    assert format_edge_list(g2) == text
+    assert edge_list_text(g2) == text
 
 
 def test_round_trip_awkward_floats():
     g = WeightedGraph(2, [(0, 1, 0.1 + 0.2)])  # not exactly representable as short decimal
-    text = format_edge_list(g)
+    text = edge_list_text(g)
     assert parse_edge_list(text).edges[0][2] == g.edges[0][2]
 
 
@@ -282,3 +287,18 @@ def test_parse_errors(text, fragment):
     with pytest.raises(GraphFormatError) as err:
         parse_edge_list(text)
     assert fragment in str(err.value)
+
+
+def test_edgeless_header_rejected_before_allocating():
+    # a header alone declares a million vertices; with fewer than n - 1 edges
+    # the graph cannot be connected, which is known before any n-sized array
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphFormatError, match="graph is not connected"):
+            parse_edge_list("p ge 1000000 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(GraphFormatError, match="graph is not connected"):
+        parse_edge_list("p ge 4 2\ne 1 2 1.0\ne 3 4 1.0\n")

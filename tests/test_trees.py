@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from fixtures import acceptance_fixtures, is_ancestor
@@ -64,6 +66,22 @@ def test_malformed_td_lines():
         load_tree_decomposition("s td 2 2 3\nb 1 1 2\nb 1 2 3\n1 2\n", PATH3)  # dup bag
     with pytest.raises(GraphFormatError):
         load_tree_decomposition("s td 2 2 3\nb 1 1 2\nb 2 2 3\n", PATH3)  # missing edge
+
+
+def test_inflated_bag_count_rejected_before_allocating():
+    # the header declares 10^5 bags and the file defines two of them
+    text = "s td 100000 2 3\nb 1 1 2\nb 2 2 3\n1 2\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphFormatError, match="bag 3 is not defined"):
+            load_tree_decomposition(text, PATH3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the first id the file leaves out is named
+    with pytest.raises(GraphFormatError, match="bag 2 is not defined"):
+        load_tree_decomposition("s td 3 2 3\nb 1 1 2\nb 3 2 3\n1 3\n", PATH3)
 
 
 def test_conversion_on_two_bag_path():

@@ -15,12 +15,11 @@ from padnet.ordered_net import (
     build_tree_ordered_net,
     semi_to_tree_order,
 )
-from padnet.trees import TreePartition
+from padnet.trees import IsometricEmbedding, TreeDecomposition, TreePartition
 from padnet.verify import (
     OracleCapError,
     _oracle_center_distances,
     count_maximal,
-    deep_packing_assertions,
     oracle_all_pairs,
     sampler_ks_check,
     verify_cores,
@@ -34,7 +33,11 @@ BY_NAME = {f.name: f for f in acceptance_fixtures()}
 
 
 def find(report, name):
-    return next(c for c in report.checks if c.name == name)
+    return find_check(report.checks, name)
+
+
+def find_check(checks, name):
+    return next(c for c in checks if c.name == name)
 
 
 # --- the oracle itself ---------------------------------------------------------
@@ -180,33 +183,38 @@ def test_edge_validity_witness_matches_edge_loop():
 
 
 def test_center_subtree_witness_matches_member_loop():
-    # cores moved to random bags: the first member, in each core's iteration
-    # order, whose bag is not below the center bag
+    # cores moved to random bags, some outside the partition: the first core,
+    # in core order, whose center bag is out of range or that has a member,
+    # in its iteration order, whose bag is not below the center bag
     b = built(BY_NAME["grid-5"])
+    nb = len(b.tp.bags)
     rng = np.random.default_rng(6)
     bag_of = b.tp.bag_of()
-    failing = 0
-    for _ in range(20):
+    failing = strays = 0
+    for _ in range(40):
         bad = dataclasses.replace(b.construction)
         bad.cores = [
-            dataclasses.replace(c, center_bag=int(rng.integers(len(b.tp.bags))))
+            dataclasses.replace(c, center_bag=int(rng.choice([-1, nb, *rng.integers(nb, size=3)])))
             if rng.random() < 0.5
             else c
             for c in b.construction.cores
         ]
         expected = next(
             (
-                f"core {c.id}: member {v} outside subtree of bag {c.center_bag}"
+                f"core {c.id}: center bag {c.center_bag} outside bags 0..{nb - 1}"
+                if not 0 <= c.center_bag < nb
+                else f"core {c.id}: member {v} outside subtree of bag {c.center_bag}"
                 for c in bad.cores
                 for v in c.members
-                if not is_ancestor(b.tp.parent, c.center_bag, bag_of[v])
+                if not 0 <= c.center_bag < nb or not is_ancestor(b.tp.parent, c.center_bag, bag_of[v])
             ),
             None,
         )
         checks = {c.name: c for c in verify_cores(b.host, b.tp, b.delta, bad)}
         assert checks["core-members-in-center-subtree"].witness == expected
         failing += expected is not None
-    assert failing > 10
+        strays += sum(not 0 <= c.center_bag < nb for c in bad.cores) > 1
+    assert failing > 20 and strays > 3
 
 
 def test_core_checks_pass_and_fault_injection():
@@ -244,6 +252,60 @@ def test_core_checks_pass_and_fault_injection():
     assert names["component-clusters-laminar"] == "fail"
 
 
+def _core_counts_by_loop(n, bag_of, cores):
+    """The per-core loops that verify_cores' table counts replaced: measured
+    values and witnesses of the checks they fed."""
+    by_rank, same_rank = {}, None
+    per_vertex = np.zeros(n, dtype=np.int64)
+    per_bag = np.zeros(int(bag_of.max()) + 1, dtype=np.int64)
+    for c in cores:
+        hit = by_rank.setdefault(c.rank, set()) & c.members
+        if hit and same_rank is None:
+            same_rank = f"rank {c.rank}: vertex {min(hit)} in two cores"
+        by_rank[c.rank] |= c.members
+        for v in c.members:
+            per_vertex[v] += 1
+        for bag in {int(bag_of[v]) for v in c.members}:
+            per_bag[bag] += 1
+    return {
+        "cores-cover-all-vertices": len(set().union(*(c.members for c in cores))),
+        "same-rank-cores-disjoint": same_rank,
+        "per-vertex-core-bound": int(per_vertex.max()),
+        "per-bag-core-bound": int(per_bag.max()),
+    }
+
+
+@pytest.mark.parametrize("name", ["cycle-16", "path-30", "btree-4", "star-25"])
+def test_core_counts_match_member_loops(name):
+    # cores given random ranks and a member of another core
+    b = built(BY_NAME[name])
+    cores = b.construction.cores
+    rng = np.random.default_rng(8)
+    bag_of = b.tp.bag_of()
+    failing = 0
+    for _ in range(10):
+        bad = dataclasses.replace(b.construction)
+        bad.cores = [
+            dataclasses.replace(
+                c,
+                rank=int(rng.integers(1, 3)),
+                members=c.members | {max(cores[rng.integers(len(cores))].members)},
+            )
+            if rng.random() < 0.3
+            else c
+            for c in cores
+        ]
+        checks = verify_cores(b.host, b.tp, b.delta, bad)
+        expected = _core_counts_by_loop(b.host.n, bag_of, bad.cores)
+        assert find_check(checks, "same-rank-cores-disjoint").witness == expected.pop(
+            "same-rank-cores-disjoint"
+        )
+        for check_name, measured in expected.items():
+            assert find_check(checks, check_name).measured == measured, check_name
+        failing += find_check(checks, "same-rank-cores-disjoint").status == "fail"
+    assert failing > 3
+
+
 def test_embedding_fault_injection():
     b = built(BY_NAME["path-8"])
     emb = b.embedding
@@ -254,6 +316,22 @@ def test_embedding_fault_injection():
     swapped = dataclasses.replace(emb, forward=forward)
     rep = verify_embedding(b.graph, b.td, swapped, oracle_cap=b.host.n)
     assert any(c.name == "isometry-exact" and c.status == "fail" for c in rep)
+
+    # a host vertex in two bags
+    tp = emb.tree_partition
+    v = min(tp.bags[1])
+    twice = dataclasses.replace(tp, bags=(tp.bags[0] | {v}, *tp.bags[1:]))
+    rep = verify_embedding(b.graph, b.td, dataclasses.replace(emb, tree_partition=twice), b.host.n)
+    assert find_check(rep, "host-bags-partition").witness == f"host vertex {v} in bags 0 and 1"
+
+    # a vertex in no bag: its edges fit no pair of bags, not even into the root bag
+    g, tp, _ = triangle_single_bag()
+    td = TreeDecomposition(bags=tp.bags, parent=tp.parent)
+    short = dataclasses.replace(tp, bags=(frozenset([0, 1]),))
+    emb = IsometricEmbedding(g, short, forward=np.arange(3), copies=((0,), (1,), (2,)))
+    rep = verify_embedding(g, td, emb, oracle_cap=3)
+    assert find_check(rep, "host-bags-partition").status == "fail"
+    assert find_check(rep, "host-edge-validity").status == "fail"
 
 
 # --- partition checks ------------------------------------------------------------
@@ -387,6 +465,40 @@ def test_sampler_ks_check_passes():
     assert res.status == "pass"
 
 
+def deep_packing_assertions(g, net, tp, v, oracle_cap=60):
+    """Assertions on the ancestor-core chain of one vertex.
+
+    Splits the cores that meet v's 2*delta ancestor net points into greedy
+    links anchored at minimum-rank cores; asserts each minimum rank is
+    realized by a single core and that every ancestor core in a link
+    intersects its anchor's center set.  These are the structural facts the
+    packing bound rests on, spot-checked here rather than on every run.
+    """
+    cores = net.cores
+    if not cores:
+        raise ValueError("net carries no core table")
+    oracle_d = _oracle_center_distances(g, net, oracle_cap)
+    centers = net.centers_in_order()
+    near = {int(centers[i]) for i in np.flatnonzero(oracle_d[:, v] <= 2 * net.delta)}
+    meeting = [c for c in cores if c.members & near]
+    remaining = sorted((c for c in meeting if v not in c.members), key=lambda c: c.id)
+    tin, tout = tp.bag_intervals()
+    while remaining:
+        lowest = min(c.rank for c in remaining)
+        lowest_cores = [c for c in remaining if c.rank == lowest]
+        assert len(lowest_cores) == 1, (
+            f"vertex {v}: {len(lowest_cores)} chain cores share minimum rank {lowest}"
+        )
+        anchor = lowest_cores[0]
+        at = tin[anchor.center_bag]
+        link = [c for c in remaining if tin[c.center_bag] <= at < tout[c.center_bag]]
+        for c in link:
+            assert c is anchor or c.members & anchor.centers, (
+                f"vertex {v}: core {c.id} in chain link misses the center of core {anchor.id}"
+            )
+        remaining = [c for c in remaining if c not in link]
+
+
 def test_deep_packing_assertions_hold():
     for name in ["path-30", "cycle-16", "grid-5"]:
         b = built(BY_NAME[name])
@@ -458,6 +570,10 @@ def test_tampered_record_fails_without_raising():
     stray = min(cores[0].members - set().union(*(c.members for c in cores[1:])))
     checks = _tampered_core_checks(b, last, centers=last.centers | {stray})
     assert "centers outside" in checks["core-ball-replay"].witness
+    # a center outside the host
+    for center in (b.host.n, -1):
+        checks = _tampered_core_checks(b, last, centers=last.centers | {center})
+        assert "centers outside" in checks["core-ball-replay"].witness
 
 
 @pytest.mark.parametrize("center_bag", ["len", -1])
@@ -473,6 +589,110 @@ def test_center_bag_outside_partition_fails_without_raising(center_bag):
         assert checks[name].witness == witness
     assert checks["core-members-in-support"].status == "fail"
     assert checks["noncenter-rank-drop"].status == "pass"
+
+
+def _renamed(items, old, new):
+    """items with member old renamed new in the first item holding it, and that item's index."""
+    i = next(i for i, x in enumerate(items) if old in x.members)
+    moved = dataclasses.replace(items[i], members=items[i].members - {old} | {new})
+    return i, (*items[:i], moved, *items[i + 1 :])
+
+
+def _core_record(b, v):
+    i, cores = _renamed(b.construction.cores, b.host.n - 1, v)
+    bad = dataclasses.replace(b.construction, cores=list(cores))
+    checks = verify_cores(b.host, b.tp, b.delta, bad)
+    witness = f"core {cores[i].id}: member {v} outside vertices 0..{b.host.n - 1}"
+    names = ("core-members-in-center-subtree", "core-centers-in-center-bag", "core-ball-replay")
+    return checks, {name: witness for name in names} | {"cores-cover-all-vertices": None}
+
+
+def _partition_record(b, v):
+    part = sample_padded_decomposition(b.host, b.net, b.delta, seed=0)
+    i, clusters = _renamed(part.clusters, b.host.n - 1, v)
+    bad = dataclasses.replace(part, clusters=clusters)
+    rep = verify_partition(b.host, bad, 3.0, b.delta, dist_matrix=b.host_dist)
+    witness = f"cluster {i}: member {v} outside vertices 0..{b.host.n - 1}"
+    return rep.checks, {"partition-total-disjoint": witness}
+
+
+def _sparse_cover_record(b, v):
+    cover = build_sparse_cover(b.host, b.net, b.delta)
+    i, clusters = _renamed(cover.clusters, b.host.n - 1, v)
+    bad = dataclasses.replace(cover, clusters=clusters)
+    rep = verify_cover(b.host, bad, 3.0, b.delta, oracle_cap=b.host.n, host_dist=b.host_dist)
+    witness = f"cluster {i}: member {v} outside vertices 0..{b.host.n - 1}"
+    return rep.checks, {"cover-every-vertex-covered": witness}
+
+
+def _partition_cover_record(b, v):
+    pcover = build_partition_cover(b.host, b.net, b.delta)
+    p = next(p for p, part in enumerate(pcover.partitions) if any(b.host.n - 1 in c.members for c in part))
+    partitions = list(pcover.partitions)
+    partitions[p] = _renamed(partitions[p], b.host.n - 1, v)[1]
+    bad = dataclasses.replace(pcover, partitions=tuple(partitions))
+    rep = verify_cover(
+        b.host, bad, 3.0, b.delta, oracle_cap=b.host.n, tau=b.net.tau_emp, host_dist=b.host_dist
+    )
+    witness = f"partition {p}: member {v} outside vertices 0..{b.host.n - 1}"
+    return rep.checks, {"partition-cover-partitions-valid": witness}
+
+
+def _host_bags_record(b, v):
+    bags = b.tp.bags
+    i = next(i for i, bag in enumerate(bags) if b.host.n - 1 in bag)
+    moved = bags[i] - {b.host.n - 1} | {v}
+    tp = dataclasses.replace(b.tp, bags=(*bags[:i], moved, *bags[i + 1 :]))
+    emb = dataclasses.replace(b.embedding, tree_partition=tp)
+    checks = verify_embedding(b.graph, b.td, emb, oracle_cap=b.host.n)
+    witness = f"bag {i}: member {v} outside host vertices 0..{b.host.n - 1}"
+    # vertex n - 1 is now in no bag, so no edge at it fits the tree
+    return checks, {"host-bags-partition": witness, "host-edge-validity": None}
+
+
+@pytest.mark.parametrize("outside", ["n", -1])
+@pytest.mark.parametrize(
+    "record",
+    [_core_record, _partition_record, _sparse_cover_record, _partition_cover_record, _host_bags_record],
+    ids=["cores", "partition", "sparse-cover", "partition-cover", "host-bags"],
+)
+def test_member_outside_vertices_fails_without_raising(record, outside):
+    # vertex n, or -1 standing in for vertex n - 1, in place of vertex n - 1
+    b = built(BY_NAME["cycle-16"])
+    v = b.host.n if outside == "n" else -1
+    checks, expected = record(b, v)
+    for name, witness in expected.items():
+        assert find_check(checks, name).status == "fail", name
+        if witness is not None:
+            assert find_check(checks, name).witness == witness, name
+
+
+@pytest.mark.parametrize("kind", ["partition", "sparse-cover", "partition-cover"])
+def test_cluster_of_outside_members_only_fails_without_raising(kind):
+    # an extra cluster {n, n + 1}: nothing of it is left in range to measure
+    b = built(BY_NAME["cycle-16"])
+    n = b.host.n
+    outside = frozenset([n, n + 1])
+    witness = f"member {next(iter(outside))} outside vertices 0..{n - 1}"
+    if kind == "partition":
+        part = sample_padded_decomposition(b.host, b.net, b.delta, seed=0)
+        extra = dataclasses.replace(part.clusters[0], members=outside)
+        bad = dataclasses.replace(part, clusters=part.clusters + (extra,))
+        checks = verify_partition(b.host, bad, 3.0, b.delta, dist_matrix=b.host_dist).checks
+        name, witness = "partition-total-disjoint", f"cluster {len(part.clusters)}: {witness}"
+    elif kind == "sparse-cover":
+        cover = build_sparse_cover(b.host, b.net, b.delta)
+        bad = dataclasses.replace(cover, clusters=cover.clusters + (CoverCluster(n, outside),))
+        checks = verify_cover(b.host, bad, 3.0, b.delta, oracle_cap=n, host_dist=b.host_dist).checks
+        name, witness = "cover-every-vertex-covered", f"cluster {len(cover.clusters)}: {witness}"
+    else:
+        pcover = build_partition_cover(b.host, b.net, b.delta)
+        extra = (PartitionCluster(kind="net", center=n, radius=0.0, members=outside),)
+        bad = dataclasses.replace(pcover, partitions=pcover.partitions + (extra,))
+        checks = verify_cover(b.host, bad, 3.0, b.delta, oracle_cap=n, host_dist=b.host_dist).checks
+        name, witness = "partition-cover-partitions-valid", f"partition {len(pcover.partitions)}: {witness}"
+    assert find_check(checks, name).status == "fail"
+    assert find_check(checks, name).witness == witness
 
 
 def reference_maximal(parent, node_of, members) -> int:
