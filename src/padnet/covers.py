@@ -90,6 +90,20 @@ class PartitionCover:
         }
 
 
+def _ball_entries(net: TreeOrderedNet, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """(vertex, rank) of the center entries within radius: v is in the ball
+    of center rank, sorted by vertex then rank."""
+    vertex, rank, dist = net.center_entries()
+    inside = dist <= radius
+    return vertex[inside], rank[inside]
+
+
+def _grouped(values: np.ndarray, keys: np.ndarray, size: int) -> list[np.ndarray]:
+    """values split by their key in 0..size-1, in their order within a key."""
+    by_key = np.argsort(keys, kind="stable")
+    return np.split(values[by_key], np.cumsum(np.bincount(keys, minlength=size))[:-1])
+
+
 def build_sparse_cover(g: WeightedGraph, net: TreeOrderedNet, delta: float) -> SparseCover:
     """One cluster per net vertex: its alpha*delta descendant-restricted ball."""
     alpha = net.alpha
@@ -97,13 +111,10 @@ def build_sparse_cover(g: WeightedGraph, net: TreeOrderedNet, delta: float) -> S
         raise ValueError(f"sparse cover needs alpha > 1, got {alpha}")
     check_net_delta(net, delta)
     centers = net.centers_in_order()
-    dist = net.center_distance_matrix()
-    radius = alpha * delta
+    vertex, rank = _ball_entries(net, alpha * delta)
+    members = _grouped(vertex, rank, len(centers))
     clusters = tuple(
-        CoverCluster(
-            center=int(centers[i]),
-            members=frozenset(np.flatnonzero(dist[i] <= radius).tolist()),
-        )
+        CoverCluster(center=int(centers[i]), members=frozenset(members[i].tolist()))
         for i in range(len(centers))
     )
     return SparseCover(
@@ -123,9 +134,10 @@ def build_partition_cover(g: WeightedGraph, net: TreeOrderedNet, delta: float) -
         raise ValueError(f"partition cover needs alpha > 2, got {alpha}")
     check_net_delta(net, delta)
     centers = net.centers_in_order()
-    dist = net.center_distance_matrix()
     radius = alpha * delta / 2
-    member_mask = dist <= radius  # (k, n)
+    vertex, rank = _ball_entries(net, radius)
+    members = _grouped(vertex, rank, len(centers))
+    holding = _grouped(rank, vertex, g.n)  # the centers whose ball holds each vertex
 
     # centers in preorder of their order nodes: ancestors come first
     tin, tout = net.vertex_intervals()
@@ -143,9 +155,9 @@ def build_partition_cover(g: WeightedGraph, net: TreeOrderedNet, delta: float) -
             maximal = by_tin[live][tin[live] >= np.concatenate(([0], reach[:-1]))]
             pick = int(maximal[np.argmin(centers[maximal])])
             chosen.append(pick)
-            remaining[pick] = False
             # keep the unchosen centers whose ball misses the pick's ball
-            candidate &= remaining & ~member_mask[:, member_mask[pick]].any(axis=1)
+            remaining[pick] = candidate[pick] = False
+            candidate[np.concatenate([holding[v] for v in members[pick].tolist()])] = False
         partial_partitions.append(chosen)
 
     partitions: list[tuple[PartitionCluster, ...]] = []
@@ -153,16 +165,15 @@ def build_partition_cover(g: WeightedGraph, net: TreeOrderedNet, delta: float) -
         part: list[PartitionCluster] = []
         occupied = np.zeros(g.n, dtype=bool)
         for i in chosen:
-            members = np.flatnonzero(member_mask[i])
             part.append(
                 PartitionCluster(
                     kind="net",
                     center=int(centers[i]),
                     radius=radius,
-                    members=frozenset(members.tolist()),
+                    members=frozenset(members[i].tolist()),
                 )
             )
-            occupied[members] = True
+            occupied[members[i]] = True
         for v in np.flatnonzero(~occupied).tolist():
             part.append(
                 PartitionCluster(kind="singleton", center=v, radius=0.0, members=frozenset([v]))

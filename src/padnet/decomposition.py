@@ -237,19 +237,50 @@ def center_uniforms(seed: int, streams, start: int, stop: int) -> np.ndarray:
     return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
-def _first_claims(dist: np.ndarray, radii: np.ndarray) -> np.ndarray:
+def _run_starts(vertex: np.ndarray, n: int) -> np.ndarray:
+    """For entries sorted by vertex in 0..n-1, the index of the first entry
+    of each entry's vertex."""
+    count = np.bincount(vertex, minlength=n)
+    return (np.cumsum(count) - count)[vertex]
+
+
+def _first_claims(entries: tuple[np.ndarray, ...], n: int, radii: np.ndarray) -> np.ndarray:
     """First claiming center of every vertex in every trial, as (t, n) ranks.
 
-    dist is the (k, n) center table and radii holds each ordered center's
-    radius in each of t trials, shaped (k, t).  Raises when some vertex lies
-    in no center's ball, naming the first such vertex.
+    entries is the net's sparse center table (`center_entries()`: vertex,
+    rank, dist, sorted by vertex then rank) over n vertices, and radii holds
+    each ordered center's radius in each of t trials, shaped (k, t).  A
+    center claims the vertices of its entries within its radius, and a vertex
+    goes to the lowest rank that claims it.  Raises when some vertex is
+    claimed by no center in some trial, naming the first such vertex.
+
+    Two prunings keep the work near one entry per vertex, and exact for any
+    radii: an entry beyond its center's largest radius never claims, and
+    one within its center's smallest radius (a sure entry) always claims, so
+    no entry after a vertex's first sure entry can be first.  The sampler's
+    radii are >= delta, within which the net covers every vertex, so every
+    vertex keeps a sure entry.  The entries left, L at most per vertex (no
+    more than its packing count at the largest radius), are laid out as
+    (n, L) slots and tested against all t radii at once.
     """
-    claimed = dist[:, :, None] <= radii[:, None, :]  # (k, n, t)
-    covered = claimed.any(axis=0)
+    vertex, rank, dist = entries
+    keep = dist <= radii.max(axis=1)[rank]
+    vertex, rank, dist = vertex[keep], rank[keep], dist[keep]
+    sure = dist <= radii.min(axis=1)[rank]
+    sure_before = np.cumsum(sure) - sure  # sure entries before each entry
+    keep = sure_before == sure_before[_run_starts(vertex, n)]  # none earlier in its run
+    vertex, rank, dist = vertex[keep], rank[keep], dist[keep]
+    slot = np.arange(vertex.size) - _run_starts(vertex, n)
+    width = int(slot.max()) + 1 if slot.size else 1
+    slot_rank = np.zeros((n, width), dtype=np.intp)
+    slot_rank[vertex, slot] = rank
+    claimed = np.zeros((n, width, radii.shape[1]), dtype=bool)
+    claimed[vertex, slot] = dist[:, None] <= radii[rank]
+    covered = claimed.any(axis=1)  # (n, t)
     if not covered.all():
         v = int(np.flatnonzero(~covered.all(axis=1))[0])
         raise AssertionError(f"vertex {v} claimed by no center; covering violated")
-    return np.argmax(claimed, axis=0).T
+    return np.take_along_axis(slot_rank, claimed.argmax(axis=1), axis=1).T
 
 
 def sample_padded_decomposition(
@@ -277,7 +308,7 @@ def _partition_from_radii(
     net: TreeOrderedNet, radii: np.ndarray, seed: int, params: DecompositionParams
 ) -> PaddedPartition:
     centers = net.centers_in_order()
-    raw = _first_claims(net.center_distance_matrix(), radii[:, None])[0]
+    raw = _first_claims(net.center_entries(), net.n, radii[:, None])[0]
     # members of center i: one stable sort of the vertices by claiming center
     sizes = np.bincount(raw, minlength=len(centers))
     used = np.flatnonzero(sizes)
@@ -318,10 +349,10 @@ def sample_assignments(net: TreeOrderedNet, seed: int, trials: int) -> Iterator[
     params = DecompositionParams.from_net(net, net.delta)
     texp = TruncatedExp(1.0, params.beta_internal, params.lam)
     centers = net.centers_in_order()
-    dist = net.center_distance_matrix()
+    entries = net.center_entries()
     for start in range(0, trials, CHUNK):
         u = center_uniforms(seed, centers, start, min(start + CHUNK, trials))
-        yield _first_claims(dist, sample_truncated_exp(texp, u) * net.delta)
+        yield _first_claims(entries, net.n, sample_truncated_exp(texp, u) * net.delta)
 
 
 _WILSON_Z99 = 2.3263478740408408  # one-sided 99% normal quantile

@@ -67,9 +67,13 @@ class TreeOrderedNet:
     multiplier `alpha`, the measured packing value `tau_emp` at alpha*delta,
     and the structural bound `tau_bound` = tp^4 + tp^2.
 
-    The center table only reaches `center_radius` = max(alpha, 3) * delta,
-    the largest radius any reader asks for (the sampler's beta*delta, the
-    covers' alpha*delta and alpha*delta/2, the 2/3/alpha packing profile).
+    The center table is sparse: one (vertex, center rank, distance) entry
+    per center within `center_radius` = max(alpha, 3) * delta of a vertex in
+    its descendant subgraph, the largest radius any reader asks for (the
+    sampler's beta*delta, the covers' alpha*delta and alpha*delta/2, the
+    2/3/alpha packing profile).  The packing bound makes that O(tau * n)
+    entries; no (centers x n) array is kept, and only
+    `center_distance_matrix()` builds one.
     """
 
     def __init__(
@@ -104,15 +108,27 @@ class TreeOrderedNet:
             ),
             dtype=np.int64,
         )
-        self._center_dist = self._compute_center_distances(g)
+        self._entries = self._compute_center_entries(g)
         self.tau_bound = tp_width**4 + tp_width**2
         self.tau_emp = int(self.packing_counts(alpha).max()) if len(self._centers) else 0
 
-    def _compute_center_distances(self, g: WeightedGraph) -> np.ndarray:
-        d = np.full((len(self._centers), g.n), np.inf)
-        for i, x in enumerate(self._centers.tolist()):
-            d[i] = shortest_paths(g, self.descendant_vertices(x), [x], limit=self.center_radius)
-        return d
+    def _compute_center_entries(self, g: WeightedGraph) -> tuple[np.ndarray, ...]:
+        limit = self.center_radius
+        # seeded with one empty entry list each, for a net of no centers
+        vertices, dists = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+        for x in self._centers.tolist():
+            row = shortest_paths(g, self.descendant_vertices(x), [x], limit=limit)
+            (reached,) = (row <= limit).nonzero()
+            vertices.append(reached)
+            dists.append(row[reached])
+        vertex, dist = np.concatenate(vertices), np.concatenate(dists)
+        rank = np.repeat(np.arange(len(self._centers)), [v.size for v in vertices[1:]])
+        # rank-major as computed; a stable sort by vertex keeps ranks ascending
+        by_vertex = np.argsort(vertex, kind="stable")
+        entries = (vertex[by_vertex], rank[by_vertex], dist[by_vertex])
+        for a in entries:
+            a.flags.writeable = False
+        return entries
 
     @property
     def n(self) -> int:
@@ -137,13 +153,29 @@ class TreeOrderedNet:
         """Net vertices sorted root-to-leaf in the order tree, ties by id."""
         return self._centers
 
+    def center_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (vertex, rank, dist): one entry per vertex v and center
+        centers_in_order()[rank] within `center_radius` of v inside the
+        center's descendant subgraph, at that exact restricted distance.
+
+        Sorted by vertex, then rank, so each vertex's entries are one run in
+        rank order (CSR order, with each entry's row stored instead of a row
+        pointer).  The net's covering gives every vertex an entry within
+        delta.
+        """
+        return self._entries
+
     def center_distance_matrix(self) -> np.ndarray:
-        """Row i: distances from centers_in_order()[i] inside its descendant subgraph.
+        """The entries as a fresh dense (centers x n) array: row i holds the
+        distances from centers_in_order()[i] inside its descendant subgraph.
 
         Entries beyond `center_radius` are +inf; every entry within it is the
         exact restricted distance, so `d <= r` is exact for r <= center_radius.
         """
-        return self._center_dist
+        vertex, rank, dist = self._entries
+        d = np.full((len(self._centers), self.n), np.inf)
+        d[rank, vertex] = dist
+        return d
 
     def packing_counts(self, multiplier: float) -> np.ndarray:
         """Per-vertex count of ancestor net points within multiplier*delta.
@@ -155,7 +187,8 @@ class TreeOrderedNet:
             raise ValueError(
                 f"radius multiplier must be <= max(alpha, 3) = {reach}, got {multiplier}"
             )
-        return (self._center_dist <= multiplier * self.delta).sum(axis=0)
+        vertex, _, dist = self._entries
+        return np.bincount(vertex[dist <= multiplier * self.delta], minlength=self.n)
 
     def to_json_dict(self) -> dict:
         net_ids = np.flatnonzero(self.net).tolist()

@@ -254,3 +254,21 @@ def test_partition_cover_matches_original_greedy(fixture, alpha):
     host, net = fixture_net(fixture, alpha)
     got = build_partition_cover(host, net, fixture.delta).to_json_dict()
     assert got == reference_partition_cover(host, net, fixture.delta).to_json_dict()
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 5.0])
+@pytest.mark.parametrize("fixture", COVER_FIXTURES)
+def test_covers_and_packing_counts_match_dense_table(fixture, alpha):
+    # both covers and the packing counts read the sparse entries; the dense
+    # view center_distance_matrix() gives the same sets and counts
+    host, net = fixture_net(fixture, alpha)
+    table = net.center_distance_matrix()
+    delta = fixture.delta
+    cover = build_sparse_cover(host, net, delta)
+    assert [sorted(c.members) for c in cover.clusters] == [
+        np.flatnonzero(row <= alpha * delta).tolist() for row in table
+    ]
+    for m in (0.0, 0.5, 1.0, 2.0, 3.0, alpha):
+        assert np.array_equal(net.packing_counts(m), (table <= m * delta).sum(axis=0)), m
+    got = build_partition_cover(host, net, delta).to_json_dict()
+    assert got == reference_partition_cover(host, net, delta).to_json_dict()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -199,13 +200,61 @@ def test_unclaimed_vertex_is_reported():
         replay_decomposition(net, [(0, 0.5)])
 
 
+def dense_claims(table: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """The dense claim kernel the sparse one replaced, as (t, n) ranks."""
+    claimed = table[:, :, None] <= radii[:, None, :]
+    unclaimed = ~claimed.any(axis=0).all(axis=1)
+    if unclaimed.any():
+        v = int(np.flatnonzero(unclaimed)[0])
+        raise AssertionError(f"vertex {v} claimed by no center; covering violated")
+    return claimed.argmax(0).T
+
+
+@given(
+    n=st.integers(5, 40),
+    k=st.integers(1, 4),
+    graph_seed=st.integers(0, 10**6),
+    weighted=st.booleans(),
+    trials=st.integers(1, 5),
+    low=st.sampled_from([0.0, 0.5, 1.0]),
+    high=st.sampled_from([1.0, 2.0, 4.0]),
+    radii_seed=st.integers(0, 2**32 - 1),
+)
+@example(n=30, k=2, graph_seed=1, weighted=False, trials=3, low=0.0, high=1.0, radii_seed=0)
+@example(n=30, k=3, graph_seed=2, weighted=True, trials=4, low=1.0, high=4.0, radii_seed=1)
+@settings(max_examples=80, deadline=None)
+def test_sparse_claims_equal_dense_reference(
+    n, k, graph_seed, weighted, trials, low, high, radii_seed
+):
+    # radii in [low, high] * delta: below delta a vertex may go unclaimed,
+    # and 4 * delta reaches past center_radius = 3 * delta
+    f = partial_ktree_fixture(n, k, seed=graph_seed, drop=0.3, weighted=weighted, delta=2.0)
+    host, net = fixture_net(f)
+    table = net.center_distance_matrix()
+    rng = np.random.default_rng(radii_seed)
+    radii = rng.uniform(low, high, size=(len(table), trials)) * f.delta
+    # a fifth of the radii equal one of their center's distances exactly
+    for i, row in enumerate(table):
+        ties = rng.random(trials) < 0.2
+        radii[i, ties] = rng.choice(row[np.isfinite(row)], size=int(ties.sum()))
+    try:
+        expected = dense_claims(table, radii)
+    except AssertionError as exc:
+        with pytest.raises(AssertionError, match=f"^{re.escape(str(exc))}$"):
+            decomposition._first_claims(net.center_entries(), net.n, radii)
+    else:
+        got = decomposition._first_claims(net.center_entries(), net.n, radii)
+        assert got.shape == (trials, net.n)
+        assert np.array_equal(got, expected)
+
+
 def test_unclaimed_vertex_is_named_by_single_and_batch_sampling(monkeypatch):
-    # blank two columns of the center table: no radius reaches those vertices
+    # drop two vertices' entries from the center table: no radius reaches them
     fixture = path_fixture(40, delta=2.0)
     host, net = fixture_net(fixture)
-    table = net.center_distance_matrix().copy()
-    table[:, [7, 12]] = np.inf
-    monkeypatch.setattr(net, "center_distance_matrix", lambda: table)
+    vertex, rank, dist = net.center_entries()
+    kept = ~np.isin(vertex, [7, 12])
+    monkeypatch.setattr(net, "center_entries", lambda: (vertex[kept], rank[kept], dist[kept]))
     with pytest.raises(AssertionError, match="^vertex 7 claimed by no center"):
         sample_padded_decomposition(host, net, fixture.delta, 0)
     with pytest.raises(AssertionError, match="^vertex 7 claimed by no center"):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from fixtures import (
     partial_ktree_fixture,
     triangle_single_bag,
     vertex_mask,
+    weighted_path_fixture,
 )
 
+from padnet.covers import build_partition_cover, build_sparse_cover
+from padnet.decomposition import sample_assignments, sample_padded_decomposition
 from padnet.graph import WeightedGraph, shortest_paths
 from padnet.ordered_net import (
     build_semi_tree_order,
@@ -333,3 +337,37 @@ def test_packing_counts_stop_at_center_radius():
     assert set(packing_profile(narrow, [2.0, 3.0, 2.5])) == {2.0, 2.5, 3.0}
     with pytest.raises(ValueError):
         narrow.packing_counts(3.5)
+
+
+def _traced_peak(op):
+    """op's result and the peak of traced memory above its start level."""
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    out = op()
+    return out, tracemalloc.get_traced_memory()[1] - start
+
+
+def test_center_table_stays_sparse_at_scale():
+    # 4313 centers over a 9598-vertex host: the dense table alone would take
+    # 316 MiB, and a (centers x n) bool mask 39 MiB
+    f = weighted_path_fixture(4800, seed=0, delta=8.0)
+    emb = td_to_tree_partition(f.graph, f.td)
+    host = emb.host
+    tracemalloc.start()
+    try:
+        net, setup_peak = _traced_peak(
+            lambda: build_tree_ordered_net(host, emb.tree_partition, f.delta)
+        )
+        ops = (
+            lambda: sample_padded_decomposition(host, net, f.delta, 0),
+            lambda: next(sample_assignments(net, 0, trials=4)),
+            lambda: build_sparse_cover(host, net, f.delta),
+            lambda: build_partition_cover(host, net, f.delta),
+        )
+        op_peaks = [_traced_peak(op)[1] for op in ops]
+    finally:
+        tracemalloc.stop()
+    assert len(net.centers_in_order()) * net.n > 39 * 2**20
+    assert len(net.center_entries()[0]) <= 16 * net.n
+    assert setup_peak < 64 * 2**20
+    assert max(op_peaks) < 32 * 2**20, op_peaks

@@ -509,9 +509,9 @@ def test_deep_packing_assertions_hold():
 # --- the bounded center table, the core snapshot, the unique maximum ----------
 
 
-def with_table(net, table):
+def with_entries(net, vertex, rank, dist):
     tampered = copy.copy(net)
-    tampered._center_dist = table
+    tampered._entries = (vertex, rank, dist)
     return tampered
 
 
@@ -521,20 +521,22 @@ def test_tampered_center_table_fails_oracle_agreement():
     assert find(rep, "net-distance-oracle-agreement").status == "pass"
 
     oracle_d = _oracle_center_distances(b.host, b.net, b.host.n)
-    table = b.net.center_distance_matrix()
+    vertex, rank, dist = b.net.center_entries()
     far = np.argwhere(np.isfinite(oracle_d) & (oracle_d > b.net.center_radius))
-    near = np.argwhere(np.isfinite(table) & (table > 0))
+    near = np.flatnonzero(dist > 0)
     assert far.size and near.size
-    (i, v), (j, u) = far[0], near[len(near) // 2]
+    (i, v), e = far[0], near[len(near) // 2]
 
-    finite_beyond = table.copy()
-    finite_beyond[i, v] = oracle_d[i, v]  # the true distance, but past the radius
-    wrong_inside = table.copy()
-    wrong_inside[j, u] = np.nextafter(table[j, u], np.inf)
-    inf_inside = table.copy()
-    inf_inside[j, u] = np.inf
+    # the true distance, but past the radius, at its place in (vertex, rank) order
+    k = len(oracle_d)
+    at = np.searchsorted(vertex * k + rank, v * k + i)
+    inserted = zip((vertex, rank, dist), (v, i, oracle_d[i, v]))
+    finite_beyond = tuple(np.insert(a, at, x) for a, x in inserted)
+    wrong_inside = (vertex, rank, dist.copy())
+    wrong_inside[2][e] = np.nextafter(dist[e], np.inf)
+    inf_inside = tuple(np.delete(a, e) for a in (vertex, rank, dist))
     for tampered in (finite_beyond, wrong_inside, inf_inside):
-        rep = verify_net(b.host, with_table(b.net, tampered), b.delta, oracle_cap=b.host.n)
+        rep = verify_net(b.host, with_entries(b.net, *tampered), b.delta, oracle_cap=b.host.n)
         assert find(rep, "net-distance-oracle-agreement").status == "fail"
 
 
@@ -665,6 +667,63 @@ def test_member_outside_vertices_fails_without_raising(record, outside):
         assert find_check(checks, name).status == "fail", name
         if witness is not None:
             assert find_check(checks, name).witness == witness, name
+
+
+@pytest.mark.parametrize("outside", ["n", -1])
+def test_embedding_entry_outside_host_fails_without_raising(outside):
+    # a forward entry, or a copy, naming host vertex n, or -1 standing in for n - 1
+    b = built(BY_NAME["cycle-16"])
+    emb, n = b.embedding, b.host.n
+    v = n if outside == "n" else -1
+    last = b.graph.n - 1
+    forward = emb.forward.copy()
+    forward[last] = v
+    checks = verify_embedding(b.graph, b.td, dataclasses.replace(emb, forward=forward), n)
+    assert find_check(checks, "isometry-exact").status == "fail"
+    assert find_check(checks, "isometry-exact").witness == (
+        f"vertex {last}: forward {v} outside host vertices 0..{n - 1}"
+    )
+    assert find_check(checks, "copy-zero-distance").status == "pass"
+
+    copies = (*emb.copies[:-1], (*emb.copies[-1], v))
+    checks = verify_embedding(b.graph, b.td, dataclasses.replace(emb, copies=copies), n)
+    assert find_check(checks, "copy-zero-distance").status == "fail"
+    assert find_check(checks, "copy-zero-distance").witness == (
+        f"vertex {last}: copy {v} outside host vertices 0..{n - 1}"
+    )
+    assert find_check(checks, "isometry-exact").status == "pass"
+
+
+@pytest.mark.parametrize("bag", ["len", -1])
+def test_component_bag_outside_partition_fails_without_raising(bag):
+    b = built(BY_NAME["cycle-16"])
+    nb = len(b.tp.bags)
+    bag = nb if bag == "len" else bag
+    comps = list(b.construction.components)
+    comps[-1] = dataclasses.replace(comps[-1], bags=comps[-1].bags | {bag})
+    bad = dataclasses.replace(b.construction, components=comps)
+    checks = verify_cores(b.host, b.tp, b.delta, bad)
+    assert find_check(checks, "core-ball-replay").status == "fail"
+    assert find_check(checks, "core-ball-replay").witness == (
+        f"component {len(comps) - 1}: bag {bag} outside bags 0..{nb - 1}"
+    )
+    # the bag is left out of the replay: every other replayed check still passes
+    assert find_check(checks, "core-members-in-support").status == "pass"
+    assert find_check(checks, "attachments-descendant-only").status == "pass"
+
+
+@pytest.mark.parametrize("member", [2**64, -(2**63) - 1])
+def test_member_beyond_int64_fails_without_raising(member):
+    b = built(BY_NAME["path-8"])
+    part = sample_padded_decomposition(b.host, b.net, b.delta, seed=0)
+    first = dataclasses.replace(part.clusters[0], members=part.clusters[0].members | {member})
+    bad = dataclasses.replace(part, clusters=(first, *part.clusters[1:]))
+    rep = verify_partition(b.host, bad, 3.0, b.delta, dist_matrix=b.host_dist)
+    assert find(rep, "partition-total-disjoint").status == "fail"
+    assert find(rep, "partition-total-disjoint").witness == (
+        f"cluster 0: member {member} outside vertices 0..{b.host.n - 1}"
+    )
+    assert find(rep, "partition-weak-diameter").status == "pass"
 
 
 @pytest.mark.parametrize("kind", ["partition", "sparse-cover", "partition-cover"])
