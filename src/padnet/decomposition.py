@@ -244,6 +244,28 @@ def _run_starts(vertex: np.ndarray, n: int) -> np.ndarray:
     return (np.cumsum(count) - count)[vertex]
 
 
+def _claim_prefixes(
+    entries: tuple[np.ndarray, ...], n: int, reach: np.ndarray, sure_reach: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The entries that can be a vertex's first claim, as (vertex, rank,
+    dist, slot, sure), given each center's largest radius `reach` and
+    smallest radius `sure_reach` (both indexed by rank).
+
+    An entry beyond its center's largest radius never claims, and one within
+    its center's smallest radius (a sure entry) always claims, so no entry
+    after a vertex's first sure entry can be first.  `slot` numbers each
+    vertex's entries left from 0, in rank order.
+    """
+    vertex, rank, dist = entries
+    keep = dist <= reach[rank]
+    vertex, rank, dist = vertex[keep], rank[keep], dist[keep]
+    sure = dist <= sure_reach[rank]
+    sure_before = np.cumsum(sure) - sure  # sure entries before each entry
+    keep = sure_before == sure_before[_run_starts(vertex, n)]  # none earlier in its run
+    vertex, rank, dist, sure = vertex[keep], rank[keep], dist[keep], sure[keep]
+    return vertex, rank, dist, np.arange(vertex.size) - _run_starts(vertex, n), sure
+
+
 def _first_claims(entries: tuple[np.ndarray, ...], n: int, radii: np.ndarray) -> np.ndarray:
     """First claiming center of every vertex in every trial, as (t, n) ranks.
 
@@ -254,23 +276,16 @@ def _first_claims(entries: tuple[np.ndarray, ...], n: int, radii: np.ndarray) ->
     goes to the lowest rank that claims it.  Raises when some vertex is
     claimed by no center in some trial, naming the first such vertex.
 
-    Two prunings keep the work near one entry per vertex, and exact for any
-    radii: an entry beyond its center's largest radius never claims, and
-    one within its center's smallest radius (a sure entry) always claims, so
-    no entry after a vertex's first sure entry can be first.  The sampler's
-    radii are >= delta, within which the net covers every vertex, so every
-    vertex keeps a sure entry.  The entries left, L at most per vertex (no
-    more than its packing count at the largest radius), are laid out as
-    (n, L) slots and tested against all t radii at once.
+    `_claim_prefixes` keeps the work near one entry per vertex, and exact
+    for any radii.  The sampler's radii are >= delta, within which the net
+    covers every vertex, so every vertex keeps a sure entry.  The entries
+    left, L at most per vertex (no more than its packing count at the
+    largest radius), are laid out as (n, L) slots and tested against all t
+    radii at once.
     """
-    vertex, rank, dist = entries
-    keep = dist <= radii.max(axis=1)[rank]
-    vertex, rank, dist = vertex[keep], rank[keep], dist[keep]
-    sure = dist <= radii.min(axis=1)[rank]
-    sure_before = np.cumsum(sure) - sure  # sure entries before each entry
-    keep = sure_before == sure_before[_run_starts(vertex, n)]  # none earlier in its run
-    vertex, rank, dist = vertex[keep], rank[keep], dist[keep]
-    slot = np.arange(vertex.size) - _run_starts(vertex, n)
+    vertex, rank, dist, slot, _ = _claim_prefixes(
+        entries, n, radii.max(axis=1), radii.min(axis=1)
+    )
     width = int(slot.max()) + 1 if slot.size else 1
     slot_rank = np.zeros((n, width), dtype=np.intp)
     slot_rank[vertex, slot] = rank
@@ -281,6 +296,36 @@ def _first_claims(entries: tuple[np.ndarray, ...], n: int, radii: np.ndarray) ->
         v = int(np.flatnonzero(~covered.all(axis=1))[0])
         raise AssertionError(f"vertex {v} claimed by no center; covering violated")
     return np.take_along_axis(slot_rank, claimed.argmax(axis=1), axis=1).T
+
+
+def _claim_classes(net: TreeOrderedNet) -> np.ndarray:
+    """A class id per vertex: vertices of one class get the same first claim
+    in every trial of the sampler, whatever radii it draws.
+
+    Every sampled radius is y * delta with 1 <= y <= beta, so each vertex's
+    possible first claims are its `_claim_prefixes` at reach beta * delta and
+    sure reach delta, and the sure entry's distance does not matter.  Two
+    vertices with equal (rank, dist) prefixes, the sure distance replaced by
+    a sentinel, are claimed alike.  Only the sampler's own inputs are read,
+    and nothing is assumed of the net's covering: a vertex with no sure entry
+    shares a class only with vertices of the same prefix, which then go
+    unclaimed together.
+    """
+    params = DecompositionParams.from_net(net, net.delta)
+    k = len(net.centers_in_order())
+    vertex, rank, dist, slot, sure = _claim_prefixes(
+        net.center_entries(),
+        net.n,
+        np.full(k, params.beta_internal * net.delta),
+        np.full(k, net.delta),
+    )
+    width = int(slot.max()) + 1 if slot.size else 1
+    # (rank, dist bits) per slot; -1 marks an empty slot's rank and a sure
+    # entry's distance, and no rank or non-negative float's bits read -1
+    prefix = np.full((net.n, 2 * width), -1, dtype=np.int64)
+    prefix[vertex, 2 * slot] = rank
+    prefix[vertex, 2 * slot + 1] = np.where(sure, -1, dist.view(np.int64))
+    return np.unique(prefix, axis=0, return_inverse=True)[1].reshape(-1)
 
 
 def sample_padded_decomposition(
@@ -385,12 +430,16 @@ def padded_trial_counts(
     those at r_max = max(gammas) * (alpha+1) * delta, so the (z, u) pairs at
     r_max are listed once, from Dijkstra rows bounded at r_max or from the
     all-pairs `dist_matrix` a caller supplies, and each gamma selects its
-    pairs from that list.  Memory, besides the pair list: per chunk of t
-    trials, the (n, t) labels in the smallest integer type that holds the
-    center count, two (pairs at r_max) x t gathers of them, one
-    (pairs at r_max) x t bool tensor of cut pairs, and for each gamma in turn
-    a copy of its rows of that tensor.  No n x n matrix is allocated unless
-    the caller passes one in.
+    pairs from that list.  Only pairs that can be cut are counted: the ends
+    of a pair in one `_claim_classes` class share a cluster in every trial,
+    so such pairs are dropped, and of the pairs from z into one class only
+    the nearest is kept, as its class's members share a label; a vertex with
+    no pair left in its ball is padded in every trial.  Memory, besides the
+    pair list: per chunk of t trials, the (n, t) labels in the smallest
+    integer type that holds the center count, two (kept pairs) x t gathers
+    of them, one (kept pairs) x t bool tensor of cut pairs, and for each
+    gamma in turn a copy of its rows of that tensor.  No n x n matrix is
+    allocated unless the caller passes one in.
     """
     params = DecompositionParams.from_net(net, delta)
     gammas = [float(gm) for gm in gammas]
@@ -407,22 +456,30 @@ def padded_trial_counts(
     else:
         rows, cols = np.nonzero(dist_matrix <= r_max)
         pair_d = dist_matrix[rows, cols]
-    # each gamma: its pairs (rows sorted, every z's ball holds z) and the
-    # start of each z's segment among them, for reduceat
+    cls = _claim_classes(net)
+    cross = np.flatnonzero(cls[rows] != cls[cols])
+    # one pair per (z, class of u), its nearest u: a gamma's ball meets the
+    # class exactly when it holds that pair.  Sorted by key, so by z.
+    key = rows[cross] * (int(cls.max()) + 1) + cls[cols[cross]]
+    order = np.lexsort((pair_d[cross], key))
+    kept = cross[order[np.unique(key[order], return_index=True)[1]]]
+    rows, cols, pair_d = rows[kept], cols[kept], pair_d[kept]
+    # each gamma with pairs: its pairs, their vertices z and the start of
+    # each z's segment among them, for reduceat
     segments = {}
     for gm in gammas:
         sel = np.flatnonzero(pair_d <= gm * params.diameter_bound)
-        segments[gm] = (sel, np.searchsorted(rows[sel], np.arange(g.n)))
-    counts = {gm: np.zeros(g.n, dtype=np.int64) for gm in segments}
+        if sel.size:
+            segments[gm] = (sel, *np.unique(rows[sel], return_index=True))
+    cuts = {gm: np.zeros(g.n, dtype=np.int64) for gm in gammas}
     label_dtype = np.min_scalar_type(len(net.centers_in_order()))
     for block in sample_assignments(net, seed, trials):
         nt = block.T.astype(label_dtype)  # (n, t), C-contiguous
         # a pair is cut when its two ends land in different clusters
         diff = nt[cols] != nt[rows]
-        for gm, (sel, starts) in segments.items():
-            cut = np.logical_or.reduceat(diff[sel], starts, axis=0)
-            counts[gm] += nt.shape[1] - cut.sum(axis=1)
-    return counts
+        for gm, (sel, z, starts) in segments.items():
+            cuts[gm][z] += np.logical_or.reduceat(diff[sel], starts, axis=0).sum(axis=1)
+    return {gm: trials - c for gm, c in cuts.items()}
 
 
 @dataclass(frozen=True)

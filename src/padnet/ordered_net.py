@@ -353,6 +353,15 @@ def semi_to_tree_order(
     _check_delta(delta)
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    # the largest radii read from the net: the decomposition's diameter
+    # bound, the sparse cover's diameter bound and the center table's reach
+    for name, radius in (
+        ("(alpha+1)*delta", (alpha + 1) * delta),
+        ("2*alpha*delta", 2 * alpha * delta),
+        ("max(alpha, 3)*delta", max(alpha, 3.0) * delta),
+    ):
+        if not math.isfinite(radius):
+            raise ValueError(f"radius {name} overflows at alpha={alpha}, delta={delta}")
     n = assign.shape[0]
     nb = len(tp.parent)
     preimage: list[list[int]] = [[] for _ in range(nb)]

@@ -32,7 +32,10 @@ computes what it reads.
   for the unique-maximum check, the partition sweep's weak diameters and
   `padded_trial_counts`.  The sweep and the padding counts are thus
   certified against the oracle, not the Dijkstra rows they would otherwise
-  share with the code under test.
+  share with the code under test.  The padding counts still list their
+  ball pairs from that matrix; the claim classes, read from the net's
+  center table, only drop pairs whose ends are claimed alike in every
+  trial and so can never be cut.
 - The net's center rows (`_oracle_center_distances`): the net checks and
   the sparse cover's packing counts.
 - One oracle run per cover cluster (strong diameters, in the induced

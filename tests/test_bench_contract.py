@@ -36,10 +36,20 @@ def traced_round(workload: str) -> tuple[list[str], dict]:
     return lines, result
 
 
+# per-layer counters a workload's trace must show: the padding counts still
+# run the batch sampler chunk by chunk and list their ball pairs
+LAYER_COUNTERS = {
+    "path-chain": (),
+    "grid-padding": ("decomposition.sample_assignments.chunks", "decomposition.ball_pairs"),
+}
+
+
 @pytest.mark.parametrize("workload", ["path-chain", "grid-padding"])
 def test_traced_round_runs_clean(workload):
     _, result = traced_round(workload)
     assert result["failed"] == 0
+    for name in LAYER_COUNTERS[workload]:
+        assert result["metrics"][name]["value"] > 0, name
 
 
 def test_traced_verify_round_fails_only_the_decimal_instance():

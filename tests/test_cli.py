@@ -192,6 +192,29 @@ def test_alpha_not_finite_exit_2(capsys, cmd, alpha):
     assert f"alpha must be finite and > 0, got {alpha}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "cmd, args, radius",
+    [
+        # each once exited 0 with Infinity in its JSON, or warned of an
+        # overflow in the sampler's multiply
+        ("decompose", ["--delta", "1e308"], "(alpha+1)*delta"),
+        ("cover", ["--delta", "2", "--alpha", "1e308"], "(alpha+1)*delta"),
+        ("net", ["--delta", "2", "--alpha", "1e308"], "(alpha+1)*delta"),
+        ("padding-estimate", ["--delta", "1e308", "--trials", "10"], "(alpha+1)*delta"),
+        ("verify", ["--delta", "1e308", "--trials", "10"], "(alpha+1)*delta"),
+        # 4*delta stays finite here; only 2*alpha*delta = 6*delta overflows
+        ("cover", ["--delta", "4e307"], "2*alpha*delta"),
+        # alpha < 1: only max(alpha, 3)*delta overflows
+        ("net", ["--delta", "1e308", "--alpha", "0.5"], "max(alpha, 3)*delta"),
+    ],
+)
+def test_overflowing_radius_exit_2(capsys, cmd, args, radius):
+    code = main([cmd, *PATH_ARGS, *args])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"radius {radius} overflows" in captured.err
+
+
 def test_oracle_cap_below_one_exit_2(capsys):
     code = main(["verify", *GRID_ARGS, "--delta", "2", "--trials", "10", "--oracle-cap", "0"])
     assert code == 2

@@ -474,6 +474,66 @@ def test_padded_trial_counts_match_dense_reference(name, supply_dist):
     assert (got[gmax] < trials).any()  # some ball was cut, so the check has teeth
 
 
+def test_padded_trial_counts_match_dense_reference_on_random_nets():
+    # the counts skip pairs whose ends share a claim class; the reference
+    # compares every pair.  Small deltas give nets with cross-class pairs in
+    # the balls, large ones nets of one class; both kinds must turn up.  The
+    # first example is a one-class net; on the second, a pair kept per class
+    # other than the nearest would miss a smaller gamma's cut.
+    kinds = set()
+
+    @given(
+        ktree=st.booleans(),
+        n=st.integers(6, 30),
+        k=st.integers(1, 3),
+        graph_seed=st.integers(0, 10**6),
+        delta=st.sampled_from([1.0, 2.0, 8.0, 40.0]),
+        trials=st.sampled_from([1, 37, 300]),
+        supply_dist=st.booleans(),
+    )
+    @example(ktree=True, n=12, k=2, graph_seed=0, delta=40.0, trials=37, supply_dist=False)
+    @example(ktree=False, n=30, k=1, graph_seed=0, delta=8.0, trials=37, supply_dist=True)
+    @settings(max_examples=40, deadline=None)
+    def check(ktree, n, k, graph_seed, delta, trials, supply_dist):
+        if ktree:
+            f = partial_ktree_fixture(n, k, seed=graph_seed, drop=0.3, weighted=True, delta=delta)
+        else:
+            f = weighted_path_fixture(n, seed=graph_seed, delta=delta)
+        host, net = fixture_net(f)
+        params = DecompositionParams.from_net(net, delta)
+        gammas = [0.0, *params.default_gammas()]
+        d = all_pairs(host)
+        expected = dense_trial_counts(host, net, delta, gammas, trials, seed=graph_seed)
+        got = padded_trial_counts(
+            host, net, delta, gammas, trials, seed=graph_seed,
+            dist_matrix=d if supply_dist else None,
+        )
+        assert {gm: c.tolist() for gm, c in got.items()} == {
+            gm: c.tolist() for gm, c in expected.items()
+        }
+        cls = decomposition._claim_classes(net)
+        cross = (d <= params.gamma_max * params.diameter_bound) & (cls[:, None] != cls[None, :])
+        if cls.max() == 0:
+            kinds.add("one class")
+        elif cross.any():
+            kinds.add("cross-class pairs")
+
+    check()
+    assert kinds == {"one class", "cross-class pairs"}
+
+
+@pytest.mark.parametrize("fixture", SAMPLER_FIXTURES)
+def test_claim_class_members_share_labels(fixture):
+    host, net = fixture_net(fixture)
+    cls = decomposition._claim_classes(net)
+    assert cls.shape == (net.n,)
+    assert np.bincount(cls).max() > 1  # some class has several members
+    first_member = np.full(cls.max() + 1, net.n)
+    np.minimum.at(first_member, cls, np.arange(net.n))
+    for block in sample_assignments(net, seed=5, trials=300):
+        assert np.array_equal(block, block[:, first_member[cls]])
+
+
 def test_padded_trial_counts_rejects_bad_gammas():
     g, net = single_center_net()
     for gammas in ([], [-0.01], [1 / 16, 0.2], [math.nan]):
