@@ -7,6 +7,7 @@ from .decomposition import (
     PaddedPartition,
     TruncatedExp,
     sample_padded_decomposition,
+    sample_padded_decompositions,
     sample_truncated_exp,
 )
 from .graph import (

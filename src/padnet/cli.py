@@ -17,7 +17,7 @@ from .decomposition import (
     DecompositionParams,
     padded_trial_counts,
     padding_estimates,
-    sample_padded_decomposition,
+    sample_padded_decompositions,
 )
 from .graph import GraphFormatError, parse_edge_list
 from .ordered_net import build_tree_ordered_net, packing_profile
@@ -120,8 +120,8 @@ def cmd_decompose(args) -> int:
     emb, net = _build_net(g, td, args.delta, args.alpha)
     params = DecompositionParams.from_net(net, args.delta)
     samples = []
-    for i in range(args.trials):
-        part = sample_padded_decomposition(emb.host, net, args.delta, args.seed + i)
+    seeds = range(args.seed, args.seed + args.trials)
+    for part in sample_padded_decompositions(net, args.delta, seeds):
         d = part.to_json_dict()
         d["original_assignment"] = {
             str(v): int(part.assignment[emb.forward[v]]) for v in range(g.n)

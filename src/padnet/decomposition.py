@@ -12,8 +12,9 @@ Randomness: one counter-based Philox4x64-10 stream per center, keyed by
 reads draw 0 of each stream; trial t of a batch reads draw t, so trials are
 independent, reproducible, and chunkable.  Draw t of a stream is a pure
 function of (seed, center, t), so `center_uniforms` evaluates the draws of
-every center at once in numpy, bit for bit equal to per-center generators:
-one call per sample, and one per chunk of a batch.
+every center, and of several seeds, at once in numpy, bit for bit equal to
+per-center generators: one call per chunk of trials of a batch, and one per
+chunk of seeds of a sweep of partitions (a single sample is a sweep of one).
 """
 
 from __future__ import annotations
@@ -194,29 +195,37 @@ _PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).
 _PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
 
 
-def center_uniforms(seed: int, streams, start: int, stop: int) -> np.ndarray:
+def center_uniforms(seed, streams, start: int, stop: int) -> np.ndarray:
     """Draws start..stop-1 of every stream keyed by (seed, stream), as (streams, draws).
 
     Row i equals seeded_generator(seed, streams[i]).random(stop)[start:] bit for
-    bit.  Philox is counter-based: the generator's counter block c (c = 1, 2,
-    ...) yields its uint64 draws 4(c-1)..4(c-1)+3, so the blocks covering
-    start..stop-1 are evaluated for all streams at once in uint64 numpy, and
-    each draw becomes (x >> 11) * 2**-53 as in Generator.random.
+    bit.  seed may also be a sequence of seeds, which vary the key's seed
+    word per column: the result is then
+    np.hstack([center_uniforms(s, streams, start, stop) for s in seed]), the
+    columns of one seed after those of the seed before it.  Philox is
+    counter-based: the generator's counter block c (c = 1, 2, ...) yields its
+    uint64 draws 4(c-1)..4(c-1)+3, so the blocks covering start..stop-1 are
+    evaluated for all seeds and streams at once in uint64 numpy, and each
+    draw becomes (x >> 11) * 2**-53 as in Generator.random.
     """
-    _check_seed(seed)
+    seeds = [seed] if np.isscalar(seed) else list(seed)
+    for s in seeds:
+        _check_seed(s)
     if not 0 <= start <= stop:
         raise ValueError(f"need 0 <= start <= stop, got {start}, {stop}")
     streams = np.asarray(streams, dtype=np.uint64).reshape(-1)
     first, last = start // 4, -(-stop // 4)  # counter blocks first+1 .. last
-    # words (x0, x2) and (x1, x3) of each block as (2, streams, blocks); the
-    # constants are spelled out at that shape, as numpy's uint64 operations
-    # on equal shapes cost least per call
-    shape = (2, len(streams), last - first)
+    # words (x0, x2) and (x1, x3) of each block as (2, streams, seeds x
+    # blocks); the constants are spelled out at that shape, as numpy's
+    # uint64 operations on equal shapes cost least per call
+    blocks = last - first
+    shape = (2, len(streams), len(seeds) * blocks)
     even = np.zeros(shape, dtype=np.uint64)
-    even[0] = np.arange(first + 1, last + 1, dtype=np.uint64)
+    even[0] = np.tile(np.arange(first + 1, last + 1, dtype=np.uint64), len(seeds))
     odd = np.zeros(shape, dtype=np.uint64)
     key = np.empty(shape, dtype=np.uint64)
-    key[0], key[1] = seed, streams[:, None]
+    key[0] = np.repeat(np.array(seeds, dtype=np.uint64), blocks)
+    key[1] = streams[:, None]
     bump = np.broadcast_to(_PHILOX_W, shape).copy()
     m = np.broadcast_to(_PHILOX_M, shape).copy()
     low32, s32 = np.full(shape, 0xFFFFFFFF, dtype=np.uint64), np.full(shape, 32, dtype=np.uint64)
@@ -232,8 +241,9 @@ def center_uniforms(seed: int, streams, start: int, stop: int) -> np.ndarray:
         # x0, x1, x2, x3 <- hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
         even, odd = hi[::-1] ^ odd ^ key, (m * even)[::-1]
     words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1)
-    words = words.reshape(len(streams), 4 * shape[2])
-    words = words[:, start - 4 * first : stop - 4 * first]
+    words = words.reshape(len(streams), len(seeds), 4 * blocks)
+    words = words[:, :, start - 4 * first : stop - 4 * first]
+    words = words.reshape(len(streams), len(seeds) * (stop - start))
     return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
@@ -328,14 +338,38 @@ def _claim_classes(net: TreeOrderedNet) -> np.ndarray:
     return np.unique(prefix, axis=0, return_inverse=True)[1].reshape(-1)
 
 
+CHUNK = 256  # trials per block of sample_assignments, seeds per block of sampled partitions
+
+
+def sample_padded_decompositions(
+    net: TreeOrderedNet, delta: float, seeds
+) -> Iterator[PaddedPartition]:
+    """Yield the partition of each seed in `seeds`, in order, one at a time.
+
+    Seeds are taken CHUNK at a time: one center_uniforms call draws every
+    (seed, center) uniform of a chunk, and one `_first_claims` call gives
+    the first claims of all its seeds, with radii shaped (centers, seeds).
+    Only the partitions are built per seed, and each is yielded before the
+    next is built.  A seed outside [0, 2**64) raises ValueError.
+    """
+    params = DecompositionParams.from_net(net, delta)
+    texp = TruncatedExp(1.0, params.beta_internal, params.lam)
+    centers = net.centers_in_order()
+    entries = net.center_entries()
+    seeds = list(seeds)
+    for start in range(0, len(seeds), CHUNK):
+        chunk = seeds[start : start + CHUNK]
+        radii = sample_truncated_exp(texp, center_uniforms(chunk, centers, 0, 1)) * delta
+        claims = _first_claims(entries, net.n, radii)
+        for j, seed in enumerate(chunk):
+            yield _partition_from_claims(net, claims[j], radii[:, j], seed, params)
+
+
 def sample_padded_decomposition(
     g: WeightedGraph, net: TreeOrderedNet, delta: float, seed: int
 ) -> PaddedPartition:
-    params = DecompositionParams.from_net(net, delta)
-    texp = TruncatedExp(1.0, params.beta_internal, params.lam)
-    u = center_uniforms(seed, net.centers_in_order(), 0, 1)[:, 0]
-    radii = sample_truncated_exp(texp, u) * delta
-    return _partition_from_radii(net, radii, seed, params)
+    """The partition of one seed: `sample_padded_decompositions` over [seed]."""
+    return next(sample_padded_decompositions(net, delta, [seed]))
 
 
 def replay_decomposition(
@@ -346,14 +380,20 @@ def replay_decomposition(
     by_center = dict(trace)
     radii = np.array([by_center[int(x)] for x in centers], dtype=float)
     params = DecompositionParams.from_net(net, net.delta)
-    return _partition_from_radii(net, radii, seed, params)
-
-
-def _partition_from_radii(
-    net: TreeOrderedNet, radii: np.ndarray, seed: int, params: DecompositionParams
-) -> PaddedPartition:
-    centers = net.centers_in_order()
     raw = _first_claims(net.center_entries(), net.n, radii[:, None])[0]
+    return _partition_from_claims(net, raw, radii, seed, params)
+
+
+def _partition_from_claims(
+    net: TreeOrderedNet,
+    raw: np.ndarray,
+    radii: np.ndarray,
+    seed: int,
+    params: DecompositionParams,
+) -> PaddedPartition:
+    """The partition whose vertices go to the center ranks in raw, given
+    each ordered center's radius."""
+    centers = net.centers_in_order()
     # members of center i: one stable sort of the vertices by claiming center
     sizes = np.bincount(raw, minlength=len(centers))
     used = np.flatnonzero(sizes)
@@ -375,9 +415,6 @@ def _partition_from_radii(
         params=params,
         trace=trace,
     )
-
-
-CHUNK = 256  # trials per block of sample_assignments
 
 
 def sample_assignments(net: TreeOrderedNet, seed: int, trials: int) -> Iterator[np.ndarray]:
@@ -434,7 +471,9 @@ def padded_trial_counts(
     of a pair in one `_claim_classes` class share a cluster in every trial,
     so such pairs are dropped, and of the pairs from z into one class only
     the nearest is kept, as its class's members share a label; a vertex with
-    no pair left in its ball is padded in every trial.  Memory, besides the
+    no pair left in its ball is padded in every trial.  A net of one class
+    lists no pairs at all, but still runs the sampler, which raises when a
+    vertex is claimed by no center.  Memory, besides the
     pair list: per chunk of t trials, the (n, t) labels in the smallest
     integer type that holds the center count, two (kept pairs) x t gathers
     of them, one (kept pairs) x t bool tensor of cut pairs, and for each
@@ -451,12 +490,15 @@ def padded_trial_counts(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     r_max = max(gammas) * params.diameter_bound
-    if dist_matrix is None:
+    cls = _claim_classes(net)
+    if cls.max() == 0:  # one class: no pair can be cut, so none is listed
+        rows = cols = np.zeros(0, dtype=np.intp)
+        pair_d = np.zeros(0)
+    elif dist_matrix is None:
         rows, cols, pair_d = ball_pairs(g, r_max)
     else:
         rows, cols = np.nonzero(dist_matrix <= r_max)
         pair_d = dist_matrix[rows, cols]
-    cls = _claim_classes(net)
     cross = np.flatnonzero(cls[rows] != cls[cols])
     # one pair per (z, class of u), its nearest u: a gamma's ball meets the
     # class exactly when it holds that pair.  Sorted by key, so by z.

@@ -1,12 +1,13 @@
 """Independent oracles and the consolidated invariant suite.
 
-`oracle_all_pairs` is a Floyd-Warshall path sharing no code with the Dijkstra
-search in `graph`; the two are cross-checked against each other, and every
-structure the other modules produce is certified here: conversion isometry,
-core-carving invariants, net covering/packing, decomposition and cover
-guarantees.  Checks never raise on violation - they return report entries
-with a witness - and each check listed in the module docstrings appears
-exactly once per full report.
+`oracle_all_pairs` is a Floyd-Warshall path and `_bellman_ford_rows` a
+radius-bounded Bellman-Ford over the edge list; neither shares code with the
+Dijkstra search in `graph`.  Floyd-Warshall and Dijkstra are cross-checked
+against each other, and every structure the other modules produce is
+certified here: conversion isometry, core-carving invariants, net
+covering/packing, decomposition and cover guarantees.  Checks never raise on
+violation - they return report entries with a witness - and each check
+listed in the module docstrings appears exactly once per full report.
 
 Every check reads the members of a record's sets (cores, partition and cover
 clusters, host bags, each vertex's host copies, each carving component's
@@ -22,7 +23,12 @@ verify function raises on, or is fooled by, a member of these sets out of
 range.  A forward entry outside the host fails `isometry-exact`.
 
 Distance comparisons use absolute tolerance 1e-9 where a bound is checked;
-oracle-vs-search agreement is exact (fixtures use integer or dyadic weights).
+oracle-vs-search agreement is exact.  Bellman-Ford sums each path in path
+order, as Dijkstra does, so the center rows agree with the net's table bit
+for bit on any weights.  Floyd-Warshall sums in another order, so its checks
+against Dijkstra (`dijkstra-floyd-warshall-agreement`, `isometry-exact`) are
+exact on integer or dyadic weights only: on decimal weights they can fail on
+a last-bit difference.
 
 `full_report` computes each oracle matrix once and passes it on as an
 argument; nothing is cached between calls, and a check called on its own
@@ -32,15 +38,20 @@ computes what it reads.
   for the unique-maximum check, the partition sweep's weak diameters and
   `padded_trial_counts`.  The sweep and the padding counts are thus
   certified against the oracle, not the Dijkstra rows they would otherwise
-  share with the code under test.  The padding counts still list their
-  ball pairs from that matrix; the claim classes, read from the net's
-  center table, only drop pairs whose ends are claimed alike in every
-  trial and so can never be cut.
-- The net's center rows (`_oracle_center_distances`): the net checks and
-  the sparse cover's packing counts.
-- One oracle run per cover cluster (strong diameters, in the induced
-  subgraph), and the graph-core checks' own Dijkstra-vs-oracle runs on the
-  input graph.
+  share with the code under test.  The padding counts list their ball
+  pairs from that matrix; the claim classes, read from the net's center
+  table, only drop pairs whose ends are claimed alike in every trial and
+  so can never be cut, and a net of one class lists none.
+- The net's center rows (`_oracle_center_distances`), all from one
+  Bellman-Ford call bounded at the table's `center_radius`: the net checks
+  and the sparse cover's packing counts.
+- One Floyd-Warshall run per distinct cover cluster (strong diameters, in
+  the induced subgraph): the two covers share one table of diameters keyed
+  by sorted member ids, seeded with the host's own diameter.  And the
+  graph-core checks' own Dijkstra-vs-oracle runs on the input graph.
+
+The partition sweep draws its SWEEP_SEEDS consecutive seeds through
+`sample_padded_decompositions`, the sampler `padnet decompose` runs.
 """
 
 from __future__ import annotations
@@ -60,7 +71,8 @@ from .decomposition import (
     padded_trial_counts,
     padding_estimates,
     replay_decomposition,
-    sample_padded_decomposition,
+    sample_padded_decomposition,  # unused here; perfbench's tracer wraps verify's binding
+    sample_padded_decompositions,
     sample_truncated_exp,
     seeded_generator,
 )
@@ -497,15 +509,60 @@ def verify_cores(
 # net checks
 
 
+def _bellman_ford_rows(
+    g: WeightedGraph, sources: np.ndarray, masks: np.ndarray, limit: float
+) -> np.ndarray:
+    """Distances from sources[i] inside G[masks[i]], as (rows, n), by
+    Bellman-Ford over g's edge list.
+
+    Each sweep relaxes every directed edge with both ends in a row's mask,
+    in all rows at once, and the sweeps stop at the fixpoint.  A candidate
+    above `limit` is never recorded, so entries beyond it stay +inf.  Each
+    path is summed in path order, as Dijkstra sums it, and the fixpoint
+    holds the least such sum over the paths whose prefixes are all within
+    `limit`, so the rows equal a Dijkstra bounded at `limit` bit for bit.
+    """
+    rows = len(sources)
+    d = np.full((rows, g.n), np.inf)
+    d[np.arange(rows), sources] = 0.0
+    if not g.edges or not rows:
+        return d
+    u, v, w = np.array(g.edges).T
+    # both directions, grouped by head so that reduceat takes each head's minimum
+    tail = np.concatenate((u, v)).astype(np.int64)
+    head = np.concatenate((v, u)).astype(np.int64)
+    by_head = np.argsort(head, kind="stable")
+    tail, head, w = tail[by_head], head[by_head], np.concatenate((w, w))[by_head]
+    heads, starts = np.unique(head, return_index=True)
+    outside = ~(masks[:, tail] & masks[:, head])
+    while True:
+        cand = d[:, tail] + w
+        cand[outside | (cand > limit)] = np.inf
+        best = np.minimum.reduceat(cand, starts, axis=1)
+        now = d[:, heads]
+        if not (best < now).any():
+            return d
+        d[:, heads] = np.minimum(now, best)
+
+
 def _oracle_center_distances(
     g: WeightedGraph, net: TreeOrderedNet, oracle_cap: int
 ) -> np.ndarray:
+    """The net's center rows from the oracle: row i holds the distances from
+    centers_in_order()[i] inside its descendant subgraph up to
+    `net.center_radius`, +inf beyond, as the net's own table holds them.
+
+    One `_bellman_ford_rows` call computes every row; as the all-pairs
+    oracle does, it refuses a descendant subgraph larger than oracle_cap.
+    """
     centers = net.centers_in_order()
-    d = np.full((len(centers), g.n), np.inf)
+    masks = np.zeros((len(centers), g.n), dtype=bool)
     for i, x in enumerate(centers.tolist()):
-        full = oracle_all_pairs(g, np.flatnonzero(net.descendant_vertices(x)), cap=oracle_cap)
-        d[i] = full[x]
-    return d
+        masks[i] = net.descendant_vertices(x)
+    largest = int(masks.sum(axis=1).max(initial=0))
+    if largest > oracle_cap:
+        raise OracleCapError(f"oracle cap {oracle_cap} exceeded: |restrict| = {largest}")
+    return _bellman_ford_rows(g, centers, masks, net.center_radius)
 
 
 def count_maximal(tin: np.ndarray, tout: np.ndarray, members: np.ndarray) -> int:
@@ -567,9 +624,7 @@ def verify_net(
             break
     checks.append(_check("connected-subset-unique-maximum", bad is None, witness=bad))
 
-    # the net's table ends at center_radius; the oracle's rows are complete
-    bounded = np.where(center_dist <= net.center_radius, center_dist, np.inf)
-    agree = np.array_equal(net.center_distance_matrix(), bounded)
+    agree = np.array_equal(net.center_distance_matrix(), center_dist)
     checks.append(_check("net-distance-oracle-agreement", agree))
 
     covered = (center_dist <= delta).any(axis=0)
@@ -675,24 +730,42 @@ def verify_cover(
     packing_counts: np.ndarray | None = None,
     tau: int | None = None,
     host_dist: np.ndarray | None = None,
+    diameters: dict[bytes, float] | None = None,
 ) -> VerificationReport:
-    """Certify a cover; host_dist, g's oracle matrix, is computed when not given."""
+    """Certify a cover; host_dist, g's oracle matrix, is computed when not given.
+
+    diameters maps a cluster's sorted member ids (int64 bytes) to the oracle
+    diameter of the subgraph they induce; a cluster found there gets no
+    oracle run, and every other cluster's diameter is added to it.  A table
+    is made here when not given.
+    """
     if host_dist is None:
         host_dist = oracle_all_pairs(g, range(g.n), cap=oracle_cap)
+    if diameters is None:
+        diameters = {}
     if isinstance(cover, SparseCover):
-        return _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, host_dist, packing_counts)
-    return _verify_partition_cover(g, cover, alpha, delta, oracle_cap, host_dist, tau)
+        return _verify_sparse_cover(
+            g, cover, alpha, delta, oracle_cap, host_dist, packing_counts, diameters
+        )
+    return _verify_partition_cover(g, cover, alpha, delta, oracle_cap, host_dist, tau, diameters)
 
 
-def _worst_strong_diameter(g: WeightedGraph, clusters, oracle_cap: int) -> tuple[float, int | None]:
+def _worst_strong_diameter(
+    g: WeightedGraph, clusters, oracle_cap: int, diameters: dict[bytes, float]
+) -> tuple[float, int | None]:
     """Largest oracle diameter of G[members] over the clusters' member arrays,
-    and the index of the first cluster reaching it (None when all are 0)."""
+    and the index of the first cluster reaching it (None when all are 0).
+
+    Each distinct member set gets one oracle run, kept in `diameters`."""
     worst, worst_i = 0.0, None
     for i, idx in enumerate(clusters):
         if idx.size < 2:  # diameter 0
             continue
-        d = oracle_all_pairs(g, idx, cap=oracle_cap)
-        m = float(d[np.ix_(idx, idx)].max())
+        key = np.sort(idx).tobytes()
+        if key not in diameters:
+            d = oracle_all_pairs(g, idx, cap=oracle_cap)
+            diameters[key] = float(d[np.ix_(idx, idx)].max())
+        m = diameters[key]
         if m > worst:
             worst, worst_i = m, i
     return worst, worst_i
@@ -709,7 +782,7 @@ def _ball_containment(
     return True, None
 
 
-def _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, host_dist, packing_counts):
+def _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, host_dist, packing_counts, diameters):
     checks: list[CheckResult] = []
     owner, member, dropped = _memberships([c.members for c in cover.clusters], g.n)
     mask = np.zeros((len(cover.clusters), g.n), dtype=bool)
@@ -737,7 +810,9 @@ def _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, host_dist, packing_
         )
 
     bound = 2 * alpha * delta + TOL
-    worst, worst_c = _worst_strong_diameter(g, _split(owner, member, len(cover.clusters)), oracle_cap)
+    worst, worst_c = _worst_strong_diameter(
+        g, _split(owner, member, len(cover.clusters)), oracle_cap, diameters
+    )
     checks.append(
         _check(
             "cover-strong-diameter",
@@ -756,7 +831,7 @@ def _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, host_dist, packing_
     return VerificationReport(checks)
 
 
-def _verify_partition_cover(g, cover, alpha, delta, oracle_cap, host_dist, tau):
+def _verify_partition_cover(g, cover, alpha, delta, oracle_cap, host_dist, tau, diameters):
     checks: list[CheckResult] = []
     clusters = [c for part in cover.partitions for c in part]
     owner, member, dropped = _memberships([c.members for c in clusters], g.n)
@@ -788,7 +863,9 @@ def _verify_partition_cover(g, cover, alpha, delta, oracle_cap, host_dist, tau):
             )
 
     bound = alpha * delta + TOL
-    worst, i = _worst_strong_diameter(g, _split(owner, member, len(clusters)), oracle_cap)
+    worst, i = _worst_strong_diameter(
+        g, _split(owner, member, len(clusters)), oracle_cap, diameters
+    )
     worst_w = None if i is None else f"partition {part_of[i]} cluster center {clusters[i].center}"
     checks.append(
         _check(
@@ -882,12 +959,12 @@ def full_report(
     # each sweep check names the first seed it fails on; seed 0 is also replayed
     sweep_fail: dict[str, str] = {}
     replay_fail = None
-    for s in range(SWEEP_SEEDS):
-        part = sample_padded_decomposition(host, net, delta, seed + s)
+    seeds = range(seed, seed + SWEEP_SEEDS)
+    for s, part in zip(seeds, sample_padded_decompositions(net, delta, seeds)):
         for c in verify_partition(host, part, alpha, delta, dist_matrix=dh).checks:
             if c.status == "fail" and c.name not in sweep_fail:
-                sweep_fail[c.name] = f"seed {seed + s}" + (f": {c.witness}" if c.witness else "")
-        if s == 0:
+                sweep_fail[c.name] = f"seed {s}" + (f": {c.witness}" if c.witness else "")
+        if s == seed:
             replayed = replay_decomposition(net, list(part.trace), seed=part.seed)
             if not (
                 np.array_equal(replayed.assignment, part.assignment)
@@ -917,10 +994,14 @@ def full_report(
     from .covers import build_partition_cover, build_sparse_cover
 
     pk_counts = (center_dist <= alpha * delta).sum(axis=0)
+    # the two covers share one diameter table, seeded with the cluster of
+    # every host vertex, whose diameter is the host's own
+    diameters = {np.arange(host.n, dtype=np.int64).tobytes(): float(dh.max())}
     cover = build_sparse_cover(host, net, delta)
     checks.extend(
         verify_cover(
-            host, cover, alpha, delta, oracle_cap=oracle_cap, packing_counts=pk_counts, host_dist=dh
+            host, cover, alpha, delta, oracle_cap=oracle_cap, packing_counts=pk_counts,
+            host_dist=dh, diameters=diameters,
         ).checks
     )
     if alpha <= 2:
@@ -939,7 +1020,8 @@ def full_report(
     pcover = build_partition_cover(host, net, delta)
     checks.extend(
         verify_cover(
-            host, pcover, alpha, delta, oracle_cap=oracle_cap, tau=net.tau_emp, host_dist=dh
+            host, pcover, alpha, delta, oracle_cap=oracle_cap, tau=net.tau_emp, host_dist=dh,
+            diameters=diameters,
         ).checks
     )
     return VerificationReport(checks)
@@ -999,14 +1081,7 @@ def _graph_property_checks(g: WeightedGraph, seed: int, oracle_cap: int) -> list
         restrict = _mask(g.n, members)
         for s in members:
             d = shortest_paths(g, restrict, [s])
-            row = matrix[s]
-            if not (
-                np.array_equal(np.isinf(d[members]), np.isinf(row[members]))
-                and np.array_equal(
-                    d[members][np.isfinite(d[members])],
-                    row[members][np.isfinite(row[members])],
-                )
-            ):
+            if not np.array_equal(d[members], matrix[s][members]):  # inf == inf
                 bad = f"oracle mismatch from source {s}"
                 break
         if bad:

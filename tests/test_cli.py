@@ -229,6 +229,28 @@ def test_seed_beyond_64_bits_exit_2(capsys, cmd):
     assert "seed" in capsys.readouterr().err
 
 
+def test_decompose_trials_equal_single_seed_runs(capsys):
+    # --trials N draws seeds seed..seed+N-1 in one sweep; each sample is the
+    # one a single-trial run at that seed writes
+    code, out = run(capsys, "decompose", *GRID_ARGS, "--delta", "2", "--seed", "5", "--trials", "3")
+    assert code == 0
+    samples = json.loads(out)["samples"]
+    assert [s["seed"] for s in samples] == [5, 6, 7]
+    for sample in samples:
+        code, one = run(capsys, "decompose", *GRID_ARGS, "--delta", "2", "--seed", str(sample["seed"]))
+        assert code == 0
+        assert json.loads(one)["samples"] == [sample]
+
+
+def test_decompose_trials_past_64_bits_exit_2(capsys):
+    # the first two seeds fit, the third does not: no partial output
+    code = main(["decompose", *PATH_ARGS, "--delta", "2", "--seed", str(2**64 - 2), "--trials", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"seed must lie in [0, 2**64), got {2**64}" in captured.err
+
+
 def test_padding_estimate_gamma_out_of_range_exit_2(capsys):
     code = main(["padding-estimate", *PATH_ARGS, "--delta", "2", "--trials", "10",
                  "--gamma", "0.5"])

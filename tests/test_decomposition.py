@@ -30,6 +30,7 @@ from padnet.decomposition import (
     replay_decomposition,
     sample_assignments,
     sample_padded_decomposition,
+    sample_padded_decompositions,
     sample_truncated_exp,
     seeded_generator,
     wilson_lower_bound,
@@ -310,6 +311,27 @@ def test_center_uniforms_match_numpy_philox(seed, streams, start, count):
     assert got.tobytes() == expected.tobytes()
 
 
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=0, max_size=4),
+    streams=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+    start=st.integers(0, 9),
+    count=st.integers(0, 9),
+)
+@example(seeds=[0, 2**64 - 1, 0], streams=[7, 0], start=0, count=1)
+@example(seeds=[5], streams=[1], start=3, count=6)
+@settings(max_examples=100, deadline=None)
+def test_center_uniforms_over_a_seed_vector(seeds, streams, start, count):
+    # the columns of each seed, in seed order, as its own generators draw them
+    stop = start + count
+    got = center_uniforms(seeds, streams, start, stop)
+    expected = np.zeros((len(streams), 0))
+    for seed in seeds:
+        rows = np.stack([seeded_generator(seed, s).random(stop)[start:] for s in streams])
+        expected = np.hstack([expected, rows])
+    assert got.shape == (len(streams), len(seeds) * count)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_center_uniforms_long_streams():
     # more than one 256-trial chunk, counts not multiples of 4
     streams = [0, 5, 123456789]
@@ -323,6 +345,8 @@ def test_center_uniforms_rejects_bad_seeds_and_ranges():
     for seed in (-1, 2**64, 2**70):
         with pytest.raises(ValueError):
             center_uniforms(seed, [0], 0, 1)
+        with pytest.raises(ValueError):
+            center_uniforms([3, seed], [0], 0, 1)
     with pytest.raises(ValueError):
         center_uniforms(0, [0], 5, 4)
     with pytest.raises(ValueError):
@@ -389,6 +413,33 @@ def test_sampler_matches_original_per_center_draws(fixture):
         assert got.clusters == expected.clusters
         replayed = replay_decomposition(net, list(got.trace), seed=seed)
         assert json.dumps(replayed.to_json_dict()) == json.dumps(got.to_json_dict())
+
+
+@pytest.mark.parametrize("fixture", SAMPLER_FIXTURES)
+def test_sweep_matches_single_seed_sampler(fixture):
+    host, net = fixture_net(fixture)
+    seeds = [*range(5, 105), 2**64 - 1]
+    swept = sample_padded_decompositions(net, fixture.delta, seeds)
+    assert iter(swept) is swept  # an iterator: partitions are yielded one at a time
+    for seed, got in zip(seeds, swept, strict=True):
+        expected = sample_padded_decomposition(host, net, fixture.delta, seed)
+        assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
+    # past one chunk of seeds; the first seeds against the original sampler
+    many = list(sample_padded_decompositions(net, fixture.delta, range(300)))
+    assert [p.seed for p in many] == list(range(300))
+    for seed in (0, 1, 255, 256, 299):
+        expected = reference_decomposition(net, fixture.delta, seed)
+        assert json.dumps(many[seed].to_json_dict()) == json.dumps(expected.to_json_dict())
+
+
+def test_sweep_rejects_seeds_as_the_single_sampler_does():
+    g, net = single_center_net()
+    assert list(sample_padded_decompositions(net, 1.0, [])) == []
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError) as single:
+            sample_padded_decomposition(g, net, 1.0, seed)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
+            list(sample_padded_decompositions(net, 1.0, [3, seed]))
 
 
 @pytest.mark.parametrize("fixture", SAMPLER_FIXTURES[1:4])
@@ -532,6 +583,34 @@ def test_claim_class_members_share_labels(fixture):
     np.minimum.at(first_member, cls, np.arange(net.n))
     for block in sample_assignments(net, seed=5, trials=300):
         assert np.array_equal(block, block[:, first_member[cls]])
+
+
+class _Unread:
+    """A stand-in distance matrix that fails when it is read."""
+
+    def __le__(self, other):
+        raise AssertionError("dist_matrix read")
+
+
+def test_one_class_net_lists_no_ball_pairs(monkeypatch):
+    g, net = single_center_net()
+    assert decomposition._claim_classes(net).max() == 0
+
+    def refuse(*args):
+        raise AssertionError("ball_pairs called")
+
+    monkeypatch.setattr(decomposition, "ball_pairs", refuse)
+    gammas = [0.0, 1 / 32, 1 / 16]
+    for dist_matrix in (None, _Unread()):
+        counts = padded_trial_counts(g, net, 1.0, gammas, trials=40, seed=2, dist_matrix=dist_matrix)
+        assert {gm: c.tolist() for gm, c in counts.items()} == {gm: [40] * g.n for gm in gammas}
+    # with no entry left every vertex shares the one class, and the sampler
+    # still names the first vertex no center claims
+    empty = tuple(a[:0] for a in net.center_entries())
+    monkeypatch.setattr(net, "center_entries", lambda: empty)
+    assert decomposition._claim_classes(net).max() == 0
+    with pytest.raises(AssertionError, match="^vertex 0 claimed by no center"):
+        padded_trial_counts(g, net, 1.0, gammas, trials=40, seed=2, dist_matrix=_Unread())
 
 
 def test_padded_trial_counts_rejects_bad_gammas():

@@ -137,6 +137,32 @@ def test_one_host_oracle_pass_per_report(monkeypatch):
     assert calls == {"host oracle": 1, "center rows": 1}
 
 
+def test_one_oracle_run_per_distinct_cover_cluster(monkeypatch):
+    f = partial_ktree_fixture(35, 2, seed=12, drop=0.4, delta=1.0)
+    b = BuiltPipeline(f)
+    host_n = b.host.n
+    runs = Counter()
+    oracle = verify.oracle_all_pairs
+
+    def counting_oracle(g, restrict, cap=60):
+        if g.n == host_n:
+            runs[tuple(sorted(restrict))] += 1
+        return oracle(g, restrict, cap)
+
+    monkeypatch.setattr(verify, "oracle_all_pairs", counting_oracle)
+    sparse = [tuple(sorted(c.members)) for c in build_sparse_cover(b.host, b.net, f.delta).clusters]
+    partition = [
+        tuple(sorted(c.members))
+        for part in build_partition_cover(b.host, b.net, f.delta).partitions
+        for c in part
+    ]
+    assert set(sparse) & set(partition)  # the covers share clusters
+    report = full_report(f.graph, f.td, f.delta, trials=200, oracle_cap=host_n)
+    assert report.ok, report.format_table()
+    clusters = {m for m in sparse + partition if len(m) > 1}
+    assert runs == Counter({tuple(range(host_n)): 1, **{m: 1 for m in clusters}})
+
+
 @pytest.mark.parametrize("cap", [0, -3])
 def test_oracle_cap_below_one_rejected_before_any_check(monkeypatch, cap):
     f = next(f for f in acceptance_fixtures() if f.name == "path-8")
@@ -175,13 +201,17 @@ def test_standalone_checks_keep_no_state_between_graphs():
 PINNED_REPORTS = {
     # sha256 of each report's canonical JSON.  They were taken while the sweep
     # and the padding counts still read Dijkstra rows, so they also show that
-    # reading the oracle matrix instead changed no byte, decimal weights included
+    # reading the oracle matrix instead changed no byte, decimal weights
+    # included.  The decimal-weight reports were re-taken when the oracle's
+    # center rows moved to Bellman-Ford, which sums each path in path order as
+    # Dijkstra does: net-distance-oracle-agreement turned from fail to pass
+    # there, and no other byte changed
     ("sp-20d", 0): "244b527d6ff40fbffa8bbfd6cc179b200168e92c3538a38f9af3500dd669df59",
     ("sp-20d", 1): "1fc1bd230875483785592cb0a6a151859bcfbc3c9eafd1e98d61e69e67a837be",
     ("sp-50w", 0): "178ff85774aefab83875492981bc1d6af5c7bcc413dadca36f043d7f20c22b67",
     ("sp-50w", 1): "b4fe6848c669bc482f4a0142a426aec34d641ddf947dbf2105cf2f96709230bb",
-    ("ktree3-30-dec", 0): "a3730b4ef931a4cbdf6d94d7778835cabc237ebb3c0b8050cd34fbd3abeb9ae3",
-    ("ktree3-30-dec", 1): "f6ce80df8168b1bf83052cae8a046673e71e8deb0fd13f9b7759d6d601afb15d",
+    ("ktree3-30-dec", 0): "d6378f3e2b0b5b54a0d2044fbc0280ad39748d5787caea26011523c339849307",
+    ("ktree3-30-dec", 1): "b8afaf27971dd18cd1b7cf6b1bd1c8a28e956557c363b4b8342626c9c759240f",
 }
 
 
@@ -211,13 +241,13 @@ def test_sweep_checks_report_their_own_failures(monkeypatch):
     data = Path(__file__).resolve().parents[1] / "data"
     g = parse_edge_list((data / "grid4.gr").read_text())
     td = load_tree_decomposition((data / "grid4.td").read_text(), g)
-    sample = verify.sample_padded_decomposition
+    sample = verify.sample_padded_decompositions
 
     def out_of_range_radii(*args):
-        part = sample(*args)
-        return dataclasses.replace(part, trace=tuple((x, 99.0) for x, _ in part.trace))
+        for part in sample(*args):
+            yield dataclasses.replace(part, trace=tuple((x, 99.0) for x, _ in part.trace))
 
-    monkeypatch.setattr(verify, "sample_padded_decomposition", out_of_range_radii)
+    monkeypatch.setattr(verify, "sample_padded_decompositions", out_of_range_radii)
     checks = {c.name: c for c in full_report(g, td, 2.0, seed=7, trials=200).checks}
     assert checks["partition-total-disjoint"].status == "pass"
     assert checks["partition-weak-diameter"].status == "pass"

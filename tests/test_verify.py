@@ -4,7 +4,18 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import built
-from fixtures import acceptance_fixtures, is_ancestor, triangle_single_bag, vertex_mask
+from fixtures import (
+    Fixture,
+    acceptance_fixtures,
+    decimal_weight_fixture,
+    is_ancestor,
+    partial_ktree_fixture,
+    triangle_single_bag,
+    vertex_mask,
+    weighted_path_fixture,
+)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padnet.covers import CoverCluster, PartitionCluster, build_partition_cover, build_sparse_cover
 from padnet.decomposition import sample_padded_decomposition
@@ -15,7 +26,7 @@ from padnet.ordered_net import (
     build_tree_ordered_net,
     semi_to_tree_order,
 )
-from padnet.trees import IsometricEmbedding, TreeDecomposition, TreePartition
+from padnet.trees import IsometricEmbedding, TreeDecomposition, TreePartition, td_to_tree_partition
 from padnet.verify import (
     OracleCapError,
     _oracle_center_distances,
@@ -506,6 +517,89 @@ def test_deep_packing_assertions_hold():
             deep_packing_assertions(b.host, b.net, b.tp, v, oracle_cap=b.host.n)
 
 
+# --- the oracle's center rows ---------------------------------------------------
+
+
+def _random_fixture(ktree, n, k, graph_seed, delta):
+    if ktree:
+        return partial_ktree_fixture(n, k, seed=graph_seed, drop=0.3, weighted=True, delta=delta)
+    return weighted_path_fixture(n, seed=graph_seed, delta=delta)
+
+
+def _host_and_net(f):
+    emb = td_to_tree_partition(f.graph, f.td)
+    return emb.host, build_tree_ordered_net(emb.host, emb.tree_partition, f.delta)
+
+
+def _floyd_warshall_center_rows(host, net):
+    """Each center's all-pairs oracle row in its descendant subgraph, thresholded
+    at center_radius."""
+    rows = np.zeros((0, host.n))
+    for x in net.centers_in_order().tolist():
+        full = oracle_all_pairs(host, np.flatnonzero(net.descendant_vertices(x)), cap=host.n)
+        rows = np.vstack([rows, full[x]])
+    return np.where(rows <= net.center_radius, rows, np.inf)
+
+
+@given(
+    ktree=st.booleans(),
+    n=st.integers(6, 30),
+    k=st.integers(1, 3),
+    graph_seed=st.integers(0, 10**6),
+    delta=st.sampled_from([1.0, 2.0, 8.0, 40.0]),
+    scale=st.sampled_from([1.0, 0.5, 0.125]),
+)
+@example(ktree=True, n=30, k=3, graph_seed=0, delta=2.0, scale=0.5)
+@settings(max_examples=40, deadline=None)
+def test_center_rows_match_floyd_warshall(ktree, n, k, graph_seed, delta, scale):
+    # integer weights, or dyadic ones: every sum is exact, in any order
+    f = _random_fixture(ktree, n, k, graph_seed, delta)
+    g = WeightedGraph(f.graph.n, [(u, v, w * scale) for u, v, w in f.graph.edges])
+    host, net = _host_and_net(Fixture(f.name, g, f.td, delta * scale))
+    rows = _oracle_center_distances(host, net, host.n)
+    assert rows.shape == (len(net.centers_in_order()), host.n)
+    assert np.array_equal(rows, _floyd_warshall_center_rows(host, net))
+
+
+@given(
+    ktree=st.booleans(),
+    n=st.integers(6, 40),
+    k=st.integers(1, 3),
+    graph_seed=st.integers(0, 10**6),
+    delta=st.sampled_from([0.5, 1.0, 2.0]),
+)
+@example(ktree=True, n=30, k=3, graph_seed=21, delta=1.0)
+@settings(max_examples=40, deadline=None)
+def test_center_rows_match_bounded_dijkstra_on_decimal_weights(ktree, n, k, graph_seed, delta):
+    # decimal sums depend on their order; both sum each path in path order
+    f = decimal_weight_fixture(_random_fixture(ktree, n, k, graph_seed, delta), seed=graph_seed)
+    host, net = _host_and_net(f)
+    rows = _oracle_center_distances(host, net, host.n)
+    expected = np.zeros((0, host.n))
+    for x in net.centers_in_order().tolist():
+        row = shortest_paths(host, net.descendant_vertices(x), [x], limit=net.center_radius)
+        expected = np.vstack([expected, row])
+    assert rows.tobytes() == expected.tobytes()
+    assert rows.tobytes() == net.center_distance_matrix().tobytes()
+
+
+def test_center_rows_of_a_net_without_centers():
+    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    empty = TreeOrderedNet(
+        net=vertex_mask(3), order_parent=(-1,), node_vertex=(None,), assign=np.zeros(3, dtype=int),
+        alpha=3.0, delta=1.0, tp_width=1, cores=(), g=g,
+    )
+    assert _oracle_center_distances(g, empty, 10).shape == (0, 3)
+
+
+def test_center_rows_refuse_beyond_the_cap():
+    b = built(BY_NAME["path-30"])
+    largest = max(int(b.net.descendant_vertices(x).sum()) for x in b.net.centers_in_order().tolist())
+    assert _oracle_center_distances(b.host, b.net, largest).shape[1] == b.host.n
+    with pytest.raises(OracleCapError):
+        _oracle_center_distances(b.host, b.net, largest - 1)
+
+
 # --- the bounded center table, the core snapshot, the unique maximum ----------
 
 
@@ -520,7 +614,13 @@ def test_tampered_center_table_fails_oracle_agreement():
     rep = verify_net(b.host, b.net, b.delta, oracle_cap=b.host.n)
     assert find(rep, "net-distance-oracle-agreement").status == "pass"
 
-    oracle_d = _oracle_center_distances(b.host, b.net, b.host.n)
+    # the oracle's center rows end at center_radius, as the table does; the
+    # true distance beyond it comes from the all-pairs oracle
+    centers = b.net.centers_in_order()
+    oracle_d = np.stack([
+        oracle_all_pairs(b.host, np.flatnonzero(b.net.descendant_vertices(x)), cap=b.host.n)[x]
+        for x in centers.tolist()
+    ])
     vertex, rank, dist = b.net.center_entries()
     far = np.argwhere(np.isfinite(oracle_d) & (oracle_d > b.net.center_radius))
     near = np.flatnonzero(dist > 0)
