@@ -13,7 +13,6 @@ from .decomposition import (
 from .graph import (
     GraphFormatError,
     WeightedGraph,
-    all_pairs,
     ball,
     ball_pairs,
     parse_edge_list,

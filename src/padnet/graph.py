@@ -4,9 +4,13 @@ Immutable undirected graphs with nonnegative edge weights, induced-subgraph
 shortest paths (multi-source Dijkstra), balls, and weak/strong diameters.
 Every other module treats these as its metric substrate.
 
-A vertex set is a bool mask of length n where it is tested for membership
+A vertex set is a bool mask of shape (n,) where it is tested for membership
 (a restricting subgraph, a ball, a cluster) and a sequence of vertex ids
 where it is iterated (the sources of a search).
+
+The adjacency is a tuple of per-vertex tuples of (neighbour, weight) pairs,
+built once at construction, so the Dijkstra loop reads Python ints and floats
+rather than numpy scalars.
 
 Vertices are dense integer ids 0..n-1.  Input files use 1-indexed labels; the
 parser maps label k to id k-1.  Zero-weight edges are first class (the tree
@@ -43,7 +47,7 @@ class WeightedGraph:
     across threads; all operations on it are pure.
     """
 
-    __slots__ = ("n", "edges", "_adj_ptr", "_adj_v", "_adj_w")
+    __slots__ = ("n", "edges", "_nbrs")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
         if n < 1:
@@ -62,6 +66,9 @@ class WeightedGraph:
                 collapsed[key] = min(collapsed[key], w)
             else:
                 collapsed[key] = w
+        # plain sum: it overflows to inf where math.fsum would raise
+        if not math.isfinite(sum(collapsed.values())):
+            raise GraphFormatError("total edge weight overflows a float")
         if len(collapsed) < n - 1:  # too few edges to connect n vertices: no n-sized array yet
             raise GraphFormatError("graph is not connected")
         self.n = n
@@ -71,34 +78,22 @@ class WeightedGraph:
             raise GraphFormatError("graph is not connected")
 
     def _build_adjacency(self):
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(deg, out=ptr[1:])
-        adj_v = np.zeros(2 * len(self.edges), dtype=np.int64)
-        adj_w = np.zeros(2 * len(self.edges), dtype=np.float64)
-        fill = ptr[:-1].copy()
+        nbrs: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
         for u, v, w in self.edges:
-            adj_v[fill[u]], adj_w[fill[u]] = v, w
-            fill[u] += 1
-            adj_v[fill[v]], adj_w[fill[v]] = u, w
-            fill[v] += 1
-        self._adj_ptr, self._adj_v, self._adj_w = ptr, adj_v, adj_w
+            nbrs[u].append((v, w))
+            nbrs[v].append((u, w))
+        self._nbrs = tuple(map(tuple, nbrs))
 
     def _is_connected(self) -> bool:
-        seen = np.zeros(self.n, dtype=bool)
+        seen = [False] * self.n
         stack = [0]
         seen[0] = True
         while stack:
-            u = stack.pop()
-            for j in range(self._adj_ptr[u], self._adj_ptr[u + 1]):
-                v = int(self._adj_v[j])
+            for v, _ in self._nbrs[stack.pop()]:
                 if not seen[v]:
                     seen[v] = True
                     stack.append(v)
-        return bool(seen.all())
+        return all(seen)
 
     @property
     def m(self) -> int:
@@ -129,7 +124,7 @@ def shortest_paths(
 ) -> np.ndarray:
     """Multi-source distances inside the induced subgraph G[restrict].
 
-    `restrict` is a bool mask of length g.n and `sources` a sequence of
+    `restrict` is a bool array of shape (g.n,) and `sources` a sequence of
     vertex ids inside it.  Returns a float array of length g.n with
     d_{G[restrict]}(sources, v) for v in restrict (+inf when unreachable or
     outside restrict).
@@ -139,49 +134,51 @@ def shortest_paths(
     so every vertex within `limit` is reached along a path whose prefixes are
     all within `limit`, and `d <= r` is bit-for-bit the same as in the
     unbounded search for every r <= limit.
+
+    The search itself touches only Python objects: the mask is read once as
+    bytes, tentative distances live in a dict over the reached vertices, and
+    the n-entry row is filled from it at the end.
     """
     if not limit >= 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
+    if not (isinstance(restrict, np.ndarray) and restrict.dtype == bool
+            and restrict.shape == (g.n,)):
+        raise ValueError(f"restrict must be a bool array of shape ({g.n},)")
     if not restrict.any():
         raise ValueError("restrict must be non-empty")
     sources = np.asarray(sources, dtype=np.int64)
-    if not restrict[sources].all():
+    if not restrict[sources].all() or (sources < 0).any():
         raise ValueError("sources must be a subset of restrict")
-    dist = np.full(g.n, INF, dtype=np.float64)
+    inside = restrict.tobytes()
+    nbrs = g._nbrs
+    dist: dict[int, float] = {}
     heap: list[tuple[float, int]] = []
     for s in sources.tolist():
         dist[s] = 0.0
         heap.append((0.0, s))
     heapq.heapify(heap)
-    ptr, adj_v, adj_w = g._adj_ptr, g._adj_v, g._adj_w
+    pop, push, known = heapq.heappop, heapq.heappush, dist.get
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = pop(heap)
         if d > dist[u]:
             continue
-        for j in range(ptr[u], ptr[u + 1]):
-            v = int(adj_v[j])
-            if not restrict[v]:
-                continue
-            nd = d + adj_w[j]
-            if nd < dist[v]:
-                if nd > limit:
-                    continue
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
-def all_pairs(g: WeightedGraph) -> np.ndarray:
-    """(n, n) matrix whose row v is shortest_paths(g, all vertices, [v])."""
-    everything = g.all_vertices()
-    return np.stack([shortest_paths(g, everything, [v]) for v in range(g.n)])
+        for v, w in nbrs[u]:
+            if inside[v]:
+                nd = d + w
+                if nd < known(v, INF) and nd <= limit:
+                    dist[v] = nd
+                    push(heap, (nd, v))
+    row = np.full(g.n, INF, dtype=np.float64)
+    row[np.fromiter(dist, np.int64, len(dist))] = np.fromiter(dist.values(), np.float64, len(dist))
+    return row
 
 
 def ball_pairs(g: WeightedGraph, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(z, u, d(z, u)) for every pair with d(z, u) <= radius, sorted by z then u.
 
-    The sparse form of `all_pairs` thresholded at `radius`: each row comes
-    from a Dijkstra bounded at `radius`, and no n x n matrix is allocated.
+    The sparse form of the all-pairs distance matrix thresholded at
+    `radius`: each row comes from a Dijkstra bounded at `radius`, and no
+    n x n matrix is allocated.
     """
     everything = g.all_vertices()
     rows, cols, pair_d = [], [], []

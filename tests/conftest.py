@@ -6,10 +6,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from fixtures import acceptance_fixtures  # noqa: E402
+from fixtures import acceptance_fixtures, all_pairs  # noqa: E402
 
 from padnet.decomposition import DecompositionParams  # noqa: E402
-from padnet.graph import all_pairs  # noqa: E402
 from padnet.ordered_net import (  # noqa: E402
     build_semi_tree_order,
     construct_cores_trace,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from padnet.graph import WeightedGraph
+from padnet.graph import WeightedGraph, shortest_paths
 from padnet.trees import TreeDecomposition, TreePartition
 
 
@@ -30,6 +30,12 @@ def vertex_mask(n: int, ids=()) -> np.ndarray:
     mask[list(ids)] = True
     mask.flags.writeable = False
     return mask
+
+
+def all_pairs(g: WeightedGraph) -> np.ndarray:
+    """(n, n) matrix whose row v is shortest_paths(g, all vertices, [v])."""
+    everything = g.all_vertices()
+    return np.stack([shortest_paths(g, everything, [v]) for v in range(g.n)])
 
 
 def is_ancestor(parent, a: int, b: int) -> bool:

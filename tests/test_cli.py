@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -215,6 +218,24 @@ def test_overflowing_radius_exit_2(capsys, cmd, args, radius):
     assert f"radius {radius} overflows" in captured.err
 
 
+@pytest.mark.parametrize("weight", ["9e307", "1e308"])
+@pytest.mark.parametrize(
+    "cmd", ["convert", "net", "decompose", "cover", "partition-cover", "verify", "padding-estimate"]
+)
+def test_overflowing_total_weight_exit_2(capsys, tmp_path, cmd, weight):
+    # every weight is finite but the path's length is not: verify once raised
+    # OverflowError (exit 1) drawing from uniform(0, inf), and the other
+    # commands exited 0
+    gr, td = tmp_path / "heavy.gr", tmp_path / "heavy.td"
+    gr.write_text(f"p ge 3 2\ne 1 2 {weight}\ne 2 3 {weight}\n")
+    td.write_text("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
+    delta = [] if cmd == "convert" else ["--delta", "1"]
+    code = main([cmd, "--graph", str(gr), "--td", str(td), *delta, "--trials", "10"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {gr}: total edge weight overflows a float\n"
+
+
 def test_oracle_cap_below_one_exit_2(capsys):
     code = main(["verify", *GRID_ARGS, "--delta", "2", "--trials", "10", "--oracle-cap", "0"])
     assert code == 2
@@ -294,3 +315,12 @@ def test_sampler_ks_passes_at_alpha_near_one(capsys):
     ks = checks["sampler-ks"]
     assert ks["status"] == "pass"
     assert math.isfinite(ks["measured"])
+
+
+def test_python_m_padnet_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "padnet", "--help"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: padnet") and "partition-cover" in run.stdout

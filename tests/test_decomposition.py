@@ -10,6 +10,7 @@ import scipy.stats
 from conftest import built
 from fixtures import (
     acceptance_fixtures,
+    all_pairs,
     grid_fixture,
     heavy_path5,
     partial_ktree_fixture,
@@ -35,7 +36,7 @@ from padnet.decomposition import (
     seeded_generator,
     wilson_lower_bound,
 )
-from padnet.graph import WeightedGraph, all_pairs
+from padnet.graph import WeightedGraph
 from padnet.ordered_net import build_tree_ordered_net
 from padnet.trees import TreePartition, td_to_tree_partition
 from padnet.verify import verify_partition

@@ -9,7 +9,6 @@ from conftest import BuiltPipeline, built
 from fixtures import acceptance_fixtures, decimal_weight_fixture, partial_ktree_fixture
 
 import padnet.decomposition
-import padnet.graph
 import padnet.verify as verify
 from padnet.covers import build_partition_cover, build_sparse_cover
 from padnet.graph import parse_edge_list
@@ -122,7 +121,6 @@ def test_one_host_oracle_pass_per_report(monkeypatch):
 
     monkeypatch.setattr(verify, "oracle_all_pairs", counting_oracle)
     monkeypatch.setattr(verify, "_oracle_center_distances", counting_center_rows)
-    monkeypatch.setattr(padnet.graph, "all_pairs", refuse("graph.all_pairs"))
     monkeypatch.setattr(padnet.decomposition, "ball_pairs", refuse("ball_pairs"))
     # no cover cluster spans the host, so the embedding check's is the only
     # whole-host call outside the center rows

@@ -3,14 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from fixtures import grid_fixture, vertex_mask
+from fixtures import all_pairs, grid_fixture, vertex_mask
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padnet.graph import (
     GraphFormatError,
     WeightedGraph,
-    all_pairs,
     ball,
     ball_pairs,
     parse_edge_list,
@@ -47,6 +46,20 @@ def test_sources_must_be_inside_restrict():
         shortest_paths(g, vertex_mask(3, [0, 1]), [2])
     with pytest.raises(ValueError):
         shortest_paths(g, vertex_mask(3), [])
+    with pytest.raises(ValueError):
+        shortest_paths(g, g.all_vertices(), [-1])
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [np.ones(3, dtype=np.int64), np.ones(3), np.ones(2, dtype=bool), np.ones((1, 3), dtype=bool)],
+    ids=["int", "float", "short", "2d"],
+)
+def test_restrict_must_be_a_bool_vector(mask):
+    # the search reads the mask as one byte per vertex, so any other dtype
+    # or shape would be misread, not rejected, without this check
+    with pytest.raises(ValueError, match=r"restrict must be a bool array of shape \(3,\)"):
+        shortest_paths(path3(), mask, [0])
 
 
 def test_ball_basic():
@@ -95,6 +108,14 @@ def test_graph_validation():
         WeightedGraph(3, [(0, 1, 1.0)])  # disconnected
     g = WeightedGraph(2, [(0, 1, 3.0), (1, 0, 1.0)])  # parallel collapses to min
     assert g.edges == ((0, 1, 1.0),)
+
+
+@pytest.mark.parametrize("w", [9e307, 1e308])
+def test_total_weight_must_be_finite(w):
+    # each weight is finite, but the path 0-1-2 is +inf long
+    with pytest.raises(GraphFormatError, match="total edge weight overflows"):
+        WeightedGraph(3, [(0, 1, w), (1, 2, w)])
+    assert WeightedGraph(2, [(0, 1, w)]).edges == ((0, 1, w),)
 
 
 # --- randomized cross-checks -------------------------------------------------
@@ -165,15 +186,40 @@ def assert_bounded_is_thresholded(g, restrict, sources, limit):
 
 
 @st.composite
-def decimal_graphs(draw, max_n=12):
-    # zero and non-dyadic weights, whose sums round differently by path
-    weights = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0])
+def graphs_weighted_from(draw, weights, max_n=12):
     n = draw(st.integers(2, max_n))
     edges = [(i, draw(st.integers(0, i - 1)), draw(weights)) for i in range(1, n)]
     extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weights),
                           max_size=2 * n))
     edges.extend((u, v, w) for u, v, w in extra if u != v)
     return WeightedGraph(n, edges)
+
+
+def decimal_graphs():
+    # zero and non-dyadic weights, whose sums round differently by path
+    return graphs_weighted_from(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0]))
+
+
+def dyadic_graphs():
+    # zero weights and halves/quarters: every path length is exact
+    return graphs_weighted_from(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.75, 3.0]), max_n=10)
+
+
+@given(st.one_of(connected_graphs(), dyadic_graphs()), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_kernel_rows_sources_and_limits(g, rnd):
+    members = sorted(rnd.sample(range(g.n), rnd.randint(1, g.n)))
+    restrict = vertex_mask(g.n, members)
+    matrix = oracle_all_pairs(g, members, cap=60)
+    sources = [rnd.choice(members) for _ in range(rnd.randint(1, 4))]  # repeats allowed
+    rows = {s: shortest_paths(g, restrict, [s]) for s in sources}
+    for s, row in rows.items():
+        assert row.tolist() == matrix[s].tolist()
+    multi = shortest_paths(g, restrict, sources)
+    assert multi.tolist() == np.minimum.reduce([rows[s] for s in sources]).tolist()
+    for limit in {0.0, rnd.uniform(0, 8), *multi[np.isfinite(multi)].tolist()}:
+        bounded = shortest_paths(g, restrict, sources, limit)
+        assert bounded.tobytes() == np.where(multi <= limit, multi, INF).tobytes()
 
 
 @given(st.one_of(connected_graphs(), decimal_graphs()), st.randoms(use_true_random=False))
