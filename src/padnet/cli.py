@@ -69,9 +69,13 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _project_members(emb, members) -> list[int]:
-    host_set = set(members)
-    return sorted(v for v in range(emb.forward.shape[0]) if int(emb.forward[v]) in host_set)
+def _original_ids(emb) -> dict[int, int]:
+    """Host vertex -> the input vertex whose designated copy it is."""
+    return {h: v for v, h in enumerate(emb.forward.tolist())}
+
+
+def _project_members(original: dict[int, int], members) -> list[int]:
+    return sorted(original[h] for h in members if h in original)
 
 
 def cmd_convert(args) -> int:
@@ -143,8 +147,9 @@ def cmd_cover(args) -> int:
     cover = build_sparse_cover(emb.host, net, args.delta)
     payload = cover.to_json_dict()
     payload["command"] = "cover"
+    original = _original_ids(emb)
     for c, cluster in zip(payload["clusters"], cover.clusters):
-        c["original_members"] = _project_members(emb, cluster.members)
+        c["original_members"] = _project_members(original, cluster.members)
     _emit(args, payload)
     return 0
 
@@ -156,9 +161,10 @@ def cmd_partition_cover(args) -> int:
     payload = pcover.to_json_dict()
     payload["command"] = "partition-cover"
     payload["tau_emp"] = net.tau_emp
+    original = _original_ids(emb)
     for part, built in zip(payload["partitions"], pcover.partitions):
         for c, cluster in zip(part, built):
-            c["original_members"] = _project_members(emb, cluster.members)
+            c["original_members"] = _project_members(original, cluster.members)
     _emit(args, payload)
     return 0
 
@@ -262,9 +268,6 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (GraphFormatError, TdValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -463,22 +463,17 @@ def padded_trial_counts(
     """Per-vertex counts of trials whose gamma-ball stayed in one cluster.
 
     Vertex z is padded in a trial when every u with d(z, u) <= gamma *
-    (alpha+1) * delta shares z's cluster.  The balls of all gammas nest inside
-    those at r_max = max(gammas) * (alpha+1) * delta, so the (z, u) pairs at
-    r_max are listed once, from Dijkstra rows bounded at r_max or from the
-    all-pairs `dist_matrix` a caller supplies, and each gamma selects its
-    pairs from that list.  Only pairs that can be cut are counted: the ends
-    of a pair in one `_claim_classes` class share a cluster in every trial,
-    so such pairs are dropped, and of the pairs from z into one class only
-    the nearest is kept, as its class's members share a label; a vertex with
-    no pair left in its ball is padded in every trial.  A net of one class
-    lists no pairs at all, but still runs the sampler, which raises when a
-    vertex is claimed by no center.  Memory, besides the
-    pair list: per chunk of t trials, the (n, t) labels in the smallest
-    integer type that holds the center count, two (kept pairs) x t gathers
-    of them, one (kept pairs) x t bool tensor of cut pairs, and for each
-    gamma in turn a copy of its rows of that tensor.  No n x n matrix is
-    allocated unless the caller passes one in.
+    (alpha+1) * delta shares z's cluster.  A `_claim_classes` class lands in
+    one cluster in every trial, so one pair (z, c) is listed per class c
+    other than z's own within r_max = max(gammas) * (alpha+1) * delta, at
+    the distance from z to c's nearest member: by `ball_pairs`, or from the
+    per-class minima of the all-pairs `dist_matrix` a caller supplies.  Each
+    gamma's ball nests in r_max's and selects its pairs from that list.
+    Memory, besides the pair list: per chunk of t trials, the (n, t) labels
+    in the smallest integer type that holds the center count, two (pairs) x
+    t gathers of them, one (pairs) x t bool tensor of cut pairs, and for each
+    gamma a copy of its rows of it.  No n x n matrix is allocated unless the
+    caller passes one in.
     """
     params = DecompositionParams.from_net(net, delta)
     gammas = [float(gm) for gm in gammas]
@@ -491,21 +486,18 @@ def padded_trial_counts(
         raise ValueError(f"trials must be >= 1, got {trials}")
     r_max = max(gammas) * params.diameter_bound
     cls = _claim_classes(net)
-    if cls.max() == 0:  # one class: no pair can be cut, so none is listed
-        rows = cols = np.zeros(0, dtype=np.intp)
-        pair_d = np.zeros(0)
-    elif dist_matrix is None:
-        rows, cols, pair_d = ball_pairs(g, r_max)
-    else:
-        rows, cols = np.nonzero(dist_matrix <= r_max)
-        pair_d = dist_matrix[rows, cols]
-    cross = np.flatnonzero(cls[rows] != cls[cols])
-    # one pair per (z, class of u), its nearest u: a gamma's ball meets the
-    # class exactly when it holds that pair.  Sorted by key, so by z.
-    key = rows[cross] * (int(cls.max()) + 1) + cls[cols[cross]]
-    order = np.lexsort((pair_d[cross], key))
-    kept = cross[order[np.unique(key[order], return_index=True)[1]]]
-    rows, cols, pair_d = rows[kept], cols[kept], pair_d[kept]
+    if dist_matrix is None:
+        rows, near, pair_d = ball_pairs(g, cls, r_max)
+    else:  # row z's minimum over each class's columns, with no n x n copy
+        nearest = np.full((g.n, cls.max() + 1), np.inf)
+        np.minimum.at(nearest.T, cls, dist_matrix.T)
+        rows, near = np.nonzero(nearest <= r_max)
+        pair_d = nearest[rows, near]
+    # z's own class is never cut from z; each class's first member stands
+    # for it, as its members share a label in every trial
+    other = cls[rows] != near
+    first = np.unique(cls, return_index=True)[1]
+    rows, cols, pair_d = rows[other], first[near[other]], pair_d[other]
     # each gamma with pairs: its pairs, their vertices z and the start of
     # each z's segment among them, for reduceat
     segments = {}

@@ -173,22 +173,23 @@ def shortest_paths(
     return row
 
 
-def ball_pairs(g: WeightedGraph, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(z, u, d(z, u)) for every pair with d(z, u) <= radius, sorted by z then u.
-
-    The sparse form of the all-pairs distance matrix thresholded at
-    `radius`: each row comes from a Dijkstra bounded at `radius`, and no
-    n x n matrix is allocated.
-    """
+def ball_pairs(g: WeightedGraph, labels: np.ndarray, radius: float) -> tuple[np.ndarray, ...]:
+    """(z, c, d(z, c)) for every vertex z within `radius` of a vertex labelled
+    c, sorted by z then c; d(z, c) is the distance from z to the nearest
+    vertex labelled c, from one multi-source Dijkstra per label bounded at
+    `radius`, so it is summed from the labelled end.  With labels 0..n-1 this
+    is the all-pairs matrix, transposed and thresholded at `radius`."""
     everything = g.all_vertices()
-    rows, cols, pair_d = [], [], []
-    for z in range(g.n):
-        dist = shortest_paths(g, everything, [z], radius)
+    by_label = np.argsort(labels, kind="stable")
+    names, starts = np.unique(labels[by_label], return_index=True)
+    found = []
+    for c, members in zip(names.tolist(), np.split(by_label, starts[1:])):
+        dist = shortest_paths(g, everything, members, radius)
         (inside,) = np.nonzero(dist <= radius)
-        rows.append(np.full(inside.size, z))
-        cols.append(inside)
-        pair_d.append(dist[inside])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(pair_d)
+        found.append((inside, np.full(inside.size, c), dist[inside]))
+    z, c, d = map(np.concatenate, zip(*found))
+    by_z = np.argsort(z, kind="stable")  # labels ascend within each z
+    return z[by_z], c[by_z], d[by_z]
 
 
 def ball(
@@ -201,33 +202,28 @@ def ball(
     return shortest_paths(g, restrict, centers) <= radius
 
 
-def weak_diameter(g: WeightedGraph, cluster: np.ndarray) -> float:
-    """max d_G(u, v) over pairs of the cluster mask, measured in the whole graph."""
+def _diameter(g: WeightedGraph, cluster: np.ndarray, restrict: np.ndarray) -> float:
+    """max over pairs of the cluster mask of their distance inside G[restrict]."""
     members = np.flatnonzero(cluster)
     if members.size == 0:
         raise ValueError("cluster must be non-empty")
     if members.size == 1:
         return 0.0
-    everything = g.all_vertices()
     best = 0.0
     for u in members.tolist():
-        dist = shortest_paths(g, everything, [u])
+        dist = shortest_paths(g, restrict, [u])
         best = max(best, float(dist[members].max()))
     return best
+
+
+def weak_diameter(g: WeightedGraph, cluster: np.ndarray) -> float:
+    """max d_G(u, v) over pairs of the cluster mask, measured in the whole graph."""
+    return _diameter(g, cluster, g.all_vertices())
 
 
 def strong_diameter(g: WeightedGraph, cluster: np.ndarray) -> float:
     """Diameter of the induced subgraph G[cluster]; +inf when disconnected."""
-    members = np.flatnonzero(cluster)
-    if members.size == 0:
-        raise ValueError("cluster must be non-empty")
-    if members.size == 1:
-        return 0.0
-    best = 0.0
-    for u in members.tolist():
-        dist = shortest_paths(g, cluster, [u])
-        best = max(best, float(dist[members].max()))
-    return best
+    return _diameter(g, cluster, cluster)
 
 
 def parse_edge_list(text: str) -> WeightedGraph:

@@ -171,6 +171,8 @@ class TreeOrderedNet:
 
         Entries beyond `center_radius` are +inf; every entry within it is the
         exact restricted distance, so `d <= r` is exact for r <= center_radius.
+        No padnet module reads it: it stays for the benchmark's net facts and
+        the tests until the benchmark reads `center_entries()` instead.
         """
         vertex, rank, dist = self._entries
         d = np.full((len(self._centers), self.n), np.inf)

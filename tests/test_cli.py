@@ -6,9 +6,12 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from padnet.cli import main
+from padnet.cli import _original_ids, _project_members, main
+from padnet.graph import parse_edge_list
+from padnet.trees import load_tree_decomposition, td_to_tree_partition
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
@@ -74,6 +77,24 @@ def test_cover_and_partition_cover(capsys):
     validate(payload, "partition_cover")
     assert payload["guarantees"]["padding_ratio"] == 12.0
     assert payload["guarantees"]["partition_count"] <= payload["tau_emp"]
+
+
+def test_projection_matches_brute_force():
+    g = parse_edge_list((DATA / "grid4.gr").read_text())
+    emb = td_to_tree_partition(g, load_tree_decomposition((DATA / "grid4.td").read_text(), g))
+    designated = set(emb.forward.tolist())
+    others = [h for h in range(emb.host.n) if h not in designated]
+    assert others  # the host has copies that stand for no input vertex
+    original = _original_ids(emb)
+    rng = np.random.default_rng(4)
+    member_sets = [set(), set(others), set(range(emb.host.n))]
+    member_sets += [
+        set(rng.choice(emb.host.n, size=size, replace=False).tolist())
+        for size in rng.integers(1, emb.host.n, size=30)
+    ]
+    for members in member_sets:
+        brute = sorted(v for v in range(g.n) if int(emb.forward[v]) in members)
+        assert _project_members(original, frozenset(members)) == brute
 
 
 def test_verify_exits_zero_and_validates(capsys, tmp_path):

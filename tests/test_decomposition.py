@@ -586,32 +586,31 @@ def test_claim_class_members_share_labels(fixture):
         assert np.array_equal(block, block[:, first_member[cls]])
 
 
-class _Unread:
-    """A stand-in distance matrix that fails when it is read."""
-
-    def __le__(self, other):
-        raise AssertionError("dist_matrix read")
-
-
-def test_one_class_net_lists_no_ball_pairs(monkeypatch):
+def test_one_class_net_lists_no_cuttable_pair(monkeypatch):
     g, net = single_center_net()
     assert decomposition._claim_classes(net).max() == 0
-
-    def refuse(*args):
-        raise AssertionError("ball_pairs called")
-
-    monkeypatch.setattr(decomposition, "ball_pairs", refuse)
     gammas = [0.0, 1 / 32, 1 / 16]
-    for dist_matrix in (None, _Unread()):
+    matrices = (None, all_pairs(g))
+    for dist_matrix in matrices:
         counts = padded_trial_counts(g, net, 1.0, gammas, trials=40, seed=2, dist_matrix=dist_matrix)
         assert {gm: c.tolist() for gm, c in counts.items()} == {gm: [40] * g.n for gm in gammas}
+    # every vertex in a cluster of its own: a listed pair would be cut
+    with monkeypatch.context() as m:
+        m.setattr(
+            decomposition, "sample_assignments",
+            lambda net, seed, trials: iter([np.tile(np.arange(net.n), (trials, 1))]),
+        )
+        for dist_matrix in matrices:
+            counts = padded_trial_counts(g, net, 1.0, gammas, trials=40, seed=2, dist_matrix=dist_matrix)
+            assert {gm: c.tolist() for gm, c in counts.items()} == {gm: [40] * g.n for gm in gammas}
     # with no entry left every vertex shares the one class, and the sampler
     # still names the first vertex no center claims
     empty = tuple(a[:0] for a in net.center_entries())
     monkeypatch.setattr(net, "center_entries", lambda: empty)
     assert decomposition._claim_classes(net).max() == 0
-    with pytest.raises(AssertionError, match="^vertex 0 claimed by no center"):
-        padded_trial_counts(g, net, 1.0, gammas, trials=40, seed=2, dist_matrix=_Unread())
+    for dist_matrix in matrices:
+        with pytest.raises(AssertionError, match="^vertex 0 claimed by no center"):
+            padded_trial_counts(g, net, 1.0, gammas, trials=40, seed=2, dist_matrix=dist_matrix)
 
 
 def test_padded_trial_counts_rejects_bad_gammas():

@@ -247,8 +247,10 @@ def test_limit_on_copy_expanded_host():
 
 
 def assert_ball_pairs_thresholded(g, radius):
-    free = all_pairs(g)
-    rows, cols, pair_d = ball_pairs(g, radius)
+    # one label per vertex: each pair's search runs from its labelled end u,
+    # so pair (z, u) holds all_pairs' entry (u, z) bit for bit
+    free = all_pairs(g).T
+    rows, cols, pair_d = ball_pairs(g, np.arange(g.n), radius)
     want_rows, want_cols = np.nonzero(free <= radius)
     assert rows.tolist() == want_rows.tolist()
     assert cols.tolist() == want_cols.tolist()
@@ -261,6 +263,23 @@ def test_ball_pairs_is_thresholded_all_pairs(g, rnd):
     free = all_pairs(g)
     for radius in {0.0, rnd.uniform(0, 5), rnd.choice(free.ravel().tolist())}:
         assert_ball_pairs_thresholded(g, radius)
+
+
+@given(st.one_of(connected_graphs(), dyadic_graphs()), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_ball_pairs_of_shared_labels_are_per_label_minima(g, rnd):
+    # every path length is exact on these weights, so a label's one search
+    # gives each vertex its distance to the label's nearest vertex
+    labels = np.array([rnd.choice([3, 5, 8]) for _ in range(g.n)])
+    names = np.unique(labels)
+    free = all_pairs(g)
+    nearest = np.stack([free[labels == c].min(axis=0) for c in names], axis=1)  # (z, label)
+    for radius in {0.0, rnd.uniform(0, 8), rnd.choice(free.ravel().tolist())}:
+        rows, cols, pair_d = ball_pairs(g, labels, radius)
+        z, i = np.nonzero(nearest <= radius)
+        assert rows.tolist() == z.tolist()
+        assert cols.tolist() == names[i].tolist()
+        assert pair_d.tolist() == nearest[z, i].tolist()
 
 
 def test_limit_zero_keeps_zero_weight_component():

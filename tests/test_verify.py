@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from padnet.ordered_net import (
 from padnet.trees import IsometricEmbedding, TreeDecomposition, TreePartition, td_to_tree_partition
 from padnet.verify import (
     OracleCapError,
+    _bellman_ford_rows,
     _oracle_center_distances,
     count_maximal,
     oracle_all_pairs,
@@ -90,6 +92,15 @@ def test_oracle_matches_search_on_random_graphs():
         for s in members:
             d = shortest_paths(g, restrict, [s])
             assert d[members].tolist() == matrix[s][members].tolist()
+
+
+@pytest.mark.parametrize("oracle", [oracle_all_pairs, _bellman_ford_rows])
+def test_oracle_reads_nothing_from_the_code_it_checks(oracle):
+    checked = {"padnet.graph", "padnet.ordered_net", "padnet.decomposition", "padnet.covers"}
+    refs = inspect.getclosurevars(oracle)
+    for name, value in {**refs.globals, **refs.nonlocals}.items():
+        module = value.__name__ if inspect.ismodule(value) else getattr(value, "__module__", None)
+        assert module not in checked, f"{oracle.__name__} reads {name} from {module}"
 
 
 # --- net checks and fault injection ---------------------------------------------
@@ -635,7 +646,8 @@ def test_tampered_center_table_fails_oracle_agreement():
     wrong_inside = (vertex, rank, dist.copy())
     wrong_inside[2][e] = np.nextafter(dist[e], np.inf)
     inf_inside = tuple(np.delete(a, e) for a in (vertex, rank, dist))
-    for tampered in (finite_beyond, wrong_inside, inf_inside):
+    listed_twice = tuple(np.insert(a, e, a[e]) for a in (vertex, rank, dist))
+    for tampered in (finite_beyond, wrong_inside, inf_inside, listed_twice):
         rep = verify_net(b.host, with_entries(b.net, *tampered), b.delta, oracle_cap=b.host.n)
         assert find(rep, "net-distance-oracle-agreement").status == "fail"
 
