@@ -5,11 +5,17 @@ subgraph induced by its descendants: strong diameter 2*alpha*Delta, at most
 tau clusters per vertex, and every ball of radius (alpha-1)*Delta/2 lands
 inside some cluster.
 
-The partition cover shrinks the radius to alpha*Delta/2 and greedily packs
-disjoint clusters into partial partitions, preferring centers closer to the
-root; each partial partition is then completed with singletons.  At most tau
-partial partitions arise, each 3*Delta-bounded at alpha=3, padding radius
-(alpha-2)*Delta/4.
+The partition cover shrinks the radius to alpha*Delta/2 and packs disjoint
+balls into partial partitions, each built by one pass over the centers still
+waiting, in rank order (root to leaf, ties by id): a center joins when its
+ball misses the balls already in the partition, otherwise it waits for the
+next one.  An order ancestor has a lower level, so it comes first in rank
+order; every pick is therefore maximal among the partition's candidates, and
+whatever blocks a center is an order ancestor within alpha*Delta, which its
+packing count bounds.  So at most tau partial partitions arise, each
+completed with singletons, each 3*Delta-bounded at alpha=3, padding radius
+(alpha-2)*Delta/4.  The at most tau passes make O(tau*k) ball tests over k
+centers, each reading one ball.
 """
 
 from __future__ import annotations
@@ -128,7 +134,8 @@ def build_sparse_cover(g: WeightedGraph, net: TreeOrderedNet, delta: float) -> S
 
 
 def build_partition_cover(g: WeightedGraph, net: TreeOrderedNet, delta: float) -> PartitionCover:
-    """Greedy partial partitions of alpha*delta/2 balls, singleton-completed."""
+    """Partial partitions of alpha*delta/2 balls, one rank-order pass each,
+    singleton-completed."""
     alpha = net.alpha
     if alpha <= 2:
         raise ValueError(f"partition cover needs alpha > 2, got {alpha}")
@@ -137,48 +144,22 @@ def build_partition_cover(g: WeightedGraph, net: TreeOrderedNet, delta: float) -
     radius = alpha * delta / 2
     vertex, rank = _ball_entries(net, radius)
     members = _grouped(vertex, rank, len(centers))
-    holding = _grouped(rank, vertex, g.n)  # the centers whose ball holds each vertex
-
-    # centers in preorder of their order nodes: ancestors come first
-    tin, tout = net.vertex_intervals()
-    by_tin = np.argsort(tin[centers])
-    tin, tout = tin[centers[by_tin]], tout[centers[by_tin]]
-    remaining = np.ones(len(centers), dtype=bool)
-    partial_partitions: list[list[int]] = []
-    while remaining.any():
-        candidate = remaining.copy()  # unchosen, ball misses this partition's balls
-        chosen: list[int] = []
-        while candidate.any():
-            live = candidate[by_tin]
-            # maximal: no earlier candidate's subtree interval covers its tin
-            reach = np.maximum.accumulate(tout[live])
-            maximal = by_tin[live][tin[live] >= np.concatenate(([0], reach[:-1]))]
-            pick = int(maximal[np.argmin(centers[maximal])])
-            chosen.append(pick)
-            # keep the unchosen centers whose ball misses the pick's ball
-            remaining[pick] = candidate[pick] = False
-            candidate[np.concatenate([holding[v] for v in members[pick].tolist()])] = False
-        partial_partitions.append(chosen)
 
     partitions: list[tuple[PartitionCluster, ...]] = []
-    for chosen in partial_partitions:
-        part: list[PartitionCluster] = []
+    waiting = range(len(centers))
+    while waiting:
         occupied = np.zeros(g.n, dtype=bool)
-        for i in chosen:
-            part.append(
-                PartitionCluster(
-                    kind="net",
-                    center=int(centers[i]),
-                    radius=radius,
-                    members=frozenset(members[i].tolist()),
-                )
-            )
+        part, blocked = [], []
+        for i in waiting:
+            if occupied[members[i]].any():
+                blocked.append(i)  # waits for the next partial partition
+                continue
             occupied[members[i]] = True
-        for v in np.flatnonzero(~occupied).tolist():
-            part.append(
-                PartitionCluster(kind="singleton", center=v, radius=0.0, members=frozenset([v]))
-            )
+            part.append(PartitionCluster("net", int(centers[i]), radius, frozenset(members[i].tolist())))
+        singletons = np.flatnonzero(~occupied).tolist()
+        part += [PartitionCluster("singleton", v, 0.0, frozenset([v])) for v in singletons]
         partitions.append(tuple(part))
+        waiting = blocked
 
     return PartitionCover(
         partitions=tuple(partitions),

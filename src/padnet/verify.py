@@ -56,7 +56,7 @@ The partition sweep draws its SWEEP_SEEDS consecutive seeds through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Sequence
 
@@ -100,6 +100,12 @@ class OracleCapError(ValueError):
     """The all-pairs oracle refuses instances beyond its configured cap."""
 
 
+def _check_oracle_cap(oracle_cap: int) -> None:
+    """A cap below 1 is bad configuration, not an input over the cap."""
+    if oracle_cap < 1:
+        raise ValueError(f"oracle_cap must be >= 1, got {oracle_cap}")
+
+
 def oracle_all_pairs(g: WeightedGraph, restrict: Sequence[int], cap: int = 60) -> np.ndarray:
     """Exact all-pairs distances in G[restrict] via the O(n^3) recurrence.
 
@@ -139,13 +145,7 @@ class CheckResult:
     witness: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "measured": self.measured,
-            "bound": self.bound,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -215,6 +215,7 @@ def _split(owner: np.ndarray, member: np.ndarray, k: int) -> list[np.ndarray]:
 def verify_embedding(
     g: WeightedGraph, td: TreeDecomposition, emb: IsometricEmbedding, oracle_cap: int
 ) -> list[CheckResult]:
+    _check_oracle_cap(oracle_cap)
     return _embedding_checks(g, td, emb, oracle_cap)[0]
 
 
@@ -915,8 +916,7 @@ def full_report(
     """Run every invariant check of the whole pipeline on one instance."""
     from .trees import td_to_tree_partition
 
-    if oracle_cap < 1:
-        raise ValueError(f"oracle_cap must be >= 1, got {oracle_cap}")
+    _check_oracle_cap(oracle_cap)
     checks: list[CheckResult] = []
     checks.extend(_graph_property_checks(g, seed, oracle_cap))
 

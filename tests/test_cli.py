@@ -258,9 +258,13 @@ def test_overflowing_total_weight_exit_2(capsys, tmp_path, cmd, weight):
 
 
 def test_oracle_cap_below_one_exit_2(capsys):
-    code = main(["verify", *GRID_ARGS, "--delta", "2", "--trials", "10", "--oracle-cap", "0"])
-    assert code == 2
-    assert "oracle_cap must be >= 1, got 0" in capsys.readouterr().err
+    for cmd, delta in (("convert", []), ("verify", ["--delta", "2"])):
+        for cap in ("0", "-1"):
+            code = main([cmd, *GRID_ARGS, *delta, "--trials", "10", "--oracle-cap", cap])
+            captured = capsys.readouterr()
+            assert code == 2, (cmd, cap)
+            assert captured.err == f"error: oracle_cap must be >= 1, got {cap}\n"
+            assert captured.out == ""
 
 
 @pytest.mark.parametrize("cmd", ["decompose", "padding-estimate", "verify"])
