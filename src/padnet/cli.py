@@ -120,6 +120,10 @@ def cmd_net(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    if args.trials < 1:
+        raise CliError("--trials must be >= 1")
+    if args.seed + args.trials > 2**64:
+        raise CliError(f"--seed {args.seed} with --trials {args.trials} runs past seed 2**64 - 1")
     g, td = _load_inputs(args)
     emb, net = _build_net(g, td, args.delta, args.alpha)
     params = DecompositionParams.from_net(net, args.delta)
@@ -260,9 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "decompose" and args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.handler(args)
     except CliError as exc:

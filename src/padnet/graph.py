@@ -196,10 +196,10 @@ def ball(
     g: WeightedGraph, restrict: np.ndarray, centers: Sequence[int], radius: float
 ) -> np.ndarray:
     """Member mask: the vertices of restrict within `radius` of the centers
-    in G[restrict]."""
-    if radius < 0:
+    in G[restrict], from one search bounded at `radius`."""
+    if not radius >= 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    return shortest_paths(g, restrict, centers) <= radius
+    return shortest_paths(g, restrict, centers, limit=radius) <= radius
 
 
 def _diameter(g: WeightedGraph, cluster: np.ndarray, restrict: np.ndarray) -> float:

@@ -30,9 +30,10 @@ against Dijkstra (`dijkstra-floyd-warshall-agreement`, `isometry-exact`) are
 exact on integer or dyadic weights only: on decimal weights they can fail on
 a last-bit difference.
 
-`full_report` computes each oracle matrix once and passes it on as an
-argument; nothing is cached between calls, and a check called on its own
-computes what it reads.
+`full_report` is the only producer of the whole-host oracle tables: it
+computes each once and passes it on as an argument, and `verify_net` and
+`verify_cover` read the tables they are given.  Nothing is cached between
+calls.
 - The host's all-pairs matrix, computed after the input graph's: the
   isometry and copy checks, both ball-containment checks, the balls sampled
   for the unique-maximum check, the partition sweep's weak diameters and
@@ -107,15 +108,24 @@ def _check_oracle_cap(oracle_cap: int) -> None:
 
 
 def oracle_all_pairs(g: WeightedGraph, restrict: Sequence[int], cap: int = 60) -> np.ndarray:
-    """Exact all-pairs distances in G[restrict] via the O(n^3) recurrence.
+    """Exact all-pairs distances in G[restrict] via the O(r^3) recurrence.
 
-    `restrict` holds distinct vertex ids, in any order.  Returns an (n, n)
-    matrix with +inf for pairs not both inside restrict.  Refuses (never
-    truncates) when |restrict| exceeds cap.
+    `restrict` holds r distinct vertex ids in 0..n-1, in any order; the first
+    id outside that range or repeated raises ValueError.  Returns the (r, r)
+    matrix over the ids in ascending order, +inf for pairs G[restrict] does
+    not connect.  Refuses (never truncates) when r exceeds cap.
     """
-    idx = np.sort(np.asarray(restrict, dtype=np.int64))
-    if idx.size == 0:
+    ids = np.asarray(restrict, dtype=np.int64)
+    if ids.size == 0:
         raise ValueError("restrict must be non-empty")
+    by_id = np.argsort(ids, kind="stable")
+    idx = ids[by_id]
+    wrong = (ids < 0) | (ids >= g.n)
+    wrong[by_id[1:][idx[1:] == idx[:-1]]] = True  # every occurrence after the first
+    if wrong.any():
+        v = int(ids[np.argmax(wrong)])
+        why = "repeated" if 0 <= v < g.n else f"outside 0..{g.n - 1}"
+        raise ValueError(f"restrict: vertex {v} {why}")
     if idx.size > cap:
         raise OracleCapError(f"oracle cap {cap} exceeded: |restrict| = {idx.size}")
     r = idx.size
@@ -129,11 +139,9 @@ def oracle_all_pairs(g: WeightedGraph, restrict: Sequence[int], cap: int = 60) -
             if w < d[pu, pv]:
                 d[pu, pv] = w
                 d[pv, pu] = w
-    for k in range(r):
+    for k in range(r):  # ascending ids: the sums, and so every bit, depend on this order
         np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
-    out = np.full((g.n, g.n), np.inf)
-    out[np.ix_(idx, idx)] = d
-    return out
+    return d
 
 
 @dataclass
@@ -550,13 +558,13 @@ def _oracle_center_distances(
     centers_in_order()[i] inside its descendant subgraph up to
     `net.center_radius`, +inf beyond, as the net's own table holds them.
 
-    One `_bellman_ford_rows` call computes every row; as the all-pairs
-    oracle does, it refuses a descendant subgraph larger than oracle_cap.
+    The descendant masks come from the order's preorder intervals, and one
+    `_bellman_ford_rows` call computes every row; as the all-pairs oracle
+    does, it refuses a descendant subgraph larger than oracle_cap.
     """
     centers = net.centers_in_order()
-    masks = np.zeros((len(centers), g.n), dtype=bool)
-    for i, x in enumerate(centers.tolist()):
-        masks[i] = net.descendant_vertices(x)
+    tin, tout = net.vertex_intervals()
+    masks = (tin >= tin[centers, None]) & (tin < tout[centers, None])
     largest = int(masks.sum(axis=1).max(initial=0))
     if largest > oracle_cap:
         raise OracleCapError(f"oracle cap {oracle_cap} exceeded: |restrict| = {largest}")
@@ -583,23 +591,17 @@ def verify_net(
     g: WeightedGraph,
     net: TreeOrderedNet,
     delta: float,
-    oracle_cap: int = 60,
+    host_dist: np.ndarray,
+    center_dist: np.ndarray,
     seed: int = 0,
     samples: int = 100,
-    host_dist: np.ndarray | None = None,
-    center_dist: np.ndarray | None = None,
 ) -> VerificationReport:
     """Certify the net and its order against the oracle.
 
-    host_dist is g's oracle matrix and center_dist the net's oracle center
-    rows (`_oracle_center_distances`); each is computed here when not given.
+    host_dist is g's (n, n) oracle matrix and center_dist the net's oracle
+    center rows (`_oracle_center_distances`).
     """
     checks: list[CheckResult] = []
-    if host_dist is None:
-        host_dist = oracle_all_pairs(g, range(g.n), cap=oracle_cap)
-    if center_dist is None:
-        center_dist = _oracle_center_distances(g, net, oracle_cap)
-
     tin, tout = net.vertex_intervals()
     a, b = np.array([e[:2] for e in g.edges], dtype=np.int64).reshape(-1, 2).T
     # an edge's ends are comparable when the interval of the end entered
@@ -726,21 +728,19 @@ def verify_cover(
     cover: SparseCover | PartitionCover,
     alpha: float,
     delta: float,
+    host_dist: np.ndarray,
     oracle_cap: int = 60,
     packing_counts: np.ndarray | None = None,
     tau: int | None = None,
-    host_dist: np.ndarray | None = None,
     diameters: dict[bytes, float] | None = None,
 ) -> VerificationReport:
-    """Certify a cover; host_dist, g's oracle matrix, is computed when not given.
+    """Certify a cover; host_dist is g's (n, n) oracle matrix.
 
     diameters maps a cluster's sorted member ids (int64 bytes) to the oracle
     diameter of the subgraph they induce; a cluster found there gets no
     oracle run, and every other cluster's diameter is added to it.  A table
     is made here when not given.
     """
-    if host_dist is None:
-        host_dist = oracle_all_pairs(g, range(g.n), cap=oracle_cap)
     if diameters is None:
         diameters = {}
     if isinstance(cover, SparseCover):
@@ -763,8 +763,7 @@ def _worst_strong_diameter(
             continue
         key = np.sort(idx).tobytes()
         if key not in diameters:
-            d = oracle_all_pairs(g, idx, cap=oracle_cap)
-            diameters[key] = float(d[np.ix_(idx, idx)].max())
+            diameters[key] = float(oracle_all_pairs(g, idx, cap=oracle_cap).max())
         m = diameters[key]
         if m > worst:
             worst, worst_i = m, i
@@ -934,10 +933,7 @@ def full_report(
         tp, assign, net_set, host, delta, alpha=alpha, cores=tuple(construction.cores)
     )
     center_dist = _oracle_center_distances(host, net, oracle_cap)
-    net_report = verify_net(
-        host, net, delta, oracle_cap=oracle_cap, seed=seed, host_dist=dh, center_dist=center_dist
-    )
-    checks.extend(net_report.checks)
+    checks.extend(verify_net(host, net, delta, dh, center_dist, seed=seed).checks)
 
     rebuilt = semi_to_tree_order(
         tp, assign, net_set, host, delta, alpha=alpha, cores=tuple(construction.cores)
@@ -996,8 +992,7 @@ def full_report(
     cover = build_sparse_cover(host, net, delta)
     checks.extend(
         verify_cover(
-            host, cover, alpha, delta, oracle_cap=oracle_cap, packing_counts=pk_counts,
-            host_dist=dh, diameters=diameters,
+            host, cover, alpha, delta, dh, oracle_cap, packing_counts=pk_counts, diameters=diameters
         ).checks
     )
     if alpha <= 2:
@@ -1016,8 +1011,7 @@ def full_report(
     pcover = build_partition_cover(host, net, delta)
     checks.extend(
         verify_cover(
-            host, pcover, alpha, delta, oracle_cap=oracle_cap, tau=net.tau_emp, host_dist=dh,
-            diameters=diameters,
+            host, pcover, alpha, delta, dh, oracle_cap, tau=net.tau_emp, diameters=diameters
         ).checks
     )
     return VerificationReport(checks)
@@ -1074,10 +1068,11 @@ def _graph_property_checks(g: WeightedGraph, seed: int, oracle_cap: int) -> list
         size = int(rng.integers(1, min(g.n, oracle_cap) + 1))
         members = rng.choice(g.n, size=size, replace=False).tolist()
         matrix = oracle_all_pairs(g, members, cap=oracle_cap)
+        ids = np.sort(members)  # the matrix's rows and columns
         restrict = _mask(g.n, members)
         for s in members:
             d = shortest_paths(g, restrict, [s])
-            if not np.array_equal(d[members], matrix[s][members]):  # inf == inf
+            if not np.array_equal(d[ids], matrix[np.searchsorted(ids, s)]):  # inf == inf
                 bad = f"oracle mismatch from source {s}"
                 break
         if bad:

@@ -15,6 +15,7 @@ from padnet.ordered_net import (  # noqa: E402
     semi_to_tree_order,
 )
 from padnet.trees import td_to_tree_partition  # noqa: E402
+from padnet.verify import _oracle_center_distances  # noqa: E402
 
 
 class BuiltPipeline:
@@ -37,13 +38,20 @@ class BuiltPipeline:
             cores=tuple(self.construction.cores),
         )
         self.params = DecompositionParams.from_net(self.net, fixture.delta)
-        self._host_dist = None
+        self._host_dist = self._center_dist = None
 
     @property
     def host_dist(self) -> np.ndarray:
         if self._host_dist is None:
             self._host_dist = all_pairs(self.host)
         return self._host_dist
+
+    @property
+    def center_dist(self) -> np.ndarray:
+        """The net's oracle center rows, as full_report passes them to verify_net."""
+        if self._center_dist is None:
+            self._center_dist = _oracle_center_distances(self.host, self.net, self.host.n)
+        return self._center_dist
 
 
 _CACHE: dict[tuple, BuiltPipeline] = {}

@@ -14,6 +14,7 @@ import numpy as np
 
 from padnet.graph import WeightedGraph, shortest_paths
 from padnet.trees import TreeDecomposition, TreePartition
+from padnet.verify import oracle_all_pairs
 
 
 @dataclass
@@ -36,6 +37,15 @@ def all_pairs(g: WeightedGraph) -> np.ndarray:
     """(n, n) matrix whose row v is shortest_paths(g, all vertices, [v])."""
     everything = g.all_vertices()
     return np.stack([shortest_paths(g, everything, [v]) for v in range(g.n)])
+
+
+def dense_oracle(g: WeightedGraph, restrict, cap: int = 60) -> np.ndarray:
+    """oracle_all_pairs(g, restrict, cap) spread over (n, n): entry [u, v]
+    is the distance in G[restrict], +inf when u or v is outside restrict."""
+    ids = np.sort(np.asarray(restrict, dtype=np.int64))
+    out = np.full((g.n, g.n), np.inf)
+    out[np.ix_(ids, ids)] = oracle_all_pairs(g, restrict, cap)
+    return out
 
 
 def is_ancestor(parent, a: int, b: int) -> bool:

@@ -127,7 +127,7 @@ def test_c5_sparse_cover():
         assert cover.padding_ratio == 6.0
         counts = b.net.packing_counts(3.0)
         rep = verify_cover(
-            b.host, cover, ALPHA, f.delta, oracle_cap=b.host.n, packing_counts=counts
+            b.host, cover, ALPHA, f.delta, b.host_dist, b.host.n, packing_counts=counts
         )
         bad = [(c.name, c.witness) for c in rep.checks if c.status == "fail"]
         assert not bad, f"{f.name}: {bad}"
@@ -140,7 +140,7 @@ def test_c6_partition_cover():
         b = built(f)
         pcover = build_partition_cover(b.host, b.net, f.delta)
         assert pcover.padding_ratio == 12.0
-        rep = verify_cover(b.host, pcover, ALPHA, f.delta, oracle_cap=b.host.n, tau=b.net.tau_emp)
+        rep = verify_cover(b.host, pcover, ALPHA, f.delta, b.host_dist, b.host.n, tau=b.net.tau_emp)
         bad = [(c.name, c.witness) for c in rep.checks if c.status == "fail"]
         assert not bad, f"{f.name}: {bad}"
         if any(c.status == "warn" for c in rep.checks):
@@ -164,9 +164,9 @@ def test_c7_oracle_equivalence():
             members = sorted(rng.choice(n, size=size, replace=False).tolist())
             restrict = vertex_mask(n, members)
             matrix = oracle_all_pairs(g, members, cap=60)
-            for s in members:
+            for s, row in zip(members, matrix):  # members ascend, as the matrix's rows do
                 d = shortest_paths(g, restrict, [s])
-                assert d[members].tolist() == matrix[s][members].tolist()
+                assert d[members].tolist() == row.tolist()
             checked += 1
     _report(7, "oracle equivalence", f"{checked} induced subgraphs")
 

@@ -11,11 +11,11 @@ the component trace and the round count.
 import numpy as np
 import pytest
 from conftest import built
-from fixtures import acceptance_fixtures, partial_ktree_fixture, shuffled_ids
+from fixtures import acceptance_fixtures, dense_oracle, partial_ktree_fixture, shuffled_ids
 
 from padnet.ordered_net import ComponentTrace, Core, CoreConstruction, construct_cores_trace
 from padnet.trees import td_to_tree_partition
-from padnet.verify import oracle_all_pairs, verify_cores
+from padnet.verify import verify_cores
 
 BY_NAME = {f.name: f for f in acceptance_fixtures()}
 
@@ -91,7 +91,7 @@ def brute_cores(g, tp, delta, attachments=True):
                     if attachments:
                         support |= attach[x]
                 sources = [v for v in bag_items[center_bag] if v not in covered]
-                matrix = oracle_all_pairs(g, sorted(support), cap=n)
+                matrix = dense_oracle(g, sorted(support), cap=n)
                 members = {
                     v for v in support if min(matrix[s][v] for s in sources) <= delta
                 }

@@ -289,12 +289,36 @@ def test_decompose_trials_equal_single_seed_runs(capsys):
 
 
 def test_decompose_trials_past_64_bits_exit_2(capsys):
-    # the first two seeds fit, the third does not: no partial output
+    # the first two seeds fit, the third does not: no partial output, and the
+    # message names the flags the user gave, not the first seed out of range
     code = main(["decompose", *PATH_ARGS, "--delta", "2", "--seed", str(2**64 - 2), "--trials", "3"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert f"seed must lie in [0, 2**64), got {2**64}" in captured.err
+    assert captured.err == f"error: --seed {2**64 - 2} with --trials 3 runs past seed 2**64 - 1\n"
+
+
+@pytest.mark.parametrize(
+    "seed,trials,message",
+    [
+        (2**64 - 1, 2, f"--seed {2**64 - 1} with --trials 2 runs past seed 2**64 - 1"),
+        (0, 0, "--trials must be >= 1"),
+        (2**64 - 1, -1, "--trials must be >= 1"),
+    ],
+)
+def test_decompose_checks_its_seed_sweep_before_reading_input(capsys, seed, trials, message):
+    # the sweep is checked first: the graph file is never opened
+    code = main(["decompose", "--graph", "missing.gr", "--td", "missing.td", "--delta", "2",
+                 "--seed", str(seed), "--trials", str(trials)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+def test_decompose_sweep_ending_at_the_last_seed_runs(capsys):
+    code, out = run(capsys, "decompose", *PATH_ARGS, "--delta", "2", "--seed", str(2**64 - 2),
+                    "--trials", "2")
+    assert code == 0
+    assert [s["seed"] for s in json.loads(out)["samples"]] == [2**64 - 2, 2**64 - 1]
 
 
 def test_padding_estimate_gamma_out_of_range_exit_2(capsys):

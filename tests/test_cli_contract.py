@@ -5,13 +5,17 @@ input or configuration).  No exception escapes, no warning is raised, and
 exit 1 always comes with the JSON of the failed verification.  The inputs are
 the `data/` instances, their text mutated by truncation, dropped and
 duplicated lines, token swaps and wrong headers; the flags are drawn from the
-values each flag's domain has at and beyond its edges.
+values each flag's domain has at and beyond its edges.  Named cases pin the
+message of each out-of-range id and duplicate the mutations reach only by
+chance.  Each drawn case has a 10 s deadline (a case takes milliseconds), so a
+case that runs away fails its test.
 """
 
 import contextlib
 import io
 import json
 import warnings
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -86,7 +90,7 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("contract")
 
 
-def check_contract(command: str, argv: list[str], must_reject: bool) -> None:
+def check_contract(command: str, argv: list[str], must_reject: bool) -> str:
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning escapes as an exception
@@ -99,16 +103,18 @@ def check_contract(command: str, argv: list[str], must_reject: bool) -> None:
     assert code == 2 or not must_reject, (code, out.getvalue())
     if code == 2:
         assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()
-        return
+        return err.getvalue()
     payload = json.loads(out.getvalue())  # verify's table goes to stderr
     if code == 1:
         # verify fails its report; convert fails its isometry check
         assert command in ("verify", "convert"), command
         assert payload.get("ok") is False or payload["isometry"].startswith("fail"), payload
+    return err.getvalue()
 
 
 def run_case(workdir: Path, command: str, gr: str, td: str, flags: list[str],
-             must_reject: bool = False) -> None:
+             must_reject: bool = False) -> str:
+    """Run one command on the given text; returns its stderr."""
     (workdir / "in.gr").write_text(gr)
     (workdir / "in.td").write_text(td)
     argv = ["--graph", str(workdir / "in.gr"), "--td", str(workdir / "in.td"), *flags]
@@ -116,11 +122,36 @@ def run_case(workdir: Path, command: str, gr: str, td: str, flags: list[str],
         argv += ["--delta", "2"]
     if "--trials" not in flags:
         argv += ["--trials", "2"]  # the default 10^4 trials would dominate the run time
-    check_contract(command, argv, must_reject)
+    return check_contract(command, argv, must_reject)
+
+
+# on path8 (vertices 1..8, bags 1..7): (file, line, its replacement, message)
+NAMED_CASES = {
+    "e-names-vertex-0": ("gr", "e 1 2 1.0", "e 0 2 1.0",
+                         "line 3: edge label outside 1..8 in 'e 0 2 1.0'"),
+    "e-names-vertex-n+1": ("gr", "e 7 8 1.0", "e 7 9 1.0",
+                           "line 9: edge label outside 1..8 in 'e 7 9 1.0'"),
+    "b-names-vertex-0": ("td", "b 1 1 2", "b 1 0 2", "bag 1 references unknown vertex 0"),
+    "b-names-vertex-n+1": ("td", "b 7 7 8", "b 7 7 9", "bag 7 references unknown vertex 9"),
+    "b-repeated": ("td", "b 2 2 3", "b 2 2 3\nb 2 2 3", "line 5: duplicate bag id 2"),
+    "tree-edge-to-unknown-bag": ("td", "6 7", "6 8", "tree edge (6,8) references unknown bag"),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("case", sorted(NAMED_CASES))
+def test_named_bad_ids_exit_2_with_their_message(workdir, case, command):
+    which, line, replacement, message = NAMED_CASES[case]
+    texts = dict(zip(("gr", "td"), TEXTS["path8"]))
+    lines = texts[which].splitlines()
+    lines[lines.index(line)] = replacement
+    texts[which] = "\n".join(lines) + "\n"
+    err = run_case(workdir, command, texts["gr"], texts["td"], [], must_reject=True)
+    assert err == f"error: {workdir / ('in.' + which)}: {message}\n"
 
 
 @given(data=st.data())
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200, deadline=timedelta(seconds=10), database=None)
 def test_mutated_input_text_keeps_exit_contract(workdir, data):
     gr, td = TEXTS[data.draw(st.sampled_from(INSTANCES))]
     which = data.draw(st.sampled_from(["gr", "td", "both"]))
@@ -132,7 +163,7 @@ def test_mutated_input_text_keeps_exit_contract(workdir, data):
 
 
 @given(data=st.data())
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200, deadline=timedelta(seconds=10), database=None)
 def test_flag_values_keep_exit_contract(workdir, data):
     command = data.draw(st.sampled_from(COMMANDS))
     flags, must_reject = [], False

@@ -180,11 +180,12 @@ def test_standalone_checks_keep_no_state_between_graphs():
     pcover = build_partition_cover(a.host, a.net, a.delta)
 
     def standalone():
+        dist = a.host_dist
         return [
-            verify_net(a.host, a.net, a.delta, oracle_cap=a.host.n).to_json_dict(),
-            verify_cover(a.host, cover, 3.0, a.delta, oracle_cap=a.host.n).to_json_dict(),
+            verify_net(a.host, a.net, a.delta, dist, a.center_dist).to_json_dict(),
+            verify_cover(a.host, cover, 3.0, a.delta, dist, oracle_cap=a.host.n).to_json_dict(),
             verify_cover(
-                a.host, pcover, 3.0, a.delta, oracle_cap=a.host.n, tau=a.net.tau_emp
+                a.host, pcover, 3.0, a.delta, dist, oracle_cap=a.host.n, tau=a.net.tau_emp
             ).to_json_dict(),
         ]
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from fixtures import all_pairs, grid_fixture, vertex_mask
+from fixtures import all_pairs, dense_oracle, grid_fixture, vertex_mask
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,6 +80,12 @@ def test_negative_radius_rejected():
         ball(path3(), path3().all_vertices(), [0], -0.5)
 
 
+def test_nan_radius_rejected():
+    # a NaN radius would otherwise give an empty ball, without its center
+    with pytest.raises(ValueError, match="radius must be >= 0, got nan"):
+        ball(path3(), path3().all_vertices(), [0], math.nan)
+
+
 def test_diameters():
     g = path3()
     assert weak_diameter(g, vertex_mask(3, [1])) == 0.0
@@ -139,9 +145,9 @@ def test_dijkstra_matches_floyd_warshall(g, rnd):
     members = sorted(rnd.sample(range(g.n), rnd.randint(1, g.n)))
     restrict = vertex_mask(g.n, members)
     matrix = oracle_all_pairs(g, members, cap=60)
-    for s in members:
+    for s, row in zip(members, matrix):  # members ascend, as the matrix's rows do
         d = shortest_paths(g, restrict, [s])
-        assert d[members].tolist() == matrix[s][members].tolist()
+        assert d[members].tolist() == row.tolist()
 
 
 @given(connected_graphs(), st.integers(0, 10 ** 6))
@@ -200,6 +206,19 @@ def decimal_graphs():
     return graphs_weighted_from(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0]))
 
 
+@given(st.one_of(connected_graphs(), decimal_graphs()), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_ball_is_the_thresholded_unbounded_row(g, rnd):
+    # ball searches only to its radius; at every reached distance, where a
+    # last-bit difference would show, its mask is the unbounded row's
+    members = sorted(rnd.sample(range(g.n), rnd.randint(1, g.n)))
+    restrict = vertex_mask(g.n, members)
+    centers = rnd.sample(members, rnd.randint(1, min(3, len(members))))
+    row = shortest_paths(g, restrict, centers)
+    for radius in {0.0, INF, rnd.uniform(0, 4), *row[np.isfinite(row)].tolist()}:
+        assert np.array_equal(ball(g, restrict, centers, radius), row <= radius), radius
+
+
 def dyadic_graphs():
     # zero weights and halves/quarters: every path length is exact
     return graphs_weighted_from(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.75, 3.0]), max_n=10)
@@ -210,7 +229,7 @@ def dyadic_graphs():
 def test_kernel_rows_sources_and_limits(g, rnd):
     members = sorted(rnd.sample(range(g.n), rnd.randint(1, g.n)))
     restrict = vertex_mask(g.n, members)
-    matrix = oracle_all_pairs(g, members, cap=60)
+    matrix = dense_oracle(g, members, cap=60)
     sources = [rnd.choice(members) for _ in range(rnd.randint(1, 4))]  # repeats allowed
     rows = {s: shortest_paths(g, restrict, [s]) for s in sources}
     for s, row in rows.items():

@@ -7,6 +7,7 @@ import pytest
 from conftest import built
 from fixtures import (
     acceptance_fixtures,
+    dense_oracle,
     heavy_path5,
     is_ancestor,
     partial_ktree_fixture,
@@ -26,7 +27,7 @@ from padnet.ordered_net import (
     semi_to_tree_order,
 )
 from padnet.trees import TreePartition, td_to_tree_partition
-from padnet.verify import misplaced_attachments, oracle_all_pairs
+from padnet.verify import misplaced_attachments
 
 BY_NAME = {f.name: f for f in acceptance_fixtures()}
 ONE_BAG = TreePartition(bags=(frozenset({0, 1, 2}),), parent=(-1,))  # every vertex on one node
@@ -115,7 +116,7 @@ def test_semi_order_covering_and_packing_oracle():
         covered = np.zeros(host.n, dtype=bool)
         for x in net:
             below = np.flatnonzero((tin >= tin[x]) & (tin < tout[x]))
-            row = oracle_all_pairs(host, below, cap=host.n)[x]
+            row = dense_oracle(host, below, cap=host.n)[x]
             covered |= row <= delta
             counts2 += row <= 2 * delta
         assert covered.all()
@@ -257,7 +258,7 @@ def test_converted_net_covering_packing_oracle():
         counts2 = np.zeros(host.n, dtype=int)
         for i, x in enumerate(centers.tolist()):
             below = np.flatnonzero(net.descendant_vertices(x))
-            row = oracle_all_pairs(host, below, cap=host.n)[x]
+            row = dense_oracle(host, below, cap=host.n)[x]
             covered |= row <= delta
             counts2 += row <= 2 * delta
         assert covered.all()

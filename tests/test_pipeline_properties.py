@@ -1,7 +1,7 @@
 """Whole-pipeline property tests on randomly grown partial k-trees."""
 
 import numpy as np
-from fixtures import is_ancestor, partial_ktree_fixture
+from fixtures import dense_oracle, is_ancestor, partial_ktree_fixture
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,7 +39,7 @@ def test_net_and_structures_on_random_pipelines(args):
     pack2 = np.zeros(host.n, dtype=int)
     for x in net.centers_in_order().tolist():
         below = np.flatnonzero(net.descendant_vertices(x))
-        row = oracle_all_pairs(host, below, cap=host.n)[x]
+        row = dense_oracle(host, below, cap=host.n)[x]
         covered |= row <= delta
         pack2 += row <= 2 * delta
     assert covered.all()

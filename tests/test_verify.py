@@ -9,6 +9,7 @@ from fixtures import (
     Fixture,
     acceptance_fixtures,
     decimal_weight_fixture,
+    dense_oracle,
     is_ancestor,
     partial_ktree_fixture,
     triangle_single_bag,
@@ -65,15 +66,41 @@ def test_oracle_triangle():
 
 def test_oracle_respects_restriction():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    d = oracle_all_pairs(g, [2, 0], cap=10)
-    assert d[0, 2] == np.inf
-    assert d[0, 1] == np.inf  # 1 outside restrict
+    d = oracle_all_pairs(g, [2, 0], cap=10)  # rows and columns: vertices 0, 2
+    assert d.tolist() == [[0.0, np.inf], [np.inf, 0.0]]  # 1 outside restrict
+
+
+def test_oracle_returns_the_block_of_its_restriction():
+    # vertices 1, 3, 4 of the path 0-1-2-3-4, in any order, give one (3, 3) block
+    g = WeightedGraph(5, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 4.0), (3, 4, 8.0)])
+    for restrict in ([1, 3, 4], [4, 1, 3], np.array([3, 4, 1])):
+        d = oracle_all_pairs(g, restrict, cap=10)
+        assert d.tolist() == [[0.0, np.inf, np.inf], [np.inf, 0.0, 8.0], [np.inf, 8.0, 0.0]]
+    assert oracle_all_pairs(g, range(5), cap=10)[1].tolist() == [1.0, 0.0, 2.0, 6.0, 14.0]
 
 
 def test_oracle_cap_refusal():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     with pytest.raises(OracleCapError):
         oracle_all_pairs(g, range(3), cap=2)
+
+
+@pytest.mark.parametrize(
+    "restrict,message",
+    [
+        ([-1, 1], "vertex -1 outside 0..2"),
+        ([0, 3], "vertex 3 outside 0..2"),
+        ([1, 1, 2], "vertex 1 repeated"),
+        ([2, 0, 5, 0], "vertex 5 outside 0..2"),  # the first bad id, in restrict's order
+        ([2, 0, 2, 7], "vertex 2 repeated"),
+    ],
+)
+def test_oracle_rejects_ids_it_cannot_honour(restrict, message):
+    # on the path 0-1-2, before the cap check: cap 1 would refuse each of them
+    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    for cap in (10, 1):
+        with pytest.raises(ValueError, match=f"^restrict: {message}$"):
+            oracle_all_pairs(g, restrict, cap=cap)
 
 
 def test_oracle_matches_search_on_random_graphs():
@@ -89,9 +116,9 @@ def test_oracle_matches_search_on_random_graphs():
         members = sorted(rng.choice(n, size=30, replace=False).tolist())
         restrict = vertex_mask(n, members)
         matrix = oracle_all_pairs(g, members, cap=60)
-        for s in members:
+        for s, row in zip(members, matrix):  # members ascend, as the matrix's rows do
             d = shortest_paths(g, restrict, [s])
-            assert d[members].tolist() == matrix[s][members].tolist()
+            assert d[members].tolist() == row.tolist()
 
 
 @pytest.mark.parametrize("oracle", [oracle_all_pairs, _bellman_ford_rows])
@@ -106,10 +133,15 @@ def test_oracle_reads_nothing_from_the_code_it_checks(oracle):
 # --- net checks and fault injection ---------------------------------------------
 
 
+def net_tables(g, net):
+    """The host oracle matrix and the oracle center rows verify_net reads."""
+    return oracle_all_pairs(g, range(g.n), cap=g.n), _oracle_center_distances(g, net, g.n)
+
+
 def test_verify_net_all_pass():
     g, tp, delta = triangle_single_bag()
     net = build_tree_ordered_net(g, tp, delta)
-    rep = verify_net(g, net, delta, oracle_cap=10)
+    rep = verify_net(g, net, delta, *net_tables(g, net))
     assert rep.ok
     assert {c.name for c in rep.checks} >= {
         "order-valid-for-edges",
@@ -126,7 +158,7 @@ def test_corrupted_net_fails_covering():
     corrupted = semi_to_tree_order(
         b.tp, b.semi, smaller, b.host, b.delta, alpha=3.0, cores=tuple(b.construction.cores)
     )
-    rep = verify_net(b.host, corrupted, b.delta, oracle_cap=b.host.n)
+    rep = verify_net(b.host, corrupted, b.delta, *net_tables(b.host, corrupted))
     cov = find(rep, "net-covering")
     assert cov.status == "fail"
     assert cov.witness and "vertex" in cov.witness
@@ -147,7 +179,7 @@ def test_fake_tight_bound_fails_packing():
         cores=(),
         g=b.host,
     )
-    rep = verify_net(b.host, lied, b.delta, oracle_cap=b.host.n)
+    rep = verify_net(b.host, lied, b.delta, *net_tables(b.host, lied))
     assert find(rep, "net-packing-2delta").status == "fail"
 
 
@@ -165,7 +197,7 @@ def test_invalid_order_fails_validity_and_maximum():
         cores=(),
         g=g,
     )
-    rep = verify_net(g, broken, 1.0, oracle_cap=10, seed=0, samples=200)
+    rep = verify_net(g, broken, 1.0, *net_tables(g, broken), seed=0, samples=200)
     assert find(rep, "order-valid-for-edges").status == "fail"
     assert find(rep, "connected-subset-unique-maximum").status == "fail"
 
@@ -198,7 +230,7 @@ def test_edge_validity_witness_matches_edge_loop():
             ),
             None,
         )
-        rep = verify_net(g, order, 1.0, oracle_cap=n, samples=1)
+        rep = verify_net(g, order, 1.0, *net_tables(g, order), samples=1)
         assert find(rep, "order-valid-for-edges").witness == expected
         failing += expected is not None
     assert 20 < failing < 80
@@ -439,7 +471,7 @@ def test_cover_all_pass_single_cluster():
     tp = TreePartition(bags=(frozenset([0, 1, 2]),), parent=(-1,))
     net = build_tree_ordered_net(g, tp, 2.0)
     cover = build_sparse_cover(g, net, 2.0)
-    rep = verify_cover(g, cover, 3.0, 2.0, oracle_cap=10)
+    rep = verify_cover(g, cover, 3.0, 2.0, oracle_all_pairs(g, range(3)), oracle_cap=10)
     assert rep.ok
 
 
@@ -448,7 +480,7 @@ def test_inflated_padding_radius_detected():
     # radius, (5-1)*delta/2 = 2*delta; on a path that must break containment
     b = built(BY_NAME["path-30"])
     cover = build_sparse_cover(b.host, b.net, b.delta)
-    rep = verify_cover(b.host, cover, 5.0, b.delta, oracle_cap=b.host.n)
+    rep = verify_cover(b.host, cover, 5.0, b.delta, b.host_dist, oracle_cap=b.host.n)
     assert find(rep, "cover-ball-containment").status == "fail"
 
 
@@ -458,7 +490,7 @@ def test_cover_diameter_fault():
     fake = CoverCluster(center=0, members=far)
     cover = build_sparse_cover(b.host, b.net, b.delta)
     bad = dataclasses.replace(cover, clusters=cover.clusters + (fake,))
-    rep = verify_cover(b.host, bad, 3.0, b.delta, oracle_cap=b.host.n)
+    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, oracle_cap=b.host.n)
     assert find(rep, "cover-strong-diameter").status == "fail"
 
 
@@ -466,16 +498,16 @@ def test_partition_cover_warn_band_and_fail():
     b = built(BY_NAME["grid-5"])
     pcover = build_partition_cover(b.host, b.net, b.delta)
     count = len(pcover.partitions)
-    rep = verify_cover(b.host, pcover, 3.0, b.delta, oracle_cap=b.host.n, tau=count - 1)
+    rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, b.host.n, tau=count - 1)
     assert find(rep, "partition-cover-count").status == "warn"
-    rep = verify_cover(b.host, pcover, 3.0, b.delta, oracle_cap=b.host.n, tau=count - 2)
+    rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, b.host.n, tau=count - 2)
     assert find(rep, "partition-cover-count").status == "fail"
 
     # duplicated vertex inside one partition
     first = pcover.partitions[0]
     dupe = PartitionCluster(kind="singleton", center=0, radius=0.0, members=frozenset([0]))
     bad = dataclasses.replace(pcover, partitions=(first + (dupe,),) + pcover.partitions[1:])
-    rep = verify_cover(b.host, bad, 3.0, b.delta, oracle_cap=b.host.n, tau=b.net.tau_emp)
+    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.host.n, tau=b.net.tau_emp)
     assert find(rep, "partition-cover-partitions-valid").status == "fail"
 
 
@@ -547,7 +579,7 @@ def _floyd_warshall_center_rows(host, net):
     at center_radius."""
     rows = np.zeros((0, host.n))
     for x in net.centers_in_order().tolist():
-        full = oracle_all_pairs(host, np.flatnonzero(net.descendant_vertices(x)), cap=host.n)
+        full = dense_oracle(host, np.flatnonzero(net.descendant_vertices(x)), cap=host.n)
         rows = np.vstack([rows, full[x]])
     return np.where(rows <= net.center_radius, rows, np.inf)
 
@@ -622,14 +654,14 @@ def with_entries(net, vertex, rank, dist):
 
 def test_tampered_center_table_fails_oracle_agreement():
     b = built(BY_NAME["path-30"])
-    rep = verify_net(b.host, b.net, b.delta, oracle_cap=b.host.n)
+    rep = verify_net(b.host, b.net, b.delta, b.host_dist, b.center_dist)
     assert find(rep, "net-distance-oracle-agreement").status == "pass"
 
     # the oracle's center rows end at center_radius, as the table does; the
     # true distance beyond it comes from the all-pairs oracle
     centers = b.net.centers_in_order()
     oracle_d = np.stack([
-        oracle_all_pairs(b.host, np.flatnonzero(b.net.descendant_vertices(x)), cap=b.host.n)[x]
+        dense_oracle(b.host, np.flatnonzero(b.net.descendant_vertices(x)), cap=b.host.n)[x]
         for x in centers.tolist()
     ])
     vertex, rank, dist = b.net.center_entries()
@@ -648,7 +680,7 @@ def test_tampered_center_table_fails_oracle_agreement():
     inf_inside = tuple(np.delete(a, e) for a in (vertex, rank, dist))
     listed_twice = tuple(np.insert(a, e, a[e]) for a in (vertex, rank, dist))
     for tampered in (finite_beyond, wrong_inside, inf_inside, listed_twice):
-        rep = verify_net(b.host, with_entries(b.net, *tampered), b.delta, oracle_cap=b.host.n)
+        rep = verify_net(b.host, with_entries(b.net, *tampered), b.delta, b.host_dist, b.center_dist)
         assert find(rep, "net-distance-oracle-agreement").status == "fail"
 
 
@@ -734,7 +766,7 @@ def _sparse_cover_record(b, v):
     cover = build_sparse_cover(b.host, b.net, b.delta)
     i, clusters = _renamed(cover.clusters, b.host.n - 1, v)
     bad = dataclasses.replace(cover, clusters=clusters)
-    rep = verify_cover(b.host, bad, 3.0, b.delta, oracle_cap=b.host.n, host_dist=b.host_dist)
+    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, oracle_cap=b.host.n)
     witness = f"cluster {i}: member {v} outside vertices 0..{b.host.n - 1}"
     return rep.checks, {"cover-every-vertex-covered": witness}
 
@@ -745,9 +777,7 @@ def _partition_cover_record(b, v):
     partitions = list(pcover.partitions)
     partitions[p] = _renamed(partitions[p], b.host.n - 1, v)[1]
     bad = dataclasses.replace(pcover, partitions=tuple(partitions))
-    rep = verify_cover(
-        b.host, bad, 3.0, b.delta, oracle_cap=b.host.n, tau=b.net.tau_emp, host_dist=b.host_dist
-    )
+    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.host.n, tau=b.net.tau_emp)
     witness = f"partition {p}: member {v} outside vertices 0..{b.host.n - 1}"
     return rep.checks, {"partition-cover-partitions-valid": witness}
 
@@ -854,13 +884,13 @@ def test_cluster_of_outside_members_only_fails_without_raising(kind):
     elif kind == "sparse-cover":
         cover = build_sparse_cover(b.host, b.net, b.delta)
         bad = dataclasses.replace(cover, clusters=cover.clusters + (CoverCluster(n, outside),))
-        checks = verify_cover(b.host, bad, 3.0, b.delta, oracle_cap=n, host_dist=b.host_dist).checks
+        checks = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, oracle_cap=n).checks
         name, witness = "cover-every-vertex-covered", f"cluster {len(cover.clusters)}: {witness}"
     else:
         pcover = build_partition_cover(b.host, b.net, b.delta)
         extra = (PartitionCluster(kind="net", center=n, radius=0.0, members=outside),)
         bad = dataclasses.replace(pcover, partitions=pcover.partitions + (extra,))
-        checks = verify_cover(b.host, bad, 3.0, b.delta, oracle_cap=n, host_dist=b.host_dist).checks
+        checks = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, oracle_cap=n).checks
         name, witness = "partition-cover-partitions-valid", f"partition {len(pcover.partitions)}: {witness}"
     assert find_check(checks, name).status == "fail"
     assert find_check(checks, name).witness == witness
