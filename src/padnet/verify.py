@@ -51,7 +51,10 @@ calls.
   graph-core checks' own Dijkstra-vs-oracle runs on the input graph.
 
 The partition sweep draws its SWEEP_SEEDS consecutive seeds through
-`sample_padded_decompositions`, the sampler `padnet decompose` runs.
+`sample_padded_decompositions`, the sampler `padnet decompose` runs.  Every
+oracle run is on the input graph, its host or an induced subgraph of one, so
+the oracle cap bounds those two sizes alone: `full_report` and
+`verify_embedding` check it before any check runs, and nothing below takes it.
 """
 
 from __future__ import annotations
@@ -101,23 +104,33 @@ class OracleCapError(ValueError):
     """The all-pairs oracle refuses instances beyond its configured cap."""
 
 
-def _check_oracle_cap(oracle_cap: int) -> None:
-    """A cap below 1 is bad configuration, not an input over the cap."""
+def _check_oracle_cap(oracle_cap: int, *graphs: WeightedGraph) -> None:
+    """Refuse (never truncate) the first graph over the cap.  A cap below 1
+    is bad configuration, not an input over the cap."""
     if oracle_cap < 1:
         raise ValueError(f"oracle_cap must be >= 1, got {oracle_cap}")
+    for h in graphs:
+        if h.n > oracle_cap:
+            raise OracleCapError(f"oracle cap {oracle_cap} exceeded: |restrict| = {h.n}")
 
 
-def oracle_all_pairs(g: WeightedGraph, restrict: Sequence[int], cap: int = 60) -> np.ndarray:
+def oracle_all_pairs(g: WeightedGraph, restrict: Sequence[int]) -> np.ndarray:
     """Exact all-pairs distances in G[restrict] via the O(r^3) recurrence.
 
-    `restrict` holds r distinct vertex ids in 0..n-1, in any order; the first
-    id outside that range or repeated raises ValueError.  Returns the (r, r)
-    matrix over the ids in ascending order, +inf for pairs G[restrict] does
-    not connect.  Refuses (never truncates) when r exceeds cap.
+    `restrict` holds r distinct integer vertex ids in 0..n-1, in any order;
+    the first id that is not an integer, outside that range or repeated
+    raises ValueError.  Returns the (r, r) matrix over the ids in ascending
+    order, +inf for pairs G[restrict] does not connect.
     """
-    ids = np.asarray(restrict, dtype=np.int64)
+    ids = np.asarray(restrict)
     if ids.size == 0:
         raise ValueError("restrict must be non-empty")
+    if ids.dtype.kind not in "iu":  # floats, or ints beyond 64 bits, which numpy keeps as objects
+        for v in ids.tolist():
+            if type(v) is not int or not 0 <= v < g.n:
+                why = f"outside 0..{g.n - 1}" if type(v) is int else "not an integer"
+                raise ValueError(f"restrict: vertex {v} {why}")
+        ids = ids.astype(np.int64)
     by_id = np.argsort(ids, kind="stable")
     idx = ids[by_id]
     wrong = (ids < 0) | (ids >= g.n)
@@ -126,8 +139,6 @@ def oracle_all_pairs(g: WeightedGraph, restrict: Sequence[int], cap: int = 60) -
         v = int(ids[np.argmax(wrong)])
         why = "repeated" if 0 <= v < g.n else f"outside 0..{g.n - 1}"
         raise ValueError(f"restrict: vertex {v} {why}")
-    if idx.size > cap:
-        raise OracleCapError(f"oracle cap {cap} exceeded: |restrict| = {idx.size}")
     r = idx.size
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[idx] = np.arange(r)
@@ -223,18 +234,14 @@ def _split(owner: np.ndarray, member: np.ndarray, k: int) -> list[np.ndarray]:
 def verify_embedding(
     g: WeightedGraph, td: TreeDecomposition, emb: IsometricEmbedding, oracle_cap: int
 ) -> list[CheckResult]:
-    _check_oracle_cap(oracle_cap)
-    return _embedding_checks(g, td, emb, oracle_cap)[0]
+    _check_oracle_cap(oracle_cap, g, emb.host)
+    return _embedding_checks(g, td, emb)[0]
 
 
 def _embedding_checks(
-    g: WeightedGraph, td: TreeDecomposition, emb: IsometricEmbedding, oracle_cap: int
+    g: WeightedGraph, td: TreeDecomposition, emb: IsometricEmbedding
 ) -> tuple[list[CheckResult], np.ndarray]:
-    """The embedding checks and the host oracle matrix they read.
-
-    The input graph's oracle runs first, so an input over the cap is named by
-    its own size rather than its host's.
-    """
+    """The embedding checks and the host oracle matrix they read."""
     checks = []
     host, tp = emb.host, emb.tree_partition
 
@@ -259,8 +266,8 @@ def _embedding_checks(
             break
     checks.append(_check("host-edge-validity", bad is None, witness=bad))
 
-    dg = oracle_all_pairs(g, range(g.n), cap=oracle_cap)
-    dh = oracle_all_pairs(host, range(host.n), cap=oracle_cap)
+    dg = oracle_all_pairs(g, range(g.n))
+    dh = oracle_all_pairs(host, range(host.n))
     fwd = np.asarray(emb.forward)
     outside = np.flatnonzero((fwd < 0) | (fwd >= host.n))
     if outside.size:
@@ -482,33 +489,32 @@ def verify_cores(
         _check("core-construction-deterministic", same, witness=None if same else "rerun differs")
     )
 
-    bad = None
+    bad = _laminar_fault(construction.components)
+    checks.append(_check("component-clusters-laminar", bad is None, witness=bad))
+    return checks
+
+
+def _laminar_fault(components) -> str | None:
+    """First witness (None: no fault) of component-clusters-laminar: overlaps
+    first, in round then component order, then parent faults in component order."""
     by_round: dict[int, list] = {}
-    for comp in construction.components:
+    for comp in components:
         by_round.setdefault(comp.round_no, []).append(comp)
     for rnd, comps in by_round.items():
         for i in range(len(comps)):
             for j in range(i + 1, len(comps)):
                 if comps[i].cluster & comps[j].cluster:
-                    bad = f"round {rnd}: clusters of components {i},{j} overlap"
-    for comp in construction.components:
+                    return f"round {rnd}: clusters of components {i},{j} overlap"
+    for comp in components:
         if comp.round_no == 1:
             continue
-        parents = [
-            c
-            for c in by_round.get(comp.round_no - 1, [])
-            if comp.bags <= c.bags
-        ]
+        parents = [c for c in by_round.get(comp.round_no - 1, []) if comp.bags <= c.bags]
+        where = f"round {comp.round_no} component at bag {comp.root_bag}"
         if len(parents) != 1:
-            bad = f"round {comp.round_no} component at bag {comp.root_bag} has no unique parent"
-            continue
+            return f"{where} has no unique parent"
         if not comp.cluster <= parents[0].cluster:
-            bad = (
-                f"round {comp.round_no} component at bag {comp.root_bag} "
-                "cluster escapes its parent cluster"
-            )
-    checks.append(_check("component-clusters-laminar", bad is None, witness=bad))
-    return checks
+            return f"{where} cluster escapes its parent cluster"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -551,23 +557,17 @@ def _bellman_ford_rows(
         d[:, heads] = np.minimum(now, best)
 
 
-def _oracle_center_distances(
-    g: WeightedGraph, net: TreeOrderedNet, oracle_cap: int
-) -> np.ndarray:
+def _oracle_center_distances(g: WeightedGraph, net: TreeOrderedNet) -> np.ndarray:
     """The net's center rows from the oracle: row i holds the distances from
     centers_in_order()[i] inside its descendant subgraph up to
     `net.center_radius`, +inf beyond, as the net's own table holds them.
 
     The descendant masks come from the order's preorder intervals, and one
-    `_bellman_ford_rows` call computes every row; as the all-pairs oracle
-    does, it refuses a descendant subgraph larger than oracle_cap.
+    `_bellman_ford_rows` call computes every row.
     """
     centers = net.centers_in_order()
     tin, tout = net.vertex_intervals()
     masks = (tin >= tin[centers, None]) & (tin < tout[centers, None])
-    largest = int(masks.sum(axis=1).max(initial=0))
-    if largest > oracle_cap:
-        raise OracleCapError(f"oracle cap {oracle_cap} exceeded: |restrict| = {largest}")
     return _bellman_ford_rows(g, centers, masks, net.center_radius)
 
 
@@ -729,12 +729,12 @@ def verify_cover(
     alpha: float,
     delta: float,
     host_dist: np.ndarray,
-    oracle_cap: int = 60,
     packing_counts: np.ndarray | None = None,
     tau: int | None = None,
     diameters: dict[bytes, float] | None = None,
 ) -> VerificationReport:
-    """Certify a cover; host_dist is g's (n, n) oracle matrix.
+    """Certify a cover; host_dist is g's (n, n) oracle matrix.  No cap is
+    read: each cluster's oracle run is on an induced subgraph of g.
 
     diameters maps a cluster's sorted member ids (int64 bytes) to the oracle
     diameter of the subgraph they induce; a cluster found there gets no
@@ -744,14 +744,12 @@ def verify_cover(
     if diameters is None:
         diameters = {}
     if isinstance(cover, SparseCover):
-        return _verify_sparse_cover(
-            g, cover, alpha, delta, oracle_cap, host_dist, packing_counts, diameters
-        )
-    return _verify_partition_cover(g, cover, alpha, delta, oracle_cap, host_dist, tau, diameters)
+        return _verify_sparse_cover(g, cover, alpha, delta, host_dist, packing_counts, diameters)
+    return _verify_partition_cover(g, cover, alpha, delta, host_dist, tau, diameters)
 
 
 def _worst_strong_diameter(
-    g: WeightedGraph, clusters, oracle_cap: int, diameters: dict[bytes, float]
+    g: WeightedGraph, clusters, diameters: dict[bytes, float]
 ) -> tuple[float, int | None]:
     """Largest oracle diameter of G[members] over the clusters' member arrays,
     and the index of the first cluster reaching it (None when all are 0).
@@ -763,7 +761,7 @@ def _worst_strong_diameter(
             continue
         key = np.sort(idx).tobytes()
         if key not in diameters:
-            diameters[key] = float(oracle_all_pairs(g, idx, cap=oracle_cap).max())
+            diameters[key] = float(oracle_all_pairs(g, idx).max())
         m = diameters[key]
         if m > worst:
             worst, worst_i = m, i
@@ -781,7 +779,7 @@ def _ball_containment(
     return True, None
 
 
-def _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, host_dist, packing_counts, diameters):
+def _verify_sparse_cover(g, cover, alpha, delta, host_dist, packing_counts, diameters):
     checks: list[CheckResult] = []
     owner, member, dropped = _memberships([c.members for c in cover.clusters], g.n)
     mask = np.zeros((len(cover.clusters), g.n), dtype=bool)
@@ -809,9 +807,7 @@ def _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, host_dist, packing_
         )
 
     bound = 2 * alpha * delta + TOL
-    worst, worst_c = _worst_strong_diameter(
-        g, _split(owner, member, len(cover.clusters)), oracle_cap, diameters
-    )
+    worst, worst_c = _worst_strong_diameter(g, _split(owner, member, len(cover.clusters)), diameters)
     checks.append(
         _check(
             "cover-strong-diameter",
@@ -830,7 +826,7 @@ def _verify_sparse_cover(g, cover, alpha, delta, oracle_cap, host_dist, packing_
     return VerificationReport(checks)
 
 
-def _verify_partition_cover(g, cover, alpha, delta, oracle_cap, host_dist, tau, diameters):
+def _verify_partition_cover(g, cover, alpha, delta, host_dist, tau, diameters):
     checks: list[CheckResult] = []
     clusters = [c for part in cover.partitions for c in part]
     owner, member, dropped = _memberships([c.members for c in clusters], g.n)
@@ -859,9 +855,7 @@ def _verify_partition_cover(g, cover, alpha, delta, oracle_cap, host_dist, tau, 
         )
 
     bound = alpha * delta + TOL
-    worst, i = _worst_strong_diameter(
-        g, _split(owner, member, len(clusters)), oracle_cap, diameters
-    )
+    worst, i = _worst_strong_diameter(g, _split(owner, member, len(clusters)), diameters)
     worst_w = None if i is None else f"partition {part_of[i]} cluster center {clusters[i].center}"
     checks.append(
         _check(
@@ -912,16 +906,17 @@ def full_report(
     trials: int = 10_000,
     oracle_cap: int = 60,
 ) -> VerificationReport:
-    """Run every invariant check of the whole pipeline on one instance."""
+    """Run every invariant check of the whole pipeline on one instance.  A seed
+    whose sweep passes 2**64 - 1, or g or its host over the cap, raises first."""
     from .trees import td_to_tree_partition
 
-    _check_oracle_cap(oracle_cap)
-    checks: list[CheckResult] = []
-    checks.extend(_graph_property_checks(g, seed, oracle_cap))
-
+    if seed + SWEEP_SEEDS > 2**64:
+        raise ValueError(f"seed {seed}: its {SWEEP_SEEDS}-seed partition sweep runs past seed 2**64 - 1")
     emb = td_to_tree_partition(g, td)
+    _check_oracle_cap(oracle_cap, g, emb.host)
+    checks = _graph_property_checks(g, seed)
     # the report's one host oracle matrix; every host-distance check reads it
-    embedding_checks, dh = _embedding_checks(g, td, emb, oracle_cap)
+    embedding_checks, dh = _embedding_checks(g, td, emb)
     checks.extend(embedding_checks)
 
     host, tp = emb.host, emb.tree_partition
@@ -932,7 +927,7 @@ def full_report(
     net = semi_to_tree_order(
         tp, assign, net_set, host, delta, alpha=alpha, cores=tuple(construction.cores)
     )
-    center_dist = _oracle_center_distances(host, net, oracle_cap)
+    center_dist = _oracle_center_distances(host, net)
     checks.extend(verify_net(host, net, delta, dh, center_dist, seed=seed).checks)
 
     rebuilt = semi_to_tree_order(
@@ -991,9 +986,7 @@ def full_report(
     diameters = {np.arange(host.n, dtype=np.int64).tobytes(): float(dh.max())}
     cover = build_sparse_cover(host, net, delta)
     checks.extend(
-        verify_cover(
-            host, cover, alpha, delta, dh, oracle_cap, packing_counts=pk_counts, diameters=diameters
-        ).checks
+        verify_cover(host, cover, alpha, delta, dh, packing_counts=pk_counts, diameters=diameters).checks
     )
     if alpha <= 2:
         # the partition cover's padding radius (alpha-2)*delta/4 needs alpha > 2
@@ -1010,14 +1003,12 @@ def full_report(
         return VerificationReport(checks)
     pcover = build_partition_cover(host, net, delta)
     checks.extend(
-        verify_cover(
-            host, pcover, alpha, delta, dh, oracle_cap, tau=net.tau_emp, diameters=diameters
-        ).checks
+        verify_cover(host, pcover, alpha, delta, dh, tau=net.tau_emp, diameters=diameters).checks
     )
     return VerificationReport(checks)
 
 
-def _graph_property_checks(g: WeightedGraph, seed: int, oracle_cap: int) -> list[CheckResult]:
+def _graph_property_checks(g: WeightedGraph, seed: int) -> list[CheckResult]:
     rng = seeded_generator(seed, 2)
     everything = g.all_vertices()
     base = shortest_paths(g, everything, [0])
@@ -1065,9 +1056,9 @@ def _graph_property_checks(g: WeightedGraph, seed: int, oracle_cap: int) -> list
 
     bad = None
     for _ in range(5):
-        size = int(rng.integers(1, min(g.n, oracle_cap) + 1))
+        size = int(rng.integers(1, g.n + 1))
         members = rng.choice(g.n, size=size, replace=False).tolist()
-        matrix = oracle_all_pairs(g, members, cap=oracle_cap)
+        matrix = oracle_all_pairs(g, members)
         ids = np.sort(members)  # the matrix's rows and columns
         restrict = _mask(g.n, members)
         for s in members:

@@ -50,7 +50,7 @@ class BuiltPipeline:
     def center_dist(self) -> np.ndarray:
         """The net's oracle center rows, as full_report passes them to verify_net."""
         if self._center_dist is None:
-            self._center_dist = _oracle_center_distances(self.host, self.net, self.host.n)
+            self._center_dist = _oracle_center_distances(self.host, self.net)
         return self._center_dist
 
 

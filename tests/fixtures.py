@@ -39,12 +39,12 @@ def all_pairs(g: WeightedGraph) -> np.ndarray:
     return np.stack([shortest_paths(g, everything, [v]) for v in range(g.n)])
 
 
-def dense_oracle(g: WeightedGraph, restrict, cap: int = 60) -> np.ndarray:
-    """oracle_all_pairs(g, restrict, cap) spread over (n, n): entry [u, v]
+def dense_oracle(g: WeightedGraph, restrict) -> np.ndarray:
+    """oracle_all_pairs(g, restrict) spread over (n, n): entry [u, v]
     is the distance in G[restrict], +inf when u or v is outside restrict."""
     ids = np.sort(np.asarray(restrict, dtype=np.int64))
     out = np.full((g.n, g.n), np.inf)
-    out[np.ix_(ids, ids)] = oracle_all_pairs(g, restrict, cap)
+    out[np.ix_(ids, ids)] = oracle_all_pairs(g, restrict)
     return out
 
 

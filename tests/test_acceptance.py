@@ -48,8 +48,8 @@ def test_c1_isometric_conversion():
     assert len(REGISTRY) >= 20
     for f in REGISTRY:
         b = built(f)
-        dg = oracle_all_pairs(f.graph, range(f.graph.n), cap=f.graph.n)
-        dh = oracle_all_pairs(b.host, range(b.host.n), cap=b.host.n)
+        dg = oracle_all_pairs(f.graph, range(f.graph.n))
+        dh = oracle_all_pairs(b.host, range(b.host.n))
         fwd = b.embedding.forward
         assert np.array_equal(dh[np.ix_(fwd, fwd)], dg), f.name
         assert b.tp.width == f.td.max_bag_size, f.name
@@ -76,7 +76,7 @@ def test_c3_tree_ordered_net():
     for f in REGISTRY:
         b = built(f)
         t0 = time.time()
-        oracle_d = _oracle_center_distances(b.host, b.net, oracle_cap=b.host.n)
+        oracle_d = _oracle_center_distances(b.host, b.net)
         covered = (oracle_d <= f.delta).any(axis=0)
         assert covered.all(), f"{f.name}: vertex {int(np.flatnonzero(~covered)[0])} uncovered"
         pack2 = int((oracle_d <= 2 * f.delta).sum(axis=0).max())
@@ -127,7 +127,7 @@ def test_c5_sparse_cover():
         assert cover.padding_ratio == 6.0
         counts = b.net.packing_counts(3.0)
         rep = verify_cover(
-            b.host, cover, ALPHA, f.delta, b.host_dist, b.host.n, packing_counts=counts
+            b.host, cover, ALPHA, f.delta, b.host_dist, packing_counts=counts
         )
         bad = [(c.name, c.witness) for c in rep.checks if c.status == "fail"]
         assert not bad, f"{f.name}: {bad}"
@@ -140,7 +140,7 @@ def test_c6_partition_cover():
         b = built(f)
         pcover = build_partition_cover(b.host, b.net, f.delta)
         assert pcover.padding_ratio == 12.0
-        rep = verify_cover(b.host, pcover, ALPHA, f.delta, b.host_dist, b.host.n, tau=b.net.tau_emp)
+        rep = verify_cover(b.host, pcover, ALPHA, f.delta, b.host_dist, tau=b.net.tau_emp)
         bad = [(c.name, c.witness) for c in rep.checks if c.status == "fail"]
         assert not bad, f"{f.name}: {bad}"
         if any(c.status == "warn" for c in rep.checks):
@@ -163,7 +163,7 @@ def test_c7_oracle_equivalence():
             size = int(rng.integers(1, n + 1))
             members = sorted(rng.choice(n, size=size, replace=False).tolist())
             restrict = vertex_mask(n, members)
-            matrix = oracle_all_pairs(g, members, cap=60)
+            matrix = oracle_all_pairs(g, members)
             for s, row in zip(members, matrix):  # members ascend, as the matrix's rows do
                 d = shortest_paths(g, restrict, [s])
                 assert d[members].tolist() == row.tolist()

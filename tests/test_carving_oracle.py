@@ -91,7 +91,7 @@ def brute_cores(g, tp, delta, attachments=True):
                     if attachments:
                         support |= attach[x]
                 sources = [v for v in bag_items[center_bag] if v not in covered]
-                matrix = dense_oracle(g, sorted(support), cap=n)
+                matrix = dense_oracle(g, sorted(support))
                 members = {
                     v for v in support if min(matrix[s][v] for s in sources) <= delta
                 }

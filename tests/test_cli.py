@@ -192,6 +192,19 @@ def test_oracle_cap_refusal_message(capsys):
     assert "oracle-cap" in capsys.readouterr().err
 
 
+def test_over_cap_outputs_pinned(capsys):
+    # grid4 has 16 vertices and a 60-vertex host; each size is named by itself
+    code, out = run(capsys, "convert", *GRID_ARGS, "--oracle-cap", "5")
+    assert code == 0
+    assert json.loads(out)["isometry"] == "skipped: oracle cap 5 exceeded: |restrict| = 16"
+    code = main(["verify", *GRID_ARGS, "--delta", "2", "--oracle-cap", "20"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "error: oracle cap 20 exceeded: |restrict| = 60; raise --oracle-cap (graph or host larger than cap)\n"
+    )
+
+
 def test_verify_delta_must_be_positive(capsys):
     code = main(["verify", *PATH_ARGS, "--delta", "-1", "--trials", "10"])
     assert code == 2
@@ -319,6 +332,25 @@ def test_decompose_sweep_ending_at_the_last_seed_runs(capsys):
                     "--trials", "2")
     assert code == 0
     assert [s["seed"] for s in json.loads(out)["samples"]] == [2**64 - 2, 2**64 - 1]
+
+
+def test_verify_seed_sweep_past_64_bits_exit_2(capsys):
+    # full_report's partition sweep runs seeds --seed .. --seed + 99: the
+    # message names the seed given, not the first sweep seed out of range
+    seed = 2**64 - 16
+    code = main(["verify", *PATH_ARGS, "--delta", "2", "--trials", "10", "--seed", str(seed)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        f"error: seed {seed}: its 100-seed partition sweep runs past seed 2**64 - 1\n"
+    )
+
+
+def test_verify_sweep_ending_at_the_last_seed_runs(capsys):
+    code, out = run(capsys, "verify", *PATH_ARGS, "--delta", "2", "--trials", "10",
+                    "--seed", str(2**64 - 100))
+    assert code == 0
+    assert json.loads(out)["ok"] is True
 
 
 def test_padding_estimate_gamma_out_of_range_exit_2(capsys):

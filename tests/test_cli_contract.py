@@ -8,12 +8,16 @@ duplicated lines, token swaps and wrong headers; the flags are drawn from the
 values each flag's domain has at and beyond its edges.  Named cases pin the
 message of each out-of-range id and duplicate the mutations reach only by
 chance.  Each drawn case has a 10 s deadline (a case takes milliseconds), so a
-case that runs away fails its test.
+case that runs long fails its test once it returns; each `main` call also runs
+under a 60 s alarm (`time_limit`), which fails a case that never returns
+instead of hanging the session.
 """
 
 import contextlib
 import io
 import json
+import signal
+import time
 import warnings
 from datetime import timedelta
 from pathlib import Path
@@ -59,6 +63,49 @@ REJECTED = {
 }
 
 
+CASE_TIMEOUT_S = 60.0
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Fail the enclosed block once `seconds` pass, by SIGALRM from the real
+    interval timer; the previous handler and timer are restored on exit."""
+
+    def expire(signum, frame):
+        pytest.fail(f"case ran past {seconds} s")  # not an Exception: main cannot catch it
+
+    started = time.monotonic()
+    previous = signal.signal(signal.SIGALRM, expire)
+    delay, interval = signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if delay:  # an outer timer keeps its deadline; one already due fires at once
+            left = max(delay - (time.monotonic() - started), 1e-6)
+            signal.setitimer(signal.ITIMER_REAL, left, interval)
+
+
+def test_time_limit_fails_a_case_that_never_returns():
+    def outer(signum, frame):
+        raise AssertionError("the outer timer fired early")
+
+    previous = signal.signal(signal.SIGALRM, outer)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 30.0)
+        started = time.monotonic()
+        with pytest.raises(pytest.fail.Exception, match="case ran past 0.1 s"):
+            with time_limit(0.1):
+                time.sleep(1.0)
+        assert time.monotonic() - started < 0.9
+        assert signal.getsignal(signal.SIGALRM) is outer
+        assert 28.0 < signal.getitimer(signal.ITIMER_REAL)[0] <= 30.0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @st.composite
 def mutated(draw, text: str) -> str:
     lines = text.splitlines(keepends=True)
@@ -96,7 +143,8 @@ def check_contract(command: str, argv: list[str], must_reject: bool) -> str:
         warnings.simplefilter("error")  # a warning escapes as an exception
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = main([command, *argv])
+                with time_limit(CASE_TIMEOUT_S):
+                    code = main([command, *argv])
             except SystemExit as exc:  # argparse rejects a malformed flag value
                 code = exc.code
     assert code in (0, 1, 2), (code, err.getvalue())

@@ -132,7 +132,7 @@ def test_ball_containment_exhaustive():
     for name in ["path-30", "cycle-16", "grid-5", "sp-50w"]:
         b = built(BY_NAME[name])
         alpha, delta = 3.0, b.delta
-        dg = oracle_all_pairs(b.host, range(b.host.n), cap=b.host.n)
+        dg = oracle_all_pairs(b.host, range(b.host.n))
         cover = build_sparse_cover(b.host, b.net, delta)
         masks = np.zeros((len(cover.clusters), b.host.n), dtype=bool)
         for i, c in enumerate(cover.clusters):
@@ -158,10 +158,10 @@ def test_verify_cover_integration():
     b = built(BY_NAME["grid-5"])
     cover = build_sparse_cover(b.host, b.net, b.delta)
     counts = b.net.packing_counts(3.0)
-    rep = verify_cover(b.host, cover, 3.0, b.delta, b.host_dist, b.host.n, packing_counts=counts)
+    rep = verify_cover(b.host, cover, 3.0, b.delta, b.host_dist, packing_counts=counts)
     assert rep.ok, rep.format_table()
     pcover = build_partition_cover(b.host, b.net, b.delta)
-    rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, b.host.n, tau=b.net.tau_emp)
+    rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, tau=b.net.tau_emp)
     assert rep.ok, rep.format_table()
 
 

@@ -12,8 +12,8 @@ import padnet.decomposition
 import padnet.verify as verify
 from padnet.covers import build_partition_cover, build_sparse_cover
 from padnet.graph import parse_edge_list
-from padnet.trees import load_tree_decomposition
-from padnet.verify import full_report, verify_cover, verify_net
+from padnet.trees import load_tree_decomposition, td_to_tree_partition
+from padnet.verify import OracleCapError, full_report, verify_cover, verify_embedding, verify_net
 
 CATALOG = [
     # graph-core
@@ -99,10 +99,10 @@ def test_one_host_oracle_pass_per_report(monkeypatch):
     inside_center_rows = False
     oracle, center_rows = verify.oracle_all_pairs, verify._oracle_center_distances
 
-    def counting_oracle(g, restrict, cap=60):
+    def counting_oracle(g, restrict):
         if g.n == host_n and len(restrict) == host_n and not inside_center_rows:
             calls["host oracle"] += 1
-        return oracle(g, restrict, cap)
+        return oracle(g, restrict)
 
     def counting_center_rows(*args):
         nonlocal inside_center_rows
@@ -142,10 +142,10 @@ def test_one_oracle_run_per_distinct_cover_cluster(monkeypatch):
     runs = Counter()
     oracle = verify.oracle_all_pairs
 
-    def counting_oracle(g, restrict, cap=60):
+    def counting_oracle(g, restrict):
         if g.n == host_n:
             runs[tuple(sorted(restrict))] += 1
-        return oracle(g, restrict, cap)
+        return oracle(g, restrict)
 
     monkeypatch.setattr(verify, "oracle_all_pairs", counting_oracle)
     sparse = [tuple(sorted(c.members)) for c in build_sparse_cover(b.host, b.net, f.delta).clusters]
@@ -173,6 +173,39 @@ def test_oracle_cap_below_one_rejected_before_any_check(monkeypatch, cap):
         full_report(f.graph, f.td, f.delta, trials=10, oracle_cap=cap)
 
 
+@pytest.mark.parametrize("over", ["graph", "host"])
+def test_over_cap_input_refused_before_any_check(monkeypatch, over):
+    # every oracle run is on g, its host or an induced subgraph of one, so both
+    # entry points refuse by those two sizes, g's first, before anything runs
+    f = next(f for f in acceptance_fixtures() if f.name == "cycle-16")
+    emb = td_to_tree_partition(f.graph, f.td)
+    assert emb.host.n > f.graph.n
+    cap, named = (f.graph.n - 1, f.graph.n) if over == "graph" else (f.graph.n, emb.host.n)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a check or an oracle run happened")
+
+    for name in ("oracle_all_pairs", "_graph_property_checks", "_embedding_checks"):
+        monkeypatch.setattr(verify, name, fail)
+    message = f"^oracle cap {cap} exceeded: \\|restrict\\| = {named}$"
+    with pytest.raises(OracleCapError, match=message):
+        full_report(f.graph, f.td, f.delta, trials=10, oracle_cap=cap)
+    with pytest.raises(OracleCapError, match=message):
+        verify_embedding(f.graph, f.td, emb, oracle_cap=cap)
+
+
+def test_seed_sweep_past_64_bits_rejected_before_any_check(monkeypatch):
+    f = next(f for f in acceptance_fixtures() if f.name == "path-8")
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "_graph_property_checks", fail)
+    seed = 2**64 - 99
+    with pytest.raises(ValueError, match=f"^seed {seed}: its 100-seed partition sweep runs past"):
+        full_report(f.graph, f.td, f.delta, trials=10, seed=seed)
+
+
 def test_standalone_checks_keep_no_state_between_graphs():
     a = built(next(f for f in acceptance_fixtures() if f.name == "path-30"))
     other = partial_ktree_fixture(20, 2, seed=11, drop=0.3, delta=2.0)
@@ -183,10 +216,8 @@ def test_standalone_checks_keep_no_state_between_graphs():
         dist = a.host_dist
         return [
             verify_net(a.host, a.net, a.delta, dist, a.center_dist).to_json_dict(),
-            verify_cover(a.host, cover, 3.0, a.delta, dist, oracle_cap=a.host.n).to_json_dict(),
-            verify_cover(
-                a.host, pcover, 3.0, a.delta, dist, oracle_cap=a.host.n, tau=a.net.tau_emp
-            ).to_json_dict(),
+            verify_cover(a.host, cover, 3.0, a.delta, dist).to_json_dict(),
+            verify_cover(a.host, pcover, 3.0, a.delta, dist, tau=a.net.tau_emp).to_json_dict(),
         ]
 
     before = standalone()

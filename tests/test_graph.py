@@ -144,7 +144,7 @@ def connected_graphs(draw, max_n=12):
 def test_dijkstra_matches_floyd_warshall(g, rnd):
     members = sorted(rnd.sample(range(g.n), rnd.randint(1, g.n)))
     restrict = vertex_mask(g.n, members)
-    matrix = oracle_all_pairs(g, members, cap=60)
+    matrix = oracle_all_pairs(g, members)
     for s, row in zip(members, matrix):  # members ascend, as the matrix's rows do
         d = shortest_paths(g, restrict, [s])
         assert d[members].tolist() == row.tolist()
@@ -229,7 +229,7 @@ def dyadic_graphs():
 def test_kernel_rows_sources_and_limits(g, rnd):
     members = sorted(rnd.sample(range(g.n), rnd.randint(1, g.n)))
     restrict = vertex_mask(g.n, members)
-    matrix = dense_oracle(g, members, cap=60)
+    matrix = dense_oracle(g, members)
     sources = [rnd.choice(members) for _ in range(rnd.randint(1, 4))]  # repeats allowed
     rows = {s: shortest_paths(g, restrict, [s]) for s in sources}
     for s, row in rows.items():

@@ -116,7 +116,7 @@ def test_semi_order_covering_and_packing_oracle():
         covered = np.zeros(host.n, dtype=bool)
         for x in net:
             below = np.flatnonzero((tin >= tin[x]) & (tin < tout[x]))
-            row = dense_oracle(host, below, cap=host.n)[x]
+            row = dense_oracle(host, below)[x]
             covered |= row <= delta
             counts2 += row <= 2 * delta
         assert covered.all()
@@ -258,7 +258,7 @@ def test_converted_net_covering_packing_oracle():
         counts2 = np.zeros(host.n, dtype=int)
         for i, x in enumerate(centers.tolist()):
             below = np.flatnonzero(net.descendant_vertices(x))
-            row = dense_oracle(host, below, cap=host.n)[x]
+            row = dense_oracle(host, below)[x]
             covered |= row <= delta
             counts2 += row <= 2 * delta
         assert covered.all()

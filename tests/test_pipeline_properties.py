@@ -39,14 +39,14 @@ def test_net_and_structures_on_random_pipelines(args):
     pack2 = np.zeros(host.n, dtype=int)
     for x in net.centers_in_order().tolist():
         below = np.flatnonzero(net.descendant_vertices(x))
-        row = dense_oracle(host, below, cap=host.n)[x]
+        row = dense_oracle(host, below)[x]
         covered |= row <= delta
         pack2 += row <= 2 * delta
     assert covered.all()
     assert pack2.max() <= net.tau_bound
 
     # decomposition: total, disjoint, bounded; cover: containment at the radius
-    dg = oracle_all_pairs(host, range(host.n), cap=host.n)
+    dg = oracle_all_pairs(host, range(host.n))
     part = sample_padded_decomposition(host, net, delta, seed=0)
     assert (part.assignment >= 0).all()
     for c in part.clusters:

@@ -93,7 +93,7 @@ def test_conversion_on_two_bag_path():
     weights = sorted(w for _, _, w in host.edges)
     assert weights == [0.0, 1.0, 1.0]
     assert emb.copies[1] == (1, 2)
-    d = oracle_all_pairs(host, range(host.n), cap=10)
+    d = oracle_all_pairs(host, range(host.n))
     assert d[emb.forward[0], emb.forward[2]] == 2.0
 
 
@@ -152,8 +152,8 @@ def test_conversion_isometric_on_fixtures(fixture):
     host, tp = emb.host, emb.tree_partition
     tp.validate(host)
     assert tp.width == td.max_bag_size
-    dg = oracle_all_pairs(g, range(g.n), cap=g.n)
-    dh = oracle_all_pairs(host, range(host.n), cap=host.n)
+    dg = oracle_all_pairs(g, range(g.n))
+    dh = oracle_all_pairs(host, range(host.n))
     fwd = emb.forward
     assert np.array_equal(dh[np.ix_(fwd, fwd)], dg)
     for copies in emb.copies:

@@ -30,7 +30,6 @@ from padnet.ordered_net import (
 )
 from padnet.trees import IsometricEmbedding, TreeDecomposition, TreePartition, td_to_tree_partition
 from padnet.verify import (
-    OracleCapError,
     _bellman_ford_rows,
     _oracle_center_distances,
     count_maximal,
@@ -59,30 +58,24 @@ def find_check(checks, name):
 
 def test_oracle_triangle():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-    d = oracle_all_pairs(g, range(3), cap=10)
+    d = oracle_all_pairs(g, range(3))
     off = d[~np.eye(3, dtype=bool)]
     assert set(off.tolist()) == {1.0}
 
 
 def test_oracle_respects_restriction():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    d = oracle_all_pairs(g, [2, 0], cap=10)  # rows and columns: vertices 0, 2
+    d = oracle_all_pairs(g, [2, 0])  # rows and columns: vertices 0, 2
     assert d.tolist() == [[0.0, np.inf], [np.inf, 0.0]]  # 1 outside restrict
 
 
 def test_oracle_returns_the_block_of_its_restriction():
     # vertices 1, 3, 4 of the path 0-1-2-3-4, in any order, give one (3, 3) block
     g = WeightedGraph(5, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 4.0), (3, 4, 8.0)])
-    for restrict in ([1, 3, 4], [4, 1, 3], np.array([3, 4, 1])):
-        d = oracle_all_pairs(g, restrict, cap=10)
+    for restrict in ([1, 3, 4], [4, 1, 3], np.array([3, 4, 1]), np.array([4, 3, 1], dtype=np.uint64)):
+        d = oracle_all_pairs(g, restrict)
         assert d.tolist() == [[0.0, np.inf, np.inf], [np.inf, 0.0, 8.0], [np.inf, 8.0, 0.0]]
-    assert oracle_all_pairs(g, range(5), cap=10)[1].tolist() == [1.0, 0.0, 2.0, 6.0, 14.0]
-
-
-def test_oracle_cap_refusal():
-    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    with pytest.raises(OracleCapError):
-        oracle_all_pairs(g, range(3), cap=2)
+    assert oracle_all_pairs(g, range(5))[1].tolist() == [1.0, 0.0, 2.0, 6.0, 14.0]
 
 
 @pytest.mark.parametrize(
@@ -93,14 +86,16 @@ def test_oracle_cap_refusal():
         ([1, 1, 2], "vertex 1 repeated"),
         ([2, 0, 5, 0], "vertex 5 outside 0..2"),  # the first bad id, in restrict's order
         ([2, 0, 2, 7], "vertex 2 repeated"),
+        ([1.5, 2], "vertex 1.5 not an integer"),  # once read as vertex 1
+        ([2**64, 1], f"vertex {2**64} outside 0..2"),  # once an OverflowError
+        (np.array([0.0, 1.0]), "vertex 0.0 not an integer"),
     ],
 )
 def test_oracle_rejects_ids_it_cannot_honour(restrict, message):
-    # on the path 0-1-2, before the cap check: cap 1 would refuse each of them
+    # on the path 0-1-2
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    for cap in (10, 1):
-        with pytest.raises(ValueError, match=f"^restrict: {message}$"):
-            oracle_all_pairs(g, restrict, cap=cap)
+    with pytest.raises(ValueError, match=f"^restrict: {message}$"):
+        oracle_all_pairs(g, restrict)
 
 
 def test_oracle_matches_search_on_random_graphs():
@@ -115,7 +110,7 @@ def test_oracle_matches_search_on_random_graphs():
         g = WeightedGraph(n, edges)
         members = sorted(rng.choice(n, size=30, replace=False).tolist())
         restrict = vertex_mask(n, members)
-        matrix = oracle_all_pairs(g, members, cap=60)
+        matrix = oracle_all_pairs(g, members)
         for s, row in zip(members, matrix):  # members ascend, as the matrix's rows do
             d = shortest_paths(g, restrict, [s])
             assert d[members].tolist() == row.tolist()
@@ -135,7 +130,7 @@ def test_oracle_reads_nothing_from_the_code_it_checks(oracle):
 
 def net_tables(g, net):
     """The host oracle matrix and the oracle center rows verify_net reads."""
-    return oracle_all_pairs(g, range(g.n), cap=g.n), _oracle_center_distances(g, net, g.n)
+    return oracle_all_pairs(g, range(g.n)), _oracle_center_distances(g, net)
 
 
 def test_verify_net_all_pass():
@@ -306,6 +301,23 @@ def test_core_checks_pass_and_fault_injection():
     assert names["component-clusters-laminar"] == "fail"
 
 
+def test_laminar_check_names_its_first_fault():
+    # two round-2 components of path-30 whose clusters each gain a vertex
+    # outside their parent's (and outside the host), so neither overlaps
+    # the other: the witness names the earlier one
+    b = built(BY_NAME["path-30"])
+    cons = b.construction
+    assert [c.root_bag for c in cons.components[1:4]] == [3, 7, 11]
+    bad = dataclasses.replace(cons, components=list(cons.components))
+    for i, extra in ((2, b.host.n), (3, b.host.n + 1)):
+        bad.components[i] = dataclasses.replace(
+            cons.components[i], cluster=cons.components[i].cluster | {extra}
+        )
+    check = find_check(verify_cores(b.host, b.tp, b.delta, bad), "component-clusters-laminar")
+    assert check.status == "fail"
+    assert check.witness == "round 2 component at bag 7 cluster escapes its parent cluster"
+
+
 def _core_counts_by_loop(n, bag_of, cores):
     """The per-core loops that verify_cores' table counts replaced: measured
     values and witnesses of the checks they fed."""
@@ -471,7 +483,7 @@ def test_cover_all_pass_single_cluster():
     tp = TreePartition(bags=(frozenset([0, 1, 2]),), parent=(-1,))
     net = build_tree_ordered_net(g, tp, 2.0)
     cover = build_sparse_cover(g, net, 2.0)
-    rep = verify_cover(g, cover, 3.0, 2.0, oracle_all_pairs(g, range(3)), oracle_cap=10)
+    rep = verify_cover(g, cover, 3.0, 2.0, oracle_all_pairs(g, range(3)))
     assert rep.ok
 
 
@@ -480,7 +492,7 @@ def test_inflated_padding_radius_detected():
     # radius, (5-1)*delta/2 = 2*delta; on a path that must break containment
     b = built(BY_NAME["path-30"])
     cover = build_sparse_cover(b.host, b.net, b.delta)
-    rep = verify_cover(b.host, cover, 5.0, b.delta, b.host_dist, oracle_cap=b.host.n)
+    rep = verify_cover(b.host, cover, 5.0, b.delta, b.host_dist)
     assert find(rep, "cover-ball-containment").status == "fail"
 
 
@@ -490,7 +502,7 @@ def test_cover_diameter_fault():
     fake = CoverCluster(center=0, members=far)
     cover = build_sparse_cover(b.host, b.net, b.delta)
     bad = dataclasses.replace(cover, clusters=cover.clusters + (fake,))
-    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, oracle_cap=b.host.n)
+    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist)
     assert find(rep, "cover-strong-diameter").status == "fail"
 
 
@@ -498,16 +510,16 @@ def test_partition_cover_warn_band_and_fail():
     b = built(BY_NAME["grid-5"])
     pcover = build_partition_cover(b.host, b.net, b.delta)
     count = len(pcover.partitions)
-    rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, b.host.n, tau=count - 1)
+    rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, tau=count - 1)
     assert find(rep, "partition-cover-count").status == "warn"
-    rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, b.host.n, tau=count - 2)
+    rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, tau=count - 2)
     assert find(rep, "partition-cover-count").status == "fail"
 
     # duplicated vertex inside one partition
     first = pcover.partitions[0]
     dupe = PartitionCluster(kind="singleton", center=0, radius=0.0, members=frozenset([0]))
     bad = dataclasses.replace(pcover, partitions=(first + (dupe,),) + pcover.partitions[1:])
-    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.host.n, tau=b.net.tau_emp)
+    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, tau=b.net.tau_emp)
     assert find(rep, "partition-cover-partitions-valid").status == "fail"
 
 
@@ -519,7 +531,7 @@ def test_sampler_ks_check_passes():
     assert res.status == "pass"
 
 
-def deep_packing_assertions(g, net, tp, v, oracle_cap=60):
+def deep_packing_assertions(g, net, tp, v):
     """Assertions on the ancestor-core chain of one vertex.
 
     Splits the cores that meet v's 2*delta ancestor net points into greedy
@@ -531,7 +543,7 @@ def deep_packing_assertions(g, net, tp, v, oracle_cap=60):
     cores = net.cores
     if not cores:
         raise ValueError("net carries no core table")
-    oracle_d = _oracle_center_distances(g, net, oracle_cap)
+    oracle_d = _oracle_center_distances(g, net)
     centers = net.centers_in_order()
     near = {int(centers[i]) for i in np.flatnonzero(oracle_d[:, v] <= 2 * net.delta)}
     meeting = [c for c in cores if c.members & near]
@@ -557,7 +569,7 @@ def test_deep_packing_assertions_hold():
     for name in ["path-30", "cycle-16", "grid-5"]:
         b = built(BY_NAME[name])
         for v in range(0, b.host.n, max(1, b.host.n // 10)):
-            deep_packing_assertions(b.host, b.net, b.tp, v, oracle_cap=b.host.n)
+            deep_packing_assertions(b.host, b.net, b.tp, v)
 
 
 # --- the oracle's center rows ---------------------------------------------------
@@ -579,7 +591,7 @@ def _floyd_warshall_center_rows(host, net):
     at center_radius."""
     rows = np.zeros((0, host.n))
     for x in net.centers_in_order().tolist():
-        full = dense_oracle(host, np.flatnonzero(net.descendant_vertices(x)), cap=host.n)
+        full = dense_oracle(host, np.flatnonzero(net.descendant_vertices(x)))
         rows = np.vstack([rows, full[x]])
     return np.where(rows <= net.center_radius, rows, np.inf)
 
@@ -599,7 +611,7 @@ def test_center_rows_match_floyd_warshall(ktree, n, k, graph_seed, delta, scale)
     f = _random_fixture(ktree, n, k, graph_seed, delta)
     g = WeightedGraph(f.graph.n, [(u, v, w * scale) for u, v, w in f.graph.edges])
     host, net = _host_and_net(Fixture(f.name, g, f.td, delta * scale))
-    rows = _oracle_center_distances(host, net, host.n)
+    rows = _oracle_center_distances(host, net)
     assert rows.shape == (len(net.centers_in_order()), host.n)
     assert np.array_equal(rows, _floyd_warshall_center_rows(host, net))
 
@@ -617,7 +629,7 @@ def test_center_rows_match_bounded_dijkstra_on_decimal_weights(ktree, n, k, grap
     # decimal sums depend on their order; both sum each path in path order
     f = decimal_weight_fixture(_random_fixture(ktree, n, k, graph_seed, delta), seed=graph_seed)
     host, net = _host_and_net(f)
-    rows = _oracle_center_distances(host, net, host.n)
+    rows = _oracle_center_distances(host, net)
     expected = np.zeros((0, host.n))
     for x in net.centers_in_order().tolist():
         row = shortest_paths(host, net.descendant_vertices(x), [x], limit=net.center_radius)
@@ -632,15 +644,7 @@ def test_center_rows_of_a_net_without_centers():
         net=vertex_mask(3), order_parent=(-1,), node_vertex=(None,), assign=np.zeros(3, dtype=int),
         alpha=3.0, delta=1.0, tp_width=1, cores=(), g=g,
     )
-    assert _oracle_center_distances(g, empty, 10).shape == (0, 3)
-
-
-def test_center_rows_refuse_beyond_the_cap():
-    b = built(BY_NAME["path-30"])
-    largest = max(int(b.net.descendant_vertices(x).sum()) for x in b.net.centers_in_order().tolist())
-    assert _oracle_center_distances(b.host, b.net, largest).shape[1] == b.host.n
-    with pytest.raises(OracleCapError):
-        _oracle_center_distances(b.host, b.net, largest - 1)
+    assert _oracle_center_distances(g, empty).shape == (0, 3)
 
 
 # --- the bounded center table, the core snapshot, the unique maximum ----------
@@ -661,7 +665,7 @@ def test_tampered_center_table_fails_oracle_agreement():
     # true distance beyond it comes from the all-pairs oracle
     centers = b.net.centers_in_order()
     oracle_d = np.stack([
-        dense_oracle(b.host, np.flatnonzero(b.net.descendant_vertices(x)), cap=b.host.n)[x]
+        dense_oracle(b.host, np.flatnonzero(b.net.descendant_vertices(x)))[x]
         for x in centers.tolist()
     ])
     vertex, rank, dist = b.net.center_entries()
@@ -766,7 +770,7 @@ def _sparse_cover_record(b, v):
     cover = build_sparse_cover(b.host, b.net, b.delta)
     i, clusters = _renamed(cover.clusters, b.host.n - 1, v)
     bad = dataclasses.replace(cover, clusters=clusters)
-    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, oracle_cap=b.host.n)
+    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist)
     witness = f"cluster {i}: member {v} outside vertices 0..{b.host.n - 1}"
     return rep.checks, {"cover-every-vertex-covered": witness}
 
@@ -777,7 +781,7 @@ def _partition_cover_record(b, v):
     partitions = list(pcover.partitions)
     partitions[p] = _renamed(partitions[p], b.host.n - 1, v)[1]
     bad = dataclasses.replace(pcover, partitions=tuple(partitions))
-    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.host.n, tau=b.net.tau_emp)
+    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, tau=b.net.tau_emp)
     witness = f"partition {p}: member {v} outside vertices 0..{b.host.n - 1}"
     return rep.checks, {"partition-cover-partitions-valid": witness}
 
@@ -884,13 +888,13 @@ def test_cluster_of_outside_members_only_fails_without_raising(kind):
     elif kind == "sparse-cover":
         cover = build_sparse_cover(b.host, b.net, b.delta)
         bad = dataclasses.replace(cover, clusters=cover.clusters + (CoverCluster(n, outside),))
-        checks = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, oracle_cap=n).checks
+        checks = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist).checks
         name, witness = "cover-every-vertex-covered", f"cluster {len(cover.clusters)}: {witness}"
     else:
         pcover = build_partition_cover(b.host, b.net, b.delta)
         extra = (PartitionCluster(kind="net", center=n, radius=0.0, members=outside),)
         bad = dataclasses.replace(pcover, partitions=pcover.partitions + (extra,))
-        checks = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, oracle_cap=n).checks
+        checks = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist).checks
         name, witness = "partition-cover-partitions-valid", f"partition {len(pcover.partitions)}: {witness}"
     assert find_check(checks, name).status == "fail"
     assert find_check(checks, name).witness == witness
