@@ -8,9 +8,14 @@ A vertex set is a bool mask of shape (n,) where it is tested for membership
 (a restricting subgraph, a ball, a cluster) and a sequence of vertex ids
 where it is iterated (the sources of a search).
 
-The adjacency is a tuple of per-vertex tuples of (neighbour, weight) pairs,
-built once at construction, so the Dijkstra loop reads Python ints and floats
-rather than numpy scalars.
+There is one Dijkstra loop, `reach`: it keeps the vertices v with
+lo <= key[v] < hi, stops at a radius, and returns a dict over the vertices
+it reached, so its cost is the size of its ball.  `shortest_paths` is its
+checked form over a mask, with an n-entry row as the result; the carving
+and the center table call `reach` directly with preorder intervals.  The
+adjacency is a tuple of per-vertex tuples of (neighbour, weight) pairs,
+built once at construction, so the loop reads Python ints and floats rather
+than numpy scalars.
 
 Vertices are dense integer ids 0..n-1.  Input files use 1-indexed labels; the
 parser maps label k to id k-1.  Zero-weight edges are first class (the tree
@@ -119,41 +124,25 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, m={self.m})"
 
 
-def shortest_paths(
-    g: WeightedGraph, restrict: np.ndarray, sources: Sequence[int], limit: float = INF
-) -> np.ndarray:
-    """Multi-source distances inside the induced subgraph G[restrict].
+def reach(
+    g: WeightedGraph, sources: Iterable[int], limit: float, key: Sequence[int], lo: int, hi: int
+) -> dict[int, float]:
+    """Multi-source Dijkstra over the vertices v with lo <= key[v] < hi,
+    bounded at `limit`: {v: distance} for the reached vertices only.
 
-    `restrict` is a bool array of shape (g.n,) and `sources` a sequence of
-    vertex ids inside it.  Returns a float array of length g.n with
-    d_{G[restrict]}(sources, v) for v in restrict (+inf when unreachable or
-    outside restrict).
-
-    `limit` bounds the search radius: a tentative distance above it is never
-    recorded, so entries beyond `limit` stay +inf.  Weights are nonnegative,
-    so every vertex within `limit` is reached along a path whose prefixes are
-    all within `limit`, and `d <= r` is bit-for-bit the same as in the
-    unbounded search for every r <= limit.
-
-    The search itself touches only Python objects: the mask is read once as
-    bytes, tentative distances live in a dict over the reached vertices, and
-    the n-entry row is filled from it at the end.
+    A tentative distance above `limit` is never recorded.  Weights are
+    nonnegative, so every vertex within `limit` is reached along a path whose
+    prefixes are all within `limit`, and each recorded distance is bit for
+    bit the one of the unbounded search.  `key` is read per relaxed
+    neighbour, as a bytes mask (lo, hi = 1, 2) or a list of preorder
+    numbers (lo, hi = a subtree's interval), so the search costs the size
+    of its ball, not n.  Sources are taken as given: `shortest_paths`
+    checks them.
     """
-    if not limit >= 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
-    if not (isinstance(restrict, np.ndarray) and restrict.dtype == bool
-            and restrict.shape == (g.n,)):
-        raise ValueError(f"restrict must be a bool array of shape ({g.n},)")
-    if not restrict.any():
-        raise ValueError("restrict must be non-empty")
-    sources = np.asarray(sources, dtype=np.int64)
-    if not restrict[sources].all() or (sources < 0).any():
-        raise ValueError("sources must be a subset of restrict")
-    inside = restrict.tobytes()
     nbrs = g._nbrs
     dist: dict[int, float] = {}
     heap: list[tuple[float, int]] = []
-    for s in sources.tolist():
+    for s in sources:
         dist[s] = 0.0
         heap.append((0.0, s))
     heapq.heapify(heap)
@@ -163,11 +152,44 @@ def shortest_paths(
         if d > dist[u]:
             continue
         for v, w in nbrs[u]:
-            if inside[v]:
-                nd = d + w
-                if nd < known(v, INF) and nd <= limit:
-                    dist[v] = nd
-                    push(heap, (nd, v))
+            nd = d + w
+            if nd < known(v, INF) and nd <= limit and lo <= key[v] < hi:
+                dist[v] = nd
+                push(heap, (nd, v))
+    return dist
+
+
+def shortest_paths(
+    g: WeightedGraph, restrict: np.ndarray, sources: Sequence[int], limit: float = INF
+) -> np.ndarray:
+    """Multi-source distances inside the induced subgraph G[restrict].
+
+    `restrict` is a bool array of shape (g.n,) and `sources` a sequence of
+    integer vertex ids inside it.  Returns a float array of length g.n with
+    d_{G[restrict]}(sources, v) for v in restrict (+inf when unreachable,
+    outside restrict or beyond `limit`), so `d <= r` is exact for every
+    r <= limit.
+
+    The checked form of `reach`: it validates its arguments, searches with
+    the mask read once as bytes, and scatters the reached vertices into the
+    n-entry row.
+    """
+    if not limit >= 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    if not (isinstance(restrict, np.ndarray) and restrict.dtype == bool
+            and restrict.shape == (g.n,)):
+        raise ValueError(f"restrict must be a bool array of shape ({g.n},)")
+    if not restrict.any():
+        raise ValueError("restrict must be non-empty")
+    ids = np.asarray(sources)
+    if ids.ndim != 1 or (ids.size and not np.issubdtype(ids.dtype, np.integer)):
+        raise ValueError("sources must be a sequence of integer vertex ids")
+    ids = ids.astype(np.int64)
+    if ((ids < 0) | (ids >= g.n)).any():
+        raise ValueError(f"sources must be vertex ids in 0..{g.n - 1}")
+    if not restrict[ids].all():
+        raise ValueError("sources must be a subset of restrict")
+    dist = reach(g, ids.tolist(), limit, restrict.tobytes(), 1, 2)
     row = np.full(g.n, INF, dtype=np.float64)
     row[np.fromiter(dist, np.int64, len(dist))] = np.fromiter(dist.values(), np.float64, len(dist))
     return row

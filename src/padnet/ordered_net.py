@@ -27,7 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph, shortest_paths
+from .graph import (
+    WeightedGraph,
+    reach,
+    shortest_paths,  # unused here; perfbench's tracer wraps ordered_net's binding
+)
 from .trees import TreePartition, rooted_tree_arrays
 
 
@@ -73,7 +77,10 @@ class TreeOrderedNet:
     sampler's beta*delta, the covers' alpha*delta and alpha*delta/2, the
     2/3/alpha packing profile).  The packing bound makes that O(tau * n)
     entries; no (centers x n) array is kept, and only
-    `center_distance_matrix()` builds one.
+    `center_distance_matrix()` builds one.  Each center's entries come from
+    one `reach` over the vertices whose tin lies in its interval, so the
+    table costs the size of the balls, with no mask or n-entry row per
+    center.
     """
 
     def __init__(
@@ -114,17 +121,17 @@ class TreeOrderedNet:
 
     def _compute_center_entries(self, g: WeightedGraph) -> tuple[np.ndarray, ...]:
         limit = self.center_radius
+        # x's descendant subgraph is the vertices whose tin lies in x's interval
+        tin, tout = self._vertex_tin.tolist(), self._vertex_tout.tolist()
         # seeded with one empty entry list each, for a net of no centers
         vertices, dists = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
         for x in self._centers.tolist():
-            row = shortest_paths(g, self.descendant_vertices(x), [x], limit=limit)
-            (reached,) = (row <= limit).nonzero()
-            vertices.append(reached)
-            dists.append(row[reached])
+            found = reach(g, [x], limit, tin, tin[x], tout[x])
+            vertices.append(np.fromiter(found, np.int64, len(found)))
+            dists.append(np.fromiter(found.values(), np.float64, len(found)))
         vertex, dist = np.concatenate(vertices), np.concatenate(dists)
         rank = np.repeat(np.arange(len(self._centers)), [v.size for v in vertices[1:]])
-        # rank-major as computed; a stable sort by vertex keeps ranks ascending
-        by_vertex = np.argsort(vertex, kind="stable")
+        by_vertex = np.lexsort((rank, vertex))
         entries = (vertex[by_vertex], rank[by_vertex], dist[by_vertex])
         for a in entries:
             a.flags.writeable = False
@@ -245,8 +252,12 @@ def construct_cores_trace(g: WeightedGraph, tp: TreePartition, delta: float) -> 
 
     `attached[v]` is the one bag whose attachment holds v (`nb`: none): a
     core's members come from its support, so they leave every attachment
-    below the center bag and join at most its parent's.  Bag arrays carry a
-    spare slot `nb` that no test selects, so no index wraps.
+    below the center bag and join at most its parent's.  A vertex's
+    effective bag is its own bag while it is uncovered and its attachment
+    once it is covered, and a core's support is the vertices whose effective
+    bag lies in the component, inside the center bag's preorder interval.
+    Bag arrays carry a spare slot `nb` that no test selects, so no index
+    wraps.
     """
     _check_delta(delta)
     tp.validate(g)
@@ -255,11 +266,14 @@ def construct_cores_trace(g: WeightedGraph, tp: TreePartition, delta: float) -> 
     bag_of = tp.bag_of()
     level = np.asarray(tp.level)
     parent = np.append(tp.parent, nb)
-    tin, tout = (np.append(a, 0) for a in tp.bag_intervals())
+    tin, tout = tp.bag_intervals()
+    bag_tin, bag_tout = tin.tolist(), tout.tolist()
 
     covered = np.zeros(n, dtype=bool)
     attached = np.full(n, nb)
     visited = np.zeros(nb + 1, dtype=bool)
+    # tin of v's effective bag while v's component is carved, -1 otherwise
+    key = [-1] * n
     cores: list[Core] = []
     comps: list[ComponentTrace] = []
     round_no = 0
@@ -278,36 +292,51 @@ def construct_cores_trace(g: WeightedGraph, tp: TreePartition, delta: float) -> 
         # components by root id, each one's bags by (level, id): root first
         todo = np.flatnonzero(uncov)
         todo = todo[np.lexsort((todo, level[todo], label[todo]))]
-        for comp in np.split(todo, np.flatnonzero(np.diff(label[todo])) + 1):
+        # each component's cluster: the vertices whose effective bag is one
+        # of its bags, by id.  A core's members and their new attachments
+        # stay in its own component, so the grouping holds all round.
+        eff = np.where(covered, attached, bag_of)
+        held = np.flatnonzero(uncov[eff])
+        held = held[np.argsort(label[eff[held]], kind="stable")]
+        clusters = np.split(held, np.flatnonzero(np.diff(label[eff[held]])) + 1)
+        for comp, cluster in zip(
+            np.split(todo, np.flatnonzero(np.diff(label[todo])) + 1), clusters
+        ):
             bags = comp.tolist()
             root = bags[0]
-            in_comp = label == root
-            cluster = np.flatnonzero((in_comp[bag_of] & ~covered) | in_comp[attached]).tolist()
-            comps.append(ComponentTrace(round_no, root, frozenset(bags), frozenset(cluster)))
+            cluster_ids = cluster.tolist()
+            comps.append(ComponentTrace(round_no, root, frozenset(bags), frozenset(cluster_ids)))
+            for v, t in zip(cluster_ids, tin[eff[cluster]].tolist()):
+                key[v] = t
             # a core's attached members can sit in another component's bags
             visited[comp] = False
             for center_bag in bags:
                 if visited[center_bag]:
                     continue
+                sources = [v for v in sorted(tp.bags[center_bag]) if not covered[v]]
                 # the component is connected: its part below the center bag
                 # is its bags inside the center bag's preorder interval
-                in_sub = in_comp & (tin >= tin[center_bag]) & (tin < tout[center_bag])
-                support = (in_sub[bag_of] & ~covered) | in_sub[attached]
-                sources = [v for v in sorted(tp.bags[center_bag]) if not covered[v]]
-                dist = shortest_paths(g, support, sources, limit=delta)
-                members = np.flatnonzero(dist <= delta)
+                found = sorted(reach(g, sources, delta, key, bag_tin[center_bag],
+                                     bag_tout[center_bag]))
                 cores.append(
                     Core(
                         id=len(cores),
-                        members=frozenset(members.tolist()),
+                        members=frozenset(found),
                         center_bag=center_bag,
                         centers=frozenset(sources),
                         rank=round_no,
                     )
                 )
+                members = np.array(found, dtype=np.int64)
+                home = nb if center_bag == root else tp.parent[center_bag]
                 covered[members] = True
                 visited[bag_of[members]] = True
-                attached[members] = nb if center_bag == root else parent[center_bag]
+                attached[members] = home
+                t = -1 if home == nb else bag_tin[home]
+                for v in found:
+                    key[v] = t
+            for v in cluster_ids:
+                key[v] = -1
     return CoreConstruction(cores=cores, components=comps, rounds=round_no)
 
 

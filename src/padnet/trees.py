@@ -73,6 +73,16 @@ class _BagTree:
         return np.asarray(self._tin), np.asarray(self._tout)
 
 
+def _common_bags(
+    bags: tuple[frozenset[int], ...], holding: list[list[int]], u: int, v: int
+) -> list[int]:
+    """The bags holding both u and v, found by scanning the holding list of
+    whichever endpoint lies in fewer bags."""
+    if len(holding[v]) < len(holding[u]):
+        u, v = v, u
+    return [b for b in holding[u] if v in bags[b]]
+
+
 class TreeDecomposition(_BagTree):
     """Rooted tree of (possibly overlapping) vertex bags."""
 
@@ -87,9 +97,10 @@ class TreeDecomposition(_BagTree):
     def validate(self, g: WeightedGraph) -> None:
         """Check the three tree-decomposition axioms against g.
 
-        Linear in the total bag size plus the edge count: each vertex's
-        holding bags are indexed once, and they form a connected subtree
-        exactly when one of them has a parent that does not hold the vertex.
+        Each vertex's holding bags are indexed once; an edge is covered when
+        a holding bag of its endpoint in fewer bags holds the other one; and
+        a vertex's bags form a connected subtree exactly when one of them
+        has a parent that does not hold the vertex.
         """
         holding: list[list[int]] = [[] for _ in range(g.n)]
         for i, bag in enumerate(self.bags):
@@ -101,7 +112,7 @@ class TreeDecomposition(_BagTree):
             if not holding[x]:
                 raise TdValidationError(f"vertex {x + 1} appears in no bag")
         for u, v, _ in g.edges:
-            if not any(v in self.bags[b] for b in holding[u]):
+            if not _common_bags(self.bags, holding, u, v):
                 raise TdValidationError(f"edge ({u + 1},{v + 1}) is covered by no bag")
         for x in range(g.n):
             tops = sum(
@@ -286,8 +297,7 @@ def td_to_tree_partition(g: WeightedGraph, td: TreeDecomposition) -> IsometricEm
         for v in td.bags[b] & td.bags[p]:
             host_edges.append((copy_id[(v, b)], copy_id[(v, p)], 0.0))
     for u, v, w in g.edges:
-        common = [b for b in holding[u] if v in td.bags[b]]
-        b = min(common, key=order_key)
+        b = min(_common_bags(td.bags, holding, u, v), key=order_key)
         host_edges.append((copy_id[(u, b)], copy_id[(v, b)], w))
 
     host = WeightedGraph(len(copy_id), host_edges)

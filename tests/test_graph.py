@@ -13,6 +13,7 @@ from padnet.graph import (
     ball,
     ball_pairs,
     parse_edge_list,
+    reach,
     shortest_paths,
     strong_diameter,
     weak_diameter,
@@ -48,6 +49,10 @@ def test_sources_must_be_inside_restrict():
         shortest_paths(g, vertex_mask(3), [])
     with pytest.raises(ValueError):
         shortest_paths(g, g.all_vertices(), [-1])
+    with pytest.raises(ValueError):
+        shortest_paths(g, g.all_vertices(), [3])  # past the last vertex
+    with pytest.raises(ValueError):
+        shortest_paths(g, g.all_vertices(), [1.5])  # not an integer id
 
 
 @pytest.mark.parametrize(
@@ -252,6 +257,32 @@ def test_limit_equals_thresholded_unbounded(g, rnd):
     # limits at every reached distance hit the boundary case d == limit
     for limit in {0.0, rnd.uniform(0, 5), *finite}:
         assert_bounded_is_thresholded(g, restrict, sources, limit)
+
+
+@given(st.one_of(connected_graphs(), decimal_graphs()), st.randoms(use_true_random=False),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_reach_is_the_thresholded_row(g, rnd, by_interval):
+    # reach keeps v when lo <= key[v] < hi: a bytes mask read at (1, 2), or
+    # preorder-like numbers read at an interval, as the carving does
+    if by_interval:
+        lo = rnd.randrange(g.n)
+        hi = rnd.randint(lo + 1, g.n)
+        key = [rnd.randrange(g.n + 1) for _ in range(g.n)]
+        key[rnd.randrange(g.n)] = lo
+        restrict = np.array([lo <= k < hi for k in key])
+    else:
+        lo, hi = 1, 2
+        restrict = vertex_mask(g.n, rnd.sample(range(g.n), rnd.randint(1, g.n)))
+        key = restrict.tobytes()
+    members = np.flatnonzero(restrict).tolist()
+    sources = [rnd.choice(members) for _ in range(rnd.randint(1, 3))]  # repeats allowed
+    free = shortest_paths(g, restrict, sources)
+    for limit in {0.0, INF, rnd.uniform(0, 5), *free[np.isfinite(free)].tolist()}:
+        found = reach(g, sources, limit, key, lo, hi)
+        (inside,) = np.nonzero((free <= limit) & (free < INF))
+        assert sorted(found) == inside.tolist()
+        assert np.array([found[v] for v in inside.tolist()]).tobytes() == free[inside].tobytes()
 
 
 def test_limit_on_copy_expanded_host():
