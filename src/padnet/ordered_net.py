@@ -104,14 +104,14 @@ class TreeOrderedNet:
         self.delta = delta
         self.tp_width = tp_width
         self.cores = cores
-        self.node_level, tin, tout = rooted_tree_arrays(order_parent, 0)
+        node_level, tin, tout = rooted_tree_arrays(order_parent, 0)
         self._vertex_tin = np.asarray(tin)[assign]
         self._vertex_tout = np.asarray(tout)[assign]
         self._vertex_tin.flags.writeable = False
         self._vertex_tout.flags.writeable = False
         self._centers = np.asarray(
             sorted(
-                np.flatnonzero(self.net).tolist(), key=lambda x: (self.node_level[assign[x]], x)
+                np.flatnonzero(self.net).tolist(), key=lambda x: (node_level[assign[x]], x)
             ),
             dtype=np.int64,
         )
@@ -191,10 +191,10 @@ class TreeOrderedNet:
 
         The multiplier may not exceed max(alpha, 3): the table ends there.
         """
-        reach = max(self.alpha, 3.0)
-        if multiplier > reach:
+        cap = max(self.alpha, 3.0)
+        if multiplier > cap:
             raise ValueError(
-                f"radius multiplier must be <= max(alpha, 3) = {reach}, got {multiplier}"
+                f"radius multiplier must be <= max(alpha, 3) = {cap}, got {multiplier}"
             )
         vertex, _, dist = self._entries
         return np.bincount(vertex[dist <= multiplier * self.delta], minlength=self.n)

@@ -94,13 +94,14 @@ class TreeDecomposition(_BagTree):
     def max_bag_size(self) -> int:
         return max(len(b) for b in self.bags)
 
-    def validate(self, g: WeightedGraph) -> None:
+    def validate(self, g: WeightedGraph) -> list[list[int]]:
         """Check the three tree-decomposition axioms against g.
 
         Each vertex's holding bags are indexed once; an edge is covered when
         a holding bag of its endpoint in fewer bags holds the other one; and
         a vertex's bags form a connected subtree exactly when one of them
-        has a parent that does not hold the vertex.
+        has a parent that does not hold the vertex.  Returns that index:
+        each vertex's holding bags in increasing order.
         """
         holding: list[list[int]] = [[] for _ in range(g.n)]
         for i, bag in enumerate(self.bags):
@@ -122,6 +123,7 @@ class TreeDecomposition(_BagTree):
                 raise TdValidationError(
                     f"bags containing vertex {x + 1} do not form a connected subtree"
                 )
+        return holding
 
 
 class TreePartition(_BagTree):
@@ -271,7 +273,7 @@ def td_to_tree_partition(g: WeightedGraph, td: TreeDecomposition) -> IsometricEm
     """
     # a td with one vertex's bags disconnected still converts to a valid
     # partition, over a host that is not isometric; only this check sees it
-    td.validate(g)
+    holding = td.validate(g)
     nb = len(td.bags)
     order_key = lambda b: (td.level[b], b)
 
@@ -283,11 +285,6 @@ def td_to_tree_partition(g: WeightedGraph, td: TreeDecomposition) -> IsometricEm
             ids.append(len(copy_id))
             copy_id[(v, b)] = ids[-1]
         host_bag.append(frozenset(ids))
-
-    holding: list[list[int]] = [[] for _ in range(g.n)]
-    for b in range(nb):
-        for v in td.bags[b]:
-            holding[v].append(b)
 
     host_edges: list[tuple[int, int, float]] = []
     for b in range(nb):

@@ -3,11 +3,14 @@
 `oracle_all_pairs` is a Floyd-Warshall path and `_bellman_ford_rows` a
 radius-bounded Bellman-Ford over the edge list; neither shares code with the
 Dijkstra search in `graph`.  Floyd-Warshall and Dijkstra are cross-checked
-against each other, and every structure the other modules produce is
-certified here: conversion isometry, core-carving invariants, net
-covering/packing, decomposition and cover guarantees.  Checks never raise on
-violation - they return report entries with a witness - and each check
-listed in the module docstrings appears exactly once per full report.
+against each other on the input graph (`dijkstra-floyd-warshall-agreement`),
+and every structure the other modules produce is certified here: conversion
+isometry, core-carving invariants, net covering/packing, decomposition and
+cover guarantees.  The report certifies the instance, not the kernel: the
+Dijkstra search's own properties (restriction never shortens, balls nest,
+weak diameter <= strong) are tests in tests/test_graph.py.  Checks never
+raise on violation - they return report entries with a witness - and each
+check listed in the module docstrings appears exactly once per full report.
 
 Every check reads the members of a record's sets (cores, partition and cover
 clusters, host bags, each vertex's host copies, each carving component's
@@ -47,8 +50,8 @@ calls.
   and the sparse cover's packing counts.
 - One Floyd-Warshall run per distinct cover cluster (strong diameters, in
   the induced subgraph): the two covers share one table of diameters keyed
-  by sorted member ids, seeded with the host's own diameter.  And the
-  graph-core checks' own Dijkstra-vs-oracle runs on the input graph.
+  by sorted member ids, seeded with the host's own diameter.  And
+  `dijkstra-floyd-warshall-agreement`'s runs on subsets of the input graph.
 
 The partition sweep draws its SWEEP_SEEDS consecutive seeds through
 `sample_padded_decompositions`, the sampler `padnet decompose` runs.  Every
@@ -81,9 +84,9 @@ from .decomposition import (
 )
 from .graph import (
     WeightedGraph,
-    ball,
+    ball,  # unused here; perfbench's tracer wraps verify's binding
     shortest_paths,
-    strong_diameter,
+    strong_diameter,  # unused here; perfbench's tracer wraps verify's binding
     weak_diameter,  # unused here; perfbench's tracer wraps verify's binding
 )
 from .ordered_net import (
@@ -907,11 +910,14 @@ def full_report(
     oracle_cap: int = 60,
 ) -> VerificationReport:
     """Run every invariant check of the whole pipeline on one instance.  A seed
-    whose sweep passes 2**64 - 1, or g or its host over the cap, raises first."""
+    whose sweep passes 2**64 - 1, trials below 1, or g or its host over the
+    cap, raises first."""
     from .trees import td_to_tree_partition
 
     if seed + SWEEP_SEEDS > 2**64:
         raise ValueError(f"seed {seed}: its {SWEEP_SEEDS}-seed partition sweep runs past seed 2**64 - 1")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     emb = td_to_tree_partition(g, td)
     _check_oracle_cap(oracle_cap, g, emb.host)
     checks = _graph_property_checks(g, seed)
@@ -1009,51 +1015,9 @@ def full_report(
 
 
 def _graph_property_checks(g: WeightedGraph, seed: int) -> list[CheckResult]:
+    """The report's one Dijkstra-vs-oracle check, on random subsets of g.  The
+    name stays because perfbench's tracer wraps verify's binding of it."""
     rng = seeded_generator(seed, 2)
-    everything = g.all_vertices()
-    base = shortest_paths(g, everything, [0])
-
-    bad = None
-    for _ in range(10):
-        size = int(rng.integers(1, g.n + 1))
-        members = rng.choice(g.n, size=size, replace=False).tolist()
-        if 0 not in members:
-            members.append(0)
-        d = shortest_paths(g, _mask(g.n, members), [0])
-        if (d + TOL < base).any():
-            bad = "restricted distance below unrestricted"
-            break
-    checks = [_check("restricted-distances-dominate", bad is None, witness=bad)]
-
-    bad = None
-    for _ in range(10):
-        c = int(rng.integers(g.n))
-        r1, r2 = sorted(rng.uniform(0, float(base[np.isfinite(base)].max()) + 1, size=2).tolist())
-        b1 = ball(g, everything, [c], r1)
-        b2 = ball(g, everything, [c], r2)
-        if (b1 & ~b2).any():
-            bad = f"ball({c},{r1:.3g}) not inside ball({c},{r2:.3g})"
-            break
-    checks.append(_check("ball-monotone", bad is None, witness=bad))
-
-    # each source's whole-graph row is computed once, when a sample first needs it
-    rows = {0: base}
-
-    def weak_diameter_of(idx: np.ndarray) -> float:
-        for u in idx.tolist():
-            if u not in rows:
-                rows[u] = shortest_paths(g, everything, [u])
-        return max(float(rows[u][idx].max()) for u in idx.tolist())
-
-    bad = None
-    for _ in range(10):
-        size = int(rng.integers(1, g.n + 1))
-        idx = rng.choice(g.n, size=size, replace=False)
-        if weak_diameter_of(idx) > strong_diameter(g, _mask(g.n, idx)) + TOL:
-            bad = "weak diameter exceeds strong diameter"
-            break
-    checks.append(_check("weak-le-strong-diameter", bad is None, witness=bad))
-
     bad = None
     for _ in range(5):
         size = int(rng.integers(1, g.n + 1))
@@ -1068,6 +1032,5 @@ def _graph_property_checks(g: WeightedGraph, seed: int) -> list[CheckResult]:
                 break
         if bad:
             break
-    checks.append(_check("dijkstra-floyd-warshall-agreement", bad is None, witness=bad))
-    return checks
+    return [_check("dijkstra-floyd-warshall-agreement", bad is None, witness=bad)]
 

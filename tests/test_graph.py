@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from fixtures import all_pairs, dense_oracle, grid_fixture, vertex_mask
+from fixtures import acceptance_fixtures, all_pairs, dense_oracle, grid_fixture, vertex_mask
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -144,6 +144,21 @@ def connected_graphs(draw, max_n=12):
     return WeightedGraph(n, edges)
 
 
+@st.composite
+def graphs_weighted_from(draw, weights, max_n=12):
+    n = draw(st.integers(2, max_n))
+    edges = [(i, draw(st.integers(0, i - 1)), draw(weights)) for i in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weights),
+                          max_size=2 * n))
+    edges.extend((u, v, w) for u, v, w in extra if u != v)
+    return WeightedGraph(n, edges)
+
+
+def decimal_graphs():
+    # zero and non-dyadic weights, whose sums round differently by path
+    return graphs_weighted_from(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0]))
+
+
 @given(connected_graphs(), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_dijkstra_matches_floyd_warshall(g, rnd):
@@ -155,18 +170,26 @@ def test_dijkstra_matches_floyd_warshall(g, rnd):
         assert d[members].tolist() == row.tolist()
 
 
-@given(connected_graphs(), st.integers(0, 10 ** 6))
+# every weight class a report sees: small integer and decimal graphs, and the
+# acceptance fixtures' inputs (up to 100 vertices)
+KERNEL_GRAPHS = st.one_of(
+    connected_graphs(), decimal_graphs(), st.sampled_from([f.graph for f in acceptance_fixtures()])
+)
+
+
+@given(KERNEL_GRAPHS, st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)
 def test_ball_monotone(g, salt):
     rnd = np.random.default_rng(salt)
     c = int(rnd.integers(g.n))
-    r1, r2 = sorted(rnd.uniform(0, 20, size=2).tolist())
+    top = float(shortest_paths(g, g.all_vertices(), [c]).max()) + 1
+    r1, r2 = sorted(rnd.uniform(0, top, size=2).tolist())
     b1 = ball(g, g.all_vertices(), [c], r1)
     b2 = ball(g, g.all_vertices(), [c], r2)
     assert not (b1 & ~b2).any()
 
 
-@given(connected_graphs(), st.integers(0, 10 ** 6))
+@given(KERNEL_GRAPHS, st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)
 def test_weak_at_most_strong(g, salt):
     rnd = np.random.default_rng(salt)
@@ -175,7 +198,7 @@ def test_weak_at_most_strong(g, salt):
     assert weak_diameter(g, cluster) <= strong_diameter(g, cluster)
 
 
-@given(connected_graphs(), st.integers(0, 10 ** 6))
+@given(KERNEL_GRAPHS, st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)
 def test_restriction_never_shortens(g, salt):
     rnd = np.random.default_rng(salt)
@@ -194,21 +217,6 @@ def assert_bounded_is_thresholded(g, restrict, sources, limit):
     free = shortest_paths(g, restrict, sources)
     bounded = shortest_paths(g, restrict, sources, limit)
     assert bounded.tolist() == np.where(free <= limit, free, INF).tolist()
-
-
-@st.composite
-def graphs_weighted_from(draw, weights, max_n=12):
-    n = draw(st.integers(2, max_n))
-    edges = [(i, draw(st.integers(0, i - 1)), draw(weights)) for i in range(1, n)]
-    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weights),
-                          max_size=2 * n))
-    edges.extend((u, v, w) for u, v, w in extra if u != v)
-    return WeightedGraph(n, edges)
-
-
-def decimal_graphs():
-    # zero and non-dyadic weights, whose sums round differently by path
-    return graphs_weighted_from(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0]))
 
 
 @given(st.one_of(connected_graphs(), decimal_graphs()), st.randoms(use_true_random=False))
