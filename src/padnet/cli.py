@@ -58,6 +58,14 @@ def _build_net(g, td, delta: float, alpha: float):
     return emb, net
 
 
+def _check_sampling(args) -> None:
+    """Refuse --trials and --seed before any input is read."""
+    if args.trials < 1:
+        raise CliError("--trials must be >= 1")
+    if not 0 <= args.seed < 2**64:
+        raise CliError(f"--seed must lie in [0, 2**64), got {args.seed}")
+
+
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -120,8 +128,7 @@ def cmd_net(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if args.trials < 1:
-        raise CliError("--trials must be >= 1")
+    _check_sampling(args)
     if args.seed + args.trials > 2**64:
         raise CliError(f"--seed {args.seed} with --trials {args.trials} runs past seed 2**64 - 1")
     g, td = _load_inputs(args)
@@ -196,6 +203,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_padding_estimate(args) -> int:
+    _check_sampling(args)
     g, td = _load_inputs(args)
     emb, net = _build_net(g, td, args.delta, args.alpha)
     params = DecompositionParams.from_net(net, args.delta)

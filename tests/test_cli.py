@@ -311,20 +311,44 @@ def test_decompose_trials_past_64_bits_exit_2(capsys):
     assert captured.err == f"error: --seed {2**64 - 2} with --trials 3 runs past seed 2**64 - 1\n"
 
 
+def refused_before_reading_input(capsys, command, seed, trials) -> str:
+    """The error of a run on input files that do not exist, which must exit
+    2 before opening them."""
+    code = main([command, "--graph", "missing.gr", "--td", "missing.td", "--delta", "2",
+                 "--seed", str(seed), "--trials", str(trials)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.endswith("\n")
+    return captured.err[len("error: "):-1]
+
+
 @pytest.mark.parametrize(
     "seed,trials,message",
     [
         (2**64 - 1, 2, f"--seed {2**64 - 1} with --trials 2 runs past seed 2**64 - 1"),
         (0, 0, "--trials must be >= 1"),
         (2**64 - 1, -1, "--trials must be >= 1"),
+        (-1, 1, "--seed must lie in [0, 2**64), got -1"),
+        (2**64, 1, f"--seed must lie in [0, 2**64), got {2**64}"),
     ],
 )
 def test_decompose_checks_its_seed_sweep_before_reading_input(capsys, seed, trials, message):
     # the sweep is checked first: the graph file is never opened
-    code = main(["decompose", "--graph", "missing.gr", "--td", "missing.td", "--delta", "2",
-                 "--seed", str(seed), "--trials", str(trials)])
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+    assert refused_before_reading_input(capsys, "decompose", seed, trials) == message
+
+
+@pytest.mark.parametrize(
+    "seed,trials,message",
+    [
+        (0, 0, "--trials must be >= 1"),
+        (2**64 - 1, -1, "--trials must be >= 1"),
+        (-1, 10, "--seed must lie in [0, 2**64), got -1"),
+        (2**64, 10, f"--seed must lie in [0, 2**64), got {2**64}"),
+    ],
+)
+def test_padding_estimate_checks_trials_and_seed_before_reading_input(capsys, seed, trials, message):
+    # every trial draws from the one seed, so --seed 2**64 - 1 has no sweep to run past
+    assert refused_before_reading_input(capsys, "padding-estimate", seed, trials) == message
 
 
 def test_decompose_sweep_ending_at_the_last_seed_runs(capsys):

@@ -21,13 +21,13 @@ GOLDEN = {
     ("cover", "grid4"): "8223a843bb01a558c88c6ccb02a266aad9ae629f6fb0fc23a0aa8d144bcbb956",
     ("partition-cover", "grid4"): "659cb837a741eed5a49b995c75096479066ecf931cecc47aee0bb749a305e9e8",
     ("padding-estimate", "grid4"): "c18ca398220fa4f190399af924c8ca99e7482887345a712a71dfa97a420b6830",
-    ("verify", "grid4"): "e4cbc9724045982df76a3581dd9ff6658163a25ceadc6b9a6ddeb16faff92b4d",
+    ("verify", "grid4"): "46847d494357d35e983297f7a97639d4b3ce27bb83d8ad3bff6d0784f65b02b4",
     ("net", "path8"): "c7191a6bbcb4ef54e19c934595b7fbd3cf0a4ab2c80a376a5e1a9c4d72b577cf",
     ("decompose", "path8"): "8484ebe8f2bade84f3531718e3c5226df7d21917be3d7b54351840ea58c31287",
     ("cover", "path8"): "a9a06718c9d0980d576002865794ab8eec090f678cb7ee1636d66d43d76bc036",
     ("partition-cover", "path8"): "2e18789415daf41ddccdee149cc5cb81283f2e269b9c6a468b75a5dea14585e3",
     ("padding-estimate", "path8"): "39a4610d05fb5ddf31b5e080d663ed74a7c996ed5f7a06702c5adee768788a0f",
-    ("verify", "path8"): "576d27fcf60a19ab334bc914b25e091bf53b99c0534ba4aaa806df2467a87fe0",
+    ("verify", "path8"): "0dd2685bbf5cb87f3264750f50e3f9f4cbd8feffa847c4e5d06ce0babf2a3a26",
 }
 
 

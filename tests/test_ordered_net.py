@@ -222,15 +222,20 @@ def test_packing_profile_grid_within_bound():
 
 
 def test_construction_deterministic():
-    f = BY_NAME["cycle-16"]
-    b = built(f)
-    again = construct_cores_trace(b.host, b.tp, f.delta)
-    assert again.cores == b.construction.cores
-    net2 = build_tree_ordered_net(b.host, b.tp, f.delta)
-    assert net2.order_parent == b.net.order_parent
-    assert net2.node_vertex == b.net.node_vertex
-    assert np.array_equal(net2.assign, b.net.assign)
-    assert np.array_equal(net2.center_distance_matrix(), b.net.center_distance_matrix())
+    # full_report certifies the one carving and order it builds, so a rerun
+    # on the same input must rebuild both exactly
+    for f in acceptance_fixtures() + [decimal_weight_fixture()]:
+        b = built(f)
+        again = construct_cores_trace(b.host, b.tp, f.delta)
+        assert again.cores == b.construction.cores, f.name
+        assert again.components == b.construction.components, f.name
+        assign, net_set = build_semi_tree_order(b.construction.cores, b.tp)
+        cores = tuple(b.construction.cores)
+        net2 = semi_to_tree_order(b.tp, assign, net_set, b.host, f.delta, alpha=3.0, cores=cores)
+        assert net2.order_parent == b.net.order_parent, f.name
+        assert net2.node_vertex == b.net.node_vertex, f.name
+        assert np.array_equal(net2.assign, b.net.assign), f.name
+        assert all(map(np.array_equal, net2.center_entries(), b.net.center_entries())), f.name
 
 
 def test_built_cache_tells_same_named_instances_apart():
