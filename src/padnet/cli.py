@@ -2,6 +2,7 @@
 net, then decompose / cover / verify / estimate, emitting JSON artifacts.
 
 Identical invocations produce byte-identical JSON (seeded randomness only).
+Each subcommand accepts only the flags it reads (`FLAGS`); any other exits 2.
 Exit codes: 0 ok, 1 verification failure, 2 unusable input or configuration.
 """
 
@@ -181,6 +182,7 @@ def cmd_partition_cover(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_sampling(args)
     g, td = _load_inputs(args)
     try:
         report = full_report(
@@ -232,17 +234,32 @@ def cmd_padding_estimate(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, delta: bool = True):
-    p.add_argument("--graph", required=True, help="edge-list file (p ge header)")
-    p.add_argument("--td", required=True, help="PACE-2017 .td file")
-    if delta:
-        p.add_argument("--delta", type=float, required=True, help="covering radius")
-    p.add_argument("--alpha", type=float, default=3.0, help="packing radius multiplier")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--gamma", type=float, action="append", help="repeatable padding gamma")
-    p.add_argument("--oracle-cap", type=int, default=60, dest="oracle_cap")
-    p.add_argument("--out", help="output JSON path (default stdout)")
+HANDLERS = {
+    "convert": cmd_convert,
+    "net": cmd_net,
+    "decompose": cmd_decompose,
+    "cover": cmd_cover,
+    "partition-cover": cmd_partition_cover,
+    "verify": cmd_verify,
+    "padding-estimate": cmd_padding_estimate,
+}
+EVERY_COMMAND = tuple(HANDLERS)
+NET_BUILDERS = ("net", "decompose", "cover", "partition-cover", "verify", "padding-estimate")
+
+# each flag's argparse spec and the commands that read it, in help order; a
+# command accepts these flags and no other
+FLAGS = [
+    ("--graph", dict(required=True, help="edge-list file (p ge header)"), EVERY_COMMAND),
+    ("--td", dict(required=True, help="PACE-2017 .td file"), EVERY_COMMAND),
+    ("--delta", dict(type=float, required=True, help="covering radius"), NET_BUILDERS),
+    ("--alpha", dict(type=float, default=3.0, help="packing radius multiplier"), NET_BUILDERS),
+    ("--seed", dict(type=int, default=0), ("decompose", "verify", "padding-estimate")),
+    ("--trials", dict(type=int, default=1, help="samples to draw"), ("decompose",)),
+    ("--trials", dict(type=int, default=10_000, help="padding trials"), ("verify", "padding-estimate")),
+    ("--gamma", dict(type=float, action="append", help="repeatable padding gamma"), ("padding-estimate",)),
+    ("--oracle-cap", dict(type=int, default=60, dest="oracle_cap"), ("convert", "verify")),
+    ("--out", dict(help="output JSON path (default stdout)"), EVERY_COMMAND),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,21 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
         "covers for bounded-treewidth graphs via tree-ordered nets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "convert": cmd_convert,
-        "net": cmd_net,
-        "decompose": cmd_decompose,
-        "cover": cmd_cover,
-        "partition-cover": cmd_partition_cover,
-        "verify": cmd_verify,
-        "padding-estimate": cmd_padding_estimate,
-    }
-    for name, fn in handlers.items():
+    for name, fn in HANDLERS.items():
         p = sub.add_parser(name)
-        _add_common(p, delta=(name != "convert"))
         p.set_defaults(handler=fn)
-        if name == "decompose":
-            p.set_defaults(trials=1)  # samples to draw; other commands default 10^4
+        for flag, spec, readers in FLAGS:
+            if name in readers:
+                p.add_argument(flag, **spec)
     return parser
 
 

@@ -56,15 +56,6 @@ class TruncatedExp:
         """
         return math.exp(-self.lam * self.theta1) < sys.float_info.min
 
-    def density(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.shifted:
-            val = self.lam * np.exp(-self.lam * (y - self.theta1)) / self.shifted_mass()
-        else:
-            lo, hi = math.exp(-self.lam * self.theta1), math.exp(-self.lam * self.theta2)
-            val = self.lam * np.exp(-self.lam * y) / (lo - hi)
-        return np.where((y >= self.theta1) & (y <= self.theta2), val, 0.0)
-
     def cdf(self, y):
         y = np.asarray(y, dtype=float)
         inside = np.clip(y, self.theta1, self.theta2)

@@ -146,11 +146,6 @@ class TreeOrderedNet:
         tin[u] <= tin[v] < tout[u]."""
         return self._vertex_tin, self._vertex_tout
 
-    def descendant_vertices(self, x: int) -> np.ndarray:
-        """Boolean mask of vertices u with u <= x."""
-        tin = self._vertex_tin
-        return (tin >= tin[x]) & (tin < self._vertex_tout[x])
-
     @property
     def center_radius(self) -> float:
         """Reach of the center table: max(alpha, 3) * delta."""

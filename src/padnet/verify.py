@@ -10,7 +10,10 @@ cover guarantees.  The report certifies the instance, not the kernel: the
 Dijkstra search's own properties (restriction never shortens, balls nest,
 weak diameter <= strong, agreement with Floyd-Warshall on random subsets)
 are tests in tests/test_graph.py, and the carving's and the order's
-determinism tests in tests/test_ordered_net.py.  Checks never
+determinism tests in tests/test_ordered_net.py.  `sampler_ks_check` is not
+in the report either: the inverse CDF is monotone, so its statistic is that of
+the seed's uniforms, and at 1% it fails about one seed in a hundred on any
+instance.  Checks never
 raise on violation - they return report entries with a witness - and each
 check listed in the module docstrings appears exactly once per full report.
 
@@ -886,7 +889,7 @@ def sampler_ks_check(lam: float, theta1: float, theta2: float, draws: int = 100_
     ys = np.sort(sample_truncated_exp(texp, rng.random(draws)))
     cdf = texp.cdf(ys)
     i = np.arange(1, draws + 1)
-    stat = float(np.maximum(np.abs(cdf - i / draws), np.abs(cdf - (i - 1) / draws)).max())
+    stat = float(np.maximum(i / draws - cdf, cdf - (i - 1) / draws).max())  # max(D+, D-)
     crit = KS_CRITICAL_1PCT / math.sqrt(draws)
     return _check("sampler-ks", stat < crit, measured=stat, bound=crit)
 
@@ -904,11 +907,13 @@ def full_report(
     trials: int = 10_000,
     oracle_cap: int = 60,
 ) -> VerificationReport:
-    """Run every invariant check of the whole pipeline on one instance.  A seed
-    whose sweep passes 2**64 - 1, trials below 1, or g or its host over the
-    cap, raises first."""
+    """Run every invariant check of the whole pipeline on one instance.  A
+    negative seed, a seed whose sweep passes 2**64 - 1, trials below 1, or g
+    or its host over the cap, raises first."""
     from .trees import td_to_tree_partition
 
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if seed + SWEEP_SEEDS > 2**64:
         raise ValueError(f"seed {seed}: its {SWEEP_SEEDS}-seed partition sweep runs past seed 2**64 - 1")
     if trials < 1:
@@ -956,7 +961,6 @@ def full_report(
     # RssPeaks matches open frames by value, and run earlier, before this report
     # had grown past its start, their frame could equal the report's (ROADMAP item 4)
     padding_at = len(checks)
-    checks.append(sampler_ks_check(params.lam, 1.0, params.beta_internal, seed=seed))
 
     from .covers import build_partition_cover, build_sparse_cover
 

@@ -48,6 +48,13 @@ def dense_oracle(g: WeightedGraph, restrict) -> np.ndarray:
     return out
 
 
+def descendant_mask(net, x: int) -> np.ndarray:
+    """Boolean mask of the vertices u <= x in the net's order, read from its
+    preorder intervals."""
+    tin, tout = net.vertex_intervals()
+    return (tin[x] <= tin) & (tin < tout[x])
+
+
 def is_ancestor(parent, a: int, b: int) -> bool:
     """Node a is an ancestor of node b (or b itself) in the parent-pointer
     tree: found by walking up from b, not from preorder intervals."""

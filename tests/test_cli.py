@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,9 +10,12 @@ import jsonschema
 import numpy as np
 import pytest
 
-from padnet.cli import _original_ids, _project_members, main
+from padnet.cli import FLAGS, HANDLERS, _original_ids, _project_members, build_parser, main
+from padnet.decomposition import DecompositionParams
 from padnet.graph import parse_edge_list
+from padnet.ordered_net import build_tree_ordered_net
 from padnet.trees import load_tree_decomposition, td_to_tree_partition
+from padnet.verify import sampler_ks_check
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"
@@ -179,7 +183,8 @@ def test_missing_file_exit_2(capsys):
 def test_unwritable_out_exit_2(capsys, tmp_path, cmd, target):
     # exit 1 means "verification failed": a write error is bad input, not that
     out = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
-    code = main([cmd, *PATH_ARGS, "--delta", "2", "--trials", "10", "--out", str(out)])
+    trials = ["--trials", "10"] if cmd == "verify" else []
+    code = main([cmd, *PATH_ARGS, "--delta", "2", *trials, "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: {out}: ")
@@ -264,16 +269,17 @@ def test_overflowing_total_weight_exit_2(capsys, tmp_path, cmd, weight):
     gr.write_text(f"p ge 3 2\ne 1 2 {weight}\ne 2 3 {weight}\n")
     td.write_text("s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
     delta = [] if cmd == "convert" else ["--delta", "1"]
-    code = main([cmd, "--graph", str(gr), "--td", str(td), *delta, "--trials", "10"])
+    trials = ["--trials", "10"] if cmd in ("decompose", "verify", "padding-estimate") else []
+    code = main([cmd, "--graph", str(gr), "--td", str(td), *delta, *trials])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {gr}: total edge weight overflows a float\n"
 
 
 def test_oracle_cap_below_one_exit_2(capsys):
-    for cmd, delta in (("convert", []), ("verify", ["--delta", "2"])):
+    for cmd, flags in (("convert", []), ("verify", ["--delta", "2", "--trials", "10"])):
         for cap in ("0", "-1"):
-            code = main([cmd, *GRID_ARGS, *delta, "--trials", "10", "--oracle-cap", cap])
+            code = main([cmd, *GRID_ARGS, *flags, "--oracle-cap", cap])
             captured = capsys.readouterr()
             assert code == 2, (cmd, cap)
             assert captured.err == f"error: oracle_cap must be >= 1, got {cap}\n"
@@ -351,6 +357,18 @@ def test_padding_estimate_checks_trials_and_seed_before_reading_input(capsys, se
     assert refused_before_reading_input(capsys, "padding-estimate", seed, trials) == message
 
 
+@pytest.mark.parametrize(
+    "seed,trials,message",
+    [
+        (-1, 10, "--seed must lie in [0, 2**64), got -1"),
+        (2**64, 10, f"--seed must lie in [0, 2**64), got {2**64}"),
+        (0, 0, "--trials must be >= 1"),
+    ],
+)
+def test_verify_checks_trials_and_seed_before_reading_input(capsys, seed, trials, message):
+    assert refused_before_reading_input(capsys, "verify", seed, trials) == message
+
+
 def test_decompose_sweep_ending_at_the_last_seed_runs(capsys):
     code, out = run(capsys, "decompose", *PATH_ARGS, "--delta", "2", "--seed", str(2**64 - 2),
                     "--trials", "2")
@@ -407,19 +425,67 @@ def test_verify_alpha_at_most_two_skips_partition_cover(capsys, alpha):
     skipped = by_name.pop("partition-cover-skipped")
     assert skipped["status"] == "warn" and "alpha > 2" in skipped["witness"]
     assert not any(name.startswith("partition-cover") for name in by_name)
-    for name in ("net-covering", "partition-total-disjoint", "sampler-ks", "cover-strong-diameter"):
+    for name in ("net-covering", "partition-total-disjoint", "cover-strong-diameter"):
         assert name in by_name
     assert sum(name.startswith("padding-lcb-gamma-") for name in by_name) == 3
     assert all(c["status"] == "pass" for c in by_name.values())
 
 
-def test_sampler_ks_passes_at_alpha_near_one(capsys):
-    # lambda ~ 921 here; the sampler must not collapse onto the interval's end
-    main(["verify", *GRID_ARGS, "--delta", "1", "--alpha", "1.01"])
-    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-    ks = checks["sampler-ks"]
-    assert ks["status"] == "pass"
-    assert math.isfinite(ks["measured"])
+def data_params(name: str, delta: float, alpha: float = 3.0) -> DecompositionParams:
+    g = parse_edge_list((DATA / f"{name}.gr").read_text())
+    emb = td_to_tree_partition(g, load_tree_decomposition((DATA / f"{name}.td").read_text(), g))
+    net = build_tree_ordered_net(emb.host, emb.tree_partition, delta, alpha=alpha)
+    return DecompositionParams.from_net(net, delta)
+
+
+def test_sampler_ks_passes_at_alpha_near_one():
+    # the rate `verify --delta 1 --alpha 1.01` draws at on grid4; the sampler
+    # must not collapse onto the interval's end
+    params = data_params("grid4", 1.0, alpha=1.01)
+    assert params.lam == pytest.approx(921, abs=1)
+    ks = sampler_ks_check(params.lam, 1.0, params.beta_internal)
+    assert ks.status == "pass"
+    assert math.isfinite(ks.measured)
+
+
+def test_verify_passes_on_a_seed_whose_ks_draws_fail(capsys):
+    # at seed 157 the sampler's KS statistic is past its 1% bound, as it is at
+    # any rate; the report certifies the instance, so the valid path passes
+    params = data_params("path8", 2.0)
+    assert sampler_ks_check(params.lam, 1.0, params.beta_internal, seed=157).status == "fail"
+    code = main(["verify", *PATH_ARGS, "--delta", "2", "--seed", "157"])
+    captured = capsys.readouterr()
+    assert code == 0 and json.loads(captured.out)["ok"] is True
+
+
+def flags_read(capsys, command: str, argv: list[str]) -> set[str]:
+    """The attributes `command`'s handler reads from its parsed arguments."""
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            if not name.startswith("_"):
+                read.add(name)
+            return super().__getattribute__(name)
+
+    args = build_parser().parse_args([command, *argv], namespace=Recording())
+    read.clear()  # argparse reads the defaults while parsing
+    assert args.handler(args) == 0
+    capsys.readouterr()
+    return read - {"handler"}
+
+
+@pytest.mark.parametrize("command", sorted(HANDLERS))
+def test_each_command_reads_exactly_its_flags(capsys, tmp_path, command):
+    declared = {
+        spec.get("dest", flag[2:].replace("-", "_"))
+        for flag, spec, readers in FLAGS
+        if command in readers
+    }
+    argv = [*PATH_ARGS, "--out", str(tmp_path / "out.json")]
+    argv += ["--delta", "2"] if "delta" in declared else []
+    argv += ["--trials", "10"] if "trials" in declared else []
+    assert flags_read(capsys, command, argv) == declared
 
 
 def test_python_m_padnet_runs_the_cli():

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padnet.cli import main
+from padnet.cli import FLAGS, main
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 INSTANCES = ["path8", "grid4"]
@@ -52,7 +52,8 @@ FLAG_VALUES = {
 
 ALL_BUT_CONVERT = set(COMMANDS) - {"convert"}
 SAMPLING = {"decompose", "verify", "padding-estimate"}
-# the values each command that reads a flag must reject with exit 2
+# the values each command that reads a flag must reject with exit 2; every
+# other command refuses the flag itself (argparse's usage error, exit 2)
 REJECTED = {
     "--delta": ({"0", "-1", "nan", "inf", "1e308"}, ALL_BUT_CONVERT),
     "--alpha": ({"0", "-1", "nan", "inf"}, ALL_BUT_CONVERT),
@@ -64,6 +65,15 @@ REJECTED = {
 
 
 CASE_TIMEOUT_S = 60.0
+
+
+def test_rejected_readers_are_the_flag_table_readers():
+    table = {}
+    for flag, _, readers in FLAGS:
+        table.setdefault(flag, set()).update(readers)
+    assert {flag: readers for flag, (_, readers) in REJECTED.items()} == {
+        flag: table[flag] for flag in REJECTED
+    }
 
 
 @contextlib.contextmanager
@@ -151,6 +161,7 @@ def check_contract(command: str, argv: list[str], must_reject: bool) -> str:
     assert code == 2 or not must_reject, (code, out.getvalue())
     if code == 2:
         assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()
+        assert out.getvalue() == "", out.getvalue()
         return err.getvalue()
     payload = json.loads(out.getvalue())  # verify's table goes to stderr
     if code == 1:
@@ -168,7 +179,7 @@ def run_case(workdir: Path, command: str, gr: str, td: str, flags: list[str],
     argv = ["--graph", str(workdir / "in.gr"), "--td", str(workdir / "in.td"), *flags]
     if command != "convert" and "--delta" not in flags:
         argv += ["--delta", "2"]
-    if "--trials" not in flags:
+    if command in SAMPLING and "--trials" not in flags:
         argv += ["--trials", "2"]  # the default 10^4 trials would dominate the run time
     return check_contract(command, argv, must_reject)
 
@@ -214,13 +225,14 @@ def test_mutated_input_text_keeps_exit_contract(workdir, data):
 @settings(max_examples=200, deadline=timedelta(seconds=10), database=None)
 def test_flag_values_keep_exit_contract(workdir, data):
     command = data.draw(st.sampled_from(COMMANDS))
-    flags, must_reject = [], False
+    flags, must_reject, unread = [], False, False
     for flag in data.draw(st.sets(st.sampled_from(sorted(FLAG_VALUES)), max_size=3)):
-        if flag == "--delta" and command == "convert":
-            continue  # convert takes no --delta
         value = data.draw(st.sampled_from(FLAG_VALUES[flag]))
         flags += [flag, value]
         rejected, readers = REJECTED[flag]
-        must_reject |= value in rejected and command in readers
+        must_reject |= value in rejected or command not in readers
+        unread |= command not in readers
     gr, td = TEXTS[data.draw(st.sampled_from(INSTANCES))]
-    run_case(workdir, command, gr, td, flags, must_reject)
+    err = run_case(workdir, command, gr, td, flags, must_reject)
+    if unread:  # a flag the command does not read is refused as a usage error
+        assert err.startswith("usage: padnet ") and "unrecognized arguments: --" in err, err

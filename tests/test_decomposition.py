@@ -82,8 +82,9 @@ def test_inverse_cdf_monotone(u1, u2):
 
 def test_empirical_mean_matches_quadrature():
     d = TruncatedExp(1.0, 2.0, 2.0)
-    expected, _ = scipy.integrate.quad(lambda y: y * float(d.density(y)), 1.0, 2.0)
-    var, _ = scipy.integrate.quad(lambda y: (y - expected) ** 2 * float(d.density(y)), 1.0, 2.0)
+    pdf = scipy.stats.truncexpon(b=2.0 * 1.0, loc=1.0, scale=1 / 2.0).pdf  # on [1, 2]
+    expected, _ = scipy.integrate.quad(lambda y: y * pdf(y), 1.0, 2.0)
+    var, _ = scipy.integrate.quad(lambda y: (y - expected) ** 2 * pdf(y), 1.0, 2.0)
     rng = np.random.default_rng(123)
     draws = sample_truncated_exp(d, rng.random(10**6))
     se = math.sqrt(var / draws.size)
@@ -109,7 +110,6 @@ def test_steep_rate_draws_stay_inside_the_interval():
     cdf = d.cdf(y)
     assert np.isfinite(cdf).all()
     assert cdf == pytest.approx(np.linspace(0, 1, 7), abs=1e-12)
-    assert np.isfinite(d.density(y)).all()
 
 
 def test_steep_rate_matches_scipy_truncexpon():
@@ -118,7 +118,6 @@ def test_steep_rate_matches_scipy_truncexpon():
     ref = scipy.stats.truncexpon(b=921.0 * 0.005, loc=1.0, scale=1 / 921.0)
     ys = np.linspace(1.0, 1.005, 11)
     assert d.cdf(ys) == pytest.approx(ref.cdf(ys), abs=1e-12)
-    assert d.density(ys) == pytest.approx(ref.pdf(ys), rel=1e-9)
     u = np.linspace(0.05, 0.95, 10)
     assert sample_truncated_exp(d, u) == pytest.approx(ref.ppf(u), abs=1e-12)
 

@@ -51,7 +51,6 @@ CATALOG = [
     "partition-weak-diameter",
     "partition-radius-range",
     "partition-replay-identical",
-    "sampler-ks",
     # covers
     "cover-every-vertex-covered",
     "cover-sparsity-vs-packing",
@@ -214,6 +213,17 @@ def test_seed_sweep_past_64_bits_rejected_before_any_check(monkeypatch):
         full_report(f.graph, f.td, f.delta, trials=10, seed=seed)
 
 
+def test_negative_seed_refused_before_any_check(monkeypatch):
+    f = next(f for f in acceptance_fixtures() if f.name == "path-8")
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "_embedding_checks", fail)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        full_report(f.graph, f.td, f.delta, trials=10, seed=-1)
+
+
 @pytest.mark.parametrize("trials", [0, -5])
 def test_trials_below_one_rejected_before_any_check(monkeypatch, trials):
     f = next(f for f in acceptance_fixtures() if f.name == "path-8")
@@ -273,13 +283,16 @@ PINNED_REPORTS = {
     # kernel self-tests left the report, and again when the carving and order
     # reruns left it and dijkstra-floyd-warshall-agreement came to read g's
     # whole oracle matrix: each report lost those entries, and on decimal
-    # weights the agreement check still fails, now naming source 0
-    ("sp-20d", 0): "47ab8147f88cc0a99c872c0ab81e84e2278f09c98b8f1286f39432619a379da2",
-    ("sp-20d", 1): "8ac19fa8026a488af23ddea29a13816c5b7bb3bbc91c7fa5f3ec2f0f1becdf14",
-    ("sp-50w", 0): "c4742f4c355877291bb4f459cab9fa05205a6763cff6e18229faed213332f6e1",
-    ("sp-50w", 1): "cbece8b169acabfd73260d89540f96b21ce18f1dca32fef395d7e2d092c21dee",
-    ("ktree3-30-dec", 0): "0a00aa8c56c55259abb68c598e300952595a84c01a0e9643e8011e4005f9b171",
-    ("ktree3-30-dec", 1): "16963c39d8cc486eeb0c1e28203e501fb81c25a3996fdb2b79810e5c4308b3d7",
+    # weights the agreement check still fails, now naming source 0.  All six
+    # were re-taken again when sampler-ks left the report, each losing that
+    # entry alone; sp-20d and ktree3-30-dec then read the same at seeds 0
+    # and 1, since every trial there pads every ball (500 of 500)
+    ("sp-20d", 0): "006395e6fe90fb2d627a8a410b8a44fc4f35ba95a91f3c43ab0d4e160f88e614",
+    ("sp-20d", 1): "006395e6fe90fb2d627a8a410b8a44fc4f35ba95a91f3c43ab0d4e160f88e614",
+    ("sp-50w", 0): "2262effa8271debddc8a82de650c66dfa34e354cf0e6cb739b280db3f6e52ac5",
+    ("sp-50w", 1): "d2209df0cf499819fcf3ed720e65735c5cfdde6a7cad85258ded70dcdb88b8fe",
+    ("ktree3-30-dec", 0): "c0a2da07d8456ed19b318e1854c76534519930b68a8c185d5a7171af37d67c79",
+    ("ktree3-30-dec", 1): "c0a2da07d8456ed19b318e1854c76534519930b68a8c185d5a7171af37d67c79",
 }
 
 

@@ -1,7 +1,7 @@
 """Whole-pipeline property tests on randomly grown partial k-trees."""
 
 import numpy as np
-from fixtures import dense_oracle, is_ancestor, partial_ktree_fixture
+from fixtures import dense_oracle, descendant_mask, is_ancestor, partial_ktree_fixture
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +38,7 @@ def test_net_and_structures_on_random_pipelines(args):
     covered = np.zeros(host.n, dtype=bool)
     pack2 = np.zeros(host.n, dtype=int)
     for x in net.centers_in_order().tolist():
-        below = np.flatnonzero(net.descendant_vertices(x))
+        below = np.flatnonzero(descendant_mask(net, x))
         row = dense_oracle(host, below)[x]
         covered |= row <= delta
         pack2 += row <= 2 * delta

@@ -10,6 +10,7 @@ from fixtures import (
     acceptance_fixtures,
     decimal_weight_fixture,
     dense_oracle,
+    descendant_mask,
     is_ancestor,
     partial_ktree_fixture,
     triangle_single_bag,
@@ -591,7 +592,7 @@ def _floyd_warshall_center_rows(host, net):
     at center_radius."""
     rows = np.zeros((0, host.n))
     for x in net.centers_in_order().tolist():
-        full = dense_oracle(host, np.flatnonzero(net.descendant_vertices(x)))
+        full = dense_oracle(host, np.flatnonzero(descendant_mask(net, x)))
         rows = np.vstack([rows, full[x]])
     return np.where(rows <= net.center_radius, rows, np.inf)
 
@@ -632,7 +633,7 @@ def test_center_rows_match_bounded_dijkstra_on_decimal_weights(ktree, n, k, grap
     rows = _oracle_center_distances(host, net)
     expected = np.zeros((0, host.n))
     for x in net.centers_in_order().tolist():
-        row = shortest_paths(host, net.descendant_vertices(x), [x], limit=net.center_radius)
+        row = shortest_paths(host, descendant_mask(net, x), [x], limit=net.center_radius)
         expected = np.vstack([expected, row])
     assert rows.tobytes() == expected.tobytes()
     assert rows.tobytes() == net.center_distance_matrix().tobytes()
@@ -665,7 +666,7 @@ def test_tampered_center_table_fails_oracle_agreement():
     # true distance beyond it comes from the all-pairs oracle
     centers = b.net.centers_in_order()
     oracle_d = np.stack([
-        dense_oracle(b.host, np.flatnonzero(b.net.descendant_vertices(x)))[x]
+        dense_oracle(b.host, np.flatnonzero(descendant_mask(b.net, x)))[x]
         for x in centers.tolist()
     ])
     vertex, rank, dist = b.net.center_entries()
