@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in HANDLERS.items():
         p = sub.add_parser(name)
-        p.set_defaults(handler=fn)
+        p.set_defaults(handler=fn, parser=p)
         for flag, spec, readers in FLAGS:
             if name in readers:
                 p.add_argument(flag, **spec)
@@ -279,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:  # refused by the command's own parser, whose usage lists the flags it reads
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.handler(args)
     except CliError as exc:

@@ -2,20 +2,20 @@
 
 `oracle_all_pairs` is a Floyd-Warshall path and `_bellman_ford_rows` a
 radius-bounded Bellman-Ford over the edge list; neither shares code with the
-Dijkstra search in `graph`.  Floyd-Warshall and Dijkstra are cross-checked
-against each other on the input graph (`dijkstra-floyd-warshall-agreement`),
-and every structure the other modules produce is certified here: conversion
-isometry, core-carving invariants, net covering/packing, decomposition and
-cover guarantees.  The report certifies the instance, not the kernel: the
-Dijkstra search's own properties (restriction never shortens, balls nest,
-weak diameter <= strong, agreement with Floyd-Warshall on random subsets)
-are tests in tests/test_graph.py, and the carving's and the order's
-determinism tests in tests/test_ordered_net.py.  `sampler_ks_check` is not
-in the report either: the inverse CDF is monotone, so its statistic is that of
-the seed's uniforms, and at 1% it fails about one seed in a hundred on any
-instance.  Checks never
-raise on violation - they return report entries with a witness - and each
-check listed in the module docstrings appears exactly once per full report.
+Dijkstra search in `graph`.  Every structure the other modules produce is
+certified here: conversion isometry, core-carving invariants, net
+covering/packing, decomposition and cover guarantees.  The report certifies
+the instance, not the kernel: the Dijkstra search's own properties
+(agreement with Bellman-Ford and Floyd-Warshall, restriction never shortens,
+balls nest, weak diameter <= strong) are tests in tests/test_graph.py, and
+the carving's and the order's determinism tests in tests/test_ordered_net.py.
+`sampler_ks_check` is not in the report either: the inverse CDF is monotone,
+so its statistic is that of the seed's uniforms, and at 1% it fails about one
+seed in a hundred on any instance.  Every verdict reads the instance alone,
+and the seed only picks the sweep's partitions and the padding trials.
+Checks never raise on violation - they return report entries with a
+witness - and each check listed in the module docstrings appears exactly
+once per full report.
 
 Every check reads the members of a record's sets (cores, partition and cover
 clusters, host bags, each vertex's host copies, each carving component's
@@ -31,24 +31,26 @@ verify function raises on, or is fooled by, a member of these sets out of
 range.  A forward entry outside the host fails `isometry-exact`.
 
 Distance comparisons use absolute tolerance 1e-9 where a bound is checked;
-oracle-vs-search agreement is exact.  Bellman-Ford sums each path in path
-order, as Dijkstra does, so the center rows agree with the net's table bit
-for bit on any weights.  Floyd-Warshall sums in another order, so its checks
-against Dijkstra (`dijkstra-floyd-warshall-agreement`, `isometry-exact`) are
-exact on integer or dyadic weights only: on decimal weights they can fail on
-a last-bit difference.
+every equality between two computed distances is exact and compares sums
+taken in path order.
+Bellman-Ford sums each path in path order, as Dijkstra does, so the center
+rows agree with the net's table bit for bit on any weights, and
+`isometry-exact` compares Bellman-Ford rows of g with rows of the host from
+the designated copies: a host path between designated copies is a path of g
+with zero-weight edges inserted, so equal distances are equal floats.
+`connected-subset-unique-maximum` reads the order alone: when every edge's
+ends are comparable and no two vertices share a node, the shallowest member
+of a connected set is an ancestor of every other member.
 
-`full_report` is the only producer of the whole-graph and whole-host oracle
-tables: it computes each once and passes it on as an argument, and
-`verify_net` and `verify_cover` read the tables they are given.  It builds
-the carving and the net once too, and certifies that one copy.  Nothing is
-cached between calls.
-- The input graph's all-pairs matrix: `isometry-exact`, and
-  `dijkstra-floyd-warshall-agreement`, which compares it with an
-  unrestricted Dijkstra row from every vertex of the input graph.
-- The host's all-pairs matrix, computed after the input graph's: the
-  isometry and copy checks, both ball-containment checks, the balls sampled
-  for the unique-maximum check, the partition sweep's weak diameters and
+`full_report` is the only producer of the whole-host oracle tables: it
+computes each once and passes it on as an argument, and `verify_net` and
+`verify_cover` read the tables they are given.  It builds the carving and
+the net once too, and certifies that one copy.  Nothing is cached between
+calls.
+- Bellman-Ford rows of g from every vertex and of the host from every
+  designated copy: `isometry-exact`.
+- The host's all-pairs matrix (Floyd-Warshall): the copy checks, both
+  ball-containment checks, the partition sweep's weak diameters and
   `padded_trial_counts`.  The sweep and the padding counts are thus
   certified against the oracle, not the Dijkstra rows they would otherwise
   share with the code under test.  The padding counts list their ball
@@ -245,8 +247,8 @@ def verify_embedding(
 
 def _embedding_checks(
     g: WeightedGraph, td: TreeDecomposition, emb: IsometricEmbedding
-) -> tuple[list[CheckResult], np.ndarray, np.ndarray]:
-    """The embedding checks and the oracle matrices they read, g's and the host's."""
+) -> tuple[list[CheckResult], np.ndarray]:
+    """The embedding checks and the host's oracle matrix they read."""
     checks = []
     host, tp = emb.host, emb.tree_partition
 
@@ -271,7 +273,6 @@ def _embedding_checks(
             break
     checks.append(_check("host-edge-validity", bad is None, witness=bad))
 
-    dg = oracle_all_pairs(g, range(g.n))
     dh = oracle_all_pairs(host, range(host.n))
     fwd = np.asarray(emb.forward)
     outside = np.flatnonzero((fwd < 0) | (fwd >= host.n))
@@ -280,17 +281,15 @@ def _embedding_checks(
         bad = f"vertex {v}: forward {fwd[v]} outside host vertices 0..{host.n - 1}"
         checks.append(_check("isometry-exact", False, bound=0.0, witness=bad))
     else:
-        diff = np.abs(dh[np.ix_(fwd, fwd)] - dg)
-        worst = float(diff.max())
-        checks.append(
-            _check(
-                "isometry-exact",
-                worst == 0.0,
-                measured=worst,
-                bound=0.0,
-                witness="pair " + str(np.unravel_index(int(diff.argmax()), diff.shape)),
-            )
-        )
+        # a host path between designated copies is a path of g with zero-weight
+        # edges inserted, and both sides sum in path order: equal distances are
+        # equal floats on any weights
+        dg = _bellman_ford_rows(g, np.arange(g.n), np.ones((g.n, g.n), dtype=bool), np.inf)
+        from_copies = _bellman_ford_rows(host, fwd, np.ones((g.n, host.n), dtype=bool), np.inf)
+        diff = np.abs(from_copies[:, fwd] - dg)
+        i, j = divmod(int(diff.argmax()), g.n)
+        worst = float(diff[i, j])
+        checks.append(_check("isometry-exact", worst == 0.0, measured=worst, bound=0.0, witness=f"pair ({i}, {j})"))
 
     owner, member, dropped = _memberships(emb.copies, host.n)
     bad = None
@@ -313,7 +312,7 @@ def _embedding_checks(
             bound=td.max_bag_size,
         )
     )
-    return checks, dg, dh
+    return checks, dh
 
 
 # ---------------------------------------------------------------------------
@@ -572,35 +571,12 @@ def _oracle_center_distances(g: WeightedGraph, net: TreeOrderedNet) -> np.ndarra
     return _bellman_ford_rows(g, centers, masks, net.center_radius)
 
 
-def count_maximal(tin: np.ndarray, tout: np.ndarray, members: np.ndarray) -> int:
-    """Number of members u with no other member v such that u <= v in the
-    order whose per-vertex intervals are (tin, tout): u <= v iff
-    tin[v] <= tin[u] < tout[v].
-
-    One interval test over the members sorted by tin: u is maximal when no
-    earlier member's interval reaches past tin[u] and no other member shares
-    its node.
-    """
-    by_tin = members[np.argsort(tin[members])]
-    m_tin, m_tout = tin[by_tin], tout[by_tin]
-    reach = np.concatenate(([0], np.maximum.accumulate(m_tout)[:-1]))
-    shared = np.concatenate((m_tin[1:] == m_tin[:-1], [False]))
-    return int(np.count_nonzero((m_tin >= reach) & ~shared))
-
-
 def verify_net(
-    g: WeightedGraph,
-    net: TreeOrderedNet,
-    delta: float,
-    host_dist: np.ndarray,
-    center_dist: np.ndarray,
-    seed: int = 0,
-    samples: int = 100,
+    g: WeightedGraph, net: TreeOrderedNet, delta: float, center_dist: np.ndarray
 ) -> VerificationReport:
     """Certify the net and its order against the oracle.
 
-    host_dist is g's (n, n) oracle matrix and center_dist the net's oracle
-    center rows (`_oracle_center_distances`).
+    center_dist holds the net's oracle center rows (`_oracle_center_distances`).
     """
     checks: list[CheckResult] = []
     tin, tout = net.vertex_intervals()
@@ -612,17 +588,14 @@ def verify_net(
     bad = f"edge ({a[wrong[0]]},{b[wrong[0]]}) order-incomparable" if wrong.size else None
     checks.append(_check("order-valid-for-edges", bad is None, witness=bad))
 
-    rng = seeded_generator(seed, 0)
-    ecc0 = host_dist[0]
-    scale = 2 * float(ecc0[np.isfinite(ecc0)].max()) or 1.0
-    bad = None
-    for _ in range(samples):
-        center = int(rng.integers(g.n))
-        radius = float(rng.uniform(0, scale))
-        maximal = count_maximal(tin, tout, np.flatnonzero(host_dist[center] <= radius))
-        if maximal != 1:
-            bad = f"ball({center},{radius:.3g}) has {maximal} maximal elements"
-            break
+    # with every edge comparable and one vertex per node, the shallowest member
+    # of a connected set is an ancestor of every other member, so it is the
+    # set's one maximal element
+    shared = np.ones(g.n, dtype=bool)
+    shared[np.unique(tin, return_index=True)[1]] = False  # the first vertex at each node
+    if bad is None and shared.any():
+        v = int(np.argmax(shared))
+        bad = f"vertices {int(np.argmax(tin == tin[v]))},{v} share an order node"
     checks.append(_check("connected-subset-unique-maximum", bad is None, witness=bad))
 
     # the oracle's finite entries as (vertex, rank, dist), in the table's order
@@ -920,9 +893,8 @@ def full_report(
         raise ValueError(f"trials must be >= 1, got {trials}")
     emb = td_to_tree_partition(g, td)
     _check_oracle_cap(oracle_cap, g, emb.host)
-    # the report's one oracle matrix of g and one of the host; every check reads these
-    embedding_checks, dg, dh = _embedding_checks(g, td, emb)
-    checks = _graph_property_checks(g, dg) + embedding_checks
+    # the report's one oracle matrix of the host; every check that reads all pairs reads it
+    checks, dh = _embedding_checks(g, td, emb)
 
     host, tp = emb.host, emb.tree_partition
     construction = construct_cores_trace(host, tp, delta)
@@ -933,7 +905,7 @@ def full_report(
         tp, assign, net_set, host, delta, alpha=alpha, cores=tuple(construction.cores)
     )
     center_dist = _oracle_center_distances(host, net)
-    checks.extend(verify_net(host, net, delta, dh, center_dist, seed=seed).checks)
+    checks.extend(verify_net(host, net, delta, center_dist).checks)
 
     params = DecompositionParams.from_net(net, delta)
     # each sweep check names the first seed it fails on; seed 0 is also replayed
@@ -1005,10 +977,9 @@ def full_report(
     return VerificationReport(checks)
 
 
+# unused here; perfbench's tracer wraps verify's binding
 def _graph_property_checks(g: WeightedGraph, dg: np.ndarray) -> list[CheckResult]:
-    """The report's one Dijkstra-vs-oracle check: an unrestricted Dijkstra row
-    from every vertex of g against dg, g's oracle matrix.  The name stays
-    because perfbench's tracer wraps verify's binding of it."""
+    """An unrestricted Dijkstra row from every vertex of g against dg, g's oracle matrix."""
     everything = g.all_vertices()
     bad = next(
         (

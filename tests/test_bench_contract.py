@@ -14,14 +14,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# verify-mix's decimal-weight instance fails these exact float comparisons on
-# a last-bit difference; the failure is known and must stay visible
-DECIMAL_FALSE_FAILURE = (
-    "failed op verify:ktree3-50-dec: full_report not ok: "
-    "dijkstra-floyd-warshall-agreement, isometry-exact"
-)
-
-
 def traced_round(workload: str) -> tuple[list[str], dict]:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -41,19 +33,15 @@ def traced_round(workload: str) -> tuple[list[str], dict]:
 LAYER_COUNTERS = {
     "path-chain": (),
     "grid-padding": ("decomposition.sample_assignments.chunks", "decomposition.ball_pairs"),
+    "verify-mix": (),
 }
 
 
-@pytest.mark.parametrize("workload", ["path-chain", "grid-padding"])
+# verify-mix includes a decimal-weight instance: its report must pass too
+@pytest.mark.parametrize("workload", sorted(LAYER_COUNTERS))
 def test_traced_round_runs_clean(workload):
-    _, result = traced_round(workload)
+    lines, result = traced_round(workload)
+    assert [line for line in lines if line.startswith("failed op ")] == []
     assert result["failed"] == 0
     for name in LAYER_COUNTERS[workload]:
         assert result["metrics"][name]["value"] > 0, name
-
-
-def test_traced_verify_round_fails_only_the_decimal_instance():
-    lines, result = traced_round("verify-mix")
-    failed = [line for line in lines if line.startswith("failed op ")]
-    assert failed and len(failed) == result["failed"]
-    assert set(failed) == {DECIMAL_FALSE_FAILURE}

@@ -234,5 +234,5 @@ def test_flag_values_keep_exit_contract(workdir, data):
         unread |= command not in readers
     gr, td = TEXTS[data.draw(st.sampled_from(INSTANCES))]
     err = run_case(workdir, command, gr, td, flags, must_reject)
-    if unread:  # a flag the command does not read is refused as a usage error
-        assert err.startswith("usage: padnet ") and "unrecognized arguments: --" in err, err
+    if unread:  # a flag the command does not read is refused by the command's own usage
+        assert err.startswith(f"usage: padnet {command} ") and "unrecognized arguments: --" in err, err

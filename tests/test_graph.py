@@ -3,7 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from fixtures import acceptance_fixtures, all_pairs, dense_oracle, grid_fixture, vertex_mask
+from fixtures import (
+    acceptance_fixtures,
+    all_pairs,
+    decimal_weight_fixture,
+    dense_oracle,
+    grid_fixture,
+    partial_ktree_fixture,
+    vertex_mask,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +27,7 @@ from padnet.graph import (
     weak_diameter,
 )
 from padnet.trees import td_to_tree_partition
-from padnet.verify import oracle_all_pairs
+from padnet.verify import _bellman_ford_rows, full_report, oracle_all_pairs
 
 INF = math.inf
 
@@ -178,6 +186,31 @@ def test_dijkstra_matches_floyd_warshall(g, rnd):
 # every weight class a report sees: small integer and decimal graphs, and the
 # acceptance fixtures' inputs
 KERNEL_GRAPHS = st.one_of(connected_graphs(), decimal_graphs(), FIXTURE_GRAPHS)
+
+
+@given(KERNEL_GRAPHS)
+@settings(max_examples=60, deadline=None)
+def test_dijkstra_matches_bellman_ford_on_every_weight(g):
+    # both sum each path in path order, so they agree bit for bit on decimal
+    # weights too
+    rows = _bellman_ford_rows(g, np.arange(g.n), np.ones((g.n, g.n), dtype=bool), INF)
+    for s in range(g.n):
+        assert shortest_paths(g, g.all_vertices(), [s]).tobytes() == rows[s].tobytes()
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        decimal_weight_fixture(partial_ktree_fixture(30, 3, seed=21, delta=1.0), seed=4),
+        decimal_weight_fixture(partial_ktree_fixture(35, 2, seed=12, drop=0.4, delta=1.0), seed=5),
+        decimal_weight_fixture(grid_fixture(5, delta=1.0), seed=6),
+    ],
+    ids=lambda f: f.name,
+)
+def test_report_on_decimal_weights_is_ok(fixture):
+    # a valid instance passes whatever order its distances are summed in
+    report = full_report(fixture.graph, fixture.td, fixture.delta, trials=200, oracle_cap=1000)
+    assert report.ok, report.format_table()
 
 
 @given(KERNEL_GRAPHS, st.integers(0, 10 ** 6))

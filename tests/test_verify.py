@@ -33,7 +33,6 @@ from padnet.trees import IsometricEmbedding, TreeDecomposition, TreePartition, t
 from padnet.verify import (
     _bellman_ford_rows,
     _oracle_center_distances,
-    count_maximal,
     oracle_all_pairs,
     sampler_ks_check,
     verify_cores,
@@ -129,15 +128,18 @@ def test_oracle_reads_nothing_from_the_code_it_checks(oracle):
 # --- net checks and fault injection ---------------------------------------------
 
 
-def net_tables(g, net):
-    """The host oracle matrix and the oracle center rows verify_net reads."""
-    return oracle_all_pairs(g, range(g.n)), _oracle_center_distances(g, net)
+def order_over(g, parent, node_of) -> TreeOrderedNet:
+    """The order putting vertex v at node node_of[v], with no centers."""
+    return TreeOrderedNet(
+        net=vertex_mask(g.n), order_parent=tuple(parent), node_vertex=(None,) * len(parent),
+        assign=np.asarray(node_of), alpha=3.0, delta=1.0, tp_width=1, cores=(), g=g,
+    )
 
 
 def test_verify_net_all_pass():
     g, tp, delta = triangle_single_bag()
     net = build_tree_ordered_net(g, tp, delta)
-    rep = verify_net(g, net, delta, *net_tables(g, net))
+    rep = verify_net(g, net, delta, _oracle_center_distances(g, net))
     assert rep.ok
     assert {c.name for c in rep.checks} >= {
         "order-valid-for-edges",
@@ -154,7 +156,7 @@ def test_corrupted_net_fails_covering():
     corrupted = semi_to_tree_order(
         b.tp, b.semi, smaller, b.host, b.delta, alpha=3.0, cores=tuple(b.construction.cores)
     )
-    rep = verify_net(b.host, corrupted, b.delta, *net_tables(b.host, corrupted))
+    rep = verify_net(b.host, corrupted, b.delta, _oracle_center_distances(b.host, corrupted))
     cov = find(rep, "net-covering")
     assert cov.status == "fail"
     assert cov.witness and "vertex" in cov.witness
@@ -175,7 +177,7 @@ def test_fake_tight_bound_fails_packing():
         cores=(),
         g=b.host,
     )
-    rep = verify_net(b.host, lied, b.delta, *net_tables(b.host, lied))
+    rep = verify_net(b.host, lied, b.delta, _oracle_center_distances(b.host, lied))
     assert find(rep, "net-packing-2delta").status == "fail"
 
 
@@ -193,9 +195,10 @@ def test_invalid_order_fails_validity_and_maximum():
         cores=(),
         g=g,
     )
-    rep = verify_net(g, broken, 1.0, *net_tables(g, broken), seed=0, samples=200)
-    assert find(rep, "order-valid-for-edges").status == "fail"
-    assert find(rep, "connected-subset-unique-maximum").status == "fail"
+    rep = verify_net(g, broken, 1.0, _oracle_center_distances(g, broken))
+    for name in ("order-valid-for-edges", "connected-subset-unique-maximum"):
+        assert find(rep, name).status == "fail"
+        assert find(rep, name).witness == "edge (1,2) order-incomparable"
 
 
 def test_edge_validity_witness_matches_edge_loop():
@@ -211,10 +214,7 @@ def test_edge_validity_witness_matches_edge_loop():
         nodes = int(rng.integers(1, n + 3))
         parent = (-1, *(int(rng.integers(i)) for i in range(1, nodes)))
         assign = rng.integers(nodes, size=n)
-        order = TreeOrderedNet(
-            net=vertex_mask(n), order_parent=parent, node_vertex=(None,) * nodes,
-            assign=assign, alpha=3.0, delta=1.0, tp_width=1, cores=(), g=g,
-        )
+        order = order_over(g, parent, assign)
         expected = next(
             (
                 f"edge ({u},{v}) order-incomparable"
@@ -226,7 +226,7 @@ def test_edge_validity_witness_matches_edge_loop():
             ),
             None,
         )
-        rep = verify_net(g, order, 1.0, *net_tables(g, order), samples=1)
+        rep = verify_net(g, order, 1.0, _oracle_center_distances(g, order))
         assert find(rep, "order-valid-for-edges").witness == expected
         failing += expected is not None
     assert 20 < failing < 80
@@ -659,7 +659,7 @@ def with_entries(net, vertex, rank, dist):
 
 def test_tampered_center_table_fails_oracle_agreement():
     b = built(BY_NAME["path-30"])
-    rep = verify_net(b.host, b.net, b.delta, b.host_dist, b.center_dist)
+    rep = verify_net(b.host, b.net, b.delta, b.center_dist)
     assert find(rep, "net-distance-oracle-agreement").status == "pass"
 
     # the oracle's center rows end at center_radius, as the table does; the
@@ -685,7 +685,7 @@ def test_tampered_center_table_fails_oracle_agreement():
     inf_inside = tuple(np.delete(a, e) for a in (vertex, rank, dist))
     listed_twice = tuple(np.insert(a, e, a[e]) for a in (vertex, rank, dist))
     for tampered in (finite_beyond, wrong_inside, inf_inside, listed_twice):
-        rep = verify_net(b.host, with_entries(b.net, *tampered), b.delta, b.host_dist, b.center_dist)
+        rep = verify_net(b.host, with_entries(b.net, *tampered), b.delta, b.center_dist)
         assert find(rep, "net-distance-oracle-agreement").status == "fail"
 
 
@@ -841,6 +841,16 @@ def test_embedding_entry_outside_host_fails_without_raising(outside):
     assert find_check(checks, "isometry-exact").status == "pass"
 
 
+def test_isometry_witness_names_input_vertices():
+    # forward[0] points at vertex 1's copy, so d(0, 1) reads 0 against 1
+    b = built(BY_NAME["path-8"])
+    forward = b.embedding.forward.copy()
+    forward[0] = forward[1]
+    checks = verify_embedding(b.graph, b.td, dataclasses.replace(b.embedding, forward=forward), b.host.n)
+    c = find_check(checks, "isometry-exact")
+    assert (c.status, c.measured, c.witness) == ("fail", 1.0, "pair (0, 1)")
+
+
 @pytest.mark.parametrize("bag", ["len", -1])
 def test_component_bag_outside_partition_fails_without_raising(bag):
     b = built(BY_NAME["cycle-16"])
@@ -902,8 +912,8 @@ def test_cluster_of_outside_members_only_fails_without_raising(kind):
 
 
 def reference_maximal(parent, node_of, members) -> int:
-    """The double loop count_maximal replaced: members below no other member,
-    with vertex v at node node_of[v] of the parent-pointer tree."""
+    """Members below no other member, by a double loop, with vertex v at node
+    node_of[v] of the parent-pointer tree."""
     idx = members.tolist()
     return sum(
         1
@@ -912,26 +922,123 @@ def reference_maximal(parent, node_of, members) -> int:
     )
 
 
+def unique_maximum_check(g, order):
+    rep = verify_net(g, order, 1.0, _oracle_center_distances(g, order))
+    return find(rep, "connected-subset-unique-maximum")
+
+
+def first_shared_node(node_of) -> str | None:
+    """The expected witness of a non-injective order: the first vertex at a
+    node an earlier vertex holds, and that node's first vertex."""
+    first = {}
+    for v, x in enumerate(np.asarray(node_of).tolist()):
+        if x in first:
+            return f"vertices {first[x]},{v} share an order node"
+        first[x] = v
+    return None
+
+
+def neighbours(g) -> list[set[int]]:
+    adj = [set() for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def elimination_order(g, rng) -> tuple[list[int], np.ndarray]:
+    """An injective order valid for g's edges: a random vertex of each
+    connected set is the parent of the orders of the components it leaves."""
+    adj = neighbours(g)
+    parent, node_of = [], np.zeros(g.n, dtype=np.int64)
+    stack = [(set(range(g.n)), -1)]
+    while stack:
+        left, above = stack.pop()
+        root = int(rng.choice(sorted(left)))
+        node_of[root] = len(parent)
+        parent.append(above)
+        left.discard(root)
+        while left:
+            comp, todo = set(), [min(left)]
+            while todo:
+                v = todo.pop()
+                if v not in comp:
+                    comp.add(v)
+                    todo.extend(adj[v] & left)
+            stack.append((comp, int(node_of[root])))
+            left -= comp
+    return parent, node_of
+
+
+def connected_subsets(g):
+    adj = neighbours(g)
+    for bits in range(1, 2**g.n):
+        members = {v for v in range(g.n) if bits >> v & 1}
+        seen, todo = set(), [min(members)]
+        while todo:
+            v = todo.pop()
+            if v not in seen:
+                seen.add(v)
+                todo.extend(adj[v] & members)
+        if seen == members:
+            yield np.array(sorted(members))
+
+
+def test_unique_maximum_check_implies_one_maximal_member():
+    # small random graphs under valid orders, some with a vertex moved to a
+    # random node or onto another vertex's node: whenever the check passes,
+    # every connected subset has exactly one maximal member, and it fails
+    # exactly on an incomparable edge or a shared node
+    rng = np.random.default_rng(26)
+    passed = failed = 0
+    for _ in range(120):
+        n = int(rng.integers(2, 9))
+        edges = [(i, int(rng.integers(i)), 1.0) for i in range(1, n)]
+        edges += [(int(u), int(v), 1.0) for u, v in rng.integers(n, size=(3, 2)) if u != v]
+        g = WeightedGraph(n, edges)
+        parent, node_of = elimination_order(g, rng)
+        u, v = rng.choice(n, size=2, replace=False).tolist()
+        change = rng.integers(3)
+        if change == 1:
+            node_of[v] = rng.integers(len(parent))
+        elif change == 2:
+            node_of[v] = node_of[u]
+        check = unique_maximum_check(g, order_over(g, parent, node_of))
+        bad_edge = next(
+            (
+                f"edge ({a},{b}) order-incomparable"
+                for a, b, _ in g.edges
+                if not (
+                    is_ancestor(parent, node_of[a], node_of[b])
+                    or is_ancestor(parent, node_of[b], node_of[a])
+                )
+            ),
+            None,
+        )
+        assert check.witness == (bad_edge or first_shared_node(node_of))
+        if check.status == "pass":
+            passed += 1
+            for members in connected_subsets(g):
+                assert reference_maximal(parent, node_of, members) == 1, members
+        else:
+            failed += 1
+    assert passed > 30 and failed > 30, (passed, failed)
+
+
 @pytest.mark.parametrize(
     "name", ["path-8", "wpath-12", "cycle-16", "grid-5", "btree-4", "sp-35d", "ktree3-30"]
 )
-def test_count_maximal_matches_double_loop(name):
+def test_unique_maximum_on_built_orders(name):
+    # the net's order passes, and every ball (a connected set) has one maximal
+    # member; the semi order puts several vertices on one bag and fails
     b = built(BY_NAME[name])
+    assert unique_maximum_check(b.host, b.net).status == "pass"
     rng = np.random.default_rng(len(name))
     everything = b.host.all_vertices()
-    # the semi order puts several vertices on one bag; the net's order is injective
-    bag_tin, bag_tout = b.tp.bag_intervals()
-    orders = [
-        (*b.net.vertex_intervals(), b.net.order_parent, b.net.assign),
-        (bag_tin[b.semi], bag_tout[b.semi], b.tp.parent, b.semi),
-    ]
-    for tin, tout, parent, node_of in orders:
-        for _ in range(40):
-            if rng.random() < 0.5:
-                size = int(rng.integers(1, min(b.host.n, 60) + 1))
-                members = np.sort(rng.choice(b.host.n, size=size, replace=False))
-            else:
-                center = int(rng.integers(b.host.n))
-                radius = float(rng.uniform(0, 4 * b.delta))
-                members = np.flatnonzero(ball(b.host, everything, [center], radius))
-            assert count_maximal(tin, tout, members) == reference_maximal(parent, node_of, members)
+    for _ in range(20):
+        center = int(rng.integers(b.host.n))
+        members = np.flatnonzero(ball(b.host, everything, [center], float(rng.uniform(0, 4 * b.delta))))
+        assert reference_maximal(b.net.order_parent, b.net.assign, members) == 1
+    semi = unique_maximum_check(b.host, order_over(b.host, b.tp.parent, b.semi))
+    assert semi.status == "fail"
+    assert semi.witness == first_shared_node(b.semi)
