@@ -267,7 +267,9 @@ def _claim_prefixes(
     return vertex, rank, dist, np.arange(vertex.size) - _run_starts(vertex, n), sure
 
 
-def _first_claims(entries: tuple[np.ndarray, ...], n: int, radii: np.ndarray) -> np.ndarray:
+def _first_claims(
+    entries: tuple[np.ndarray, ...], n: int, radii: np.ndarray, ids: np.ndarray | None = None
+) -> np.ndarray:
     """First claiming center of every vertex in every trial, as (t, n) ranks.
 
     entries is the net's sparse center table (`center_entries()`: vertex,
@@ -275,28 +277,35 @@ def _first_claims(entries: tuple[np.ndarray, ...], n: int, radii: np.ndarray) ->
     each ordered center's radius in each of t trials, shaped (k, t).  A
     center claims the vertices of its entries within its radius, and a vertex
     goes to the lowest rank that claims it.  Raises when some vertex is
-    claimed by no center in some trial, naming the first such vertex.
+    claimed by no center in some trial, naming the first such vertex, as
+    ids[v] when the rows stand for the vertex ids `ids`.
 
     `_claim_prefixes` keeps the work near one entry per vertex, and exact
     for any radii.  The sampler's radii are >= delta, within which the net
     covers every vertex, so every vertex keeps a sure entry.  The entries
     left, L at most per vertex (no more than its packing count at the
-    largest radius), are laid out as (n, L) slots and tested against all t
-    radii at once.
+    largest radius), are walked one slot at a time from the last to the
+    first: each writes its rank over the trials whose radius reaches it, so
+    a lower rank overwrites a higher one.
     """
     vertex, rank, dist, slot, _ = _claim_prefixes(
         entries, n, radii.max(axis=1), radii.min(axis=1)
     )
-    width = int(slot.max()) + 1 if slot.size else 1
-    slot_rank = np.zeros((n, width), dtype=np.intp)
-    slot_rank[vertex, slot] = rank
-    claimed = np.zeros((n, width, radii.shape[1]), dtype=bool)
-    claimed[vertex, slot] = dist[:, None] <= radii[rank]
-    covered = claimed.any(axis=1)  # (n, t)
-    if not covered.all():
-        v = int(np.flatnonzero(~covered.all(axis=1))[0])
+    # in the smallest integer type that holds -1 and every rank: the walk
+    # moves (vertices, t) rows, and narrow ones move fastest
+    first = np.full((n, radii.shape[1]), -1, dtype=np.min_scalar_type(-1 - len(radii)))
+    for s in range(int(slot.max()) if slot.size else -1, -1, -1):
+        at = np.flatnonzero(slot == s)
+        rows, r = vertex[at], rank[at]
+        held = first[rows]
+        np.copyto(held, r[:, None], where=dist[at, None] <= radii[r])
+        first[rows] = held
+    unclaimed = (first < 0).any(axis=1)
+    if unclaimed.any():
+        v = int(np.flatnonzero(unclaimed)[0])
+        v = v if ids is None else int(ids[v])
         raise AssertionError(f"vertex {v} claimed by no center; covering violated")
-    return np.take_along_axis(slot_rank, claimed.argmax(axis=1), axis=1).T
+    return first.astype(np.intp).T
 
 
 def _claim_classes(net: TreeOrderedNet) -> np.ndarray:
@@ -408,24 +417,47 @@ def _partition_from_claims(
     )
 
 
-def sample_assignments(net: TreeOrderedNet, seed: int, trials: int) -> Iterator[np.ndarray]:
+def sample_assignments(
+    net: TreeOrderedNet, seed: int, trials: int, vertices: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
     """Yield (t, n) first-claiming center ranks, CHUNK trials at a time,
     for trials 0..trials-1 at the net's own delta.
 
     Trial t uses draw t of each per-center stream, so trial 0 reproduces
     sample_padded_decomposition(seed) cluster-for-cluster.  Each chunk draws
     only its own trials' uniforms, start..stop-1 of every stream, with one
-    center_uniforms call.
+    center_uniforms call.  Given `vertices`, strictly ascending ids in
+    0..n-1, only their entries are read and each block is (t, len(vertices)),
+    equal to the full block's [:, vertices]; an unclaimed vertex is still
+    named by its own id.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     params = DecompositionParams.from_net(net, net.delta)
     texp = TruncatedExp(1.0, params.beta_internal, params.lam)
     centers = net.centers_in_order()
-    entries = net.center_entries()
+    entries, n = net.center_entries(), net.n
+    if vertices is not None:
+        vertices = np.asarray(vertices)
+        if vertices.shape == (0,):
+            vertices = vertices.astype(np.intp)  # [] reads as floats
+        if not (
+            vertices.ndim == 1
+            and np.issubdtype(vertices.dtype, np.integer)
+            and (np.diff(vertices) > 0).all()
+            and ((vertices >= 0) & (vertices < n)).all()
+        ):
+            raise ValueError(f"vertices must be strictly ascending ids in 0..{n - 1}")
+        # the entries of those vertices, renumbered 0..len(vertices)-1
+        row = np.full(n, -1, dtype=np.intp)
+        row[vertices] = np.arange(vertices.size)
+        vertex, rank, dist = entries
+        at = row[vertex]
+        keep = at >= 0
+        entries, n = (at[keep], rank[keep], dist[keep]), vertices.size
     for start in range(0, trials, CHUNK):
         u = center_uniforms(seed, centers, start, min(start + CHUNK, trials))
-        yield _first_claims(entries, net.n, sample_truncated_exp(texp, u) * net.delta)
+        yield _first_claims(entries, n, sample_truncated_exp(texp, u) * net.delta, vertices)
 
 
 _WILSON_Z99 = 2.3263478740408408  # one-sided 99% normal quantile
@@ -460,11 +492,12 @@ def padded_trial_counts(
     the distance from z to c's nearest member: by `ball_pairs`, or from the
     per-class minima of the all-pairs `dist_matrix` a caller supplies.  Each
     gamma's ball nests in r_max's and selects its pairs from that list.
-    Memory, besides the pair list: per chunk of t trials, the (n, t) labels
-    in the smallest integer type that holds the center count, two (pairs) x
-    t gathers of them, one (pairs) x t bool tensor of cut pairs, and for each
-    gamma a copy of its rows of it.  No n x n matrix is allocated unless the
-    caller passes one in.
+    Memory, besides the pair list: per chunk of t trials, the sampler's
+    (classes, t) labels of the classes' first members (no (n, L, t)
+    tensor), in the smallest integer type that holds the center count, two
+    (pairs) x t gathers of them, one (pairs) x t bool tensor of cut pairs,
+    and for each gamma a copy of its rows of it.  No n x n matrix is
+    allocated unless the caller passes one in.
     """
     params = DecompositionParams.from_net(net, delta)
     gammas = [float(gm) for gm in gammas]
@@ -484,11 +517,15 @@ def padded_trial_counts(
         np.minimum.at(nearest.T, cls, dist_matrix.T)
         rows, near = np.nonzero(nearest <= r_max)
         pair_d = nearest[rows, near]
-    # z's own class is never cut from z; each class's first member stands
-    # for it, as its members share a label in every trial
+    # z's own class is never cut from z.  Members of a class share a label
+    # in every trial, so the sampler labels only each class's first member:
+    # column col[c] of its blocks is class c's
     other = cls[rows] != near
+    rows, near, pair_d = rows[other], near[other], pair_d[other]
     first = np.unique(cls, return_index=True)[1]
-    rows, cols, pair_d = rows[other], first[near[other]], pair_d[other]
+    vertices = np.sort(first)
+    col = np.searchsorted(vertices, first)
+    own, cols = col[cls[rows]], col[near]
     # each gamma with pairs: its pairs, their vertices z and the start of
     # each z's segment among them, for reduceat
     segments = {}
@@ -498,10 +535,10 @@ def padded_trial_counts(
             segments[gm] = (sel, *np.unique(rows[sel], return_index=True))
     cuts = {gm: np.zeros(g.n, dtype=np.int64) for gm in gammas}
     label_dtype = np.min_scalar_type(len(net.centers_in_order()))
-    for block in sample_assignments(net, seed, trials):
-        nt = block.T.astype(label_dtype)  # (n, t), C-contiguous
+    for block in sample_assignments(net, seed, trials, vertices=vertices):
+        lab = block.T.astype(label_dtype)  # (classes, t), C-contiguous
         # a pair is cut when its two ends land in different clusters
-        diff = nt[cols] != nt[rows]
+        diff = lab[cols] != lab[own]
         for gm, (sel, z, starts) in segments.items():
             cuts[gm][z] += np.logical_or.reduceat(diff[sel], starts, axis=0).sum(axis=1)
     return {gm: trials - c for gm, c in cuts.items()}

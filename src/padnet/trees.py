@@ -67,6 +67,15 @@ class _BagTree:
     def __post_init__(self):
         self.level, self._tin, self._tout = rooted_tree_arrays(self.parent, self.root)
 
+    @classmethod
+    def on_tree_of(cls, tree: "_BagTree", bags: tuple[frozenset[int], ...]):
+        """New bags on tree's rooted tree, whose levels and intervals are
+        reused instead of walked again."""
+        out = cls.__new__(cls)
+        out.bags, out.parent, out.root = bags, tree.parent, tree.root
+        out.level, out._tin, out._tout = tree.level, tree._tin, tree._tout
+        return out
+
     def bag_intervals(self) -> tuple[np.ndarray, np.ndarray]:
         """Preorder (tin, tout) of every bag, as new arrays: bag a is an
         ancestor of bag b (or b itself) iff tin[a] <= tin[b] < tout[a]."""
@@ -298,7 +307,7 @@ def td_to_tree_partition(g: WeightedGraph, td: TreeDecomposition) -> IsometricEm
         host_edges.append((copy_id[(u, b)], copy_id[(v, b)], w))
 
     host = WeightedGraph(len(copy_id), host_edges)
-    tp = TreePartition(bags=tuple(host_bag), parent=td.parent, root=td.root)
+    tp = TreePartition.on_tree_of(td, tuple(host_bag))
 
     forward = np.zeros(g.n, dtype=np.int64)
     copies: list[tuple[int, ...]] = []

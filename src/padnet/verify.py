@@ -666,8 +666,15 @@ def verify_partition(
     worst = 0.0
     worst_c = None
     for i, idx in enumerate(_split(owner, member, len(p.clusters))):
-        # two gathers beat one np.ix_ gather; a cluster of no vertex has diameter 0
-        d = float(dist_matrix[idx][:, idx].max(initial=0.0))
+        # two gathers beat one np.ix_ gather; rows go in blocks of at most
+        # 2**13 distances, so no cluster's whole block is copied at once, and
+        # np.maximum propagates NaN as one max over the block would; a
+        # cluster of no vertex has diameter 0
+        step = max(1, 8192 // max(idx.size, 1))
+        d = 0.0
+        for s in range(0, idx.size, step):
+            d = np.maximum(d, dist_matrix[idx[s : s + step]][:, idx].max(initial=0.0))
+        d = float(d)
         if d > worst:
             worst, worst_c = d, i
     checks.append(

@@ -455,6 +455,39 @@ def test_batch_matches_whole_stream_draws_across_chunks(fixture):
     assert [centers.index(single.clusters[c].center) for c in single.assignment] == got[0].tolist()
 
 
+@pytest.mark.parametrize("fixture", SAMPLER_FIXTURES)
+def test_batch_restricted_to_vertices_matches_full_block_columns(fixture):
+    host, net = fixture_net(fixture)
+    rng = np.random.default_rng(len(net.centers_in_order()))
+    for size in (1, net.n // 3, net.n):
+        v = np.sort(rng.choice(net.n, size=size, replace=False))
+        full = sample_assignments(net, seed=5, trials=300)
+        part = sample_assignments(net, seed=5, trials=300, vertices=v)
+        for whole, block in zip(full, part, strict=True):
+            assert block.shape == (whole.shape[0], size)
+            assert np.array_equal(block, whole[:, v])
+
+
+def test_batch_restricted_to_vertices_names_unclaimed_vertex_by_id(monkeypatch):
+    fixture = path_fixture(40, delta=2.0)
+    host, net = fixture_net(fixture)
+    vertex, rank, dist = net.center_entries()
+    kept = ~np.isin(vertex, [7, 12])
+    monkeypatch.setattr(net, "center_entries", lambda: (vertex[kept], rank[kept], dist[kept]))
+    # vertex 7 is row 2 of the block
+    with pytest.raises(AssertionError, match="^vertex 7 claimed by no center"):
+        next(sample_assignments(net, 0, trials=10, vertices=[0, 3, 7, 12, 30]))
+    assert next(sample_assignments(net, 0, trials=10, vertices=[0, 3, 30])).shape == (10, 3)
+
+
+def test_batch_rejects_vertices_not_strictly_ascending_ids():
+    g, net = single_center_net()
+    for vertices in ([1, 1], [2, 0], [-1, 2], [0, net.n], [[0, 1]], [0.0, 1.0]):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            next(sample_assignments(net, 0, trials=3, vertices=vertices))
+    assert next(sample_assignments(net, 0, trials=3, vertices=[])).shape == (3, 0)
+
+
 # --- padding estimate -----------------------------------------------------------
 
 
@@ -597,7 +630,9 @@ def test_one_class_net_lists_no_cuttable_pair(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(
             decomposition, "sample_assignments",
-            lambda net, seed, trials: iter([np.tile(np.arange(net.n), (trials, 1))]),
+            lambda net, seed, trials, vertices: iter(
+                [np.tile(np.arange(len(vertices)), (trials, 1))]
+            ),
         )
         for dist_matrix in matrices:
             counts = padded_trial_counts(g, net, 1.0, gammas, trials=40, seed=2, dist_matrix=dist_matrix)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from fixtures import acceptance_fixtures, is_ancestor
 
+from padnet import trees
 from padnet.graph import GraphFormatError, WeightedGraph
 from padnet.trees import (
     TdValidationError,
@@ -143,6 +144,20 @@ def test_bag_trees_share_structure_and_ancestor_queries():
         assert ancestors == {(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (2, 2), (3, 3)}
     with pytest.raises(TdValidationError, match="single rooted tree"):
         TreePartition(bags, (-1, 2, 1, 0))
+
+
+@pytest.mark.parametrize("fixture", acceptance_fixtures(), ids=lambda f: f.name)
+def test_converted_partition_reuses_the_walk_of_its_decomposition(fixture, monkeypatch):
+    td = fixture.td
+    walked = TreePartition(td.bags, td.parent, td.root)
+    # the conversion walks no tree: td already has the levels and intervals
+    monkeypatch.setattr(trees, "rooted_tree_arrays", None)
+    tp = td_to_tree_partition(fixture.graph, td).tree_partition
+    assert isinstance(tp, TreePartition)
+    assert (tp.parent, tp.root, tp.level) == (walked.parent, walked.root, walked.level)
+    assert [a.tolist() for a in tp.bag_intervals()] == [
+        a.tolist() for a in walked.bag_intervals()
+    ]
 
 
 @pytest.mark.parametrize("fixture", acceptance_fixtures(), ids=lambda f: f.name)

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import built
 from fixtures import (
     Fixture,
     acceptance_fixtures,
+    all_pairs,
     decimal_weight_fixture,
     dense_oracle,
     descendant_mask,
@@ -435,6 +437,30 @@ def test_partition_checks_and_fault_injection():
     bad = dataclasses.replace(part, clusters=clusters)
     rep = verify_partition(b.host, bad, 3.0, b.delta, dist_matrix=b.host_dist)
     assert find(rep, "partition-total-disjoint").status == "fail"
+
+
+def test_weak_diameter_sweep_copies_no_whole_cluster_block():
+    # one cluster of the whole host: its distance block is the whole matrix
+    f = partial_ktree_fixture(50, 3, seed=1, drop=0.25, delta=4.0)
+    emb = td_to_tree_partition(f.graph, f.td)
+    host = emb.host
+    assert host.n == 188
+    part = sample_padded_decomposition(
+        host, build_tree_ordered_net(host, emb.tree_partition, f.delta), f.delta, seed=0
+    )
+    everything = dataclasses.replace(part.clusters[0], members=frozenset(range(host.n)))
+    whole = dataclasses.replace(
+        part, clusters=(everything,), assignment=np.zeros(host.n, dtype=np.int64)
+    )
+    d = all_pairs(host)
+    tracemalloc.start()
+    try:
+        rep = verify_partition(host, whole, 3.0, f.delta, dist_matrix=d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert find(rep, "partition-weak-diameter").measured == d.max()
+    assert peak < d.nbytes // 2, peak
 
 
 def _total_disjoint_by_loop(n, p):
