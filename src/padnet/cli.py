@@ -137,7 +137,7 @@ def cmd_decompose(args) -> int:
     params = DecompositionParams.from_net(net, args.delta)
     samples = []
     seeds = range(args.seed, args.seed + args.trials)
-    for part in sample_padded_decompositions(net, args.delta, seeds):
+    for part in sample_padded_decompositions(net, seeds):
         d = part.to_json_dict()
         d["original_assignment"] = {
             str(v): int(part.assignment[emb.forward[v]]) for v in range(g.n)

@@ -13,14 +13,14 @@ reads draw 0 of each stream; trial t of a batch reads draw t, so trials are
 independent, reproducible, and chunkable.  Draw t of a stream is a pure
 function of (seed, center, t), so `center_uniforms` evaluates the draws of
 every center, and of several seeds, at once in numpy, bit for bit equal to
-per-center generators: one call per chunk of trials of a batch, and one per
-chunk of seeds of a sweep of partitions (a single sample is a sweep of one).
+per-center generators.  Both samplers draw radii through `_radii`: one call
+per chunk of trials of a batch, and one per chunk of seeds of a sweep of
+partitions (a single sample is a sweep of one).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -32,7 +32,13 @@ from .ordered_net import TreeOrderedNet, check_net_delta
 
 @dataclass(frozen=True)
 class TruncatedExp:
-    """Exponential distribution with rate lam conditioned on [theta1, theta2]."""
+    """Exponential distribution with rate lam conditioned on [theta1, theta2].
+
+    One form at every rate, relative to theta1: F(y) = -expm1(-lam*(y-theta1))
+    / M and F^-1(u) = theta1 - log1p(-u*M) / lam, M = -expm1(-lam*(theta2-theta1)).
+    Neither divides by exp(-lam*theta1), which underflows at lam ~ 921
+    (alpha = 1.01, tau = 5).  F errs at most 2 ulp, and F^-1 4 ulp for u <= 0.99.
+    """
 
     theta1: float
     theta2: float
@@ -44,30 +50,12 @@ class TruncatedExp:
         if self.theta1 >= self.theta2:
             raise ValueError(f"need theta1 < theta2, got [{self.theta1}, {self.theta2}]")
 
-    @property
-    def shifted(self) -> bool:
-        """Whether exp(-lam * theta1) underflows (is subnormal or 0).
-
-        The plain forms divide by exp(-lam*theta1) - exp(-lam*theta2), which
-        is then inexact or 0 (lam ~ 921 at alpha = 1.01, tau = 5).  They are
-        kept wherever it is normal, so every draw there keeps its bits;
-        otherwise the forms shifted by theta1 divide by
-        -expm1(-lam*(theta2-theta1)) instead.
-        """
-        return math.exp(-self.lam * self.theta1) < sys.float_info.min
-
     def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        inside = np.clip(y, self.theta1, self.theta2)
-        if self.shifted:
-            out = -np.expm1(-self.lam * (inside - self.theta1)) / self.shifted_mass()
-        else:
-            lo, hi = math.exp(-self.lam * self.theta1), math.exp(-self.lam * self.theta2)
-            out = (lo - np.exp(-self.lam * inside)) / (lo - hi)
-        return np.where(y < self.theta1, 0.0, np.where(y > self.theta2, 1.0, out))
+        inside = np.clip(np.asarray(y, dtype=float), self.theta1, self.theta2)
+        return -np.expm1(-self.lam * (inside - self.theta1)) / self.mass()
 
-    def shifted_mass(self) -> float:
-        """1 - exp(-lam*(theta2-theta1)): the mass on [theta1, theta2] over exp(-lam*theta1)."""
+    def mass(self) -> float:
+        """M = 1 - exp(-lam*(theta2-theta1)): the mass on [theta1, theta2] over exp(-lam*theta1)."""
         return -math.expm1(-self.lam * (self.theta2 - self.theta1))
 
 
@@ -77,14 +65,10 @@ def sample_truncated_exp(dist: TruncatedExp, u) -> np.ndarray | float:
     u = np.asarray(u, dtype=float)
     if ((u < 0) | (u > 1)).any():
         raise ValueError("uniform draw outside [0, 1]")
-    if dist.shifted:
-        y = dist.theta1 - np.log1p(-u * dist.shifted_mass()) / dist.lam
-    else:
-        lo, hi = math.exp(-dist.lam * dist.theta1), math.exp(-dist.lam * dist.theta2)
-        with np.errstate(divide="ignore"):
-            y = -np.log(lo - u * (lo - hi)) / dist.lam
-    y = np.clip(y, dist.theta1, dist.theta2)
-    y = np.where(u == 0.0, dist.theta1, np.where(u == 1.0, dist.theta2, y))
+    # u = 0 gives theta1; u = 1 may round below theta2, or to +inf when M rounds to 1
+    with np.errstate(divide="ignore"):
+        y = dist.theta1 - np.log1p(-u * dist.mass()) / dist.lam
+    y = np.where(u == 1.0, dist.theta2, np.clip(y, dist.theta1, dist.theta2))
     return float(y) if scalar else y
 
 
@@ -341,26 +325,29 @@ def _claim_classes(net: TreeOrderedNet) -> np.ndarray:
 CHUNK = 256  # trials per block of sample_assignments, seeds per block of sampled partitions
 
 
-def sample_padded_decompositions(
-    net: TreeOrderedNet, delta: float, seeds
-) -> Iterator[PaddedPartition]:
-    """Yield the partition of each seed in `seeds`, in order, one at a time.
+def _radii(net: TreeOrderedNet, params: DecompositionParams, seed, start: int, stop: int):
+    """Each ordered center's radius F^-1(u) * delta for draws u start..stop-1
+    of its stream, as (centers, draws); seed is read as `center_uniforms` reads it."""
+    law = TruncatedExp(1.0, params.beta_internal, params.lam)
+    u = center_uniforms(seed, net.centers_in_order(), start, stop)
+    return sample_truncated_exp(law, u) * params.delta
 
-    Seeds are taken CHUNK at a time: one center_uniforms call draws every
-    (seed, center) uniform of a chunk, and one `_first_claims` call gives
-    the first claims of all its seeds, with radii shaped (centers, seeds).
-    Only the partitions are built per seed, and each is yielded before the
-    next is built.  A seed outside [0, 2**64) raises ValueError.
+
+def sample_padded_decompositions(net: TreeOrderedNet, seeds) -> Iterator[PaddedPartition]:
+    """Yield the partition of each seed in `seeds`, in order, at the net's own delta.
+
+    Seeds are taken CHUNK at a time: one `_radii` call draws draw 0 of every
+    (seed, center) stream of a chunk, and one `_first_claims` call gives the
+    first claims of all its seeds, with radii shaped (centers, seeds).  Only
+    the partitions are built per seed, and each is yielded before the next
+    is built.  A seed outside [0, 2**64) raises ValueError.
     """
-    params = DecompositionParams.from_net(net, delta)
-    texp = TruncatedExp(1.0, params.beta_internal, params.lam)
-    centers = net.centers_in_order()
-    entries = net.center_entries()
+    params = DecompositionParams.from_net(net, net.delta)
     seeds = list(seeds)
     for start in range(0, len(seeds), CHUNK):
         chunk = seeds[start : start + CHUNK]
-        radii = sample_truncated_exp(texp, center_uniforms(chunk, centers, 0, 1)) * delta
-        claims = _first_claims(entries, net.n, radii)
+        radii = _radii(net, params, chunk, 0, 1)
+        claims = _first_claims(net.center_entries(), net.n, radii)
         for j, seed in enumerate(chunk):
             yield _partition_from_claims(net, claims[j], radii[:, j], seed, params)
 
@@ -368,8 +355,9 @@ def sample_padded_decompositions(
 def sample_padded_decomposition(
     g: WeightedGraph, net: TreeOrderedNet, delta: float, seed: int
 ) -> PaddedPartition:
-    """The partition of one seed: `sample_padded_decompositions` over [seed]."""
-    return next(sample_padded_decompositions(net, delta, [seed]))
+    """`sample_padded_decompositions` over [seed]; delta must be the net's own."""
+    check_net_delta(net, delta)
+    return next(sample_padded_decompositions(net, [seed]))
 
 
 def replay_decomposition(
@@ -425,8 +413,8 @@ def sample_assignments(
 
     Trial t uses draw t of each per-center stream, so trial 0 reproduces
     sample_padded_decomposition(seed) cluster-for-cluster.  Each chunk draws
-    only its own trials' uniforms, start..stop-1 of every stream, with one
-    center_uniforms call.  Given `vertices`, strictly ascending ids in
+    only its own trials' radii, draws start..stop-1 of every stream, with one
+    `_radii` call.  Given `vertices`, strictly ascending ids in
     0..n-1, only their entries are read and each block is (t, len(vertices)),
     equal to the full block's [:, vertices]; an unclaimed vertex is still
     named by its own id.
@@ -434,8 +422,6 @@ def sample_assignments(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     params = DecompositionParams.from_net(net, net.delta)
-    texp = TruncatedExp(1.0, params.beta_internal, params.lam)
-    centers = net.centers_in_order()
     entries, n = net.center_entries(), net.n
     if vertices is not None:
         vertices = np.asarray(vertices)
@@ -456,8 +442,8 @@ def sample_assignments(
         keep = at >= 0
         entries, n = (at[keep], rank[keep], dist[keep]), vertices.size
     for start in range(0, trials, CHUNK):
-        u = center_uniforms(seed, centers, start, min(start + CHUNK, trials))
-        yield _first_claims(entries, n, sample_truncated_exp(texp, u) * net.delta, vertices)
+        radii = _radii(net, params, seed, start, min(start + CHUNK, trials))
+        yield _first_claims(entries, n, radii, vertices)
 
 
 _WILSON_Z99 = 2.3263478740408408  # one-sided 99% normal quantile

@@ -83,6 +83,7 @@ from .covers import PartitionCover, SparseCover
 from .decomposition import (
     DecompositionParams,
     PaddedPartition,
+    PaddingEstimate,
     TruncatedExp,
     padded_trial_counts,
     padding_estimates,
@@ -91,6 +92,7 @@ from .decomposition import (
     sample_padded_decompositions,
     sample_truncated_exp,
     seeded_generator,
+    wilson_lower_bound,
 )
 from .graph import (
     WeightedGraph,
@@ -919,7 +921,7 @@ def full_report(
     sweep_fail: dict[str, str] = {}
     replay_fail = None
     seeds = range(seed, seed + SWEEP_SEEDS)
-    for s, part in zip(seeds, sample_padded_decompositions(net, delta, seeds)):
+    for s, part in zip(seeds, sample_padded_decompositions(net, seeds)):
         for c in verify_partition(host, part, alpha, delta, dist_matrix=dh).checks:
             if c.status == "fail" and c.name not in sweep_fail:
                 sweep_fail[c.name] = f"seed {s}" + (f": {c.witness}" if c.witness else "")
@@ -972,16 +974,23 @@ def full_report(
     gammas = params.default_gammas()
     counts = padded_trial_counts(host, net, delta, gammas, trials, seed, dist_matrix=dh)
     checks[padding_at:padding_at] = [
-        _check(
-            f"padding-lcb-gamma-{e.gamma:g}",
-            e.lcb >= e.target,
-            measured=e.lcb,
-            bound=e.target,
-            witness=f"vertex {e.worst_vertex}",
-        )
-        for e in padding_estimates(counts, params, trials, gammas)
+        _padding_check(e, trials) for e in padding_estimates(counts, params, trials, gammas)
     ]
     return VerificationReport(checks)
+
+
+def _padding_check(e: PaddingEstimate, trials: int) -> CheckResult:
+    """Fails when the Wilson bound misses the target, and warns when no count
+    could reach it (t padded trials of t bound the rate at t / (t + z^2)),
+    naming the fewest trials that could."""
+    need = trials
+    while wilson_lower_bound(need, need) < e.target:
+        need += 1
+    witness = f"vertex {e.worst_vertex}"
+    if need > trials:
+        witness += f": no count of {trials} trials reaches the target; {need} trials can"
+    name = f"padding-lcb-gamma-{e.gamma:g}"
+    return _check(name, e.lcb >= e.target, e.lcb, e.target, witness, warn=need > trials)
 
 
 # unused here; perfbench's tracer wraps verify's binding

@@ -2,9 +2,12 @@
 
 A traced run wraps padnet's public functions and binds their arguments by
 name, so renaming or dropping a parameter the benchmark uses fails here.
+The rounds run in a temporary copy of `src/`, `perfbench/` and
+BENCHMARK.json, so they leave the checkout's `.bench_out/` as it was.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,11 +17,21 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def traced_round(workload: str) -> tuple[list[str], dict]:
+@pytest.fixture(scope="module")
+def bench_copy(tmp_path_factory) -> Path:
+    copy = tmp_path_factory.mktemp("bench")
+    skip = shutil.ignore_patterns("__pycache__", ".bench_out")
+    for tree in ("src", "perfbench"):
+        shutil.copytree(ROOT / tree, copy / tree, ignore=skip)
+    shutil.copy2(ROOT / "BENCHMARK.json", copy)
+    return copy
+
+
+def traced_round(copy: Path, workload: str) -> tuple[list[str], dict]:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "0", "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        cwd=copy, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -39,8 +52,8 @@ LAYER_COUNTERS = {
 
 # verify-mix includes a decimal-weight instance: its report must pass too
 @pytest.mark.parametrize("workload", sorted(LAYER_COUNTERS))
-def test_traced_round_runs_clean(workload):
-    lines, result = traced_round(workload)
+def test_traced_round_runs_clean(bench_copy, workload):
+    lines, result = traced_round(bench_copy, workload)
     assert [line for line in lines if line.startswith("failed op ")] == []
     assert result["failed"] == 0
     for name in LAYER_COUNTERS[workload]:

@@ -114,6 +114,19 @@ def test_verify_exits_zero_and_validates(capsys, tmp_path):
     assert payload["ok"] is True
 
 
+def test_verify_at_too_few_trials_warns_and_exits_zero(capsys, tmp_path):
+    # at 2 trials even 2 of 2 padded bound the rate at 2 / (2 + z^2) ~ 0.27,
+    # below gamma_max/4's target of ~0.32 on path8: the input is valid
+    out_file = tmp_path / "report.json"
+    code, _ = run(capsys, "verify", *PATH_ARGS, "--delta", "2", "--trials", "2",
+                  "--out", str(out_file))
+    payload = json.loads(out_file.read_text())
+    assert code == 0 and payload["ok"] is True
+    padding = [c for c in payload["checks"] if c["name"].startswith("padding-lcb-gamma-")]
+    assert [c["status"] for c in padding] == ["warn", "pass", "pass"]
+    assert padding[0]["witness"].endswith("; 3 trials can")
+
+
 def test_padding_estimate(capsys):
     code, out = run(
         capsys, "padding-estimate", *PATH_ARGS, "--delta", "2", "--trials", "300",

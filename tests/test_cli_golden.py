@@ -18,13 +18,13 @@ SEEDED = {"decompose", "verify", "padding-estimate"}
 
 GOLDEN = {
     ("net", "grid4"): "ee3413feb65000d4819b1c9268f224ddcffe70fc5c8537fea5c647e376fff43c",
-    ("decompose", "grid4"): "26a4ba1389574cc390ab0bd1d13b863d981fa2491bffe9270d8bdd66cdd41496",
+    ("decompose", "grid4"): "03a1ecef472fb0395805dc9c93d71f52ea1608c8d110ed320c9756d3473873a9",
     ("cover", "grid4"): "8223a843bb01a558c88c6ccb02a266aad9ae629f6fb0fc23a0aa8d144bcbb956",
     ("partition-cover", "grid4"): "659cb837a741eed5a49b995c75096479066ecf931cecc47aee0bb749a305e9e8",
     ("padding-estimate", "grid4"): "c18ca398220fa4f190399af924c8ca99e7482887345a712a71dfa97a420b6830",
     ("verify", "grid4"): "fbf386a2c550e0616383b66fe6a32d4d6837869a9265816b1958a1233050d54d",
     ("net", "path8"): "c7191a6bbcb4ef54e19c934595b7fbd3cf0a4ab2c80a376a5e1a9c4d72b577cf",
-    ("decompose", "path8"): "8484ebe8f2bade84f3531718e3c5226df7d21917be3d7b54351840ea58c31287",
+    ("decompose", "path8"): "de950c7de0606b940fb36b2107dba659a82570e7a2e79e4fd31fa0de7e41bb18",
     ("cover", "path8"): "a9a06718c9d0980d576002865794ab8eec090f678cb7ee1636d66d43d76bc036",
     ("partition-cover", "path8"): "2e18789415daf41ddccdee149cc5cb81283f2e269b9c6a468b75a5dea14585e3",
     ("padding-estimate", "path8"): "39a4610d05fb5ddf31b5e080d663ed74a7c996ed5f7a06702c5adee768788a0f",

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import re
@@ -120,6 +121,62 @@ def test_steep_rate_matches_scipy_truncexpon():
     assert d.cdf(ys) == pytest.approx(ref.cdf(ys), abs=1e-12)
     u = np.linspace(0.05, 0.95, 10)
     assert sample_truncated_exp(d, u) == pytest.approx(ref.ppf(u), abs=1e-12)
+
+
+# rates from 1e-3 to 1e3 on [1, 2]; the sampler's 2 ln(2 tau) at alpha = 3 for
+# the packing values of the shipped data (5, 6) and the benchmark's instances
+# (3, 4, 5, 8, 20); and alpha = 1.01, tau = 5, where exp(-lam) underflows
+REFERENCE_LAWS = [
+    *(TruncatedExp(1.0, 2.0, float(lam)) for lam in np.logspace(-3, 3, 13)),
+    *(TruncatedExp(1.0, 2.0, 2 * math.log(2 * tau)) for tau in (1, 3, 4, 5, 6, 8, 20)),
+    TruncatedExp(1.0, 1.005, 921.0),
+]
+
+
+def exact_cdf(d: TruncatedExp, y: float) -> float:
+    """F(y) at 50 digits, from the float inputs taken exactly."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        lam, t1, t2, y = map(decimal.Decimal, (d.lam, d.theta1, d.theta2, y))
+        return float((1 - (-lam * (y - t1)).exp()) / (1 - (-lam * (t2 - t1)).exp()))
+
+
+def exact_quantile(d: TruncatedExp, u: float) -> tuple[float, float]:
+    """(F^-1(u), 1 - u*M) at 50 digits; 1 - u*M is summed as (1-u) + u*(1-M),
+    which cancels nothing."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        lam, t1, t2, u = map(decimal.Decimal, (d.lam, d.theta1, d.theta2, u))
+        rest = (1 - u) + u * (-lam * (t2 - t1)).exp()
+        return float(t1 - rest.ln() / lam), float(rest)
+
+
+@pytest.mark.parametrize("d", REFERENCE_LAWS, ids=lambda d: f"lam={d.lam:.4g}")
+def test_single_form_within_a_few_ulp_of_exact(d):
+    inner = np.nextafter([d.theta1, d.theta2], [d.theta2, d.theta1])
+    ys = np.concatenate([np.linspace(d.theta1, d.theta2, 101), inner])
+    for y, got in zip(ys.tolist(), d.cdf(ys).tolist()):
+        ref = exact_cdf(d, y)
+        assert abs(got - ref) <= 2 * math.ulp(ref), (y, got, ref)
+    tail = 1 - 2.0 ** -np.arange(10, 54, 4)
+    us = np.concatenate([np.linspace(0, 1, 101), [1e-300, 2**-53, 1e-10], tail])
+    for u, got in zip(us.tolist(), sample_truncated_exp(d, us).tolist()):
+        ref, rest = exact_quantile(d, u)
+        # near u = 1, F^-1 is as sensitive to the last bit of M as to its own
+        # rounding: one ulp of M moves it by u * ulp(M) / (lam * (1 - u*M)),
+        # which reaches ~1e12 ulp of y at lam = 40, u = 1 - 2**-53
+        shift = u * math.ulp(d.mass()) / (d.lam * rest) if rest else 0.0
+        assert abs(got - ref) <= 2 * (math.ulp(ref) + shift), (u, got, ref)
+        if u <= 0.99:
+            assert abs(got - ref) <= 4 * math.ulp(ref), (u, got, ref)
+
+
+@pytest.mark.parametrize("d", REFERENCE_LAWS, ids=lambda d: f"lam={d.lam:.4g}")
+def test_single_form_hits_the_endpoints_exactly(d):
+    assert d.cdf(d.theta1) == 0.0 and d.cdf(d.theta2) == 1.0
+    assert sample_truncated_exp(d, 0.0) == d.theta1
+    assert sample_truncated_exp(d, 1.0) == d.theta2
+    assert d.cdf([d.theta1 - 1.0, d.theta2 + 1.0]).tolist() == [0.0, 1.0]
 
 
 # --- decomposition sampler ----------------------------------------------------
@@ -419,13 +476,13 @@ def test_sampler_matches_original_per_center_draws(fixture):
 def test_sweep_matches_single_seed_sampler(fixture):
     host, net = fixture_net(fixture)
     seeds = [*range(5, 105), 2**64 - 1]
-    swept = sample_padded_decompositions(net, fixture.delta, seeds)
+    swept = sample_padded_decompositions(net, seeds)
     assert iter(swept) is swept  # an iterator: partitions are yielded one at a time
     for seed, got in zip(seeds, swept, strict=True):
         expected = sample_padded_decomposition(host, net, fixture.delta, seed)
         assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
     # past one chunk of seeds; the first seeds against the original sampler
-    many = list(sample_padded_decompositions(net, fixture.delta, range(300)))
+    many = list(sample_padded_decompositions(net, range(300)))
     assert [p.seed for p in many] == list(range(300))
     for seed in (0, 1, 255, 256, 299):
         expected = reference_decomposition(net, fixture.delta, seed)
@@ -434,12 +491,12 @@ def test_sweep_matches_single_seed_sampler(fixture):
 
 def test_sweep_rejects_seeds_as_the_single_sampler_does():
     g, net = single_center_net()
-    assert list(sample_padded_decompositions(net, 1.0, [])) == []
+    assert list(sample_padded_decompositions(net, [])) == []
     for seed in (-1, 2**64):
         with pytest.raises(ValueError) as single:
             sample_padded_decomposition(g, net, 1.0, seed)
         with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
-            list(sample_padded_decompositions(net, 1.0, [3, seed]))
+            list(sample_padded_decompositions(net, [3, seed]))
 
 
 @pytest.mark.parametrize("fixture", SAMPLER_FIXTURES[1:4])

@@ -5,6 +5,7 @@ from collections import Counter
 from itertools import chain
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import BuiltPipeline, built
 from fixtures import acceptance_fixtures, decimal_weight_fixture, partial_ktree_fixture
@@ -267,27 +268,46 @@ def test_standalone_checks_keep_no_state_between_graphs():
     assert standalone() == before
 
 
+# --- padding entries at few trials ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "trials, statuses", [(2, ["warn", "fail", "fail"]), (3, ["fail", "fail", "fail"])]
+)
+def test_padding_entry_warns_only_where_no_count_could_pass(monkeypatch, trials, statuses):
+    # no trial pads any ball.  path8's targets are ~0.32, 0.1 and 0.01, and t
+    # padded trials of t bound the rate at t / (t + z^2): 0.27 at t = 2 and
+    # 0.36 at t = 3.  An entry no count could pass warns and names the trial
+    # count that could; one that a count could pass fails
+    data = Path(__file__).resolve().parents[1] / "data"
+    g = parse_edge_list((data / "path8.gr").read_text())
+    td = load_tree_decomposition((data / "path8.td").read_text(), g)
+
+    def none_padded(host, net, delta, gammas, trials, seed, dist_matrix=None):
+        return {gm: np.zeros(host.n, dtype=np.int64) for gm in gammas}
+
+    monkeypatch.setattr(verify, "padded_trial_counts", none_padded)
+    report = full_report(g, td, 2.0, trials=trials)
+    padding = [c for c in report.checks if c.name.startswith("padding-lcb-gamma-")]
+    assert [c.status for c in padding] == statuses
+    assert padding[0].witness == (
+        "vertex 0: no count of 2 trials reaches the target; 3 trials can"
+        if trials == 2
+        else "vertex 0"
+    )
+    assert [c.witness for c in padding[1:]] == ["vertex 0", "vertex 0"]
+    assert not report.ok
+
+
 # --- the report's bytes ---------------------------------------------------------
 
 PINNED_REPORTS = {
-    # sha256 of each report's canonical JSON.  They were taken while the sweep
-    # and the padding counts still read Dijkstra rows, so they also show that
-    # reading the oracle matrix instead changed no byte, decimal weights
-    # included.  The decimal-weight reports were re-taken when the oracle's
-    # center rows moved to Bellman-Ford, which sums each path in path order as
-    # Dijkstra does: net-distance-oracle-agreement turned from fail to pass
-    # there, and no other byte changed.  All six were re-taken when the three
-    # kernel self-tests left the report, and again when the carving and order
-    # reruns left it and dijkstra-floyd-warshall-agreement came to read g's
-    # whole oracle matrix: each report lost those entries, and on decimal
-    # weights the agreement check still fails, now naming source 0.  All six
-    # were re-taken again when sampler-ks left the report, each losing that
-    # entry alone; sp-20d and ktree3-30-dec then read the same at seeds 0
-    # and 1, since every trial there pads every ball (500 of 500).  All six
-    # were re-taken again when dijkstra-floyd-warshall-agreement left the
-    # report and isometry-exact came to compare Bellman-Ford rows: each
-    # report lost that entry alone, and on decimal weights isometry-exact
-    # turned from fail to pass, so ktree3-30-dec's report is now ok
+    # sha256 of each report's canonical JSON at 500 trials.  The CLI goldens
+    # pin `verify` on data/ alone; these pin it on partial k-trees with unit,
+    # integer and decimal weights, at two seeds each, so that a change moving
+    # any verdict, measured value or witness of the report shows here, and is
+    # re-pinned with its reason in CHANGES.md.  sp-20d and ktree3-30-dec read
+    # the same at seeds 0 and 1: every trial there pads every ball
     ("sp-20d", 0): "bba5f9d777c1c05fc9f6ce7542c08a5120a2393078d0a2279967c4d39e2065b1",
     ("sp-20d", 1): "bba5f9d777c1c05fc9f6ce7542c08a5120a2393078d0a2279967c4d39e2065b1",
     ("sp-50w", 0): "c1978a9aff17300596f281d1b7c1592e4443676a561a08867d689e461a568d08",
