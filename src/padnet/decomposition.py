@@ -460,6 +460,27 @@ def wilson_lower_bound(successes: int, trials: int, z: float = _WILSON_Z99) -> f
     return max(0.0, (center - rad) / denom)
 
 
+def _ball_profiles(z: np.ndarray, pair_of: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """One ball's pairs grouped by profile, for `padded_trial_counts`.
+
+    The pairs are (z, class pair pair_of), sorted by z in 0..n-1 with each
+    z's class pairs ascending, and z's profile is its set of class pairs
+    (its own class and the classes in its ball).  Returns (zs, profile,
+    pairs, starts): the vertices with pairs, each one's profile id, and
+    each profile's class pairs, run after run, with the start of each run
+    for reduceat.  Row i of `runs` is zs[i]'s class pairs padded with -1,
+    which no class pair reads, so equal rows are equal profiles.
+    """
+    zs, at = np.unique(z, return_inverse=True)
+    slot = np.arange(z.size) - _run_starts(z, n)
+    runs = np.full((zs.size, int(slot.max()) + 1), -1, dtype=np.intp)
+    runs[at, slot] = pair_of
+    profiles, profile = np.unique(runs, axis=0, return_inverse=True)
+    used = profiles >= 0
+    size = used.sum(axis=1)
+    return zs, profile.reshape(-1), profiles[used], np.cumsum(size) - size
+
+
 def padded_trial_counts(
     g: WeightedGraph,
     net: TreeOrderedNet,
@@ -478,11 +499,19 @@ def padded_trial_counts(
     the distance from z to c's nearest member: by `ball_pairs`, or from the
     per-class minima of the all-pairs `dist_matrix` a caller supplies.  Each
     gamma's ball nests in r_max's and selects its pairs from that list.
-    Memory, besides the pair list: per chunk of t trials, the sampler's
-    (classes, t) labels of the classes' first members (no (n, L, t)
-    tensor), in the smallest integer type that holds the center count, two
-    (pairs) x t gathers of them, one (pairs) x t bool tensor of cut pairs,
-    and for each gamma a copy of its rows of it.  No n x n matrix is
+
+    A pair's cut reads only the labels of its two classes, so z's count
+    depends only on its ball profile: its own class and the classes in its
+    gamma-ball.  Before the trials, each gamma gets a plan: the vertices
+    with pairs, each one's profile, and each distinct profile's (own class,
+    near class) pairs.  Memory, besides the pair list and the plans (one
+    (vertices with pairs) x (most pairs of one vertex) table per gamma to
+    find the profiles): per chunk of t trials, the sampler's (classes, t)
+    labels of the classes' first members, in the smallest integer type that
+    holds the center count, one (class pairs) x t bool tensor of cut class
+    pairs, and for each gamma a (profile pairs) x t gather of it, reduced
+    to one row per profile.  The counts are scattered from the profiles to
+    their vertices once, after the last chunk.  No n x n matrix is
     allocated unless the caller passes one in.
     """
     params = DecompositionParams.from_net(net, delta)
@@ -511,23 +540,28 @@ def padded_trial_counts(
     first = np.unique(cls, return_index=True)[1]
     vertices = np.sort(first)
     col = np.searchsorted(vertices, first)
-    own, cols = col[cls[rows]], col[near]
-    # each gamma with pairs: its pairs, their vertices z and the start of
-    # each z's segment among them, for reduceat
-    segments = {}
+    # class pair p compares columns own[p] and cols[p]; pair_of holds each
+    # listed pair's p, ascending along each z's run (own class, then near)
+    n_cls = len(first)
+    class_pairs, pair_of = np.unique(cls[rows] * n_cls + near, return_inverse=True)
+    own, cols = col[class_pairs // n_cls], col[class_pairs % n_cls]
+    plans = {}
     for gm in gammas:
         sel = np.flatnonzero(pair_d <= gm * params.diameter_bound)
         if sel.size:
-            segments[gm] = (sel, *np.unique(rows[sel], return_index=True))
-    cuts = {gm: np.zeros(g.n, dtype=np.int64) for gm in gammas}
+            plans[gm] = _ball_profiles(rows[sel], pair_of[sel], g.n)
+    cut = {gm: np.zeros(len(plan[3]), dtype=np.int64) for gm, plan in plans.items()}
     label_dtype = np.min_scalar_type(len(net.centers_in_order()))
     for block in sample_assignments(net, seed, trials, vertices=vertices):
         lab = block.T.astype(label_dtype)  # (classes, t), C-contiguous
-        # a pair is cut when its two ends land in different clusters
+        # a class pair is cut when its two classes land in different clusters
         diff = lab[cols] != lab[own]
-        for gm, (sel, z, starts) in segments.items():
-            cuts[gm][z] += np.logical_or.reduceat(diff[sel], starts, axis=0).sum(axis=1)
-    return {gm: trials - c for gm, c in cuts.items()}
+        for gm, (_, _, pairs, starts) in plans.items():
+            cut[gm] += np.logical_or.reduceat(diff[pairs], starts, axis=0).sum(axis=1)
+    counts = {gm: np.full(g.n, trials, dtype=np.int64) for gm in gammas}
+    for gm, (zs, profile, _, _) in plans.items():
+        counts[gm][zs] -= cut[gm][profile]
+    return counts
 
 
 @dataclass(frozen=True)

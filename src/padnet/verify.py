@@ -940,7 +940,7 @@ def full_report(
 
     # the padding counts run last and their checks are spliced in here: perfbench's
     # RssPeaks matches open frames by value, and run earlier, before this report
-    # had grown past its start, their frame could equal the report's (ROADMAP item 4)
+    # had grown past its start, their frame could equal the report's (ROADMAP item 5)
     padding_at = len(checks)
 
     from .covers import build_partition_cover, build_sparse_cover

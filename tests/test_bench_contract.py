@@ -50,6 +50,18 @@ LAYER_COUNTERS = {
 }
 
 
+# artifact hashes a workload's round must print: a change to the bytes of
+# the padding counts fails here, not only in a benchmark run
+ARTIFACTS = {
+    "path-chain": (),
+    "grid-padding": (
+        "artifact padding_counts: sha256 "
+        "0295d74af71a558c5f7772a5dc9c02a4ef4090ad68771d729c8e8903453a164a (14499 bytes)",
+    ),
+    "verify-mix": (),
+}
+
+
 # verify-mix includes a decimal-weight instance: its report must pass too
 @pytest.mark.parametrize("workload", sorted(LAYER_COUNTERS))
 def test_traced_round_runs_clean(bench_copy, workload):
@@ -58,3 +70,5 @@ def test_traced_round_runs_clean(bench_copy, workload):
     assert result["failed"] == 0
     for name in LAYER_COUNTERS[workload]:
         assert result["metrics"][name]["value"] > 0, name
+    for line in ARTIFACTS[workload]:
+        assert line in lines

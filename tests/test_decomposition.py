@@ -620,7 +620,9 @@ def test_padded_trial_counts_match_dense_reference_on_random_nets():
     # compares every pair.  Small deltas give nets with cross-class pairs in
     # the balls, large ones nets of one class; both kinds must turn up.  The
     # first example is a one-class net; on the second, a pair kept per class
-    # other than the nearest would miss a smaller gamma's cut.
+    # other than the nearest would miss a smaller gamma's cut.  On the third,
+    # two vertices share a ball profile at different distances to one of its
+    # classes, so the counts cut that profile once for both.
     kinds = set()
 
     @given(
@@ -634,6 +636,7 @@ def test_padded_trial_counts_match_dense_reference_on_random_nets():
     )
     @example(ktree=True, n=12, k=2, graph_seed=0, delta=40.0, trials=37, supply_dist=False)
     @example(ktree=False, n=30, k=1, graph_seed=0, delta=8.0, trials=37, supply_dist=True)
+    @example(ktree=False, n=10, k=1, graph_seed=0, delta=8.0, trials=300, supply_dist=False)
     @settings(max_examples=40, deadline=None)
     def check(ktree, n, k, graph_seed, delta, trials, supply_dist):
         if ktree:
@@ -658,9 +661,62 @@ def test_padded_trial_counts_match_dense_reference_on_random_nets():
             kinds.add("one class")
         elif cross.any():
             kinds.add("cross-class pairs")
+        for gm in gammas:
+            has, rows, dist = ball_profiles(d, cls, gm * params.diameter_bound)
+            shared = len(np.unique(rows[has], axis=0))
+            if len(np.unique(np.column_stack([rows, dist])[has], axis=0)) > shared:
+                kinds.add("profile shared at unequal distances")
 
     check()
-    assert kinds == {"one class", "cross-class pairs"}
+    assert kinds == {"one class", "cross-class pairs", "profile shared at unequal distances"}
+
+
+def ball_profiles(d, cls, radius):
+    """Per vertex: whether some other claim class lies within radius, its
+    (own class, classes within radius) profile, and its distances to them."""
+    nearest = np.full((len(cls), cls.max() + 1), np.inf)
+    np.minimum.at(nearest.T, cls, d.T)
+    near = nearest <= radius
+    near[np.arange(len(cls)), cls] = False
+    return near.any(axis=1), np.column_stack([cls, near]), np.where(near, nearest, -1.0)
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        pytest.param(BY_NAME["grid-7"], id="grid-7"),
+        pytest.param(
+            partial_ktree_fixture(60, 2, seed=5, drop=0.3, weighted=True, delta=4.0),
+            id="sp-60w",
+        ),
+    ],
+)
+def test_ball_profiles_are_fewer_than_their_vertices(fixture, monkeypatch):
+    # the counts cut each distinct (own class, classes in the ball) once, and
+    # on these nets the vertices with pairs share far fewer profiles
+    host, net = fixture_net(fixture)
+    params = DecompositionParams.from_net(net, fixture.delta)
+    gammas = [0.0, *params.default_gammas()]
+    plans = []
+    real = decomposition._ball_profiles
+
+    def spy(z, pair_of, n):
+        plans.append(real(z, pair_of, n))
+        return plans[-1]
+
+    monkeypatch.setattr(decomposition, "_ball_profiles", spy)
+    padded_trial_counts(host, net, fixture.delta, gammas, trials=1, seed=0)
+    cls, d = decomposition._claim_classes(net), all_pairs(host)
+    with_pairs = [gm for gm in gammas if ball_profiles(d, cls, gm * params.diameter_bound)[0].any()]
+    assert len(plans) == len(with_pairs) > 0
+    for (zs, profile, _, starts), gm in zip(plans, with_pairs):
+        has, rows, _ = ball_profiles(d, cls, gm * params.diameter_bound)
+        assert zs.tolist() == np.flatnonzero(has).tolist()
+        assert len(starts) == profile.max() + 1 < len(zs), gm
+        # two vertices share a profile exactly when their reference rows match
+        ref = np.unique(rows[zs], axis=0, return_inverse=True)[1].reshape(-1)
+        both = np.unique(np.column_stack([profile, ref]), axis=0)
+        assert len(both) == ref.max() + 1 == len(starts)
 
 
 @pytest.mark.parametrize("fixture", SAMPLER_FIXTURES)

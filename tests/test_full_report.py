@@ -304,16 +304,17 @@ def test_padding_entry_warns_only_where_no_count_could_pass(monkeypatch, trials,
 PINNED_REPORTS = {
     # sha256 of each report's canonical JSON at 500 trials.  The CLI goldens
     # pin `verify` on data/ alone; these pin it on partial k-trees with unit,
-    # integer and decimal weights, at two seeds each, so that a change moving
-    # any verdict, measured value or witness of the report shows here, and is
-    # re-pinned with its reason in CHANGES.md.  sp-20d and ktree3-30-dec read
-    # the same at seeds 0 and 1: every trial there pads every ball
+    # integer and decimal weights, so that a change moving any verdict,
+    # measured value or witness of the report shows here, and is re-pinned
+    # with its reason in CHANGES.md.  sp-20d and ktree3-30-dec read the same
+    # at every seed (every trial pads every ball), so they are pinned at one;
+    # sp-50w and sp-60w are pinned at two, where their padding-lcb values differ
     ("sp-20d", 0): "bba5f9d777c1c05fc9f6ce7542c08a5120a2393078d0a2279967c4d39e2065b1",
-    ("sp-20d", 1): "bba5f9d777c1c05fc9f6ce7542c08a5120a2393078d0a2279967c4d39e2065b1",
     ("sp-50w", 0): "c1978a9aff17300596f281d1b7c1592e4443676a561a08867d689e461a568d08",
     ("sp-50w", 1): "8705871578c7bb1f9a7da9c17517599d7375c06aae4cb4455d46de3a798c2d66",
+    ("sp-60w", 0): "1b46d0e88f354a9416cb33d03ed5e732d0abb4a56e08a72a6fabc95de8d494be",
+    ("sp-60w", 1): "ca42e529c6dfa8aa622856c5382da44b097939af4f6bddeb4ac4c938c6597415",
     ("ktree3-30-dec", 0): "13f58df3c8e4a06e3cc133b2aa1f2933362787922edd62eb127f70296945eab5",
-    ("ktree3-30-dec", 1): "13f58df3c8e4a06e3cc133b2aa1f2933362787922edd62eb127f70296945eab5",
 }
 
 
@@ -323,6 +324,7 @@ def _pinned_fixtures():
         for f in [
             partial_ktree_fixture(20, 2, seed=11, drop=0.3, delta=2.0),
             partial_ktree_fixture(50, 2, seed=13, drop=0.2, weighted=True, delta=8.0),
+            partial_ktree_fixture(60, 2, seed=5, drop=0.3, weighted=True, delta=4.0),
             decimal_weight_fixture(partial_ktree_fixture(30, 3, seed=21, delta=1.0), seed=4),
         ]
     }
