@@ -78,15 +78,6 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _original_ids(emb) -> dict[int, int]:
-    """Host vertex -> the input vertex whose designated copy it is."""
-    return {h: v for v, h in enumerate(emb.forward.tolist())}
-
-
-def _project_members(original: dict[int, int], members) -> list[int]:
-    return sorted(original[h] for h in members if h in original)
-
-
 def cmd_convert(args) -> int:
     g, td = _load_inputs(args)
     emb = td_to_tree_partition(g, td)
@@ -139,9 +130,8 @@ def cmd_decompose(args) -> int:
     seeds = range(args.seed, args.seed + args.trials)
     for part in sample_padded_decompositions(net, seeds):
         d = part.to_json_dict()
-        d["original_assignment"] = {
-            str(v): int(part.assignment[emb.forward[v]]) for v in range(g.n)
-        }
+        original = emb.original_assignment(part.assignment).tolist()
+        d["original_assignment"] = {str(v): c for v, c in enumerate(original)}
         samples.append(d)
     payload = {
         "command": "decompose",
@@ -159,9 +149,8 @@ def cmd_cover(args) -> int:
     cover = build_sparse_cover(emb.host, net, args.delta)
     payload = cover.to_json_dict()
     payload["command"] = "cover"
-    original = _original_ids(emb)
     for c, cluster in zip(payload["clusters"], cover.clusters):
-        c["original_members"] = _project_members(original, cluster.members)
+        c["original_members"] = emb.original_members(cluster.members)
     _emit(args, payload)
     return 0
 
@@ -173,10 +162,9 @@ def cmd_partition_cover(args) -> int:
     payload = pcover.to_json_dict()
     payload["command"] = "partition-cover"
     payload["tau_emp"] = net.tau_emp
-    original = _original_ids(emb)
     for part, built in zip(payload["partitions"], pcover.partitions):
         for c, cluster in zip(part, built):
-            c["original_members"] = _project_members(original, cluster.members)
+            c["original_members"] = emb.original_members(cluster.members)
     _emit(args, payload)
     return 0
 

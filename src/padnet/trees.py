@@ -10,6 +10,7 @@ the original metric exactly, and whose max bag size equals the source's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -189,6 +190,18 @@ class IsometricEmbedding:
     tree_partition: TreePartition
     forward: np.ndarray
     copies: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def _original(self) -> dict[int, int]:  # host vertex -> the vertex it is the designated copy of
+        return {h: v for v, h in enumerate(self.forward.tolist())}
+
+    def original_assignment(self, assignment: np.ndarray) -> np.ndarray:
+        """Each vertex's entry of a host assignment: its designated copy's."""
+        return assignment[self.forward]
+
+    def original_members(self, members) -> list[int]:
+        """The vertices whose designated copy is among the host vertices `members`, sorted."""
+        return sorted(self._original[h] for h in members if h in self._original)
 
 
 def load_tree_decomposition(text: str, g: WeightedGraph) -> TreeDecomposition:

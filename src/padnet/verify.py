@@ -2,10 +2,11 @@
 
 `oracle_all_pairs` is a Floyd-Warshall path and `_bellman_ford_rows` a
 radius-bounded Bellman-Ford over the edge list; neither shares code with the
-Dijkstra search in `graph`.  Every structure the other modules produce is
-certified here: conversion isometry, core-carving invariants, net
-covering/packing, decomposition and cover guarantees.  The report certifies
-the instance, not the kernel: the Dijkstra search's own properties
+Dijkstra search in `graph`, and no check calls that search: `core-ball-replay`
+takes a core's ball as the least of its centers' Bellman-Ford rows.  Every
+structure the other modules produce is certified here: conversion isometry,
+core-carving invariants, net covering/packing, decomposition and cover
+guarantees.  The report certifies the instance, not the kernel: the Dijkstra search's own properties
 (agreement with Bellman-Ford and Floyd-Warshall, restriction never shortens,
 balls nest, weak diameter <= strong) are tests in tests/test_graph.py, and
 the carving's and the order's determinism tests in tests/test_ordered_net.py.
@@ -58,7 +59,9 @@ calls.
   the net's center table, group the vertices claimed alike in every trial.
 - The net's center rows (`_oracle_center_distances`), all from one
   Bellman-Ford call bounded at the table's `center_radius`: the net checks
-  and the sparse cover's packing counts.
+  and the packing table, which bounds the sparse cover's count at each vertex
+  and, by its maximum (`net-packing-alpha-delta`'s value), the partition
+  cover's count.
 - One Floyd-Warshall run per distinct cover cluster (strong diameters, in
   the induced subgraph): the two covers share one table of diameters keyed
   by sorted member ids, seeded with the host's own diameter.
@@ -386,8 +389,9 @@ def _replay_carving(
         elif replay is None and not (support.any() and c.centers <= set(np.flatnonzero(support).tolist())):
             replay = f"core {c.id}: centers outside its replayed support"
         elif replay is None:
-            dist = shortest_paths(g, support, sorted(c.centers), limit=delta)  # exact up to delta
-            if c.members != set(np.flatnonzero(dist <= delta).tolist()):
+            centers = np.fromiter(c.centers, dtype=np.int64)  # the ball: least of their rows
+            rows = _bellman_ford_rows(g, centers, np.broadcast_to(support, (centers.size, g.n)), delta)
+            if c.members != set(np.flatnonzero(rows.min(axis=0, initial=np.inf) <= delta).tolist()):
                 replay = f"core {c.id}: recorded members differ from replayed ball"
         covered[members[i]] = True
         attached[members[i]] = nb if c.center_bag == root else tp.parent[c.center_bag]
@@ -712,23 +716,20 @@ def verify_cover(
     alpha: float,
     delta: float,
     host_dist: np.ndarray,
-    packing_counts: np.ndarray | None = None,
-    tau: int | None = None,
-    diameters: dict[bytes, float] | None = None,
+    packing_counts: np.ndarray,
+    diameters: dict[bytes, float],
 ) -> VerificationReport:
     """Certify a cover; host_dist is g's (n, n) oracle matrix.  No cap is
     read: each cluster's oracle run is on an induced subgraph of g.
 
-    diameters maps a cluster's sorted member ids (int64 bytes) to the oracle
-    diameter of the subgraph they induce; a cluster found there gets no
-    oracle run, and every other cluster's diameter is added to it.  A table
-    is made here when not given.
+    packing_counts holds each vertex's oracle count of centers within alpha *
+    delta.  diameters maps a cluster's sorted member ids (int64 bytes) to the
+    oracle diameter of the subgraph they induce; a cluster found there gets
+    no oracle run, and every other cluster's diameter is added to it.
     """
-    if diameters is None:
-        diameters = {}
     if isinstance(cover, SparseCover):
         return _verify_sparse_cover(g, cover, alpha, delta, host_dist, packing_counts, diameters)
-    return _verify_partition_cover(g, cover, alpha, delta, host_dist, tau, diameters)
+    return _verify_partition_cover(g, cover, alpha, delta, host_dist, packing_counts, diameters)
 
 
 def _worst_strong_diameter(
@@ -777,17 +778,16 @@ def _verify_sparse_cover(g, cover, alpha, delta, host_dist, packing_counts, diam
             witness=dropped and f"cluster {dropped[0]}: member {dropped[1]} outside vertices 0..{g.n - 1}",
         )
     )
-    if packing_counts is not None:
-        ok = bool((per_vertex <= packing_counts).all())
-        checks.append(
-            _check(
-                "cover-sparsity-vs-packing",
-                ok,
-                measured=int(per_vertex.max()),
-                bound=int(packing_counts.max()),
-                witness=None if ok else f"vertex {int(np.flatnonzero(per_vertex > packing_counts)[0])}",
-            )
+    ok = bool((per_vertex <= packing_counts).all())
+    checks.append(
+        _check(
+            "cover-sparsity-vs-packing",
+            ok,
+            measured=int(per_vertex.max()),
+            bound=int(packing_counts.max()),
+            witness=None if ok else f"vertex {int(np.flatnonzero(per_vertex > packing_counts)[0])}",
         )
+    )
 
     bound = 2 * alpha * delta + TOL
     worst, worst_c = _worst_strong_diameter(g, _split(owner, member, len(cover.clusters)), diameters)
@@ -809,7 +809,7 @@ def _verify_sparse_cover(g, cover, alpha, delta, host_dist, packing_counts, diam
     return VerificationReport(checks)
 
 
-def _verify_partition_cover(g, cover, alpha, delta, host_dist, tau, diameters):
+def _verify_partition_cover(g, cover, alpha, delta, host_dist, packing_counts, diameters):
     checks: list[CheckResult] = []
     clusters = [c for part in cover.partitions for c in part]
     owner, member, dropped = _memberships([c.members for c in clusters], g.n)
@@ -824,18 +824,17 @@ def _verify_partition_cover(g, cover, alpha, delta, host_dist, tau, diameters):
         bad = f"partition {pi}: vertex {v} in {seen[pi, v]} clusters"
     checks.append(_check("partition-cover-partitions-valid", bad is None, witness=bad))
 
-    if tau is not None:
-        count = len(cover.partitions)
-        checks.append(
-            _check(
-                "partition-cover-count",
-                count <= tau,
-                measured=count,
-                bound=tau,
-                witness=f"{count} partitions",
-                warn=count <= tau + 1,
-            )
+    count, tau = len(cover.partitions), int(packing_counts.max())
+    checks.append(
+        _check(
+            "partition-cover-count",
+            count <= tau,
+            measured=count,
+            bound=tau,
+            witness=f"{count} partitions",
+            warn=count <= tau + 1,
         )
+    )
 
     bound = alpha * delta + TOL
     worst, i = _worst_strong_diameter(g, _split(owner, member, len(clusters)), diameters)
@@ -950,9 +949,7 @@ def full_report(
     # every host vertex, whose diameter is the host's own
     diameters = {np.arange(host.n, dtype=np.int64).tobytes(): float(dh.max())}
     cover = build_sparse_cover(host, net, delta)
-    checks.extend(
-        verify_cover(host, cover, alpha, delta, dh, packing_counts=pk_counts, diameters=diameters).checks
-    )
+    checks.extend(verify_cover(host, cover, alpha, delta, dh, pk_counts, diameters).checks)
     if alpha <= 2:
         # the partition cover's padding radius (alpha-2)*delta/4 needs alpha > 2
         checks.append(
@@ -967,9 +964,7 @@ def full_report(
         )
     else:
         pcover = build_partition_cover(host, net, delta)
-        checks.extend(
-            verify_cover(host, pcover, alpha, delta, dh, tau=net.tau_emp, diameters=diameters).checks
-        )
+        checks.extend(verify_cover(host, pcover, alpha, delta, dh, pk_counts, diameters).checks)
 
     gammas = params.default_gammas()
     counts = padded_trial_counts(host, net, delta, gammas, trials, seed, dist_matrix=dh)

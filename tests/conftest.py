@@ -53,6 +53,12 @@ class BuiltPipeline:
             self._center_dist = _oracle_center_distances(self.host, self.net)
         return self._center_dist
 
+    @property
+    def packing_counts(self) -> np.ndarray:
+        """Net centers within 3 * delta of each vertex in the oracle rows, as
+        full_report passes them to verify_cover at alpha 3."""
+        return (self.center_dist <= 3.0 * self.delta).sum(axis=0)
+
 
 _CACHE: dict[tuple, BuiltPipeline] = {}
 

@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from padnet.cli import FLAGS, HANDLERS, _original_ids, _project_members, build_parser, main
+from padnet.cli import FLAGS, HANDLERS, build_parser, main
 from padnet.decomposition import DecompositionParams
 from padnet.graph import parse_edge_list
 from padnet.ordered_net import build_tree_ordered_net
@@ -89,7 +89,6 @@ def test_projection_matches_brute_force():
     designated = set(emb.forward.tolist())
     others = [h for h in range(emb.host.n) if h not in designated]
     assert others  # the host has copies that stand for no input vertex
-    original = _original_ids(emb)
     rng = np.random.default_rng(4)
     member_sets = [set(), set(others), set(range(emb.host.n))]
     member_sets += [
@@ -98,7 +97,10 @@ def test_projection_matches_brute_force():
     ]
     for members in member_sets:
         brute = sorted(v for v in range(g.n) if int(emb.forward[v]) in members)
-        assert _project_members(original, frozenset(members)) == brute
+        assert emb.original_members(frozenset(members)) == brute
+    assignment = rng.integers(0, 5, size=emb.host.n)
+    brute = [assignment[int(emb.forward[v])] for v in range(g.n)]
+    assert emb.original_assignment(assignment).tolist() == brute
 
 
 def test_verify_exits_zero_and_validates(capsys, tmp_path):

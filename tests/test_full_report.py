@@ -248,6 +248,26 @@ def test_kernel_helpers_imported_only_for_the_tracer(monkeypatch):
     assert report.ok, report.format_table()
 
 
+def test_partition_cover_count_reads_the_oracle_packing_table(monkeypatch):
+    # a net that overstates its packing value fails net-packing-alpha-delta, and
+    # the partition count is still bounded by the oracle's alpha*delta maximum
+    f = next(f for f in acceptance_fixtures() if f.name == "grid-5")
+    build = verify.semi_to_tree_order
+    true_tau = []
+
+    def inflated(*args, **kwargs):
+        net = build(*args, **kwargs)
+        true_tau.append(net.tau_emp)
+        net.tau_emp += 1
+        return net
+
+    monkeypatch.setattr(verify, "semi_to_tree_order", inflated)
+    checks = {c.name: c for c in full_report(f.graph, f.td, f.delta, trials=200, oracle_cap=200).checks}
+    assert checks["net-packing-alpha-delta"].status == "fail"
+    assert checks["net-packing-alpha-delta"].measured == true_tau[0]
+    assert checks["partition-cover-count"].bound == true_tau[0]
+
+
 def test_standalone_checks_keep_no_state_between_graphs():
     a = built(next(f for f in acceptance_fixtures() if f.name == "path-30"))
     other = partial_ktree_fixture(20, 2, seed=11, drop=0.3, delta=2.0)
@@ -258,8 +278,8 @@ def test_standalone_checks_keep_no_state_between_graphs():
         dist = a.host_dist
         return [
             verify_net(a.host, a.net, a.delta, a.center_dist).to_json_dict(),
-            verify_cover(a.host, cover, 3.0, a.delta, dist).to_json_dict(),
-            verify_cover(a.host, pcover, 3.0, a.delta, dist, tau=a.net.tau_emp).to_json_dict(),
+            verify_cover(a.host, cover, 3.0, a.delta, dist, a.packing_counts, {}).to_json_dict(),
+            verify_cover(a.host, pcover, 3.0, a.delta, dist, a.packing_counts, {}).to_json_dict(),
         ]
 
     before = standalone()
@@ -336,6 +356,19 @@ def test_full_report_bytes_pinned(name, seed):
     report = full_report(f.graph, f.td, f.delta, seed=seed, trials=500, oracle_cap=1000)
     blob = json.dumps(report.to_json_dict(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == PINNED_REPORTS[(name, seed)]
+
+
+def test_pinned_report_calls_no_dijkstra(monkeypatch):
+    # every check reads the oracles: with verify's Dijkstra binding raising,
+    # a pinned report comes out byte for byte
+    def fail(*args, **kwargs):
+        raise AssertionError("the report called the Dijkstra search")
+
+    monkeypatch.setattr(verify, "shortest_paths", fail)
+    f = _pinned_fixtures()["sp-50w"]
+    report = full_report(f.graph, f.td, f.delta, seed=1, trials=500, oracle_cap=1000)
+    blob = json.dumps(report.to_json_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_REPORTS[("sp-50w", 1)]
 
 
 # --- the partition sweep --------------------------------------------------------

@@ -35,6 +35,7 @@ from padnet.trees import IsometricEmbedding, TreeDecomposition, TreePartition, t
 from padnet.verify import (
     _bellman_ford_rows,
     _oracle_center_distances,
+    _replay_carving,
     oracle_all_pairs,
     sampler_ks_check,
     verify_cores,
@@ -118,7 +119,7 @@ def test_oracle_matches_search_on_random_graphs():
             assert d[members].tolist() == row.tolist()
 
 
-@pytest.mark.parametrize("oracle", [oracle_all_pairs, _bellman_ford_rows])
+@pytest.mark.parametrize("oracle", [oracle_all_pairs, _bellman_ford_rows, _replay_carving])
 def test_oracle_reads_nothing_from_the_code_it_checks(oracle):
     checked = {"padnet.graph", "padnet.ordered_net", "padnet.decomposition", "padnet.covers"}
     refs = inspect.getclosurevars(oracle)
@@ -510,7 +511,8 @@ def test_cover_all_pass_single_cluster():
     tp = TreePartition(bags=(frozenset([0, 1, 2]),), parent=(-1,))
     net = build_tree_ordered_net(g, tp, 2.0)
     cover = build_sparse_cover(g, net, 2.0)
-    rep = verify_cover(g, cover, 3.0, 2.0, oracle_all_pairs(g, range(3)))
+    counts = (_oracle_center_distances(g, net) <= 3.0 * 2.0).sum(axis=0)
+    rep = verify_cover(g, cover, 3.0, 2.0, oracle_all_pairs(g, range(3)), counts, {})
     assert rep.ok
 
 
@@ -519,7 +521,7 @@ def test_inflated_padding_radius_detected():
     # radius, (5-1)*delta/2 = 2*delta; on a path that must break containment
     b = built(BY_NAME["path-30"])
     cover = build_sparse_cover(b.host, b.net, b.delta)
-    rep = verify_cover(b.host, cover, 5.0, b.delta, b.host_dist)
+    rep = verify_cover(b.host, cover, 5.0, b.delta, b.host_dist, b.packing_counts, {})
     assert find(rep, "cover-ball-containment").status == "fail"
 
 
@@ -529,7 +531,7 @@ def test_cover_diameter_fault():
     fake = CoverCluster(center=0, members=far)
     cover = build_sparse_cover(b.host, b.net, b.delta)
     bad = dataclasses.replace(cover, clusters=cover.clusters + (fake,))
-    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist)
+    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, {})
     assert find(rep, "cover-strong-diameter").status == "fail"
 
 
@@ -537,16 +539,16 @@ def test_partition_cover_warn_band_and_fail():
     b = built(BY_NAME["grid-5"])
     pcover = build_partition_cover(b.host, b.net, b.delta)
     count = len(pcover.partitions)
-    rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, tau=count - 1)
+    rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, np.full(b.host.n, count - 1), {})
     assert find(rep, "partition-cover-count").status == "warn"
-    rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, tau=count - 2)
+    rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, np.full(b.host.n, count - 2), {})
     assert find(rep, "partition-cover-count").status == "fail"
 
     # duplicated vertex inside one partition
     first = pcover.partitions[0]
     dupe = PartitionCluster(kind="singleton", center=0, radius=0.0, members=frozenset([0]))
     bad = dataclasses.replace(pcover, partitions=(first + (dupe,),) + pcover.partitions[1:])
-    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, tau=b.net.tau_emp)
+    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, {})
     assert find(rep, "partition-cover-partitions-valid").status == "fail"
 
 
@@ -797,7 +799,7 @@ def _sparse_cover_record(b, v):
     cover = build_sparse_cover(b.host, b.net, b.delta)
     i, clusters = _renamed(cover.clusters, b.host.n - 1, v)
     bad = dataclasses.replace(cover, clusters=clusters)
-    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist)
+    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, {})
     witness = f"cluster {i}: member {v} outside vertices 0..{b.host.n - 1}"
     return rep.checks, {"cover-every-vertex-covered": witness}
 
@@ -808,7 +810,7 @@ def _partition_cover_record(b, v):
     partitions = list(pcover.partitions)
     partitions[p] = _renamed(partitions[p], b.host.n - 1, v)[1]
     bad = dataclasses.replace(pcover, partitions=tuple(partitions))
-    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, tau=b.net.tau_emp)
+    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, {})
     witness = f"partition {p}: member {v} outside vertices 0..{b.host.n - 1}"
     return rep.checks, {"partition-cover-partitions-valid": witness}
 
@@ -925,13 +927,13 @@ def test_cluster_of_outside_members_only_fails_without_raising(kind):
     elif kind == "sparse-cover":
         cover = build_sparse_cover(b.host, b.net, b.delta)
         bad = dataclasses.replace(cover, clusters=cover.clusters + (CoverCluster(n, outside),))
-        checks = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist).checks
+        checks = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, {}).checks
         name, witness = "cover-every-vertex-covered", f"cluster {len(cover.clusters)}: {witness}"
     else:
         pcover = build_partition_cover(b.host, b.net, b.delta)
         extra = (PartitionCluster(kind="net", center=n, radius=0.0, members=outside),)
         bad = dataclasses.replace(pcover, partitions=pcover.partitions + (extra,))
-        checks = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist).checks
+        checks = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, {}).checks
         name, witness = "partition-cover-partitions-valid", f"partition {len(pcover.partitions)}: {witness}"
     assert find_check(checks, name).status == "fail"
     assert find_check(checks, name).witness == witness
