@@ -1,10 +1,10 @@
 """Independent oracles and the consolidated invariant suite.
 
 `oracle_all_pairs` is a Floyd-Warshall path and `_bellman_ford_rows` a
-radius-bounded Bellman-Ford over the edge list; neither shares code with the
-Dijkstra search in `graph`, and no check calls that search: `core-ball-replay`
-takes a core's ball as the least of its centers' Bellman-Ford rows.  Every
-structure the other modules produce is certified here: conversion isometry,
+radius-bounded Bellman-Ford over key intervals, each row costing its ball;
+neither shares code with the Dijkstra search in `graph`, and no check calls
+that search: `core-ball-replay` takes a core's ball from its centers' rows.
+Every structure the other modules produce is certified here: conversion isometry,
 core-carving invariants, net covering/packing, decomposition and cover
 guarantees.  The report certifies the instance, not the kernel: the Dijkstra search's own properties
 (agreement with Bellman-Ford and Floyd-Warshall, restriction never shortens,
@@ -49,7 +49,7 @@ computes each once and passes it on as an argument, and `verify_net` and
 the net once too, and certifies that one copy.  Nothing is cached between
 calls.
 - Bellman-Ford rows of g from every vertex and of the host from every
-  designated copy: `isometry-exact`.
+  designated copy, each over all vertices: `isometry-exact`.
 - The host's all-pairs matrix (Floyd-Warshall): the copy checks, both
   ball-containment checks, the partition sweep's weak diameters and
   `padded_trial_counts`.  The sweep and the padding counts are thus
@@ -57,8 +57,8 @@ calls.
   share with the code under test.  The padding counts list their ball
   pairs from that matrix's per-class minima; the claim classes, read from
   the net's center table, group the vertices claimed alike in every trial.
-- The net's center rows (`_oracle_center_distances`), all from one
-  Bellman-Ford call bounded at the table's `center_radius`: the net checks
+- The net's center rows (`_oracle_center_distances`), each kept to its
+  center's preorder interval, bounded at `center_radius`: the net checks
   and the packing table, which bounds the sparse cover's count at each vertex
   and, by its maximum (`net-packing-alpha-delta`'s value), the partition
   cover's count.
@@ -289,8 +289,8 @@ def _embedding_checks(
         # a host path between designated copies is a path of g with zero-weight
         # edges inserted, and both sides sum in path order: equal distances are
         # equal floats on any weights
-        dg = _bellman_ford_rows(g, np.arange(g.n), np.ones((g.n, g.n), dtype=bool), np.inf)
-        from_copies = _bellman_ford_rows(host, fwd, np.ones((g.n, host.n), dtype=bool), np.inf)
+        dg = _bellman_ford_rows(_edge_lists(g), np.arange(g.n), bytes(g.n), 0, 1, np.inf)
+        from_copies = _bellman_ford_rows(_edge_lists(host), fwd, bytes(host.n), 0, 1, np.inf)
         diff = np.abs(from_copies[:, fwd] - dg)
         i, j = divmod(int(diff.argmax()), g.n)
         worst = float(diff[i, j])
@@ -327,11 +327,10 @@ def _embedding_checks(
 def misplaced_attachments(
     attached: np.ndarray, bag_of: np.ndarray, tin: np.ndarray, tout: np.ndarray
 ) -> np.ndarray:
-    """Vertices held by an attachment whose bag is not a proper ancestor of
-    their own bag.
+    """The indices i whose attachment's bag attached[i] (len(tin): none) is
+    not a proper ancestor of their own bag bag_of[i]; vertices, on whole arrays.
 
-    attached[v] is the bag whose attachment holds v, len(tin) for none;
-    bag a is a proper ancestor of bag b iff tin[a] < tin[b] < tout[a].
+    Bag a is a proper ancestor of bag b iff tin[a] < tin[b] < tout[a].
     """
     held = np.flatnonzero(attached < len(tin))
     a, vb = attached[held], bag_of[held]
@@ -371,6 +370,7 @@ def _replay_carving(
         entry = (comp.root_bag, bags, tin[bags])
         component.update({(comp.round_no, b): entry for b in bags.tolist()})
     no_bags = np.zeros(0, dtype=np.int64)
+    out = _edge_lists(g)
     covered = np.zeros(g.n, dtype=bool)
     attached = np.full(g.n, nb)
     leaves = replay = misplaced = None
@@ -388,14 +388,14 @@ def _replay_carving(
             replay = stray[i]
         elif replay is None and not (support.any() and c.centers <= set(np.flatnonzero(support).tolist())):
             replay = f"core {c.id}: centers outside its replayed support"
-        elif replay is None:
-            centers = np.fromiter(c.centers, dtype=np.int64)  # the ball: least of their rows
-            rows = _bellman_ford_rows(g, centers, np.broadcast_to(support, (centers.size, g.n)), delta)
+        elif replay is None:  # the ball: the least of its centers' rows
+            rows = _bellman_ford_rows(out, list(c.centers), support.tobytes(), 1, 2, delta)
             if c.members != set(np.flatnonzero(rows.min(axis=0, initial=np.inf) <= delta).tolist()):
                 replay = f"core {c.id}: recorded members differ from replayed ball"
         covered[members[i]] = True
         attached[members[i]] = nb if c.center_bag == root else tp.parent[c.center_bag]
-        if misplaced is None and len(bad := misplaced_attachments(attached, bag_of, tin, tout)):
+        held = np.sort(members[i])  # the only entries changed, and none was misplaced before
+        if misplaced is None and len(bad := held[misplaced_attachments(attached[held], bag_of[held], tin, tout)]):
             misplaced = (
                 f"attachment of bag {attached[bad[0]]} holds vertex {bad[0]} "
                 f"of bag {bag_of[bad[0]]}, not a proper descendant"
@@ -527,40 +527,41 @@ def _laminar_fault(components) -> str | None:
 # net checks
 
 
-def _bellman_ford_rows(
-    g: WeightedGraph, sources: np.ndarray, masks: np.ndarray, limit: float
-) -> np.ndarray:
-    """Distances from sources[i] inside G[masks[i]], as (rows, n), by
-    Bellman-Ford over g's edge list.
+def _edge_lists(g: WeightedGraph) -> list[list[tuple[int, float]]]:
+    """Each vertex's (neighbour, weight) pairs, read from g's edge list."""
+    out: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
+    for u, v, w in g.edges:
+        out[u].append((v, w))
+        out[v].append((u, w))
+    return out
 
-    Each sweep relaxes every directed edge with both ends in a row's mask,
-    in all rows at once, and the sweeps stop at the fixpoint.  A candidate
-    above `limit` is never recorded, so entries beyond it stay +inf.  Each
-    path is summed in path order, as Dijkstra sums it, and the fixpoint
-    holds the least such sum over the paths whose prefixes are all within
-    `limit`, so the rows equal a Dijkstra bounded at `limit` bit for bit.
+
+def _bellman_ford_rows(out, sources, key, lo, hi, limit: float) -> np.ndarray:
+    """Distances from sources[i] over the vertices v with lo[i] <= key[v] <
+    hi[i] (lo, hi broadcast; key a bytes mask or a list of preorder numbers),
+    as (rows, n), by Bellman-Ford over `_edge_lists`' lists.
+
+    Each sweep relaxes the out-edges of the vertices whose distance fell, and
+    no candidate above `limit` is recorded, so a row costs its ball.  A value
+    recorded sums a path in path order, each prefix within `limit`.  Float
+    addition is monotone, so at the fixpoint no entry on such a path exceeds
+    its prefix sum: the least such sums, a bounded Dijkstra's bit for bit.
     """
-    rows = len(sources)
-    d = np.full((rows, g.n), np.inf)
-    d[np.arange(rows), sources] = 0.0
-    if not g.edges or not rows:
-        return d
-    u, v, w = np.array(g.edges).T
-    # both directions, grouped by head so that reduceat takes each head's minimum
-    tail = np.concatenate((u, v)).astype(np.int64)
-    head = np.concatenate((v, u)).astype(np.int64)
-    by_head = np.argsort(head, kind="stable")
-    tail, head, w = tail[by_head], head[by_head], np.concatenate((w, w))[by_head]
-    heads, starts = np.unique(head, return_index=True)
-    outside = ~(masks[:, tail] & masks[:, head])
-    while True:
-        cand = d[:, tail] + w
-        cand[outside | (cand > limit)] = np.inf
-        best = np.minimum.reduceat(cand, starts, axis=1)
-        now = d[:, heads]
-        if not (best < now).any():
-            return d
-        d[:, heads] = np.minimum(now, best)
+    d = np.full((len(sources), len(out)), np.inf)
+    for i, (s, a, b) in enumerate(zip(*(x.tolist() for x in np.broadcast_arrays(sources, lo, hi)))):
+        dist, fell = {s: 0.0}, [s]
+        while fell:
+            now = {}
+            for u in fell:
+                du = dist[u]
+                for v, w in out[u]:
+                    nd = du + w
+                    if nd < dist.get(v, math.inf) and nd <= limit and a <= key[v] < b:
+                        dist[v] = nd
+                        now[v] = None
+            fell = now
+        d[i, list(dist)] = list(dist.values())
+    return d
 
 
 def _oracle_center_distances(g: WeightedGraph, net: TreeOrderedNet) -> np.ndarray:
@@ -568,13 +569,11 @@ def _oracle_center_distances(g: WeightedGraph, net: TreeOrderedNet) -> np.ndarra
     centers_in_order()[i] inside its descendant subgraph up to
     `net.center_radius`, +inf beyond, as the net's own table holds them.
 
-    The descendant masks come from the order's preorder intervals, and one
-    `_bellman_ford_rows` call computes every row.
+    Row i keeps its center's preorder interval; one call computes every row.
     """
     centers = net.centers_in_order()
     tin, tout = net.vertex_intervals()
-    masks = (tin >= tin[centers, None]) & (tin < tout[centers, None])
-    return _bellman_ford_rows(g, centers, masks, net.center_radius)
+    return _bellman_ford_rows(_edge_lists(g), centers, tin.tolist(), tin[centers], tout[centers], net.center_radius)
 
 
 def verify_net(
@@ -939,7 +938,7 @@ def full_report(
 
     # the padding counts run last and their checks are spliced in here: perfbench's
     # RssPeaks matches open frames by value, and run earlier, before this report
-    # had grown past its start, their frame could equal the report's (ROADMAP item 5)
+    # had grown past its start, their frame could equal the report's (perfbench/tracing.py)
     padding_at = len(checks)
 
     from .covers import build_partition_cover, build_sparse_cover

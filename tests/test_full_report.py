@@ -190,7 +190,7 @@ def test_over_cap_input_refused_before_any_check(monkeypatch, over):
     def fail(*args, **kwargs):
         raise AssertionError("a check or an oracle run happened")
 
-    for name in ("oracle_all_pairs", "_bellman_ford_rows", "_embedding_checks"):
+    for name in ("oracle_all_pairs", "_edge_lists", "_bellman_ford_rows", "_embedding_checks"):
         monkeypatch.setattr(verify, name, fail)
     message = f"^oracle cap {cap} exceeded: \\|restrict\\| = {named}$"
     with pytest.raises(OracleCapError, match=message):

@@ -27,7 +27,7 @@ from padnet.graph import (
     weak_diameter,
 )
 from padnet.trees import td_to_tree_partition
-from padnet.verify import _bellman_ford_rows, full_report, oracle_all_pairs
+from padnet.verify import _bellman_ford_rows, _edge_lists, full_report, oracle_all_pairs
 
 INF = math.inf
 
@@ -188,14 +188,24 @@ def test_dijkstra_matches_floyd_warshall(g, rnd):
 KERNEL_GRAPHS = st.one_of(connected_graphs(), decimal_graphs(), FIXTURE_GRAPHS)
 
 
-@given(KERNEL_GRAPHS)
+@given(KERNEL_GRAPHS, st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
-def test_dijkstra_matches_bellman_ford_on_every_weight(g):
+def test_dijkstra_matches_bellman_ford_on_every_weight(g, rnd):
     # both sum each path in path order, so they agree bit for bit on decimal
-    # weights too
-    rows = _bellman_ford_rows(g, np.arange(g.n), np.ones((g.n, g.n), dtype=bool), INF)
+    # weights too: unbounded over every vertex, and bounded inside each row's
+    # key interval at a limit that is itself a distance, so ties at it occur
+    out = _edge_lists(g)
+    rows = _bellman_ford_rows(out, np.arange(g.n), bytes(g.n), 0, 1, INF)
     for s in range(g.n):
         assert shortest_paths(g, g.all_vertices(), [s]).tobytes() == rows[s].tobytes()
+    key = np.array([rnd.randrange(4) for _ in range(g.n)])
+    lo = np.array([rnd.randint(0, k) for k in key.tolist()])
+    hi = np.array([rnd.randint(k + 1, 4) for k in key.tolist()])
+    limit = rnd.choice(rows[rnd.randrange(g.n)].tolist())
+    bounded = _bellman_ford_rows(out, np.arange(g.n), key.tolist(), lo, hi, limit)
+    for s in range(g.n):
+        mask = (lo[s] <= key) & (key < hi[s])
+        assert shortest_paths(g, mask, [s], limit).tobytes() == bounded[s].tobytes()
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from fixtures import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import padnet.verify as verify
 from padnet.covers import CoverCluster, PartitionCluster, build_partition_cover, build_sparse_cover
 from padnet.decomposition import sample_padded_decomposition
 from padnet.graph import WeightedGraph, ball, shortest_paths
@@ -34,6 +35,7 @@ from padnet.ordered_net import (
 from padnet.trees import IsometricEmbedding, TreeDecomposition, TreePartition, td_to_tree_partition
 from padnet.verify import (
     _bellman_ford_rows,
+    _edge_lists,
     _oracle_center_distances,
     _replay_carving,
     oracle_all_pairs,
@@ -119,7 +121,7 @@ def test_oracle_matches_search_on_random_graphs():
             assert d[members].tolist() == row.tolist()
 
 
-@pytest.mark.parametrize("oracle", [oracle_all_pairs, _bellman_ford_rows, _replay_carving])
+@pytest.mark.parametrize("oracle", [oracle_all_pairs, _bellman_ford_rows, _replay_carving, _edge_lists])
 def test_oracle_reads_nothing_from_the_code_it_checks(oracle):
     checked = {"padnet.graph", "padnet.ordered_net", "padnet.decomposition", "padnet.covers"}
     refs = inspect.getclosurevars(oracle)
@@ -753,6 +755,34 @@ def test_tampered_record_fails_without_raising():
     for center in (b.host.n, -1):
         checks = _tampered_core_checks(b, last, centers=last.centers | {center})
         assert "centers outside" in checks["core-ball-replay"].witness
+
+
+def test_misplaced_attachment_names_its_smallest_vertex():
+    # core 2 of cycle-16 is carved at bag 7, below its component's root, so its
+    # members go to the attachment of bag 7's parent, bag 6; planted vertices
+    # of bag 6 itself and of the root bag 0 are not proper descendants of it
+    b = built(BY_NAME["cycle-16"])
+    core = next(c for c in b.construction.cores if c.id == 2)
+    assert (core.center_bag, b.tp.parent[core.center_bag]) == (7, 6)
+    bag_of = b.tp.bag_of()
+    for planted, witness in (
+        ({6}, "attachment of bag 6 holds vertex 18 of bag 6, not a proper descendant"),
+        ({6, 0}, "attachment of bag 6 holds vertex 0 of bag 0, not a proper descendant"),
+    ):
+        extra = frozenset(np.flatnonzero(np.isin(bag_of, list(planted))).tolist())
+        checks = _tampered_core_checks(b, core, members=core.members | extra)
+        assert checks["attachments-descendant-only"].witness == witness
+
+
+def test_replay_reads_the_edge_list_once(monkeypatch):
+    # each core's replay costs its ball: the edge lists are built once per
+    # call, not once per core
+    b = built(weighted_path_fixture(60, 0))
+    calls = []
+    monkeypatch.setattr(verify, "_edge_lists", lambda g: calls.append(g) or _edge_lists(g))
+    checks = verify_cores(b.host, b.tp, b.delta, b.construction)
+    assert all(c.status == "pass" for c in checks)
+    assert len(b.construction.cores) > 30 and calls == [b.host]
 
 
 @pytest.mark.parametrize("center_bag", ["len", -1])
