@@ -240,15 +240,21 @@ def test_batch_trial_zero_matches_single_sample():
 
 
 def test_radius_law_and_validity_over_seeds():
+    # 100 seeds' draws, each valid against the oracle and replayed from its
+    # trace; full_report samples only its own seed's partition
     for name in ["path-30", "grid-5", "sp-50w"]:
         b = built(BY_NAME[name])
         beta = (3.0 + 1) / 2
-        for seed in range(10):
-            part = sample_padded_decomposition(b.host, b.net, b.delta, seed)
+        parts = list(sample_padded_decompositions(b.net, range(100)))
+        assert [p.seed for p in parts] == list(range(100))
+        for part in parts:
             for _, r in part.trace:
                 assert b.delta <= r <= beta * b.delta
             rep = verify_partition(b.host, part, 3.0, b.delta, dist_matrix=b.host_dist)
             assert rep.ok, rep.format_table()
+            replayed = replay_decomposition(b.net, list(part.trace), seed=part.seed)
+            assert np.array_equal(replayed.assignment, part.assignment)
+            assert replayed.clusters == part.clusters
 
 
 def test_unclaimed_vertex_is_reported():

@@ -199,16 +199,15 @@ def test_over_cap_input_refused_before_any_check(monkeypatch, over):
         verify_embedding(f.graph, f.td, emb, oracle_cap=cap)
 
 
-def test_seed_sweep_past_64_bits_rejected_before_any_check(monkeypatch):
+def test_seed_past_64_bits_rejected_before_any_check(monkeypatch):
     f = next(f for f in acceptance_fixtures() if f.name == "path-8")
 
     def fail(*args, **kwargs):
         raise AssertionError("a check ran")
 
     monkeypatch.setattr(verify, "_embedding_checks", fail)
-    seed = 2**64 - 99
-    with pytest.raises(ValueError, match=f"^seed {seed}: its 100-seed partition sweep runs past"):
-        full_report(f.graph, f.td, f.delta, trials=10, seed=seed)
+    with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {2**64}$"):
+        full_report(f.graph, f.td, f.delta, trials=10, seed=2**64)
 
 
 def test_negative_seed_refused_before_any_check(monkeypatch):
@@ -218,7 +217,7 @@ def test_negative_seed_refused_before_any_check(monkeypatch):
         raise AssertionError("a check ran")
 
     monkeypatch.setattr(verify, "_embedding_checks", fail)
-    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+    with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*64\), got -1$"):
         full_report(f.graph, f.td, f.delta, trials=10, seed=-1)
 
 
@@ -371,24 +370,48 @@ def test_pinned_report_calls_no_dijkstra(monkeypatch):
     assert hashlib.sha256(blob).hexdigest() == PINNED_REPORTS[("sp-50w", 1)]
 
 
-# --- the partition sweep --------------------------------------------------------
+# --- the sampled partition ----------------------------------------------------
 
 
 def test_sweep_checks_report_their_own_failures(monkeypatch):
     data = Path(__file__).resolve().parents[1] / "data"
     g = parse_edge_list((data / "grid4.gr").read_text())
     td = load_tree_decomposition((data / "grid4.td").read_text(), g)
-    sample = verify.sample_padded_decompositions
+    sample = verify.sample_padded_decomposition
 
     def out_of_range_radii(*args):
-        for part in sample(*args):
-            yield dataclasses.replace(part, trace=tuple((x, 99.0) for x, _ in part.trace))
+        part = sample(*args)
+        return dataclasses.replace(part, trace=tuple((x, 99.0) for x, _ in part.trace))
 
-    monkeypatch.setattr(verify, "sample_padded_decompositions", out_of_range_radii)
+    monkeypatch.setattr(verify, "sample_padded_decomposition", out_of_range_radii)
     checks = {c.name: c for c in full_report(g, td, 2.0, seed=7, trials=200).checks}
     assert checks["partition-total-disjoint"].status == "pass"
     assert checks["partition-weak-diameter"].status == "pass"
     assert checks["partition-radius-range"].status == "fail"
     assert checks["partition-radius-range"].witness == "seed 7"
-    # the seed-0 replay ran: the recorded radii rebuild another partition
+    # the replay ran: the recorded radii rebuild another partition
     assert checks["partition-replay-identical"].status == "fail"
+
+
+def test_report_samples_and_checks_one_partition(monkeypatch):
+    # every seed's partition holds by the net checks, so the report samples
+    # only the partition of its own seed, the one `decompose --seed` emits
+    f = next(f for f in acceptance_fixtures() if f.name == "grid-5")
+    sampled, checked = [], []
+    sample, check = padnet.decomposition.sample_padded_decompositions, verify.verify_partition
+
+    def spy_sample(net, seeds):
+        seeds = list(seeds)
+        sampled.extend(seeds)
+        return sample(net, seeds)
+
+    def spy_check(*args, **kwargs):
+        checked.append(args[1])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(padnet.decomposition, "sample_padded_decompositions", spy_sample)
+    monkeypatch.setattr(verify, "verify_partition", spy_check)
+    report = full_report(f.graph, f.td, f.delta, seed=5, trials=50, oracle_cap=200)
+    assert report.ok, report.format_table()
+    assert sampled == [5]
+    assert [p.seed for p in checked] == [5]

@@ -323,6 +323,30 @@ def test_laminar_check_names_its_first_fault():
     assert check.status == "fail"
     assert check.witness == "round 2 component at bag 7 cluster escapes its parent cluster"
 
+    # two overlapping pairs in round 2, (1, 4) met first in component order
+    # and (0, 5) met later: the witness is the least pair
+    assert [c.root_bag for c in cons.components[1:8]] == [3, 7, 11, 15, 19, 23, 27]
+    bad = dataclasses.replace(cons, components=list(cons.components))
+    for i, j in ((1, 4), (0, 5)):
+        shared = min(cons.components[1 + i].cluster)
+        bad.components[1 + j] = dataclasses.replace(
+            cons.components[1 + j], cluster=cons.components[1 + j].cluster | {shared}
+        )
+    check = find_check(verify_cores(b.host, b.tp, b.delta, bad), "component-clusters-laminar")
+    assert check.status == "fail"
+    assert check.witness == "round 2: clusters of components 0,5 overlap"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 12), max_size=5), max_size=8))
+def test_laminar_overlap_matches_pairwise_scan(clusters):
+    # the membership table names the pair the scan of every pair of one
+    # round's components finds first; round 1 has no parent check
+    comps = [ComponentTrace(1, k, frozenset(), c) for k, c in enumerate(clusters)]
+    pairs = [(i, j) for j in range(len(comps)) for i in range(j) if clusters[i] & clusters[j]]
+    want = "round 1: clusters of components {},{} overlap".format(*min(pairs)) if pairs else None
+    assert verify._laminar_fault(comps) == want
+
 
 def _core_counts_by_loop(n, bag_of, cores):
     """The per-core loops that verify_cores' table counts replaced: measured
