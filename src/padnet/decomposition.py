@@ -550,6 +550,12 @@ def padded_trial_counts(
         sel = np.flatnonzero(pair_d <= gm * params.diameter_bound)
         if sel.size:
             plans[gm] = _ball_profiles(rows[sel], pair_of[sel], g.n)
+    counts = {gm: np.full(g.n, trials, dtype=np.int64) for gm in gammas}
+    # with no pair listed nothing reads the labels, and with an entry within
+    # delta at every vertex no trial leaves one unclaimed: skip the sampler
+    vertex, _, dist = net.center_entries()
+    if not plans and np.bincount(vertex[dist <= net.delta], minlength=net.n).all():
+        return counts
     cut = {gm: np.zeros(len(plan[3]), dtype=np.int64) for gm, plan in plans.items()}
     label_dtype = np.min_scalar_type(len(net.centers_in_order()))
     for block in sample_assignments(net, seed, trials, vertices=vertices):
@@ -558,7 +564,6 @@ def padded_trial_counts(
         diff = lab[cols] != lab[own]
         for gm, (_, _, pairs, starts) in plans.items():
             cut[gm] += np.logical_or.reduceat(diff[pairs], starts, axis=0).sum(axis=1)
-    counts = {gm: np.full(g.n, trials, dtype=np.int64) for gm in gammas}
     for gm, (zs, profile, _, _) in plans.items():
         counts[gm][zs] -= cut[gm][profile]
     return counts

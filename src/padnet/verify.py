@@ -58,13 +58,23 @@ calls.
   pairs from that matrix's per-class minima; the claim classes, read from
   the net's center table, group the vertices claimed alike in every trial.
 - The net's center rows (`_oracle_center_distances`), each kept to its
-  center's preorder interval, bounded at `center_radius`: the net checks
-  and the packing table, which bounds the sparse cover's count at each vertex
+  center's preorder interval, bounded at `center_radius`: the net checks,
+  the packing table, which bounds the sparse cover's count at each vertex
   and, by its maximum (`net-packing-alpha-delta`'s value), the partition
-  cover's count.
-- One Floyd-Warshall run per distinct cover cluster (strong diameters, in
-  the induced subgraph): the two covers share one table of diameters keyed
-  by sorted member ids, seeded with the host's own diameter.
+  cover's count, and the certificates of both covers' strong diameters.
+
+A cover's strong diameter is certified, not computed.  A sparse-cover
+cluster must equal its center's oracle ball at alpha*delta, a
+partition-cover `net` cluster its center's ball at alpha*delta/2, and a
+`singleton` must hold its center alone.  The rows are exact up to
+`center_radius` and +inf beyond, so a cluster equal to a row's ball is a true
+ball of the center's descendant subgraph, at any alpha.  In a ball, every
+prefix of a shortest path from the center stays inside, so each member joins
+the center inside the cluster by a path no longer than its row distance, and
+the strong diameter is at most twice the largest such distance: the value
+reported as measured.  A cluster that is no such ball fails, with a witness
+naming the cluster and its smallest vertex that differs, whatever its
+diameter.  The exact diameters are a test in tests/test_full_report.py.
 
 The report samples one partition, the one `padnet decompose --seed` emits
 (`sample_padded_decomposition`), checks it with `verify_partition` and
@@ -727,53 +737,79 @@ def verify_cover(
     delta: float,
     host_dist: np.ndarray,
     packing_counts: np.ndarray,
-    diameters: dict[bytes, float],
+    center_dist: np.ndarray,
+    centers: np.ndarray,
 ) -> VerificationReport:
-    """Certify a cover; host_dist is g's (n, n) oracle matrix.  No cap is
-    read: each cluster's oracle run is on an induced subgraph of g.
+    """Certify a cover; host_dist is g's (n, n) oracle matrix.  No cap is read.
 
     packing_counts holds each vertex's oracle count of centers within alpha *
-    delta.  diameters maps a cluster's sorted member ids (int64 bytes) to the
-    oracle diameter of the subgraph they induce; a cluster found there gets
-    no oracle run, and every other cluster's diameter is added to it.
+    delta.  center_dist holds the net's oracle center rows
+    (`_oracle_center_distances`), row i from centers[i], the net's
+    `centers_in_order()`.  The strong diameters are certified from those
+    rows: a sparse-cover cluster must equal its center's oracle ball at
+    alpha*delta, a partition-cover `net` cluster its center's ball at
+    alpha*delta/2, and a `singleton` must hold its center alone (module
+    docstring).
     """
     if isinstance(cover, SparseCover):
-        return _verify_sparse_cover(g, cover, alpha, delta, host_dist, packing_counts, diameters)
-    return _verify_partition_cover(g, cover, alpha, delta, host_dist, packing_counts, diameters)
+        return _verify_sparse_cover(g, cover, alpha, delta, host_dist, packing_counts, center_dist, centers)
+    return _verify_partition_cover(g, cover, alpha, delta, host_dist, packing_counts, center_dist, centers)
 
 
-def _worst_strong_diameter(
-    g: WeightedGraph, clusters, diameters: dict[bytes, float]
-) -> tuple[float, int | None]:
-    """Largest oracle diameter of G[members] over the clusters' member arrays,
-    and the index of the first cluster reaching it (None when all are 0).
+def _ball_certificate(center_dist, centers, clusters, singleton, radius, mask):
+    """(measured, fault) of a cover's strong-diameter check.
 
-    Each distinct member set gets one oracle run, kept in `diameters`."""
-    worst, worst_i = 0.0, None
-    for i, idx in enumerate(clusters):
-        if idx.size < 2:  # diameter 0
-            continue
-        key = np.sort(idx).tobytes()
-        if key not in diameters:
-            diameters[key] = float(oracle_all_pairs(g, idx).max())
-        m = diameters[key]
-        if m > worst:
-            worst, worst_i = m, i
-    return worst, worst_i
+    Cluster i, with members mask[i], must hold exactly its center when
+    singleton[i], and else exactly its center's oracle ball at `radius`.
+    measured is twice the largest oracle distance of a member from its
+    center (0 for a singleton); fault is the first cluster that differs from
+    what it must equal, as (index, text) naming its smallest differing
+    vertex, or None.
+    """
+    n = mask.shape[1]
+    row_of = {c: i for i, c in enumerate(centers.tolist())}
+    row = np.array([-1 if s else row_of.get(c.center, -1) for c, s in zip(clusters, singleton)], dtype=np.int64)
+    balls = np.flatnonzero(row >= 0)
+    dist = center_dist[row[balls]]
+    expect = np.zeros_like(mask)
+    expect[balls] = dist <= radius
+    lone = [(i, c.center) for i, c in enumerate(clusters) if singleton[i] and 0 <= c.center < n]
+    expect[tuple(np.array(lone, dtype=np.int64).reshape(-1, 2).T)] = True
+    worst = 2 * float(np.where(mask[balls], dist, 0.0).max(initial=0.0))
+    differ = expect != mask
+    differ[(row < 0) & ~singleton] = True  # no net center: the cluster differs throughout
+    if not differ.any():
+        return worst, None
+    i, v = divmod(int(np.argmax(differ)), n)
+    c = clusters[i].center
+    if row[i] < 0 and not singleton[i]:
+        return worst, (i, f"center {c} is no net center")
+    what = f"{{{c}}}" if singleton[i] else f"the oracle ball of center {c}"
+    if mask[i, v]:
+        return worst, (i, f"vertex {v} is a member, not in {what}")
+    return worst, (i, f"vertex {v} is in {what}, not a member")
 
 
 def _ball_containment(
     host_dist: np.ndarray, cluster_mask: np.ndarray, radius: float
 ) -> tuple[bool, str | None]:
-    for v in range(host_dist.shape[0]):
-        ball_mask = host_dist[v] <= radius  # holds v, so only clusters holding v can hold it
-        leaves = (ball_mask & ~cluster_mask[cluster_mask[:, v]]).any(axis=1)
-        if leaves.all():
-            return False, f"ball around vertex {v} fits in no cluster"
-    return True, None
+    """Whether every vertex's ball at radius lies in some cluster holding it,
+    and the smallest vertex whose ball does not.
+
+    Each (cluster, member) pair is tested once, on packed bit rows: it fits
+    when no bit of the member's ball lies outside the cluster.  Memory is
+    the pairs times n/8 bytes."""
+    owner, member = np.nonzero(cluster_mask)
+    ball = np.packbits(host_dist <= radius, axis=1)
+    outside = np.packbits(~cluster_mask, axis=1)
+    fitted = np.zeros(host_dist.shape[0], dtype=bool)
+    fitted[member[~(ball[member] & outside[owner]).any(axis=1)]] = True
+    if fitted.all():
+        return True, None
+    return False, f"ball around vertex {int(np.argmin(fitted))} fits in no cluster"
 
 
-def _verify_sparse_cover(g, cover, alpha, delta, host_dist, packing_counts, diameters):
+def _verify_sparse_cover(g, cover, alpha, delta, host_dist, packing_counts, center_dist, centers):
     checks: list[CheckResult] = []
     owner, member, dropped = _memberships([c.members for c in cover.clusters], g.n)
     mask = np.zeros((len(cover.clusters), g.n), dtype=bool)
@@ -800,16 +836,10 @@ def _verify_sparse_cover(g, cover, alpha, delta, host_dist, packing_counts, diam
     )
 
     bound = 2 * alpha * delta + TOL
-    worst, worst_c = _worst_strong_diameter(g, _split(owner, member, len(cover.clusters)), diameters)
-    checks.append(
-        _check(
-            "cover-strong-diameter",
-            worst <= bound,
-            measured=worst,
-            bound=bound,
-            witness=f"cluster {worst_c}",
-        )
-    )
+    singleton = np.zeros(len(cover.clusters), dtype=bool)
+    worst, fault = _ball_certificate(center_dist, centers, cover.clusters, singleton, alpha * delta, mask)
+    witness = fault and f"cluster {fault[0]}: {fault[1]}"
+    checks.append(_check("cover-strong-diameter", fault is None and worst <= bound, worst, bound, witness))
 
     radius = (alpha - 1) * delta / 2
     ok, witness = _ball_containment(host_dist, mask, radius)
@@ -819,7 +849,7 @@ def _verify_sparse_cover(g, cover, alpha, delta, host_dist, packing_counts, diam
     return VerificationReport(checks)
 
 
-def _verify_partition_cover(g, cover, alpha, delta, host_dist, packing_counts, diameters):
+def _verify_partition_cover(g, cover, alpha, delta, host_dist, packing_counts, center_dist, centers):
     checks: list[CheckResult] = []
     clusters = [c for part in cover.partitions for c in part]
     owner, member, dropped = _memberships([c.members for c in clusters], g.n)
@@ -846,21 +876,18 @@ def _verify_partition_cover(g, cover, alpha, delta, host_dist, packing_counts, d
         )
     )
 
-    bound = alpha * delta + TOL
-    worst, i = _worst_strong_diameter(g, _split(owner, member, len(clusters)), diameters)
-    worst_w = None if i is None else f"partition {part_of[i]} cluster center {clusters[i].center}"
-    checks.append(
-        _check(
-            "partition-cover-diameter",
-            worst <= bound,
-            measured=worst,
-            bound=bound,
-            witness=worst_w,
-        )
-    )
-
     mask = np.zeros((len(clusters), g.n), dtype=bool)
     mask[owner, member] = True
+    bound = alpha * delta + TOL
+    singleton = np.array([c.kind == "singleton" for c in clusters], dtype=bool)
+    worst, fault = _ball_certificate(center_dist, centers, clusters, singleton, alpha * delta / 2, mask)
+    if fault:  # name the cluster by its partition and its index there
+        i, p = fault[0], part_of[fault[0]]
+        fault = f"partition {p} cluster {i - np.searchsorted(part_of, p)}: {fault[1]}"
+    checks.append(
+        _check("partition-cover-diameter", fault is None and worst <= bound, worst, bound, fault)
+    )
+
     radius = (alpha - 2) * delta / 4
     ok, witness = _ball_containment(host_dist, mask, radius)
     checks.append(
@@ -942,11 +969,9 @@ def full_report(
     from .covers import build_partition_cover, build_sparse_cover
 
     pk_counts = (center_dist <= alpha * delta).sum(axis=0)
-    # the two covers share one diameter table, seeded with the cluster of
-    # every host vertex, whose diameter is the host's own
-    diameters = {np.arange(host.n, dtype=np.int64).tobytes(): float(dh.max())}
+    rows = (center_dist, net.centers_in_order())
     cover = build_sparse_cover(host, net, delta)
-    checks.extend(verify_cover(host, cover, alpha, delta, dh, pk_counts, diameters).checks)
+    checks.extend(verify_cover(host, cover, alpha, delta, dh, pk_counts, *rows).checks)
     if alpha <= 2:
         # the partition cover's padding radius (alpha-2)*delta/4 needs alpha > 2
         checks.append(
@@ -961,7 +986,7 @@ def full_report(
         )
     else:
         pcover = build_partition_cover(host, net, delta)
-        checks.extend(verify_cover(host, pcover, alpha, delta, dh, pk_counts, diameters).checks)
+        checks.extend(verify_cover(host, pcover, alpha, delta, dh, pk_counts, *rows).checks)
 
     gammas = params.default_gammas()
     counts = padded_trial_counts(host, net, delta, gammas, trials, seed, dist_matrix=dh)

@@ -54,6 +54,12 @@ class BuiltPipeline:
         return self._center_dist
 
     @property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The center rows and the centers they start from, as full_report
+        passes them to verify_cover."""
+        return self.center_dist, self.net.centers_in_order()
+
+    @property
     def packing_counts(self) -> np.ndarray:
         """Net centers within 3 * delta of each vertex in the oracle rows, as
         full_report passes them to verify_cover at alpha 3."""

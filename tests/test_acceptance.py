@@ -126,7 +126,7 @@ def test_c5_sparse_cover():
         cover = build_sparse_cover(b.host, b.net, f.delta)
         assert cover.padding_ratio == 6.0
         counts = b.net.packing_counts(3.0)
-        rep = verify_cover(b.host, cover, ALPHA, f.delta, b.host_dist, counts, {})
+        rep = verify_cover(b.host, cover, ALPHA, f.delta, b.host_dist, counts, *b.rows)
         bad = [(c.name, c.witness) for c in rep.checks if c.status == "fail"]
         assert not bad, f"{f.name}: {bad}"
     _report(5, "sparse cover at alpha=3", f"{len(REGISTRY)} fixtures, ratio 6, diameter 6*delta")
@@ -138,7 +138,7 @@ def test_c6_partition_cover():
         b = built(f)
         pcover = build_partition_cover(b.host, b.net, f.delta)
         assert pcover.padding_ratio == 12.0
-        rep = verify_cover(b.host, pcover, ALPHA, f.delta, b.host_dist, b.packing_counts, {})
+        rep = verify_cover(b.host, pcover, ALPHA, f.delta, b.host_dist, b.packing_counts, *b.rows)
         bad = [(c.name, c.witness) for c in rep.checks if c.status == "fail"]
         assert not bad, f"{f.name}: {bad}"
         if any(c.status == "warn" for c in rep.checks):

@@ -22,13 +22,13 @@ GOLDEN = {
     ("cover", "grid4"): "8223a843bb01a558c88c6ccb02a266aad9ae629f6fb0fc23a0aa8d144bcbb956",
     ("partition-cover", "grid4"): "659cb837a741eed5a49b995c75096479066ecf931cecc47aee0bb749a305e9e8",
     ("padding-estimate", "grid4"): "c18ca398220fa4f190399af924c8ca99e7482887345a712a71dfa97a420b6830",
-    ("verify", "grid4"): "fbf386a2c550e0616383b66fe6a32d4d6837869a9265816b1958a1233050d54d",
+    ("verify", "grid4"): "06414aa6824297492819bc538440f03e5faf65127aba2e983d74c6b3f78cfd86",
     ("net", "path8"): "c7191a6bbcb4ef54e19c934595b7fbd3cf0a4ab2c80a376a5e1a9c4d72b577cf",
     ("decompose", "path8"): "de950c7de0606b940fb36b2107dba659a82570e7a2e79e4fd31fa0de7e41bb18",
     ("cover", "path8"): "a9a06718c9d0980d576002865794ab8eec090f678cb7ee1636d66d43d76bc036",
     ("partition-cover", "path8"): "2e18789415daf41ddccdee149cc5cb81283f2e269b9c6a468b75a5dea14585e3",
     ("padding-estimate", "path8"): "39a4610d05fb5ddf31b5e080d663ed74a7c996ed5f7a06702c5adee768788a0f",
-    ("verify", "path8"): "47ecec120c81cce09d1527fa195ec9ed9671392a21883af2dc3d8bec15066e44",
+    ("verify", "path8"): "4468bfb9f0c792608c005f008bf2ea723d31c71d5610413c15376a475afad982",
 }
 
 

@@ -158,10 +158,10 @@ def test_verify_cover_integration():
     b = built(BY_NAME["grid-5"])
     cover = build_sparse_cover(b.host, b.net, b.delta)
     counts = b.net.packing_counts(3.0)
-    rep = verify_cover(b.host, cover, 3.0, b.delta, b.host_dist, counts, {})
+    rep = verify_cover(b.host, cover, 3.0, b.delta, b.host_dist, counts, *b.rows)
     assert rep.ok, rep.format_table()
     pcover = build_partition_cover(b.host, b.net, b.delta)
-    rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, counts, {})
+    rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, counts, *b.rows)
     assert rep.ok, rep.format_table()
 
 

@@ -2,6 +2,7 @@ import decimal
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.optimize
 import scipy.stats
 from conftest import built
 from fixtures import (
+    Fixture,
     acceptance_fixtures,
     all_pairs,
     grid_fixture,
@@ -37,9 +39,9 @@ from padnet.decomposition import (
     seeded_generator,
     wilson_lower_bound,
 )
-from padnet.graph import WeightedGraph
+from padnet.graph import WeightedGraph, parse_edge_list
 from padnet.ordered_net import build_tree_ordered_net
-from padnet.trees import TreePartition, td_to_tree_partition
+from padnet.trees import TreePartition, load_tree_decomposition, td_to_tree_partition
 from padnet.verify import verify_partition
 
 BY_NAME = {f.name: f for f in acceptance_fixtures()}
@@ -764,6 +766,41 @@ def test_one_class_net_lists_no_cuttable_pair(monkeypatch):
     for dist_matrix in matrices:
         with pytest.raises(AssertionError, match="^vertex 0 claimed by no center"):
             padded_trial_counts(g, net, 1.0, gammas, trials=40, seed=2, dist_matrix=dist_matrix)
+
+
+@pytest.mark.parametrize(
+    "fixture, sampled",
+    [
+        # grid4 and path8 of data/ list no pair at the default gammas, and
+        # their nets cover every vertex within delta: nothing reads a label
+        pytest.param("grid4", False, id="grid4"),
+        pytest.param("path8", False, id="path8"),
+        # its largest gamma lists pairs, whose cuts the labels decide
+        pytest.param(weighted_path_fixture(120, seed=3), True, id="wpath-120-seed3"),
+    ],
+)
+def test_padded_trial_counts_sample_only_when_a_label_is_read(monkeypatch, fixture, sampled):
+    if isinstance(fixture, str):
+        data = Path(__file__).resolve().parents[1] / "data"
+        g = parse_edge_list((data / f"{fixture}.gr").read_text())
+        td = load_tree_decomposition((data / f"{fixture}.td").read_text(), g)
+        fixture = Fixture(fixture, g, td, 2.0)
+    host, net = fixture_net(fixture)
+    gammas = DecompositionParams.from_net(net, fixture.delta).default_gammas()
+    calls = []
+    sampler = decomposition.sample_assignments
+    monkeypatch.setattr(
+        decomposition, "sample_assignments", lambda *args, **kw: calls.append(1) or sampler(*args, **kw)
+    )
+    counts = padded_trial_counts(host, net, fixture.delta, gammas, 10_000, seed=7)
+    assert bool(calls) == sampled
+    assert (min(c.min() for c in counts.values()) < 10_000) == sampled
+    # with no entry left, one class holds every vertex and no pair is listed,
+    # but a vertex has no entry within delta: the sampler runs, and raises
+    empty = tuple(a[:0] for a in net.center_entries())
+    monkeypatch.setattr(net, "center_entries", lambda: empty)
+    with pytest.raises(AssertionError, match="^vertex 0 claimed by no center"):
+        padded_trial_counts(host, net, fixture.delta, gammas, 10_000, seed=7)
 
 
 def test_padded_trial_counts_rejects_bad_gammas():

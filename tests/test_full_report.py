@@ -130,8 +130,8 @@ def test_one_host_oracle_pass_per_report(monkeypatch):
 
 
 def test_report_builds_each_structure_once(monkeypatch):
-    # one carving, one order and one oracle matrix of the host, none of g;
-    # every other oracle run is a cover cluster's
+    # one carving, one order and one oracle matrix, the host's: the cover
+    # diameters are certified from the center rows, with no run per cluster
     f = partial_ktree_fixture(35, 2, seed=12, drop=0.4, delta=1.0)
     b = BuiltPipeline(f)
     calls = Counter()
@@ -155,15 +155,10 @@ def test_report_builds_each_structure_once(monkeypatch):
         return oracle(g, restrict)
 
     monkeypatch.setattr(verify, "oracle_all_pairs", recording_oracle)
-    sparse = [tuple(sorted(c.members)) for c in build_sparse_cover(b.host, b.net, f.delta).clusters]
-    partitions = build_partition_cover(b.host, b.net, f.delta).partitions
-    partition = [tuple(sorted(c.members)) for c in chain(*partitions)]
-    assert set(sparse) & set(partition)  # the covers share clusters, and one run each
     report = full_report(f.graph, f.td, f.delta, trials=200, oracle_cap=b.host.n)
     assert report.ok, report.format_table()
     assert calls == {"construct_cores_trace": 1, "semi_to_tree_order": 1}
-    clusters = {m for m in sparse + partition if len(m) > 1}
-    assert runs == Counter({("host", tuple(range(b.host.n))): 1, **{("host", m): 1 for m in clusters}})
+    assert runs == Counter({("host", tuple(range(b.host.n))): 1})
 
 
 @pytest.mark.parametrize("cap", [0, -3])
@@ -277,8 +272,8 @@ def test_standalone_checks_keep_no_state_between_graphs():
         dist = a.host_dist
         return [
             verify_net(a.host, a.net, a.delta, a.center_dist).to_json_dict(),
-            verify_cover(a.host, cover, 3.0, a.delta, dist, a.packing_counts, {}).to_json_dict(),
-            verify_cover(a.host, pcover, 3.0, a.delta, dist, a.packing_counts, {}).to_json_dict(),
+            verify_cover(a.host, cover, 3.0, a.delta, dist, a.packing_counts, *a.rows).to_json_dict(),
+            verify_cover(a.host, pcover, 3.0, a.delta, dist, a.packing_counts, *a.rows).to_json_dict(),
         ]
 
     before = standalone()
@@ -328,12 +323,12 @@ PINNED_REPORTS = {
     # with its reason in CHANGES.md.  sp-20d and ktree3-30-dec read the same
     # at every seed (every trial pads every ball), so they are pinned at one;
     # sp-50w and sp-60w are pinned at two, where their padding-lcb values differ
-    ("sp-20d", 0): "bba5f9d777c1c05fc9f6ce7542c08a5120a2393078d0a2279967c4d39e2065b1",
-    ("sp-50w", 0): "c1978a9aff17300596f281d1b7c1592e4443676a561a08867d689e461a568d08",
-    ("sp-50w", 1): "8705871578c7bb1f9a7da9c17517599d7375c06aae4cb4455d46de3a798c2d66",
-    ("sp-60w", 0): "1b46d0e88f354a9416cb33d03ed5e732d0abb4a56e08a72a6fabc95de8d494be",
-    ("sp-60w", 1): "ca42e529c6dfa8aa622856c5382da44b097939af4f6bddeb4ac4c938c6597415",
-    ("ktree3-30-dec", 0): "13f58df3c8e4a06e3cc133b2aa1f2933362787922edd62eb127f70296945eab5",
+    ("sp-20d", 0): "ea59dbcbc6356cfb644a4dfa345de52cca1faa91edf7a649abbb8f982b9dfb1b",
+    ("sp-50w", 0): "f8acf1cff25c3f5571571fbbdead881fd6b8fe5d6ad38d9b3d0cd8f64dc267cd",
+    ("sp-50w", 1): "cb3ec37504fe5ac4db2cfc9e6643bdfc259928978b23a9344ba3bef7f52b8bf7",
+    ("sp-60w", 0): "fd0d43d9a32d0ff3ac6b16030c62ea9d8743bd0def1bb8394ba0d89225d3bc8d",
+    ("sp-60w", 1): "9cf6973bc90aa8446f1a970dd507f722467af300a4b10a21a916b6e496f76b1a",
+    ("ktree3-30-dec", 0): "d9a11277e092a162f2db8a466c530e3fd9ca16443ac841a23aa5f0755615fc35",
 }
 
 
@@ -355,6 +350,30 @@ def test_full_report_bytes_pinned(name, seed):
     report = full_report(f.graph, f.td, f.delta, seed=seed, trials=500, oracle_cap=1000)
     blob = json.dumps(report.to_json_dict(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == PINNED_REPORTS[(name, seed)]
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [("pinned", name) for name in sorted(_pinned_fixtures())]
+    + [("acceptance", name) for name in ("path-30", "cycle-16", "grid-5", "wpath-12", "ktree3-40d")],
+)
+def test_certified_cover_diameters_bound_the_exact_ones(kind, name):
+    # the report certifies each cover's strong diameter from the center rows;
+    # the exact diameter of every cluster, one Floyd-Warshall run each, lies
+    # at or below the certified value, which lies within the bound
+    fixtures = _pinned_fixtures() if kind == "pinned" else {f.name: f for f in acceptance_fixtures()}
+    f = fixtures[name]
+    b = built(f)
+    checks = {c.name: c for c in full_report(f.graph, f.td, f.delta, trials=100, oracle_cap=10_000).checks}
+    partitions = build_partition_cover(b.host, b.net, f.delta).partitions
+    covers = {
+        "cover-strong-diameter": [c.members for c in build_sparse_cover(b.host, b.net, f.delta).clusters],
+        "partition-cover-diameter": [c.members for c in chain(*partitions)],
+    }
+    for check, clusters in covers.items():
+        exact = max(verify.oracle_all_pairs(b.host, sorted(m)).max() for m in set(clusters))
+        c = checks[check]
+        assert c.status == "pass" and exact <= c.measured <= c.bound, (check, exact, c)
 
 
 def test_pinned_report_calls_no_dijkstra(monkeypatch):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import inspect
+import math
 import tracemalloc
 
 import numpy as np
@@ -537,8 +538,10 @@ def test_cover_all_pass_single_cluster():
     tp = TreePartition(bags=(frozenset([0, 1, 2]),), parent=(-1,))
     net = build_tree_ordered_net(g, tp, 2.0)
     cover = build_sparse_cover(g, net, 2.0)
-    counts = (_oracle_center_distances(g, net) <= 3.0 * 2.0).sum(axis=0)
-    rep = verify_cover(g, cover, 3.0, 2.0, oracle_all_pairs(g, range(3)), counts, {})
+    rows = _oracle_center_distances(g, net)
+    counts = (rows <= 3.0 * 2.0).sum(axis=0)
+    host_dist = oracle_all_pairs(g, range(3))
+    rep = verify_cover(g, cover, 3.0, 2.0, host_dist, counts, rows, net.centers_in_order())
     assert rep.ok
 
 
@@ -547,34 +550,125 @@ def test_inflated_padding_radius_detected():
     # radius, (5-1)*delta/2 = 2*delta; on a path that must break containment
     b = built(BY_NAME["path-30"])
     cover = build_sparse_cover(b.host, b.net, b.delta)
-    rep = verify_cover(b.host, cover, 5.0, b.delta, b.host_dist, b.packing_counts, {})
+    rep = verify_cover(b.host, cover, 5.0, b.delta, b.host_dist, b.packing_counts, *b.rows)
     assert find(rep, "cover-ball-containment").status == "fail"
 
 
+def _containment_by_loop(host_dist, mask, radius):
+    """cover-ball-containment's verdict and witness, one vertex at a time."""
+    for v in range(host_dist.shape[0]):
+        inside = host_dist[v] <= radius
+        if not any((inside <= row).all() for row in mask if row[v]):
+            return False, f"ball around vertex {v} fits in no cluster"
+    return True, None
+
+
+@pytest.mark.parametrize("name", ["path-8", "cycle-16", "grid-5"])
+def test_ball_containment_matches_the_per_vertex_loop(name):
+    # the sparse cover, members dropped at random, and a vertex in no cluster
+    b = built(BY_NAME[name])
+    mask = np.zeros((len(b.net.centers_in_order()), b.host.n), dtype=bool)
+    for i, c in enumerate(build_sparse_cover(b.host, b.net, b.delta).clusters):
+        mask[i, sorted(c.members)] = True
+    rng = np.random.default_rng(5)
+    masks = [mask, mask & (rng.random(mask.shape) < 0.9), mask & (rng.random(mask.shape) < 0.5)]
+    masks.append(mask.copy())
+    masks[-1][:, b.host.n // 2] = False
+    for radius in (0.0, b.delta, 2 * b.delta, 4 * b.delta):
+        for m in masks:
+            got = verify._ball_containment(b.host_dist, m, radius)
+            assert got == _containment_by_loop(b.host_dist, m, radius)
+
+
+def _cover_diameter(b, clusters, replace):
+    """The cover-strong-diameter entry of the sparse cover with clusters[i]'s
+    members replaced by replace[i]."""
+    moved = tuple(
+        dataclasses.replace(c, members=frozenset(replace.get(i, c.members))) for i, c in enumerate(clusters)
+    )
+    cover = dataclasses.replace(build_sparse_cover(b.host, b.net, b.delta), clusters=moved)
+    rep = verify_cover(b.host, cover, 3.0, b.delta, b.host_dist, b.packing_counts, *b.rows)
+    return find(rep, "cover-strong-diameter")
+
+
 def test_cover_diameter_fault():
+    # path-8's cluster 1 is center 1's ball at 3 * delta, vertices 1..13
     b = built(BY_NAME["path-8"])
-    far = frozenset([0, b.host.n - 1])
-    fake = CoverCluster(center=0, members=far)
-    cover = build_sparse_cover(b.host, b.net, b.delta)
-    bad = dataclasses.replace(cover, clusters=cover.clusters + (fake,))
-    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, {})
-    assert find(rep, "cover-strong-diameter").status == "fail"
+    clusters = build_sparse_cover(b.host, b.net, b.delta).clusters
+    assert (clusters[1].center, sorted(clusters[1].members)) == (1, list(range(1, 14)))
+    got = _cover_diameter(b, clusters, {1: set(range(1, 13))})
+    assert got.status == "fail"
+    assert got.witness == "cluster 1: vertex 13 is in the oracle ball of center 1, not a member"
+
+
+def test_cover_diameter_names_a_far_member():
+    # vertex 0 lies outside center 22's descendant subgraph, so no row reaches it
+    b = built(BY_NAME["cycle-16"])
+    clusters = build_sparse_cover(b.host, b.net, b.delta).clusters
+    assert clusters[5].center == 22 and 0 not in clusters[5].members
+    got = _cover_diameter(b, clusters, {5: clusters[5].members | {0}})
+    assert got.status == "fail"
+    assert got.witness == "cluster 5: vertex 0 is a member, not in the oracle ball of center 22"
+    assert got.measured == math.inf
+
+
+def test_cover_diameter_fails_a_small_cluster_that_is_no_ball():
+    # {11, 13} is connected (a zero-weight edge) and its strong diameter is 0,
+    # far inside the bound, but it is not center 11's ball: no certificate
+    # reads it, so the check fails where a diameter alone would pass
+    b = built(BY_NAME["cycle-16"])
+    clusters = build_sparse_cover(b.host, b.net, b.delta).clusters
+    assert clusters[3].center == 11 and {11, 13, 14} <= clusters[3].members
+    assert oracle_all_pairs(b.host, [11, 13]).max() == 0.0
+    got = _cover_diameter(b, clusters, {3: {11, 13}})
+    assert got.status == "fail"
+    assert got.witness == "cluster 3: vertex 14 is in the oracle ball of center 11, not a member"
+    assert got.measured <= got.bound
+
+
+def _partition_cover_diameter(b, p, j, **changes):
+    """The partition-cover-diameter entry with cluster j of partition p changed."""
+    pcover = build_partition_cover(b.host, b.net, b.delta)
+    partitions = [list(part) for part in pcover.partitions]
+    partitions[p][j] = dataclasses.replace(partitions[p][j], **changes)
+    bad = dataclasses.replace(pcover, partitions=tuple(map(tuple, partitions)))
+    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, *b.rows)
+    return find(rep, "partition-cover-diameter")
+
+
+def test_partition_cover_diameter_faults():
+    # cycle-16's partition 0 holds net clusters at 0, 11 and 23, then the
+    # singletons 8 and 10; vertex 13 is in 11's cluster and no net center
+    b = built(BY_NAME["cycle-16"])
+    part = build_partition_cover(b.host, b.net, b.delta).partitions[0]
+    kinds = [(c.kind, c.center) for c in part[:5]]
+    assert kinds == [("net", 0), ("net", 11), ("net", 23), ("singleton", 8), ("singleton", 10)]
+    assert 13 not in b.net.centers_in_order()
+    got = _partition_cover_diameter(b, 0, 1, center=13)
+    assert (got.status, got.witness) == ("fail", "partition 0 cluster 1: center 13 is no net center")
+    got = _partition_cover_diameter(b, 0, 3, members=frozenset([8, 10]))
+    assert (got.status, got.witness) == ("fail", "partition 0 cluster 3: vertex 10 is a member, not in {8}")
+    got = _partition_cover_diameter(b, 0, 3, members=frozenset())
+    assert (got.status, got.witness) == ("fail", "partition 0 cluster 3: vertex 8 is in {8}, not a member")
+    got = _partition_cover_diameter(b, 0, 2, members=part[2].members - {34})
+    assert got.status == "fail"
+    assert got.witness == "partition 0 cluster 2: vertex 34 is in the oracle ball of center 23, not a member"
 
 
 def test_partition_cover_warn_band_and_fail():
     b = built(BY_NAME["grid-5"])
     pcover = build_partition_cover(b.host, b.net, b.delta)
     count = len(pcover.partitions)
-    rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, np.full(b.host.n, count - 1), {})
+    rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, np.full(b.host.n, count - 1), *b.rows)
     assert find(rep, "partition-cover-count").status == "warn"
-    rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, np.full(b.host.n, count - 2), {})
+    rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, np.full(b.host.n, count - 2), *b.rows)
     assert find(rep, "partition-cover-count").status == "fail"
 
     # duplicated vertex inside one partition
     first = pcover.partitions[0]
     dupe = PartitionCluster(kind="singleton", center=0, radius=0.0, members=frozenset([0]))
     bad = dataclasses.replace(pcover, partitions=(first + (dupe,),) + pcover.partitions[1:])
-    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, {})
+    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, *b.rows)
     assert find(rep, "partition-cover-partitions-valid").status == "fail"
 
 
@@ -853,7 +947,7 @@ def _sparse_cover_record(b, v):
     cover = build_sparse_cover(b.host, b.net, b.delta)
     i, clusters = _renamed(cover.clusters, b.host.n - 1, v)
     bad = dataclasses.replace(cover, clusters=clusters)
-    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, {})
+    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, *b.rows)
     witness = f"cluster {i}: member {v} outside vertices 0..{b.host.n - 1}"
     return rep.checks, {"cover-every-vertex-covered": witness}
 
@@ -864,7 +958,7 @@ def _partition_cover_record(b, v):
     partitions = list(pcover.partitions)
     partitions[p] = _renamed(partitions[p], b.host.n - 1, v)[1]
     bad = dataclasses.replace(pcover, partitions=tuple(partitions))
-    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, {})
+    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, *b.rows)
     witness = f"partition {p}: member {v} outside vertices 0..{b.host.n - 1}"
     return rep.checks, {"partition-cover-partitions-valid": witness}
 
@@ -981,13 +1075,13 @@ def test_cluster_of_outside_members_only_fails_without_raising(kind):
     elif kind == "sparse-cover":
         cover = build_sparse_cover(b.host, b.net, b.delta)
         bad = dataclasses.replace(cover, clusters=cover.clusters + (CoverCluster(n, outside),))
-        checks = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, {}).checks
+        checks = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, *b.rows).checks
         name, witness = "cover-every-vertex-covered", f"cluster {len(cover.clusters)}: {witness}"
     else:
         pcover = build_partition_cover(b.host, b.net, b.delta)
         extra = (PartitionCluster(kind="net", center=n, radius=0.0, members=outside),)
         bad = dataclasses.replace(pcover, partitions=pcover.partitions + (extra,))
-        checks = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, {}).checks
+        checks = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, *b.rows).checks
         name, witness = "partition-cover-partitions-valid", f"partition {len(pcover.partitions)}: {witness}"
     assert find_check(checks, name).status == "fail"
     assert find_check(checks, name).witness == witness
