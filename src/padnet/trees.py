@@ -96,6 +96,8 @@ def _common_bags(
 class TreeDecomposition(_BagTree):
     """Rooted tree of (possibly overlapping) vertex bags."""
 
+    _accepted = None  # (graph, bags, parent, holding index) of validate's last acceptance
+
     @property
     def width(self) -> int:
         return max(len(b) for b in self.bags) - 1
@@ -111,8 +113,20 @@ class TreeDecomposition(_BagTree):
         a holding bag of its endpoint in fewer bags holds the other one; and
         a vertex's bags form a connected subtree exactly when one of them
         has a parent that does not hold the vertex.  Returns that index:
-        each vertex's holding bags in increasing order.
+        each vertex's holding bags in increasing order.  The index is kept
+        for the graph object last accepted, and returned again for that
+        object while the bags and parents are the ones checked; graphs and
+        bags are immutable, so the axioms still hold.
         """
+        accepted = self._accepted
+        if accepted and accepted[0] is g and accepted[1] is self.bags and accepted[2] is self.parent:
+            return accepted[3]
+        holding = self._holding_index(g)
+        self._accepted = (g, self.bags, self.parent, holding)
+        return holding
+
+    def _holding_index(self, g: WeightedGraph) -> list[list[int]]:
+        """`validate`'s index, checked from scratch; raises on a violated axiom."""
         holding: list[list[int]] = [[] for _ in range(g.n)]
         for i, bag in enumerate(self.bags):
             for v in bag:
@@ -295,6 +309,8 @@ def td_to_tree_partition(g: WeightedGraph, td: TreeDecomposition) -> IsometricEm
     """
     # a td with one vertex's bags disconnected still converts to a valid
     # partition, over a host that is not isometric; only this check sees it
+    # (on a td that load_tree_decomposition read from g, it returns the index
+    # that load computed)
     holding = td.validate(g)
     nb = len(td.bags)
     order_key = lambda b: (td.level[b], b)

@@ -35,10 +35,7 @@ Distance comparisons use absolute tolerance 1e-9 where a bound is checked;
 every equality between two computed distances is exact and compares sums
 taken in path order.
 Bellman-Ford sums each path in path order, as Dijkstra does, so the center
-rows agree with the net's table bit for bit on any weights, and
-`isometry-exact` compares Bellman-Ford rows of g with rows of the host from
-the designated copies: a host path between designated copies is a path of g
-with zero-weight edges inserted, so equal distances are equal floats.
+rows agree with the net's table bit for bit on any weights.
 `connected-subset-unique-maximum` reads the order alone: when every edge's
 ends are comparable and no two vertices share a node, the shallowest member
 of a connected set is an ancestor of every other member.
@@ -48,8 +45,7 @@ computes each once and passes it on as an argument, and `verify_net` and
 `verify_cover` read the tables they are given.  It builds the carving and
 the net once too, and certifies that one copy.  Nothing is cached between
 calls.
-- Bellman-Ford rows of g from every vertex and of the host from every
-  designated copy, each over all vertices: `isometry-exact`.
+- No rows for `isometry-exact`: it is certified from the two edge lists.
 - The host's all-pairs matrix (Floyd-Warshall): the copy checks, both
   ball-containment checks, the sampled partition's weak diameter and
   `padded_trial_counts`.  The partition and the padding counts are thus
@@ -63,6 +59,27 @@ calls.
   and, by its maximum (`net-packing-alpha-delta`'s value), the partition
   cover's count, and the certificates of both covers' strong diameters.
 
+The isometry is certified, not computed.  Let orig[h] be the vertex whose
+copies hold host vertex h.  `isometry-exact` passes when (a) every host
+vertex is a copy of exactly one vertex and orig[forward[v]] == v; (b) every
+host edge (a, b, w) with orig[a] != orig[b] lies over an edge of g between
+orig[a] and orig[b] of weight <= w; (c) every edge of g has a host edge over
+it of exactly its weight; and (d) every copy of v is joined to forward[v] by
+host edges of weight exactly 0.0.  Weights are nonnegative, so for every pair
+u, v the least path-order sum between forward[u] and forward[v] in the host
+equals the one between u and v in g, bit for bit, which is what rows of both
+graphs would compare.  (>=) A host path maps to a walk of g: drop its edges
+inside one vertex's copies and read each other edge as the edge of g beneath
+it.  Float addition is monotone, so dropping nonnegative terms or lowering
+one never raises a left-to-right sum, and cutting the walk's cycles out
+leaves a path of g no longer than the host path.  (<=) A path of g lifts to
+a host walk of edges of the same weights joined by zero-weight paths, and
+s + 0.0 == s.  `isometry._isometry_fault` checks the four in O(n + m) numpy
+over the two edge lists and the copies' membership table; (d) labels each
+zero-weight component by min-label propagation with pointer jumping.  A
+failure names the first condition that fails, with its smallest vertex or
+edge, and measures nothing.
+
 A cover's strong diameter is certified, not computed.  A sparse-cover
 cluster must equal its center's oracle ball at alpha*delta, a
 partition-cover `net` cluster its center's ball at alpha*delta/2, and a
@@ -74,7 +91,8 @@ the center inside the cluster by a path no longer than its row distance, and
 the strong diameter is at most twice the largest such distance: the value
 reported as measured.  A cluster that is no such ball fails, with a witness
 naming the cluster and its smallest vertex that differs, whatever its
-diameter.  The exact diameters are a test in tests/test_full_report.py.
+diameter, and measures nothing.  The exact diameters are a test in
+tests/test_full_report.py.
 
 The report samples one partition, the one `padnet decompose --seed` emits
 (`sample_padded_decomposition`), checks it with `verify_partition` and
@@ -124,6 +142,7 @@ from .graph import (
     strong_diameter,  # unused here; perfbench's tracer wraps verify's binding
     weak_diameter,  # unused here; perfbench's tracer wraps verify's binding
 )
+from .isometry import _edge_arrays, _isometry_fault
 from .ordered_net import (
     CoreConstruction,
     TreeOrderedNet,
@@ -289,33 +308,27 @@ def _embedding_checks(
 
     bag_of = np.full(host.n, -1)
     bag_of[member] = owner
+    a, b, _ = _edge_arrays(host)
+    bu, bv = bag_of[a], bag_of[b]
+    parent = np.array([*tp.parent, -1])  # slot -1: an end in no bag
+    wrong = (np.minimum(bu, bv) < 0) | ((bu != bv) & (parent[bu] != bv) & (parent[bv] != bu))
     bad = None
-    for u, v, _ in host.edges:
-        bu, bv = int(bag_of[u]), int(bag_of[v])
-        if min(bu, bv) < 0 or (bu != bv and tp.parent[bu] != bv and tp.parent[bv] != bu):
-            bad = f"host edge ({u},{v}) spans bags {bu},{bv}"
-            break
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        bad = f"host edge ({a[i]},{b[i]}) spans bags {bu[i]},{bv[i]}"
     checks.append(_check("host-edge-validity", bad is None, witness=bad))
 
     dh = oracle_all_pairs(host, range(host.n))
     fwd = np.asarray(emb.forward)
+    owner, member, dropped = _memberships(emb.copies, host.n)
     outside = np.flatnonzero((fwd < 0) | (fwd >= host.n))
     if outside.size:
         v = int(outside[0])
         bad = f"vertex {v}: forward {fwd[v]} outside host vertices 0..{host.n - 1}"
-        checks.append(_check("isometry-exact", False, bound=0.0, witness=bad))
     else:
-        # a host path between designated copies is a path of g with zero-weight
-        # edges inserted, and both sides sum in path order: equal distances are
-        # equal floats on any weights
-        dg = _bellman_ford_rows(_edge_lists(g), np.arange(g.n), bytes(g.n), 0, 1, np.inf)
-        from_copies = _bellman_ford_rows(_edge_lists(host), fwd, bytes(host.n), 0, 1, np.inf)
-        diff = np.abs(from_copies[:, fwd] - dg)
-        i, j = divmod(int(diff.argmax()), g.n)
-        worst = float(diff[i, j])
-        checks.append(_check("isometry-exact", worst == 0.0, measured=worst, bound=0.0, witness=f"pair ({i}, {j})"))
+        bad = _isometry_fault(g, host, fwd, owner, member)
+    checks.append(_check("isometry-exact", bad is None, None if bad else 0.0, 0.0, bad))
 
-    owner, member, dropped = _memberships(emb.copies, host.n)
     bad = None
     if dropped:
         bad = f"vertex {dropped[0]}: copy {dropped[1]} outside host vertices 0..{host.n - 1}"
@@ -606,7 +619,7 @@ def verify_net(
     """
     checks: list[CheckResult] = []
     tin, tout = net.vertex_intervals()
-    a, b = np.array([e[:2] for e in g.edges], dtype=np.int64).reshape(-1, 2).T
+    a, b, _ = _edge_arrays(g)
     # an edge's ends are comparable when the interval of the end entered
     # first (either, on a tie) holds the other's tin
     first_out = np.where(tin[a] <= tin[b], tout[a], tout[b])
@@ -761,10 +774,10 @@ def _ball_certificate(center_dist, centers, clusters, singleton, radius, mask):
 
     Cluster i, with members mask[i], must hold exactly its center when
     singleton[i], and else exactly its center's oracle ball at `radius`.
-    measured is twice the largest oracle distance of a member from its
-    center (0 for a singleton); fault is the first cluster that differs from
-    what it must equal, as (index, text) naming its smallest differing
-    vertex, or None.
+    With no fault, measured is twice the largest oracle distance of a member
+    from its center (0 for a singleton).  Otherwise measured is None and
+    fault is the first cluster that differs from what it must equal, as
+    (index, text) naming its smallest differing vertex.
     """
     n = mask.shape[1]
     row_of = {c: i for i, c in enumerate(centers.tolist())}
@@ -775,19 +788,18 @@ def _ball_certificate(center_dist, centers, clusters, singleton, radius, mask):
     expect[balls] = dist <= radius
     lone = [(i, c.center) for i, c in enumerate(clusters) if singleton[i] and 0 <= c.center < n]
     expect[tuple(np.array(lone, dtype=np.int64).reshape(-1, 2).T)] = True
-    worst = 2 * float(np.where(mask[balls], dist, 0.0).max(initial=0.0))
     differ = expect != mask
     differ[(row < 0) & ~singleton] = True  # no net center: the cluster differs throughout
     if not differ.any():
-        return worst, None
+        return 2 * float(np.where(mask[balls], dist, 0.0).max(initial=0.0)), None
     i, v = divmod(int(np.argmax(differ)), n)
     c = clusters[i].center
     if row[i] < 0 and not singleton[i]:
-        return worst, (i, f"center {c} is no net center")
+        return None, (i, f"center {c} is no net center")
     what = f"{{{c}}}" if singleton[i] else f"the oracle ball of center {c}"
     if mask[i, v]:
-        return worst, (i, f"vertex {v} is a member, not in {what}")
-    return worst, (i, f"vertex {v} is in {what}, not a member")
+        return None, (i, f"vertex {v} is a member, not in {what}")
+    return None, (i, f"vertex {v} is in {what}, not a member")
 
 
 def _ball_containment(

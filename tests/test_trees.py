@@ -249,3 +249,25 @@ def test_validate_matches_quadratic_reference():
             assert error == reference_validate(tampered, g)
             kinds.update(k for k in ERROR_KINDS if error and k in error)
     assert kinds == set(ERROR_KINDS)
+
+
+def test_loaded_decomposition_is_validated_once(monkeypatch):
+    # load_tree_decomposition validates; the conversion of the same (td, g)
+    # reuses that holding index, and any other graph object is checked anew
+    calls = []
+    check = TreeDecomposition._holding_index
+    monkeypatch.setattr(TreeDecomposition, "_holding_index", lambda td, g: calls.append(g) or check(td, g))
+    td = load_tree_decomposition(PATH3_TD, PATH3)
+    emb = td_to_tree_partition(PATH3, td)
+    assert calls == [PATH3] and emb.forward.tolist() == [0, 1, 3]
+    same = WeightedGraph(3, PATH3.edges)
+    td_to_tree_partition(same, td)
+    assert len(calls) == 2 and calls[1] is same
+
+
+def test_invalid_decomposition_raises_every_time():
+    # nothing is kept from a check that fails
+    td = TreeDecomposition((frozenset({0, 1}), frozenset({2})), (-1, 0))
+    for _ in range(2):
+        with pytest.raises(TdValidationError, match=r"edge \(2,3\) is covered by no bag"):
+            td_to_tree_partition(PATH3, td)

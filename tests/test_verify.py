@@ -1,7 +1,7 @@
 import copy
 import dataclasses
 import inspect
-import math
+import json
 import tracemalloc
 
 import numpy as np
@@ -14,8 +14,10 @@ from fixtures import (
     decimal_weight_fixture,
     dense_oracle,
     descendant_mask,
+    grid_fixture,
     is_ancestor,
     partial_ktree_fixture,
+    shuffled_ids,
     triangle_single_bag,
     vertex_mask,
     weighted_path_fixture,
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 import padnet.verify as verify
 from padnet.covers import CoverCluster, PartitionCluster, build_partition_cover, build_sparse_cover
 from padnet.decomposition import sample_padded_decomposition
-from padnet.graph import WeightedGraph, ball, shortest_paths
+from padnet.graph import GraphFormatError, WeightedGraph, ball, shortest_paths
 from padnet.ordered_net import (
     ComponentTrace,
     TreeOrderedNet,
@@ -122,7 +124,10 @@ def test_oracle_matches_search_on_random_graphs():
             assert d[members].tolist() == row.tolist()
 
 
-@pytest.mark.parametrize("oracle", [oracle_all_pairs, _bellman_ford_rows, _replay_carving, _edge_lists])
+@pytest.mark.parametrize(
+    "oracle",
+    [oracle_all_pairs, _bellman_ford_rows, _replay_carving, _edge_lists, verify._edge_arrays, verify._isometry_fault],
+)
 def test_oracle_reads_nothing_from_the_code_it_checks(oracle):
     checked = {"padnet.graph", "padnet.ordered_net", "padnet.decomposition", "padnet.covers"}
     refs = inspect.getclosurevars(oracle)
@@ -609,7 +614,8 @@ def test_cover_diameter_names_a_far_member():
     got = _cover_diameter(b, clusters, {5: clusters[5].members | {0}})
     assert got.status == "fail"
     assert got.witness == "cluster 5: vertex 0 is a member, not in the oracle ball of center 22"
-    assert got.measured == math.inf
+    assert got.measured is None
+    json.dumps(got.to_json_dict(), allow_nan=False)
 
 
 def test_cover_diameter_fails_a_small_cluster_that_is_no_ball():
@@ -623,7 +629,7 @@ def test_cover_diameter_fails_a_small_cluster_that_is_no_ball():
     got = _cover_diameter(b, clusters, {3: {11, 13}})
     assert got.status == "fail"
     assert got.witness == "cluster 3: vertex 14 is in the oracle ball of center 11, not a member"
-    assert got.measured <= got.bound
+    assert (got.measured, got.bound) == (None, 2 * 3.0 * b.delta + verify.TOL)
 
 
 def _partition_cover_diameter(b, p, j, **changes):
@@ -1018,13 +1024,174 @@ def test_embedding_entry_outside_host_fails_without_raising(outside):
 
 
 def test_isometry_witness_names_input_vertices():
-    # forward[0] points at vertex 1's copy, so d(0, 1) reads 0 against 1
+    # forward[0] points at vertex 1's copy: condition (a), no measured value
     b = built(BY_NAME["path-8"])
     forward = b.embedding.forward.copy()
     forward[0] = forward[1]
     checks = verify_embedding(b.graph, b.td, dataclasses.replace(b.embedding, forward=forward), b.host.n)
     c = find_check(checks, "isometry-exact")
-    assert (c.status, c.measured, c.witness) == ("fail", 1.0, "pair (0, 1)")
+    assert (c.status, c.measured) == ("fail", None)
+    assert c.witness == f"vertex 0: forward {forward[1]} is a copy of vertex 1"
+    json.dumps([x.to_json_dict() for x in checks], allow_nan=False)
+
+
+# --- the isometry certificate ---------------------------------------------------
+
+ISOMETRY_FIXTURES = [
+    *acceptance_fixtures(),
+    decimal_weight_fixture(partial_ktree_fixture(50, 3, seed=4, delta=1.0), seed=4),
+    decimal_weight_fixture(partial_ktree_fixture(35, 2, seed=12, drop=0.4, delta=1.0), seed=5),
+    decimal_weight_fixture(grid_fixture(5, delta=1.0), seed=6),
+    shuffled_ids(partial_ktree_fixture(40, 3, seed=22, drop=0.3, delta=2.0), seed=1),
+    shuffled_ids(grid_fixture(4), seed=2),
+]
+_CONVERTED: dict[str, IsometricEmbedding] = {}
+
+
+def _converted(f: Fixture) -> IsometricEmbedding:
+    if f.name not in _CONVERTED:
+        _CONVERTED[f.name] = td_to_tree_partition(f.graph, f.td)
+    return _CONVERTED[f.name]
+
+
+def _isometry_fault(g: WeightedGraph, emb: IsometricEmbedding) -> str | None:
+    """The certificate on emb's record, its copies read as _embedding_checks reads them."""
+    owner, member, _ = verify._memberships(emb.copies, emb.host.n)
+    return verify._isometry_fault(g, emb.host, emb.forward, owner, member)
+
+
+def _isometry_rows(g: WeightedGraph, emb: IsometricEmbedding) -> tuple[np.ndarray, np.ndarray]:
+    """The all-vertex Bellman-Ford rows of g, and of the host from the
+    designated copies read at the designated copies: what the certificate implies."""
+    fwd = emb.forward
+    dg = _bellman_ford_rows(_edge_lists(g), np.arange(g.n), bytes(g.n), 0, 1, np.inf)
+    dh = _bellman_ford_rows(_edge_lists(emb.host), fwd, bytes(emb.host.n), 0, 1, np.inf)
+    return dg, dh[:, fwd]
+
+
+@pytest.mark.parametrize("fixture", ISOMETRY_FIXTURES, ids=lambda f: f.name)
+def test_isometry_certificate_passes_every_conversion(fixture):
+    emb = _converted(fixture)
+    assert _isometry_fault(fixture.graph, emb) is None
+    dg, dh = _isometry_rows(fixture.graph, emb)
+    assert dg.tobytes() == dh.tobytes()
+
+
+# each planted fault and the witness prefix of the condition that must catch it;
+# an extra edge over an edge of g, no lighter than it, changes no distance
+TAMPERINGS = {
+    "raised": "edge (",  # (c)
+    "lowered": "host edge (",  # (b)
+    "dropped": "edge (",  # (c)
+    "dropped-zero": "copy ",  # (d)
+    "extra": "host edge (",  # (b), or no fault
+    "swapped-forward": "vertex ",  # (a)
+    "two-copies": "host vertex ",  # (a)
+}
+
+
+def _tampered(g: WeightedGraph, emb: IsometricEmbedding, how: str, pick) -> IsometricEmbedding | None:
+    """emb with one fault of kind `how` planted where pick(candidates) says;
+    None when emb has no place for it or the host would fall apart."""
+    host, forward, copies = emb.host, emb.forward.copy(), list(emb.copies)
+    orig = np.empty(host.n, dtype=np.int64)
+    for v, held in enumerate(copies):
+        orig[list(held)] = v
+    edges = list(host.edges)
+    cross = [i for i, (a, b, _) in enumerate(edges) if orig[a] != orig[b]]
+    zero = [i for i, (a, b, _) in enumerate(edges) if orig[a] == orig[b]]
+    if how in ("raised", "lowered", "dropped") or (how == "dropped-zero" and zero):
+        i = pick(zero if how == "dropped-zero" else cross)
+        a, b, w = edges.pop(i)
+        if how == "raised":
+            edges.append((a, b, pick([float(np.nextafter(w, np.inf)), w + 1.0])))
+        elif how == "lowered":
+            edges.append((a, b, pick([float(np.nextafter(w, 0.0)), w / 2])))
+    elif how == "extra":
+        weight = {(u, v): w for u, v, w in g.edges}
+        a = pick(range(host.n))
+        near = [h for h in range(host.n) if (min(orig[a], orig[h]), max(orig[a], orig[h])) in weight]
+        b = pick(pick([near, [h for h in range(host.n) if orig[h] != orig[a]]]))
+        w = weight.get((min(orig[a], orig[b]), max(orig[a], orig[b])), 1.0)
+        edges.append((a, b, pick([w, float(np.nextafter(w, np.inf)), w + 1.0, float(np.nextafter(w, 0.0)), 0.0])))
+    elif how == "swapped-forward":
+        u = pick(range(g.n))
+        v = pick([x for x in range(g.n) if x != u])
+        forward[u], forward[v] = forward[v], forward[u]
+    elif how == "two-copies":
+        h = pick(range(host.n))
+        u = pick([x for x in range(g.n) if x != orig[h]])
+        copies[u] = (*copies[u], h)
+    else:
+        return None
+    try:
+        host = WeightedGraph(host.n, edges)
+    except GraphFormatError:  # a dropped bridge
+        return None
+    return dataclasses.replace(emb, host=host, forward=forward, copies=tuple(copies))
+
+
+@pytest.mark.parametrize("fixture", ISOMETRY_FIXTURES, ids=lambda f: f.name)
+@given(how=st.sampled_from(sorted(TAMPERINGS)), rnd=st.randoms(use_true_random=False))
+@settings(max_examples=20, deadline=None)
+def test_isometry_certificate_is_sound(fixture, how, rnd):
+    # whatever passes the certificate has the distances the rows would compare,
+    # bit for bit, and every fault but a harmless extra edge is caught by its condition
+    g = fixture.graph
+    emb = _tampered(g, _converted(fixture), how, rnd.choice)
+    if emb is None:
+        return
+    fault = _isometry_fault(g, emb)
+    if fault is None:
+        assert how == "extra"
+        dg, dh = _isometry_rows(g, emb)
+        assert dg.tobytes() == dh.tobytes()
+    else:
+        assert fault.startswith(TAMPERINGS[how]), fault
+
+
+@pytest.mark.parametrize(
+    "edit,witness",
+    [
+        (dict(drop=(1, 2), add=(1, 2, 1.5)), "edge (1,2) of g, weight 1.0: no host edge over it of that weight"),
+        (
+            dict(drop=(1, 2), add=(1, 2, 0.5)),
+            "host edge (1,2) weight 0.5 lies over no edge of g between 1 and 2 of weight <= 0.5",
+        ),
+        (dict(drop=(1, 2)), "edge (1,2) of g, weight 1.0: no host edge over it of that weight"),
+        (dict(drop=(2, 4)), "copy 4 of vertex 2 is joined to forward 2 by no zero-weight path"),
+        (
+            dict(add=(1, 5, 0.5)),
+            "host edge (1,5) weight 0.5 lies over no edge of g between 1 and 3 of weight <= 0.5",
+        ),
+        (dict(swap=(1, 2)), "vertex 1: forward 2 is a copy of vertex 2"),
+        (dict(copy=(4, 1)), "host vertex 4 is a copy of vertices 1 and 2"),
+        (dict(cut=15), "forward lists 15 vertices, g has 16"),
+    ],
+    ids=["raised", "lowered", "dropped", "dropped-zero", "extra", "swapped-forward", "two-copies", "short-forward"],
+)
+def test_isometry_failure_names_its_condition(edit, witness):
+    # cycle-16's host: vertex 1's one copy is host 1, vertex 2's are 2 and 4
+    # (joined by a zero-weight edge), vertex 3's first is 5; g's edge (1,2)
+    # lies under host edge (1,2) of weight 1
+    b = built(BY_NAME["cycle-16"])
+    emb = b.embedding
+    assert emb.copies[1:4] == ((1,), (2, 4), (5, 7)) and (1, 2, 1.0) in emb.host.edges
+    edges = [e for e in emb.host.edges if e[:2] != edit.get("drop")]
+    if "add" in edit:
+        edges.append(edit["add"])
+    forward, copies = emb.forward[: edit.get("cut")].copy(), list(emb.copies)
+    if "swap" in edit:
+        u, v = edit["swap"]
+        forward[u], forward[v] = forward[v], forward[u]
+    if "copy" in edit:
+        h, v = edit["copy"]
+        copies[v] = (*copies[v], h)
+    bad = IsometricEmbedding(WeightedGraph(b.host.n, edges), emb.tree_partition, forward, tuple(copies))
+    checks = verify_embedding(b.graph, b.td, bad, b.host.n)
+    c = find_check(checks, "isometry-exact")
+    assert (c.status, c.measured, c.bound, c.witness) == ("fail", None, 0.0, witness)
+    json.dumps([x.to_json_dict() for x in checks], allow_nan=False)
 
 
 @pytest.mark.parametrize("bag", ["len", -1])
