@@ -8,16 +8,9 @@ are in `verify`'s module docstring.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
-
-def _edge_arrays(g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g's edge list as arrays (a, b, w), in its order: a < b, ascending."""
-    flat = np.fromiter(chain.from_iterable(g.edges), dtype=np.float64, count=3 * len(g.edges))
-    a, b, w = flat.reshape(-1, 3).T
-    return a.astype(np.int64), b.astype(np.int64), w
+from .oracle import _edge_arrays, _least_joined
 
 
 def _isometry_fault(g, host, forward: np.ndarray, owner: np.ndarray, member: np.ndarray) -> str | None:
@@ -67,18 +60,8 @@ def _isometry_fault(g, host, forward: np.ndarray, owner: np.ndarray, member: np.
         i = int(np.argmin(exact))
         return f"edge ({ga[i]},{gb[i]}) of g, weight {gw[i]}: no host edge over it of that weight"
 
-    # each vertex's zero-weight component is labelled by its least vertex: min-label
-    # propagation over the zero-weight edges, with pointer jumping between rounds
-    za, zb = ha[hw == 0.0], hb[hw == 0.0]
-    label = np.arange(host.n)
-    while True:
-        step = label.copy()
-        np.minimum.at(step, za, label[zb])
-        np.minimum.at(step, zb, label[za])
-        step = step[step]
-        if np.array_equal(step, label):
-            break
-        label = step
+    # each vertex's zero-weight component is labelled by its least vertex
+    label = _least_joined(host.n, ha[hw == 0.0], hb[hw == 0.0])
     apart = np.flatnonzero(label != label[forward[orig]])
     if apart.size:
         h = int(apart[0])

@@ -1,9 +1,11 @@
 """Independent oracles and the consolidated invariant suite.
 
-`oracle_all_pairs` is a Floyd-Warshall path and `_bellman_ford_rows` a
-radius-bounded Bellman-Ford over key intervals, each row costing its ball;
-neither shares code with the Dijkstra search in `graph`, and no check calls
-that search: `core-ball-replay` takes a core's ball from its centers' rows.
+`oracle_all_pairs` (its own module, `oracle`, which reads the edge list
+alone) is Floyd-Warshall over the classes that zero-weight edges join, and
+`_bellman_ford_rows` a radius-bounded Bellman-Ford over key intervals, each
+row costing its ball; neither shares code with the Dijkstra search in
+`graph`, and no check calls that search: `core-ball-replay` takes a core's
+ball from its centers' rows.
 Every structure the other modules produce is certified here: conversion isometry,
 core-carving invariants, net covering/packing, decomposition and cover
 guarantees.  The report certifies the instance, not the kernel: the Dijkstra search's own properties
@@ -46,8 +48,10 @@ computes each once and passes it on as an argument, and `verify_net` and
 the net once too, and certifies that one copy.  Nothing is cached between
 calls.
 - No rows for `isometry-exact`: it is certified from the two edge lists.
-- The host's all-pairs matrix (Floyd-Warshall): the copy checks, both
-  ball-containment checks, the sampled partition's weak diameter and
+- The host's all-pairs matrix (Floyd-Warshall over the host's zero-weight
+  classes: one per input vertex when the host is g copy-expanded, so its
+  cost is cubic in g's size and quadratic in the host's): the copy checks,
+  both ball-containment checks, the sampled partition's weak diameter and
   `padded_trial_counts`.  The partition and the padding counts are thus
   certified against the oracle, not the Dijkstra rows they would otherwise
   share with the code under test.  The padding counts list their ball
@@ -117,7 +121,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -142,7 +145,8 @@ from .graph import (
     strong_diameter,  # unused here; perfbench's tracer wraps verify's binding
     weak_diameter,  # unused here; perfbench's tracer wraps verify's binding
 )
-from .isometry import _edge_arrays, _isometry_fault
+from .isometry import _isometry_fault
+from .oracle import _edge_arrays, oracle_all_pairs
 from .ordered_net import (
     CoreConstruction,
     TreeOrderedNet,
@@ -168,47 +172,6 @@ def _check_oracle_cap(oracle_cap: int, *graphs: WeightedGraph) -> None:
     for h in graphs:
         if h.n > oracle_cap:
             raise OracleCapError(f"oracle cap {oracle_cap} exceeded: |restrict| = {h.n}")
-
-
-def oracle_all_pairs(g: WeightedGraph, restrict: Sequence[int]) -> np.ndarray:
-    """Exact all-pairs distances in G[restrict] via the O(r^3) recurrence.
-
-    `restrict` holds r distinct integer vertex ids in 0..n-1, in any order;
-    the first id that is not an integer, outside that range or repeated
-    raises ValueError.  Returns the (r, r) matrix over the ids in ascending
-    order, +inf for pairs G[restrict] does not connect.
-    """
-    ids = np.asarray(restrict)
-    if ids.size == 0:
-        raise ValueError("restrict must be non-empty")
-    if ids.dtype.kind not in "iu":  # floats, or ints beyond 64 bits, which numpy keeps as objects
-        for v in ids.tolist():
-            if type(v) is not int or not 0 <= v < g.n:
-                why = f"outside 0..{g.n - 1}" if type(v) is int else "not an integer"
-                raise ValueError(f"restrict: vertex {v} {why}")
-        ids = ids.astype(np.int64)
-    by_id = np.argsort(ids, kind="stable")
-    idx = ids[by_id]
-    wrong = (ids < 0) | (ids >= g.n)
-    wrong[by_id[1:][idx[1:] == idx[:-1]]] = True  # every occurrence after the first
-    if wrong.any():
-        v = int(ids[np.argmax(wrong)])
-        why = "repeated" if 0 <= v < g.n else f"outside 0..{g.n - 1}"
-        raise ValueError(f"restrict: vertex {v} {why}")
-    r = idx.size
-    pos = np.full(g.n, -1, dtype=np.int64)
-    pos[idx] = np.arange(r)
-    d = np.full((r, r), np.inf)
-    np.fill_diagonal(d, 0.0)
-    for u, v, w in g.edges:
-        pu, pv = pos[u], pos[v]
-        if pu >= 0 and pv >= 0:
-            if w < d[pu, pv]:
-                d[pu, pv] = w
-                d[pv, pu] = w
-    for k in range(r):  # ascending ids: the sums, and so every bit, depend on this order
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
-    return d
 
 
 @dataclass

@@ -48,6 +48,22 @@ def dense_oracle(g: WeightedGraph, restrict) -> np.ndarray:
     return out
 
 
+def plain_floyd_warshall(g: WeightedGraph, restrict) -> np.ndarray:
+    """The recurrence over every id of restrict, ascending, with no zero-weight
+    classes: the (r, r) distances in G[restrict], each sum associated as the
+    plain Floyd-Warshall associates it."""
+    ids = sorted(restrict)
+    pos = {v: i for i, v in enumerate(ids)}
+    d = np.full((len(ids), len(ids)), np.inf)
+    np.fill_diagonal(d, 0.0)
+    for u, v, w in g.edges:
+        if u in pos and v in pos:
+            d[pos[u], pos[v]] = d[pos[v], pos[u]] = min(d[pos[u], pos[v]], w)
+    for k in range(len(ids)):
+        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    return d
+
+
 def descendant_mask(net, x: int) -> np.ndarray:
     """Boolean mask of the vertices u <= x in the net's order, read from its
     preorder intervals."""

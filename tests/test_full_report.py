@@ -320,15 +320,19 @@ PINNED_REPORTS = {
     # pin `verify` on data/ alone; these pin it on partial k-trees with unit,
     # integer and decimal weights, so that a change moving any verdict,
     # measured value or witness of the report shows here, and is re-pinned
-    # with its reason in CHANGES.md.  sp-20d and ktree3-30-dec read the same
-    # at every seed (every trial pads every ball), so they are pinned at one;
-    # sp-50w and sp-60w are pinned at two, where their padding-lcb values differ
+    # with its reason in CHANGES.md.  sp-20d, ktree3-30-dec and ktree3-250d-dec
+    # read the same at every seed (every trial pads every ball), so they are
+    # pinned at one; sp-50w and sp-60w are pinned at two, where their
+    # padding-lcb values differ.  ktree3-250d-dec's host has 988 vertices on
+    # decimal weights, where the oracle's zero-weight classes associate its
+    # sums unlike the plain recurrence: its hash was taken with the plain one
     ("sp-20d", 0): "ea59dbcbc6356cfb644a4dfa345de52cca1faa91edf7a649abbb8f982b9dfb1b",
     ("sp-50w", 0): "f8acf1cff25c3f5571571fbbdead881fd6b8fe5d6ad38d9b3d0cd8f64dc267cd",
     ("sp-50w", 1): "cb3ec37504fe5ac4db2cfc9e6643bdfc259928978b23a9344ba3bef7f52b8bf7",
     ("sp-60w", 0): "fd0d43d9a32d0ff3ac6b16030c62ea9d8743bd0def1bb8394ba0d89225d3bc8d",
     ("sp-60w", 1): "9cf6973bc90aa8446f1a970dd507f722467af300a4b10a21a916b6e496f76b1a",
     ("ktree3-30-dec", 0): "d9a11277e092a162f2db8a466c530e3fd9ca16443ac841a23aa5f0755615fc35",
+    ("ktree3-250d-dec", 0): "d60beb8acd071bc7ec40150bb0e3f3856ed2b57f2e2147e48db83ef4c582adaa",
 }
 
 
@@ -340,6 +344,7 @@ def _pinned_fixtures():
             partial_ktree_fixture(50, 2, seed=13, drop=0.2, weighted=True, delta=8.0),
             partial_ktree_fixture(60, 2, seed=5, drop=0.3, weighted=True, delta=4.0),
             decimal_weight_fixture(partial_ktree_fixture(30, 3, seed=21, delta=1.0), seed=4),
+            decimal_weight_fixture(partial_ktree_fixture(250, 3, seed=51, drop=0.2, delta=1.0), seed=6),
         ]
     }
 

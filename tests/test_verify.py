@@ -1,11 +1,15 @@
+import ast
 import copy
 import dataclasses
 import inspect
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.sparse import csgraph
 from conftest import built
 from fixtures import (
     Fixture,
@@ -17,6 +21,7 @@ from fixtures import (
     grid_fixture,
     is_ancestor,
     partial_ktree_fixture,
+    plain_floyd_warshall,
     shuffled_ids,
     triangle_single_bag,
     vertex_mask,
@@ -25,6 +30,7 @@ from fixtures import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import padnet.oracle
 import padnet.verify as verify
 from padnet.covers import CoverCluster, PartitionCluster, build_partition_cover, build_sparse_cover
 from padnet.decomposition import sample_padded_decomposition
@@ -124,9 +130,104 @@ def test_oracle_matches_search_on_random_graphs():
             assert d[members].tolist() == row.tolist()
 
 
+def test_oracle_joins_zero_weight_edges_only_inside_restrict():
+    # on the zero path 0-1-2, vertex 1 alone joins 0 and 2
+    g = WeightedGraph(3, [(0, 1, 0.0), (1, 2, 0.0)])
+    assert oracle_all_pairs(g, [0, 2]).tolist() == [[0.0, np.inf], [np.inf, 0.0]]
+    assert oracle_all_pairs(g, [0, 1, 2]).tolist() == [[0.0] * 3] * 3
+
+
+# the zero-weight chain 0-1-2-3 (three edges) and the zero edge 5-6 make the
+# classes {0, 1, 2, 3}, {4}, {5, 6}; the heavier edges join the classes
+ZERO_CHAINED = WeightedGraph(
+    7, [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 0.0), (3, 4, 2.0), (4, 5, 3.0), (5, 6, 0.0), (0, 6, 9.0), (2, 5, 4.0)]
+)
+
+
+@pytest.mark.parametrize(
+    "restrict,classes,between",
+    [
+        # classes 0..2 are {0, 1, 2, 3}, {4}, {5, 6}: 4 through 2-5, not 5 through 4
+        ([6, 0, 5, 3, 1, 4, 2], [0, 0, 0, 0, 1, 2, 2], [[0, 2, 4], [2, 0, 3], [4, 3, 0]]),
+        # without 2 the chain splits into {0, 1} and {3}, and 2-5 is gone
+        ([0, 1, 3, 4, 5, 6], [0, 0, 1, 2, 3, 3], [[0, 14, 12, 9], [14, 0, 2, 5], [12, 2, 0, 3], [9, 5, 3, 0]]),
+    ],
+)
+def test_oracle_on_zero_weight_edges_of_g(restrict, classes, between):
+    members = sorted(restrict)
+    expected = np.array(between, dtype=float)[np.ix_(classes, classes)]
+    assert oracle_all_pairs(ZERO_CHAINED, restrict).tolist() == expected.tolist()
+    mask = vertex_mask(ZERO_CHAINED.n, members)
+    rows = [shortest_paths(ZERO_CHAINED, mask, [s])[members] for s in members]
+    assert np.array(rows).tolist() == expected.tolist()
+
+
+def test_oracle_without_zero_edges_is_the_plain_recurrence_bit_for_bit():
+    # decimal weights round, so any change in how the sums associate shows
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        n = 40
+        edges = [(i, int(rng.integers(i)), float(rng.choice([0.1, 0.2, 0.3, 0.7]))) for i in range(1, n)]
+        edges += [(int(u), int(v), float(rng.uniform(0.05, 2.0))) for u, v in rng.integers(n, size=(30, 2)) if u != v]
+        g = WeightedGraph(n, edges)
+        members = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
+        assert oracle_all_pairs(g, members).tobytes() == plain_floyd_warshall(g, members).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BY_NAME))
+def test_oracle_matches_bellman_ford_on_every_acceptance_host(name):
+    # copy-expanded hosts are mostly zero-weight classes; on integer (and
+    # dyadic) weights the contracted recurrence is exact
+    host = built(BY_NAME[name]).host
+    rows = _bellman_ford_rows(_edge_lists(host), np.arange(host.n), bytes(host.n), 0, 1, np.inf)
+    assert np.array_equal(oracle_all_pairs(host, range(host.n)), rows)
+
+
+def _decimal(f):
+    return decimal_weight_fixture(f, seed=6)
+
+
+@pytest.mark.parametrize(
+    "fixture,exact",
+    [(f, True) for f in acceptance_fixtures()[-5:]]  # sp-50w has integer weights 1..7
+    + [
+        (partial_ktree_fixture(250, 3, seed=51, drop=0.2, delta=1.0), True),  # host 988
+        (_decimal(partial_ktree_fixture(250, 3, seed=51, drop=0.2, delta=1.0)), False),
+        (_decimal(partial_ktree_fixture(60, 4, seed=31, drop=0.2, delta=1.0)), False),
+        (_decimal(grid_fixture(7)), False),
+    ],
+    ids=lambda x: getattr(x, "name", None),
+)
+def test_oracle_matches_scipy_on_hosts(fixture, exact):
+    # scipy shares no code with padnet.  Built from (data, (i, j)), the sparse
+    # matrix keeps the explicit zero-weight copy edges
+    host = built(fixture).host
+    a, b, w = (np.array(column) for column in zip(*host.edges))
+    matrix = scipy.sparse.csr_matrix((w, (a, b)), shape=(host.n, host.n))
+    assert matrix.nnz == host.m and (w == 0.0).any()
+    reference = csgraph.shortest_path(matrix, method="D", directed=False)
+    got = oracle_all_pairs(host, range(host.n))
+    if exact:
+        assert np.array_equal(got, reference)
+    else:
+        np.testing.assert_allclose(got, reference, rtol=1e-12, atol=0.0)
+
+
+def test_oracle_module_imports_nothing_from_padnet():
+    # the oracle checks graph, ordered_net, decomposition and covers, and
+    # reads none of them: it imports no padnet module at all
+    tree = ast.parse(Path(padnet.oracle.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {"." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported and not any(name.startswith((".", "padnet")) for name in imported), imported
+
+
 @pytest.mark.parametrize(
     "oracle",
-    [oracle_all_pairs, _bellman_ford_rows, _replay_carving, _edge_lists, verify._edge_arrays, verify._isometry_fault],
+    [
+        oracle_all_pairs, padnet.oracle._least_joined, _bellman_ford_rows, _replay_carving, _edge_lists,
+        verify._edge_arrays, verify._isometry_fault,
+    ],
 )
 def test_oracle_reads_nothing_from_the_code_it_checks(oracle):
     checked = {"padnet.graph", "padnet.ordered_net", "padnet.decomposition", "padnet.covers"}
