@@ -40,3 +40,19 @@ def test_cli_json_bytes_pinned(command, data, tmp_path, capsys):
     assert main(argv + ["--delta", "2", "--out", str(out)]) == 0
     capsys.readouterr()  # verify prints its table; only the JSON is pinned
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[command, data]
+
+
+# `decompose --trials 50 --seed 7 --delta 2`: the seed sweep, fifty partitions in one artifact
+GOLDEN_TRIALS = {
+    "grid4": "eaef23d6438f2103ed82ea559a251fde8b82807f50ade837a9af2b3bcf038ee4",
+    "path8": "46203930e91ae65125b021811ad2bbbc12c650f496b53a9246ed2448b6ab3180",
+}
+
+
+@pytest.mark.parametrize("data", sorted(GOLDEN_TRIALS))
+def test_decompose_trials_json_bytes_pinned(data, tmp_path):
+    out = tmp_path / "out.json"
+    argv = ["decompose", "--graph", str(DATA / f"{data}.gr"), "--td", str(DATA / f"{data}.td")]
+    argv += ["--seed", "7", "--trials", "50", "--delta", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_TRIALS[data]
