@@ -15,19 +15,23 @@ function of (seed, center, t), so `center_uniforms` evaluates the draws of
 every center, and of several seeds, at once in numpy, bit for bit equal to
 per-center generators.  Both samplers draw radii through `_radii`: one call
 per chunk of trials of a batch, and one per chunk of seeds of a sweep of
-partitions (a single sample is a sweep of one).
+partitions (a single sample is a sweep of one).  Both read the first claims
+through the net's `claim_prefix`, built once per net.  A partition is its
+assignment plus each cluster's center: one stable argsort gives the members,
+and `PaddedPartition.clusters` is a view derived from them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
 from .graph import WeightedGraph, ball_pairs
-from .ordered_net import TreeOrderedNet, check_net_delta
+from .ordered_net import TreeOrderedNet, _claim_prefixes, _run_starts, check_net_delta
 
 
 @dataclass(frozen=True)
@@ -128,27 +132,42 @@ class PaddedCluster:
 
 @dataclass
 class PaddedPartition:
-    """One sampled partition plus the trace needed to replay it exactly."""
+    """One sampled partition plus the trace needed to replay it exactly:
+    assignment[v] is vertex v's cluster, the one record of the members, and
+    centers[c] cluster c's center, in rank order.  Radii are read from `trace`."""
 
-    clusters: tuple[PaddedCluster, ...]
     assignment: np.ndarray
+    centers: np.ndarray
     seed: int
     params: DecompositionParams
     trace: tuple[tuple[int, float], ...]
+
+    def members(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, starts) from one stable argsort of the assignment: cluster
+        c's members, ascending, are order[starts[c] : starts[c + 1]].  An id
+        outside 0..len(centers)-1 puts its vertex in no cluster."""
+        order = np.argsort(self.assignment, kind="stable")
+        return order, np.searchsorted(self.assignment[order], np.arange(len(self.centers) + 1))
+
+    def _groups(self) -> list[tuple[int, float, list[int]]]:
+        """(center, radius, ascending members) of each cluster, in id order."""
+        radius = dict(self.trace)
+        order, starts = self.members()
+        order, bounds = order.tolist(), starts.tolist()
+        return [(c, radius[c], order[a:b]) for c, a, b in zip(self.centers.tolist(), bounds, bounds[1:])]
+
+    @cached_property
+    def clusters(self) -> tuple[PaddedCluster, ...]:
+        """The clusters as `PaddedCluster`s, in id order: a view built on
+        first access, for the API; padnet itself reads the arrays."""
+        return tuple(PaddedCluster(c, r, frozenset(m)) for c, r, m in self._groups())
 
     def to_json_dict(self) -> dict:
         return {
             "seed": self.seed,
             "params": self.params.to_json_dict(),
-            "clusters": [
-                {
-                    "center": c.center,
-                    "radius": c.radius,
-                    "members": sorted(c.members),
-                }
-                for c in self.clusters
-            ],
-            "assignment": {str(v): int(self.assignment[v]) for v in range(len(self.assignment))},
+            "clusters": [{"center": c, "radius": r, "members": m} for c, r, m in self._groups()],
+            "assignment": {str(v): c for v, c in enumerate(self.assignment.tolist())},
             "trace": [{"center": c, "radius": r} for c, r in self.trace],
         }
 
@@ -222,59 +241,26 @@ def center_uniforms(seed, streams, start: int, stop: int) -> np.ndarray:
     return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
-def _run_starts(vertex: np.ndarray, n: int) -> np.ndarray:
-    """For entries sorted by vertex in 0..n-1, the index of the first entry
-    of each entry's vertex."""
-    count = np.bincount(vertex, minlength=n)
-    return (np.cumsum(count) - count)[vertex]
-
-
-def _claim_prefixes(
-    entries: tuple[np.ndarray, ...], n: int, reach: np.ndarray, sure_reach: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """The entries that can be a vertex's first claim, as (vertex, rank,
-    dist, slot, sure), given each center's largest radius `reach` and
-    smallest radius `sure_reach` (both indexed by rank).
-
-    An entry beyond its center's largest radius never claims, and one within
-    its center's smallest radius (a sure entry) always claims, so no entry
-    after a vertex's first sure entry can be first.  `slot` numbers each
-    vertex's entries left from 0, in rank order.
-    """
-    vertex, rank, dist = entries
-    keep = dist <= reach[rank]
-    vertex, rank, dist = vertex[keep], rank[keep], dist[keep]
-    sure = dist <= sure_reach[rank]
-    sure_before = np.cumsum(sure) - sure  # sure entries before each entry
-    keep = sure_before == sure_before[_run_starts(vertex, n)]  # none earlier in its run
-    vertex, rank, dist, sure = vertex[keep], rank[keep], dist[keep], sure[keep]
-    return vertex, rank, dist, np.arange(vertex.size) - _run_starts(vertex, n), sure
-
-
 def _first_claims(
-    entries: tuple[np.ndarray, ...], n: int, radii: np.ndarray, ids: np.ndarray | None = None
+    prefix: tuple[np.ndarray, ...], n: int, radii: np.ndarray, ids: np.ndarray | None = None
 ) -> np.ndarray:
     """First claiming center of every vertex in every trial, as (t, n) ranks.
 
-    entries is the net's sparse center table (`center_entries()`: vertex,
-    rank, dist, sorted by vertex then rank) over n vertices, and radii holds
+    prefix is a `_claim_prefixes` of the net's center table over n vertices
+    whose reach and sure reach bound each center's radii, and radii holds
     each ordered center's radius in each of t trials, shaped (k, t).  A
-    center claims the vertices of its entries within its radius, and a vertex
-    goes to the lowest rank that claims it.  Raises when some vertex is
-    claimed by no center in some trial, naming the first such vertex, as
+    center claims the vertices of its entries within its radius, and a
+    vertex goes to the lowest rank that claims it.  Raises when some vertex
+    is claimed by no center in some trial, naming the first such vertex, as
     ids[v] when the rows stand for the vertex ids `ids`.
 
-    `_claim_prefixes` keeps the work near one entry per vertex, and exact
-    for any radii.  The sampler's radii are >= delta, within which the net
-    covers every vertex, so every vertex keeps a sure entry.  The entries
-    left, L at most per vertex (no more than its packing count at the
-    largest radius), are walked one slot at a time from the last to the
-    first: each writes its rank over the trials whose radius reaches it, so
-    a lower rank overwrites a higher one.
+    The sampler's radii are >= delta, within which the net covers every
+    vertex, so the prefix keeps a sure entry and L entries at most per
+    vertex (its packing count at the largest radius).  They are walked one
+    slot at a time from the last to the first: each writes its rank over the
+    trials whose radius reaches it, so a lower rank overwrites a higher one.
     """
-    vertex, rank, dist, slot, _ = _claim_prefixes(
-        entries, n, radii.max(axis=1), radii.min(axis=1)
-    )
+    vertex, rank, dist, slot, _ = prefix
     # in the smallest integer type that holds -1 and every rank: the walk
     # moves (vertices, t) rows, and narrow ones move fastest
     first = np.full((n, radii.shape[1]), -1, dtype=np.min_scalar_type(-1 - len(radii)))
@@ -297,22 +283,15 @@ def _claim_classes(net: TreeOrderedNet) -> np.ndarray:
     in every trial of the sampler, whatever radii it draws.
 
     Every sampled radius is y * delta with 1 <= y <= beta, so each vertex's
-    possible first claims are its `_claim_prefixes` at reach beta * delta and
-    sure reach delta, and the sure entry's distance does not matter.  Two
-    vertices with equal (rank, dist) prefixes, the sure distance replaced by
-    a sentinel, are claimed alike.  Only the sampler's own inputs are read,
+    possible first claims are its entries in the net's `claim_prefix`, and
+    the sure entry's distance does not matter.  Two vertices with equal
+    (rank, dist) prefixes, the sure distance replaced by a sentinel, are
+    claimed alike.  Only the sampler's own inputs are read,
     and nothing is assumed of the net's covering: a vertex with no sure entry
     shares a class only with vertices of the same prefix, which then go
     unclaimed together.
     """
-    params = DecompositionParams.from_net(net, net.delta)
-    k = len(net.centers_in_order())
-    vertex, rank, dist, slot, sure = _claim_prefixes(
-        net.center_entries(),
-        net.n,
-        np.full(k, params.beta_internal * net.delta),
-        np.full(k, net.delta),
-    )
+    vertex, rank, dist, slot, sure = net.claim_prefix
     width = int(slot.max()) + 1 if slot.size else 1
     # (rank, dist bits) per slot; -1 marks an empty slot's rank and a sure
     # entry's distance, and no rank or non-negative float's bits read -1
@@ -347,7 +326,7 @@ def sample_padded_decompositions(net: TreeOrderedNet, seeds) -> Iterator[PaddedP
     for start in range(0, len(seeds), CHUNK):
         chunk = seeds[start : start + CHUNK]
         radii = _radii(net, params, chunk, 0, 1)
-        claims = _first_claims(net.center_entries(), net.n, radii)
+        claims = _first_claims(net.claim_prefix, net.n, radii)
         for j, seed in enumerate(chunk):
             yield _partition_from_claims(net, claims[j], radii[:, j], seed, params)
 
@@ -363,45 +342,33 @@ def sample_padded_decomposition(
 def replay_decomposition(
     net: TreeOrderedNet, trace: list[tuple[int, float]], seed: int = -1
 ) -> PaddedPartition:
-    """Rebuild a partition from recorded (center, radius) pairs."""
+    """Rebuild a partition from recorded (center, radius) pairs.  The radii
+    may lie outside [delta, beta*delta]: the claim prefix is the trace's own."""
     centers = net.centers_in_order()
     by_center = dict(trace)
     radii = np.array([by_center[int(x)] for x in centers], dtype=float)
     params = DecompositionParams.from_net(net, net.delta)
-    raw = _first_claims(net.center_entries(), net.n, radii[:, None])[0]
+    prefix = _claim_prefixes(net.center_entries(), net.n, radii, radii)
+    raw = _first_claims(prefix, net.n, radii[:, None])[0]
     return _partition_from_claims(net, raw, radii, seed, params)
 
 
 def _partition_from_claims(
-    net: TreeOrderedNet,
-    raw: np.ndarray,
-    radii: np.ndarray,
-    seed: int,
-    params: DecompositionParams,
+    net: TreeOrderedNet, raw: np.ndarray, radii: np.ndarray, seed: int, params: DecompositionParams
 ) -> PaddedPartition:
     """The partition whose vertices go to the center ranks in raw, given
-    each ordered center's radius."""
+    each ordered center's radius: the centers that claim a vertex, renumbered
+    0.. in rank order."""
     centers = net.centers_in_order()
-    # members of center i: one stable sort of the vertices by claiming center
-    sizes = np.bincount(raw, minlength=len(centers))
-    used = np.flatnonzero(sizes)
-    ends = np.cumsum(sizes[used])
-    by_center = np.argsort(raw, kind="stable").tolist()
-    center_ids, radius_list = centers.tolist(), radii.tolist()
-    clusters = tuple(
-        PaddedCluster(center_ids[i], radius_list[i], frozenset(by_center[start:end]))
-        for i, start, end in zip(used.tolist(), (ends - sizes[used]).tolist(), ends.tolist())
-    )
+    used = np.flatnonzero(np.bincount(raw, minlength=len(centers)))
     renumber = np.full(len(centers), -1, dtype=np.int64)
     renumber[used] = np.arange(len(used))
-    assignment = renumber[raw]
-    trace = tuple(zip(center_ids, radius_list))
     return PaddedPartition(
-        clusters=clusters,
-        assignment=assignment,
+        assignment=renumber[raw],
+        centers=centers[used],
         seed=seed,
         params=params,
-        trace=trace,
+        trace=tuple(zip(centers.tolist(), radii.tolist())),
     )
 
 
@@ -414,15 +381,15 @@ def sample_assignments(
     Trial t uses draw t of each per-center stream, so trial 0 reproduces
     sample_padded_decomposition(seed) cluster-for-cluster.  Each chunk draws
     only its own trials' radii, draws start..stop-1 of every stream, with one
-    `_radii` call.  Given `vertices`, strictly ascending ids in
-    0..n-1, only their entries are read and each block is (t, len(vertices)),
-    equal to the full block's [:, vertices]; an unclaimed vertex is still
-    named by its own id.
+    `_radii` call; every chunk reads the net's `claim_prefix`.  Given
+    `vertices`, strictly ascending ids in 0..n-1, only their rows of the
+    prefix are read and each block is (t, len(vertices)), equal to the full
+    block's [:, vertices]; an unclaimed vertex is still named by its own id.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     params = DecompositionParams.from_net(net, net.delta)
-    entries, n = net.center_entries(), net.n
+    prefix, n = net.claim_prefix, net.n
     if vertices is not None:
         vertices = np.asarray(vertices)
         if vertices.shape == (0,):
@@ -434,16 +401,16 @@ def sample_assignments(
             and ((vertices >= 0) & (vertices < n)).all()
         ):
             raise ValueError(f"vertices must be strictly ascending ids in 0..{n - 1}")
-        # the entries of those vertices, renumbered 0..len(vertices)-1
+        # the prefix rows of those vertices, renumbered 0..len(vertices)-1;
+        # a vertex keeps all of its run, so each entry keeps its slot
         row = np.full(n, -1, dtype=np.intp)
         row[vertices] = np.arange(vertices.size)
-        vertex, rank, dist = entries
-        at = row[vertex]
+        at = row[prefix[0]]
         keep = at >= 0
-        entries, n = (at[keep], rank[keep], dist[keep]), vertices.size
+        prefix, n = (at[keep], *(a[keep] for a in prefix[1:])), vertices.size
     for start in range(0, trials, CHUNK):
         radii = _radii(net, params, seed, start, min(start + CHUNK, trials))
-        yield _first_claims(entries, n, radii, vertices)
+        yield _first_claims(prefix, n, radii, vertices)
 
 
 _WILSON_Z99 = 2.3263478740408408  # one-sided 99% normal quantile

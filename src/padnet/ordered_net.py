@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,35 @@ class CoreConstruction:
     cores: list[Core]
     components: list[ComponentTrace]
     rounds: int
+
+
+def _run_starts(vertex: np.ndarray, n: int) -> np.ndarray:
+    """For entries sorted by vertex in 0..n-1, the index of the first entry
+    of each entry's vertex."""
+    count = np.bincount(vertex, minlength=n)
+    return (np.cumsum(count) - count)[vertex]
+
+
+def _claim_prefixes(
+    entries: tuple[np.ndarray, ...], n: int, reach: np.ndarray, sure_reach: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The entries that can be a vertex's first claim, as (vertex, rank,
+    dist, slot, sure), given each center's largest radius `reach` and
+    smallest radius `sure_reach` (both indexed by rank).
+
+    An entry beyond its center's largest radius never claims, and one within
+    its center's smallest radius (a sure entry) always claims, so no entry
+    after a vertex's first sure entry can be first.  `slot` numbers each
+    vertex's entries left from 0, in rank order.
+    """
+    vertex, rank, dist = entries
+    keep = dist <= reach[rank]
+    vertex, rank, dist = vertex[keep], rank[keep], dist[keep]
+    sure = dist <= sure_reach[rank]
+    sure_before = np.cumsum(sure) - sure  # sure entries before each entry
+    keep = sure_before == sure_before[_run_starts(vertex, n)]  # none earlier in its run
+    vertex, rank, dist, sure = vertex[keep], rank[keep], dist[keep], sure[keep]
+    return vertex, rank, dist, np.arange(vertex.size) - _run_starts(vertex, n), sure
 
 
 class TreeOrderedNet:
@@ -166,6 +196,19 @@ class TreeOrderedNet:
         delta.
         """
         return self._entries
+
+    @cached_property
+    def claim_prefix(self) -> tuple[np.ndarray, ...]:
+        """Read-only `_claim_prefixes` of `center_entries()` at reach
+        beta*delta and sure reach delta, beta = (alpha+1)/2, built on first
+        use.  Any radii in [delta, beta*delta], the sampler's, get from it
+        the first claims that their own, shorter prefix gives."""
+        k = len(self._centers)
+        reach, sure_reach = np.full(k, (self.alpha + 1) / 2 * self.delta), np.full(k, self.delta)
+        prefix = _claim_prefixes(self.center_entries(), self.n, reach, sure_reach)
+        for a in prefix:
+            a.flags.writeable = False
+        return prefix
 
     def center_distance_matrix(self) -> np.ndarray:
         """The entries as a fresh dense (centers x n) array: row i holds the

@@ -20,18 +20,19 @@ Checks never raise on violation - they return report entries with a
 witness - and each check listed in the module docstrings appears exactly
 once per full report.
 
-Every check reads the members of a record's sets (cores, partition and cover
-clusters, host bags, each vertex's host copies, each carving component's
-bags) from one table, `_memberships`, that keeps ids in 0..n-1.  An id
-outside that range, however large, fails one check per record with a
-witness naming the set and the id (`host-bags-partition`,
-`copy-zero-distance`, `partition-total-disjoint`,
+Every check reads the members of a record's sets (cores, cover clusters,
+host bags, each vertex's host copies, each carving component's bags) from
+one table, `_memberships`, that keeps ids in 0..n-1.  An id outside that
+range, however large, fails one check per record with a witness naming the
+set and the id (`host-bags-partition`, `copy-zero-distance`,
 `cover-every-vertex-covered`, `partition-cover-partitions-valid`,
 `core-ball-replay` for a component's bag; a core with such a member fails
 like one whose center bag is outside the partition, and
 `cores-cover-all-vertices` fails too), and no other check reads it: no
 verify function raises on, or is fooled by, a member of these sets out of
-range.  A forward entry outside the host fails `isometry-exact`.
+range.  A forward entry outside the host fails `isometry-exact`.  A sampled
+partition is its assignment, one cluster id per vertex, so it is disjoint
+by its form; a vertex whose id names no cluster is in none.
 
 Distance comparisons use absolute tolerance 1e-9 where a bound is checked;
 every equality between two computed distances is exact and compares sums
@@ -651,23 +652,24 @@ def verify_partition(
     n = g.n
     beta = (alpha + 1) / 2
 
-    owner, member, dropped = _memberships([c.members for c in p.clusters], n)
-    total = p.assignment.shape[0] == n and (p.assignment >= 0).all()
-    seen = np.bincount(member, minlength=n)
-    consistent = total and np.array_equal(p.assignment[member], owner)
-    ok = bool(dropped is None and total and (seen == 1).all() and consistent)
-    witness = None
-    if dropped:
-        witness = f"cluster {dropped[0]}: member {dropped[1]} outside vertices 0..{n - 1}"
-    elif not ok:
-        stray = np.flatnonzero(seen != 1)
-        witness = f"vertex {int(stray[0])} in {int(seen[stray[0]])} clusters" if stray.size else "assignment mismatch"
-    checks.append(_check("partition-total-disjoint", ok, witness=witness))
+    # one id per vertex: disjoint by its form, and total when every id names
+    # one of the k clusters; each cluster must hold a vertex
+    a, k, witness = p.assignment, len(p.centers), None
+    shaped = a.shape == (n,)
+    order, starts = p.members() if shaped else (np.zeros(0, np.intp), np.zeros(k + 1, np.intp))
+    stray, empty = np.flatnonzero((a < 0) | (a >= k)), np.flatnonzero(np.diff(starts) == 0)
+    if not shaped:
+        witness = f"assignment of shape {a.shape}, not ({n},)"
+    elif stray.size:
+        witness = f"vertex {stray[0]}: cluster {a[stray[0]]} outside clusters 0..{k - 1}"
+    elif empty.size:
+        witness = f"cluster {empty[0]} has no member"
+    checks.append(_check("partition-total-disjoint", witness is None, witness=witness))
 
     bound = (alpha + 1) * delta + TOL
-    worst = 0.0
-    worst_c = None
-    for i, idx in enumerate(_split(owner, member, len(p.clusters))):
+    worst, worst_c = 0.0, None
+    for i in range(k):
+        idx = order[starts[i] : starts[i + 1]]
         # two gathers beat one np.ix_ gather; rows go in blocks of at most
         # 2**13 distances, so no cluster's whole block is copied at once, and
         # np.maximum propagates NaN as one max over the block would; a
@@ -679,26 +681,11 @@ def verify_partition(
         d = float(d)
         if d > worst:
             worst, worst_c = d, i
-    checks.append(
-        _check(
-            "partition-weak-diameter",
-            worst <= bound,
-            measured=worst,
-            bound=bound,
-            witness=f"cluster {worst_c}",
-        )
-    )
+    checks.append(_check("partition-weak-diameter", worst <= bound, worst, bound, f"cluster {worst_c}"))
 
     radii = [r for _, r in p.trace]
     rad_ok = all(delta <= r <= beta * delta for r in radii)
-    checks.append(
-        _check(
-            "partition-radius-range",
-            rad_ok,
-            measured=max(radii) if radii else None,
-            bound=beta * delta,
-        )
-    )
+    checks.append(_check("partition-radius-range", rad_ok, max(radii) if radii else None, beta * delta))
     return VerificationReport(checks)
 
 
@@ -933,7 +920,8 @@ def full_report(
         bound = c.bound if c.name == "partition-weak-diameter" else None
         checks.append(_check(c.name, c.status == "pass", bound=bound, witness=fail))
     replayed = replay_decomposition(net, list(part.trace), seed=part.seed)
-    same = np.array_equal(replayed.assignment, part.assignment) and replayed.clusters == part.clusters
+    fields = ("assignment", "centers", "trace")
+    same = all(np.array_equal(getattr(replayed, f), getattr(part, f)) for f in fields)
     checks.append(_check("partition-replay-identical", same, witness="replayed partition differs"))
 
     # the padding counts run last and their checks are spliced in here: perfbench's

@@ -40,7 +40,7 @@ from padnet.decomposition import (
     wilson_lower_bound,
 )
 from padnet.graph import WeightedGraph, parse_edge_list
-from padnet.ordered_net import build_tree_ordered_net
+from padnet.ordered_net import _claim_prefixes, build_tree_ordered_net
 from padnet.trees import TreePartition, load_tree_decomposition, td_to_tree_partition
 from padnet.verify import verify_partition
 
@@ -303,15 +303,21 @@ def test_sparse_claims_equal_dense_reference(
     for i, row in enumerate(table):
         ties = rng.random(trials) < 0.2
         radii[i, ties] = rng.choice(row[np.isfinite(row)], size=int(ties.sum()))
+    prefix = own_prefix(net, radii)
     try:
         expected = dense_claims(table, radii)
     except AssertionError as exc:
         with pytest.raises(AssertionError, match=f"^{re.escape(str(exc))}$"):
-            decomposition._first_claims(net.center_entries(), net.n, radii)
+            decomposition._first_claims(prefix, net.n, radii)
     else:
-        got = decomposition._first_claims(net.center_entries(), net.n, radii)
+        got = decomposition._first_claims(prefix, net.n, radii)
         assert got.shape == (trials, net.n)
         assert np.array_equal(got, expected)
+
+
+def own_prefix(net, radii):
+    """The claim prefix of radii shaped (k, t): each center's own largest and smallest radius."""
+    return _claim_prefixes(net.center_entries(), net.n, radii.max(axis=1), radii.min(axis=1))
 
 
 def test_unclaimed_vertex_is_named_by_single_and_batch_sampling(monkeypatch):
@@ -422,9 +428,10 @@ def test_center_uniforms_rejects_bad_seeds_and_ranges():
             next(sample_assignments(net, seed, trials=3))
 
 
-def reference_decomposition(net, delta, seed) -> PaddedPartition:
+def reference_decomposition(net, delta, seed) -> tuple[PaddedPartition, tuple[PaddedCluster, ...]]:
     """The original sampler: one Philox generator and one scalar draw per
-    center, then one full scan of the assignment per cluster."""
+    center, then one full scan of the assignment per cluster.  Returns the
+    partition and its clusters as frozensets, built by those scans."""
     params = DecompositionParams.from_net(net, delta)
     texp = TruncatedExp(1.0, params.beta_internal, params.lam)
     centers = net.centers_in_order()
@@ -440,7 +447,18 @@ def reference_decomposition(net, delta, seed) -> PaddedPartition:
             cluster = PaddedCluster(int(centers[i]), float(radii[i]), frozenset(members.tolist()))
             clusters.append(cluster)
     trace = tuple((int(centers[i]), float(radii[i])) for i in range(len(centers)))
-    return PaddedPartition(tuple(clusters), renumber[raw], seed, params, trace)
+    centers_used = np.array([c.center for c in clusters], dtype=np.int64)
+    return PaddedPartition(renumber[raw], centers_used, seed, params, trace), tuple(clusters)
+
+
+def assert_matches_reference(got, expected):
+    """got equals a reference_decomposition result: its JSON, and its derived
+    clusters equal the reference's frozensets, which its JSON lists sorted."""
+    part, clusters = expected
+    assert json.dumps(got.to_json_dict()) == json.dumps(part.to_json_dict())
+    assert got.clusters == clusters
+    listed = [(c["center"], c["radius"], c["members"]) for c in got.to_json_dict()["clusters"]]
+    assert listed == [(c.center, c.radius, sorted(c.members)) for c in clusters]
 
 
 def reference_assignments(net, delta, seed, trials) -> np.ndarray:
@@ -468,14 +486,61 @@ SAMPLER_FIXTURES = [
 ]
 
 
+# a delta just below an integer distance puts entries just past delta, where
+# a prefix cut at a sure reach above delta would drop a first claim
+PREFIX_FIXTURES = SAMPLER_FIXTURES + [
+    pytest.param(weighted_path_fixture(120, seed=3, delta=6.97), id="wpath-120-delta6.97"),
+    pytest.param(grid_fixture(6, delta=2.99), id="grid-6-delta2.99"),
+]
+_NETS = {}
+
+
+def sampler_net(name):
+    """The net of the PREFIX_FIXTURES entry `name`, built once."""
+    if name not in _NETS:
+        fixture = next(p.values[0] for p in PREFIX_FIXTURES if p.id == name)
+        _NETS[name] = fixture_net(fixture)[1]
+    return _NETS[name]
+
+
+@given(
+    fixture=st.sampled_from([p.id for p in PREFIX_FIXTURES]),
+    trials=st.integers(1, 6),
+    ends=st.sampled_from(["none", "low", "high", "both"]),
+    radii_seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_net_claim_prefix_equals_each_draws_own(fixture, trials, ends, radii_seed):
+    # any radii in [delta, beta*delta], ends included: the net's one prefix
+    # gives the first claims each draw's own prefix gives
+    net = sampler_net(fixture)
+    k, delta = len(net.centers_in_order()), net.delta
+    top = DecompositionParams.from_net(net, delta).beta_internal * delta
+    rng = np.random.default_rng(radii_seed)
+    radii = rng.uniform(delta, top, size=(k, trials))
+    if ends in ("low", "both"):
+        radii[rng.random((k, trials)) < 0.3] = delta
+    if ends in ("high", "both"):
+        radii[rng.random((k, trials)) < 0.3] = top
+    # a fifth of the radii equal one of their center's distances within range
+    vertex, rank, dist = net.center_entries()
+    inside = (dist >= delta) & (dist <= top)
+    for i in range(k):
+        row = dist[inside & (rank == i)]
+        ties = (rng.random(trials) < 0.2) & (row.size > 0)
+        if ties.any():
+            radii[i, ties] = rng.choice(row, size=int(ties.sum()))
+    expected = decomposition._first_claims(own_prefix(net, radii), net.n, radii)
+    got = decomposition._first_claims(net.claim_prefix, net.n, radii)
+    assert np.array_equal(got, expected)
+
+
 @pytest.mark.parametrize("fixture", SAMPLER_FIXTURES)
 def test_sampler_matches_original_per_center_draws(fixture):
     host, net = fixture_net(fixture)
     for seed in (0, 1, 17, 2**64 - 1):
         got = sample_padded_decomposition(host, net, fixture.delta, seed)
-        expected = reference_decomposition(net, fixture.delta, seed)
-        assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
-        assert got.clusters == expected.clusters
+        assert_matches_reference(got, reference_decomposition(net, fixture.delta, seed))
         replayed = replay_decomposition(net, list(got.trace), seed=seed)
         assert json.dumps(replayed.to_json_dict()) == json.dumps(got.to_json_dict())
 
@@ -493,8 +558,20 @@ def test_sweep_matches_single_seed_sampler(fixture):
     many = list(sample_padded_decompositions(net, range(300)))
     assert [p.seed for p in many] == list(range(300))
     for seed in (0, 1, 255, 256, 299):
-        expected = reference_decomposition(net, fixture.delta, seed)
-        assert json.dumps(many[seed].to_json_dict()) == json.dumps(expected.to_json_dict())
+        assert_matches_reference(many[seed], reference_decomposition(net, fixture.delta, seed))
+
+
+@pytest.mark.parametrize("name", [p.id for p in SAMPLER_FIXTURES])
+def test_clusters_view_equals_brute_force_partition_of_the_assignment(name):
+    net = sampler_net(name)
+    for part in sample_padded_decompositions(net, range(20)):
+        a, radius = part.assignment.tolist(), dict(part.trace)
+        brute = tuple(
+            PaddedCluster(c, radius[c], frozenset(v for v in range(net.n) if a[v] == i))
+            for i, c in enumerate(part.centers.tolist())
+        )
+        assert part.clusters == brute
+        assert part.clusters is part.clusters  # built once
 
 
 def test_sweep_rejects_seeds_as_the_single_sampler_does():
@@ -739,6 +816,14 @@ def test_claim_class_members_share_labels(fixture):
         assert np.array_equal(block, block[:, first_member[cls]])
 
 
+def drop_entries(monkeypatch, net):
+    """Empty net's center table, and drop the claim prefix the net built
+    from the whole table on its first use."""
+    empty = tuple(a[:0] for a in net.center_entries())
+    monkeypatch.setattr(net, "center_entries", lambda: empty)
+    net.__dict__.pop("claim_prefix", None)
+
+
 def test_one_class_net_lists_no_cuttable_pair(monkeypatch):
     g, net = single_center_net()
     assert decomposition._claim_classes(net).max() == 0
@@ -760,8 +845,7 @@ def test_one_class_net_lists_no_cuttable_pair(monkeypatch):
             assert {gm: c.tolist() for gm, c in counts.items()} == {gm: [40] * g.n for gm in gammas}
     # with no entry left every vertex shares the one class, and the sampler
     # still names the first vertex no center claims
-    empty = tuple(a[:0] for a in net.center_entries())
-    monkeypatch.setattr(net, "center_entries", lambda: empty)
+    drop_entries(monkeypatch, net)
     assert decomposition._claim_classes(net).max() == 0
     for dist_matrix in matrices:
         with pytest.raises(AssertionError, match="^vertex 0 claimed by no center"):
@@ -797,8 +881,7 @@ def test_padded_trial_counts_sample_only_when_a_label_is_read(monkeypatch, fixtu
     assert (min(c.min() for c in counts.values()) < 10_000) == sampled
     # with no entry left, one class holds every vertex and no pair is listed,
     # but a vertex has no entry within delta: the sampler runs, and raises
-    empty = tuple(a[:0] for a in net.center_entries())
-    monkeypatch.setattr(net, "center_entries", lambda: empty)
+    drop_entries(monkeypatch, net)
     with pytest.raises(AssertionError, match="^vertex 0 claimed by no center"):
         padded_trial_counts(host, net, fixture.delta, gammas, 10_000, seed=7)
 

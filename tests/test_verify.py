@@ -547,16 +547,16 @@ def test_partition_checks_and_fault_injection():
     rep = verify_partition(b.host, part, 3.0, b.delta, dist_matrix=b.host_dist)
     assert rep.ok
 
-    assert len(part.clusters) >= 2
-    merged = part.clusters[0].members | part.clusters[-1].members
-    clusters = (
-        dataclasses.replace(part.clusters[0], members=frozenset(merged)),
-    ) + part.clusters[1:-1]
+    k = len(part.centers)
+    assert k >= 2
+    # the last cluster merged into the first
     assignment = part.assignment.copy()
-    assignment[list(part.clusters[-1].members)] = 0
-    bad = dataclasses.replace(part, clusters=clusters, assignment=assignment)
+    assignment[assignment == k - 1] = 0
+    bad = dataclasses.replace(part, assignment=assignment, centers=part.centers[:-1])
     rep = verify_partition(b.host, bad, 3.0, b.delta, dist_matrix=b.host_dist)
+    assert find(rep, "partition-total-disjoint").status == "pass"
     assert find(rep, "partition-weak-diameter").status == "fail"
+    assert find(rep, "partition-weak-diameter").witness == "cluster 0"
 
     # out-of-range recorded radius
     bad_trace = ((part.trace[0][0], 100.0 * b.delta),) + part.trace[1:]
@@ -564,13 +564,13 @@ def test_partition_checks_and_fault_injection():
     rep = verify_partition(b.host, bad, 3.0, b.delta, dist_matrix=b.host_dist)
     assert find(rep, "partition-radius-range").status == "fail"
 
-    # a vertex missing from every cluster
-    clusters = tuple(
-        dataclasses.replace(c, members=frozenset(set(c.members) - {0})) for c in part.clusters
-    )
-    bad = dataclasses.replace(part, clusters=clusters)
+    # a vertex in no cluster
+    assignment = part.assignment.copy()
+    assignment[0] = -1
+    bad = dataclasses.replace(part, assignment=assignment)
     rep = verify_partition(b.host, bad, 3.0, b.delta, dist_matrix=b.host_dist)
     assert find(rep, "partition-total-disjoint").status == "fail"
+    assert find(rep, "partition-total-disjoint").witness == f"vertex 0: cluster -1 outside clusters 0..{k - 1}"
 
 
 def test_weak_diameter_sweep_copies_no_whole_cluster_block():
@@ -582,9 +582,8 @@ def test_weak_diameter_sweep_copies_no_whole_cluster_block():
     part = sample_padded_decomposition(
         host, build_tree_ordered_net(host, emb.tree_partition, f.delta), f.delta, seed=0
     )
-    everything = dataclasses.replace(part.clusters[0], members=frozenset(range(host.n)))
     whole = dataclasses.replace(
-        part, clusters=(everything,), assignment=np.zeros(host.n, dtype=np.int64)
+        part, assignment=np.zeros(host.n, dtype=np.int64), centers=part.centers[:1]
     )
     d = all_pairs(host)
     tracemalloc.start()
@@ -598,42 +597,47 @@ def test_weak_diameter_sweep_copies_no_whole_cluster_block():
 
 
 def _total_disjoint_by_loop(n, p):
-    """Reference for partition-total-disjoint: one Python pass per vertex."""
-    total = p.assignment.shape[0] == n and (p.assignment >= 0).all()
-    seen = np.zeros(n, dtype=np.int64)
-    for c in p.clusters:
-        for v in c.members:
-            seen[v] += 1
-    consistent = all(p.assignment[v] == i for i, c in enumerate(p.clusters) for v in c.members)
-    if total and (seen == 1).all() and consistent:
-        return "pass", None
-    stray = np.flatnonzero(seen != 1)
-    if stray.size:
-        return "fail", f"vertex {int(stray[0])} in {int(seen[stray[0]])} clusters"
-    return "fail", "assignment mismatch"
+    """Reference for partition-total-disjoint: one Python pass per vertex,
+    then one per cluster."""
+    k = len(p.centers)
+    if p.assignment.shape != (n,):
+        return "fail", f"assignment of shape {p.assignment.shape}, not ({n},)"
+    held = [0] * k
+    for v in range(n):
+        c = int(p.assignment[v])
+        if not 0 <= c < k:
+            return "fail", f"vertex {v}: cluster {c} outside clusters 0..{k - 1}"
+        held[c] += 1
+    empty = [c for c in range(k) if not held[c]]
+    return ("fail", f"cluster {empty[0]} has no member") if empty else ("pass", None)
 
 
 def test_partition_total_disjoint_matches_loop_reference():
     b = built(BY_NAME["grid-5"])
     part = sample_padded_decomposition(b.host, b.net, b.delta, seed=1)
-    assert len(part.clusters) >= 2
-    first, second = part.clusters[0], part.clusters[1]
-    v = min(second.members)
-    duplicated = dataclasses.replace(first, members=first.members | {v})
-    swapped = part.assignment.copy()
-    swapped[v] = 0
+    k = len(part.centers)
+    assert k >= 2
+
+    def reassigned(v, c):
+        a = part.assignment.copy()
+        a[v] = c
+        return dataclasses.replace(part, assignment=a)
+
+    second = np.flatnonzero(part.assignment == 1)
     variants = [
         part,
-        dataclasses.replace(part, clusters=(duplicated,) + part.clusters[1:]),
-        dataclasses.replace(part, assignment=swapped),
-        dataclasses.replace(part, clusters=part.clusters[1:]),
+        reassigned(int(second[-1]), k),  # an id past the last cluster
+        reassigned(int(second[0]), -1),
+        dataclasses.replace(part, centers=np.append(part.centers, part.centers[0])),  # an unused id
+        dataclasses.replace(part, centers=part.centers[1:]),  # the last id names no cluster
+        dataclasses.replace(part, assignment=part.assignment[:-1]),
     ]
     statuses = []
     for p in variants:
         got = find(verify_partition(b.host, p, 3.0, b.delta, b.host_dist), "partition-total-disjoint")
         assert (got.status, got.witness) == _total_disjoint_by_loop(b.host.n, p)
         statuses.append(got.status)
-    assert statuses == ["pass", "fail", "fail", "fail"]
+    assert statuses == ["pass"] + ["fail"] * 5
 
 
 # --- cover checks ------------------------------------------------------------
@@ -1042,11 +1046,13 @@ def _core_record(b, v):
 
 
 def _partition_record(b, v):
+    # a partition is its assignment: vertex n - 1 gets cluster id v instead
     part = sample_padded_decomposition(b.host, b.net, b.delta, seed=0)
-    i, clusters = _renamed(part.clusters, b.host.n - 1, v)
-    bad = dataclasses.replace(part, clusters=clusters)
+    assignment = part.assignment.copy()
+    assignment[b.host.n - 1] = v
+    bad = dataclasses.replace(part, assignment=assignment)
     rep = verify_partition(b.host, bad, 3.0, b.delta, dist_matrix=b.host_dist)
-    witness = f"cluster {i}: member {v} outside vertices 0..{b.host.n - 1}"
+    witness = f"vertex {b.host.n - 1}: cluster {v} outside clusters 0..{len(part.centers) - 1}"
     return rep.checks, {"partition-total-disjoint": witness}
 
 
@@ -1315,16 +1321,17 @@ def test_component_bag_outside_partition_fails_without_raising(bag):
 
 @pytest.mark.parametrize("member", [2**64, -(2**63) - 1])
 def test_member_beyond_int64_fails_without_raising(member):
+    # a cover cluster's frozenset can hold any int; a partition's int64
+    # assignment cannot, so the sparse cover stands for the sets
     b = built(BY_NAME["path-8"])
-    part = sample_padded_decomposition(b.host, b.net, b.delta, seed=0)
-    first = dataclasses.replace(part.clusters[0], members=part.clusters[0].members | {member})
-    bad = dataclasses.replace(part, clusters=(first, *part.clusters[1:]))
-    rep = verify_partition(b.host, bad, 3.0, b.delta, dist_matrix=b.host_dist)
-    assert find(rep, "partition-total-disjoint").status == "fail"
-    assert find(rep, "partition-total-disjoint").witness == (
+    cover = build_sparse_cover(b.host, b.net, b.delta)
+    first = dataclasses.replace(cover.clusters[0], members=cover.clusters[0].members | {member})
+    bad = dataclasses.replace(cover, clusters=(first, *cover.clusters[1:]))
+    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, *b.rows)
+    assert find(rep, "cover-every-vertex-covered").status == "fail"
+    assert find(rep, "cover-every-vertex-covered").witness == (
         f"cluster 0: member {member} outside vertices 0..{b.host.n - 1}"
     )
-    assert find(rep, "partition-weak-diameter").status == "pass"
 
 
 @pytest.mark.parametrize("kind", ["partition", "sparse-cover", "partition-cover"])
@@ -1335,11 +1342,11 @@ def test_cluster_of_outside_members_only_fails_without_raising(kind):
     outside = frozenset([n, n + 1])
     witness = f"member {next(iter(outside))} outside vertices 0..{n - 1}"
     if kind == "partition":
+        # a partition lists no members: the extra cluster is an id no vertex has
         part = sample_padded_decomposition(b.host, b.net, b.delta, seed=0)
-        extra = dataclasses.replace(part.clusters[0], members=outside)
-        bad = dataclasses.replace(part, clusters=part.clusters + (extra,))
+        bad = dataclasses.replace(part, centers=np.append(part.centers, n))
         checks = verify_partition(b.host, bad, 3.0, b.delta, dist_matrix=b.host_dist).checks
-        name, witness = "partition-total-disjoint", f"cluster {len(part.clusters)}: {witness}"
+        name, witness = "partition-total-disjoint", f"cluster {len(part.centers)} has no member"
     elif kind == "sparse-cover":
         cover = build_sparse_cover(b.host, b.net, b.delta)
         bad = dataclasses.replace(cover, clusters=cover.clusters + (CoverCluster(n, outside),))
