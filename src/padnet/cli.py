@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .covers import build_partition_cover, build_sparse_cover
@@ -149,8 +150,8 @@ def cmd_cover(args) -> int:
     cover = build_sparse_cover(emb.host, net, args.delta)
     payload = cover.to_json_dict()
     payload["command"] = "cover"
-    for c, cluster in zip(payload["clusters"], cover.clusters):
-        c["original_members"] = emb.original_members(cluster.members)
+    for c in payload["clusters"]:
+        c["original_members"] = emb.original_members(c["members"])
     _emit(args, payload)
     return 0
 
@@ -162,9 +163,8 @@ def cmd_partition_cover(args) -> int:
     payload = pcover.to_json_dict()
     payload["command"] = "partition-cover"
     payload["tau_emp"] = net.tau_emp
-    for part, built in zip(payload["partitions"], pcover.partitions):
-        for c, cluster in zip(part, built):
-            c["original_members"] = emb.original_members(cluster.members)
+    for c in chain.from_iterable(payload["partitions"]):
+        c["original_members"] = emb.original_members(c["members"])
     _emit(args, payload)
     return 0
 

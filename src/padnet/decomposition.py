@@ -16,9 +16,9 @@ every center, and of several seeds, at once in numpy, bit for bit equal to
 per-center generators.  Both samplers draw radii through `_radii`: one call
 per chunk of trials of a batch, and one per chunk of seeds of a sweep of
 partitions (a single sample is a sweep of one).  Both read the first claims
-through the net's `claim_prefix`, built once per net.  A partition is its
-assignment plus each cluster's center: one stable argsort gives the members,
-and `PaddedPartition.clusters` is a view derived from them.
+through the net's `claim_prefix`, built once per net.  A partition is arrays
+(assignment, cluster centers, radii): one stable argsort gives the members,
+and `PaddedPartition.clusters` and `trace` are views built on first access.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from typing import Iterator
 import numpy as np
 
 from .graph import WeightedGraph, ball_pairs
-from .ordered_net import TreeOrderedNet, _claim_prefixes, _run_starts, check_net_delta
+from .ordered_net import ArrayRecord, TreeOrderedNet, check_net_delta
+from .ordered_net import _claim_prefixes, _cut, _run_starts, _slot_bounds
 
 
 @dataclass(frozen=True)
@@ -130,17 +131,19 @@ class PaddedCluster:
     members: frozenset[int]
 
 
-@dataclass
-class PaddedPartition:
-    """One sampled partition plus the trace needed to replay it exactly:
-    assignment[v] is vertex v's cluster, the one record of the members, and
-    centers[c] cluster c's center, in rank order.  Radii are read from `trace`."""
+@dataclass(eq=False)
+class PaddedPartition(ArrayRecord):
+    """One sampled partition plus the radii that replay it exactly:
+    assignment[v] is vertex v's cluster, the one record of the members,
+    centers[c] cluster c's center, in rank order, and radii[i] the radius of
+    ordered_centers[i], the net's read-only `centers_in_order()`."""
 
     assignment: np.ndarray
     centers: np.ndarray
     seed: int
     params: DecompositionParams
-    trace: tuple[tuple[int, float], ...]
+    radii: np.ndarray
+    ordered_centers: np.ndarray
 
     def members(self) -> tuple[np.ndarray, np.ndarray]:
         """(order, starts) from one stable argsort of the assignment: cluster
@@ -151,10 +154,9 @@ class PaddedPartition:
 
     def _groups(self) -> list[tuple[int, float, list[int]]]:
         """(center, radius, ascending members) of each cluster, in id order."""
-        radius = dict(self.trace)
+        radius = dict(zip(self.ordered_centers.tolist(), self.radii.tolist()))
         order, starts = self.members()
-        order, bounds = order.tolist(), starts.tolist()
-        return [(c, radius[c], order[a:b]) for c, a, b in zip(self.centers.tolist(), bounds, bounds[1:])]
+        return [(c, radius[c], m) for c, m in zip(self.centers.tolist(), _cut(order.tolist(), starts))]
 
     @cached_property
     def clusters(self) -> tuple[PaddedCluster, ...]:
@@ -162,13 +164,18 @@ class PaddedPartition:
         first access, for the API; padnet itself reads the arrays."""
         return tuple(PaddedCluster(c, r, frozenset(m)) for c, r, m in self._groups())
 
+    @cached_property
+    def trace(self) -> tuple[tuple[int, float], ...]:
+        """(center, radius) of each ordered center: a view, as `clusters` is."""
+        return tuple(zip(self.ordered_centers.tolist(), self.radii.tolist()))
+
     def to_json_dict(self) -> dict:
         return {
             "seed": self.seed,
             "params": self.params.to_json_dict(),
             "clusters": [{"center": c, "radius": r, "members": m} for c, r, m in self._groups()],
             "assignment": {str(v): c for v, c in enumerate(self.assignment.tolist())},
-            "trace": [{"center": c, "radius": r} for c, r in self.trace],
+            "trace": [{"center": c, "radius": r} for c, r in zip(self.ordered_centers.tolist(), self.radii.tolist())],
         }
 
 
@@ -257,18 +264,18 @@ def _first_claims(
     The sampler's radii are >= delta, within which the net covers every
     vertex, so the prefix keeps a sure entry and L entries at most per
     vertex (its packing count at the largest radius).  They are walked one
-    slot at a time from the last to the first: each writes its rank over the
+    slot group at a time, the last first: each writes its rank over the
     trials whose radius reaches it, so a lower rank overwrites a higher one.
     """
-    vertex, rank, dist, slot, _ = prefix
+    vertex, rank, dist, _, _, bounds = prefix
     # in the smallest integer type that holds -1 and every rank: the walk
     # moves (vertices, t) rows, and narrow ones move fastest
     first = np.full((n, radii.shape[1]), -1, dtype=np.min_scalar_type(-1 - len(radii)))
-    for s in range(int(slot.max()) if slot.size else -1, -1, -1):
-        at = np.flatnonzero(slot == s)
-        rows, r = vertex[at], rank[at]
+    bounds = bounds.tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        rows, r = vertex[a:b], rank[a:b]
         held = first[rows]
-        np.copyto(held, r[:, None], where=dist[at, None] <= radii[r])
+        np.copyto(held, r[:, None], where=dist[a:b, None] <= radii[r])
         first[rows] = held
     unclaimed = (first < 0).any(axis=1)
     if unclaimed.any():
@@ -291,14 +298,25 @@ def _claim_classes(net: TreeOrderedNet) -> np.ndarray:
     shares a class only with vertices of the same prefix, which then go
     unclaimed together.
     """
-    vertex, rank, dist, slot, sure = net.claim_prefix
+    vertex, rank, dist, slot, sure, _ = net.claim_prefix
     width = int(slot.max()) + 1 if slot.size else 1
     # (rank, dist bits) per slot; -1 marks an empty slot's rank and a sure
     # entry's distance, and no rank or non-negative float's bits read -1
     prefix = np.full((net.n, 2 * width), -1, dtype=np.int64)
     prefix[vertex, 2 * slot] = rank
     prefix[vertex, 2 * slot + 1] = np.where(sure, -1, dist.view(np.int64))
-    return np.unique(prefix, axis=0, return_inverse=True)[1].reshape(-1)
+    return _row_classes(prefix)[0]
+
+
+def _row_classes(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, first): each row's class of equal rows, numbered as np.unique(table, axis=0)
+    numbers them (lexicographically), and a row of each; by a lexsort of the columns."""
+    order = np.lexsort(table.T[::-1])
+    rows = table[order]
+    new = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
+    ids = np.empty(len(table), dtype=np.intp)
+    ids[order] = np.cumsum(new) - 1
+    return ids, order[new]
 
 
 CHUNK = 256  # trials per block of sample_assignments, seeds per block of sampled partitions
@@ -328,7 +346,7 @@ def sample_padded_decompositions(net: TreeOrderedNet, seeds) -> Iterator[PaddedP
         radii = _radii(net, params, chunk, 0, 1)
         claims = _first_claims(net.claim_prefix, net.n, radii)
         for j, seed in enumerate(chunk):
-            yield _partition_from_claims(net, claims[j], radii[:, j], seed, params)
+            yield _partition_from_claims(net, claims[j], radii[:, j].copy(), seed, params)
 
 
 def sample_padded_decomposition(
@@ -363,13 +381,7 @@ def _partition_from_claims(
     used = np.flatnonzero(np.bincount(raw, minlength=len(centers)))
     renumber = np.full(len(centers), -1, dtype=np.int64)
     renumber[used] = np.arange(len(used))
-    return PaddedPartition(
-        assignment=renumber[raw],
-        centers=centers[used],
-        seed=seed,
-        params=params,
-        trace=tuple(zip(centers.tolist(), radii.tolist())),
-    )
+    return PaddedPartition(renumber[raw], centers[used], seed, params, radii, centers)
 
 
 def sample_assignments(
@@ -402,12 +414,13 @@ def sample_assignments(
         ):
             raise ValueError(f"vertices must be strictly ascending ids in 0..{n - 1}")
         # the prefix rows of those vertices, renumbered 0..len(vertices)-1;
-        # a vertex keeps all of its run, so each entry keeps its slot
+        # a vertex keeps all of its run, so each entry keeps its slot group
         row = np.full(n, -1, dtype=np.intp)
         row[vertices] = np.arange(vertices.size)
         at = row[prefix[0]]
         keep = at >= 0
-        prefix, n = (at[keep], *(a[keep] for a in prefix[1:])), vertices.size
+        kept = (at[keep], *(a[keep] for a in prefix[1:5]))
+        prefix, n = (*kept, _slot_bounds(kept[3])), vertices.size
     for start in range(0, trials, CHUNK):
         radii = _radii(net, params, seed, start, min(start + CHUNK, trials))
         yield _first_claims(prefix, n, radii, vertices)
@@ -442,10 +455,11 @@ def _ball_profiles(z: np.ndarray, pair_of: np.ndarray, n: int) -> tuple[np.ndarr
     slot = np.arange(z.size) - _run_starts(z, n)
     runs = np.full((zs.size, int(slot.max()) + 1), -1, dtype=np.intp)
     runs[at, slot] = pair_of
-    profiles, profile = np.unique(runs, axis=0, return_inverse=True)
+    profile, first = _row_classes(runs)
+    profiles = runs[first]
     used = profiles >= 0
     size = used.sum(axis=1)
-    return zs, profile.reshape(-1), profiles[used], np.cumsum(size) - size
+    return zs, profile, profiles[used], np.cumsum(size) - size
 
 
 def padded_trial_counts(

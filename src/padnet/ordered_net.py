@@ -23,7 +23,7 @@ therefore produce identical cores, orders, and nets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -65,6 +65,25 @@ class CoreConstruction:
     rounds: int
 
 
+class ArrayRecord:
+    """Value equality of a dataclass (declared eq=False) holding arrays:
+    array fields compare by np.array_equal, the others by ==."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
+def _cut(items: list, starts: np.ndarray) -> list[list]:
+    """items[starts[i] : starts[i + 1]] for each i: a CSR table's rows."""
+    at = starts.tolist()
+    return [items[a:b] for a, b in zip(at, at[1:])]
+
+
 def _run_starts(vertex: np.ndarray, n: int) -> np.ndarray:
     """For entries sorted by vertex in 0..n-1, the index of the first entry
     of each entry's vertex."""
@@ -76,13 +95,14 @@ def _claim_prefixes(
     entries: tuple[np.ndarray, ...], n: int, reach: np.ndarray, sure_reach: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """The entries that can be a vertex's first claim, as (vertex, rank,
-    dist, slot, sure), given each center's largest radius `reach` and
-    smallest radius `sure_reach` (both indexed by rank).
+    dist, slot, sure, bounds), given each center's largest radius `reach`
+    and smallest radius `sure_reach` (both indexed by rank).
 
     An entry beyond its center's largest radius never claims, and one within
     its center's smallest radius (a sure entry) always claims, so no entry
     after a vertex's first sure entry can be first.  `slot` numbers each
-    vertex's entries left from 0, in rank order.
+    vertex's entries left from 0, in rank order; the entries come grouped
+    by slot, the last first, and `bounds` holds the groups' bounds.
     """
     vertex, rank, dist = entries
     keep = dist <= reach[rank]
@@ -91,7 +111,14 @@ def _claim_prefixes(
     sure_before = np.cumsum(sure) - sure  # sure entries before each entry
     keep = sure_before == sure_before[_run_starts(vertex, n)]  # none earlier in its run
     vertex, rank, dist, sure = vertex[keep], rank[keep], dist[keep], sure[keep]
-    return vertex, rank, dist, np.arange(vertex.size) - _run_starts(vertex, n), sure
+    slot = np.arange(vertex.size) - _run_starts(vertex, n)
+    by_slot = np.argsort(-slot, kind="stable")
+    return (*(a[by_slot] for a in (vertex, rank, dist, slot, sure)), _slot_bounds(slot))
+
+
+def _slot_bounds(slot: np.ndarray) -> np.ndarray:
+    """The bounds of the slot groups of entries grouped last slot first."""
+    return np.concatenate(([0], np.cumsum(np.bincount(slot)[::-1])))
 
 
 class TreeOrderedNet:

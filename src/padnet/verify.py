@@ -20,9 +20,9 @@ Checks never raise on violation - they return report entries with a
 witness - and each check listed in the module docstrings appears exactly
 once per full report.
 
-Every check reads the members of a record's sets (cores, cover clusters,
-host bags, each vertex's host copies, each carving component's bags) from
-one table, `_memberships`, that keeps ids in 0..n-1.  An id outside that
+Every check reads the members of a record's sets (cores, host bags, each
+vertex's host copies, each carving component's bags, a cover's clusters)
+through one filter, `_in_range`, that keeps ids in 0..n-1.  An id out of
 range, however large, fails one check per record with a witness naming the
 set and the id (`host-bags-partition`, `copy-zero-distance`,
 `cover-every-vertex-covered`, `partition-cover-partitions-valid`,
@@ -32,7 +32,8 @@ like one whose center bag is outside the partition, and
 verify function raises on, or is fooled by, a member of these sets out of
 range.  A forward entry outside the host fails `isometry-exact`.  A sampled
 partition is its assignment, one cluster id per vertex, so it is disjoint
-by its form; a vertex whose id names no cluster is in none.
+by its form; a vertex whose id names no cluster is in none.  No view of a
+partition or a cover (`clusters`, `partitions`, `trace`) is read.
 
 Distance comparisons use absolute tolerance 1e-9 where a bound is checked;
 every equality between two computed distances is exact and compares sums
@@ -219,15 +220,20 @@ def _check(name, passed, measured=None, bound=None, witness=None, warn=False) ->
 
 def _memberships(sets, n: int) -> tuple[np.ndarray, np.ndarray, tuple[int, int] | None]:
     """(owner, member, dropped): every membership of a record's sets, in set
-    order and each set's iteration order, keeping members in 0..n-1; dropped
-    is the first membership left out, as (set index, member), or None."""
+    order and each set's iteration order, as `_in_range` keeps them."""
     sizes = [len(s) for s in sets]
-    owner = np.repeat(np.arange(len(sizes)), sizes)
     try:
         member = values = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=sum(sizes))
     except OverflowError:  # a member beyond int64: read as -1, named by its own value
         values = list(chain.from_iterable(sets))
         member = np.array([v if 0 <= v < n else -1 for v in values], dtype=np.int64)
+    return _in_range(np.repeat(np.arange(len(sizes)), sizes), member, n, values)
+
+
+def _in_range(owner: np.ndarray, member: np.ndarray, n: int, values: np.ndarray | list):
+    """(owner, member, dropped) of a membership table, keeping members in
+    0..n-1; dropped is the first membership left out, as (owner, its member
+    read from values), or None."""
     keep = (member >= 0) & (member < n)
     if keep.all():
         return owner, member, None
@@ -683,9 +689,9 @@ def verify_partition(
             worst, worst_c = d, i
     checks.append(_check("partition-weak-diameter", worst <= bound, worst, bound, f"cluster {worst_c}"))
 
-    radii = [r for _, r in p.trace]
-    rad_ok = all(delta <= r <= beta * delta for r in radii)
-    checks.append(_check("partition-radius-range", rad_ok, max(radii) if radii else None, beta * delta))
+    radii = p.radii
+    rad_ok = bool(((delta <= radii) & (radii <= beta * delta)).all())
+    checks.append(_check("partition-radius-range", rad_ok, float(radii.max()) if radii.size else None, beta * delta))
     return VerificationReport(checks)
 
 
@@ -709,41 +715,39 @@ def verify_cover(
     delta.  center_dist holds the net's oracle center rows
     (`_oracle_center_distances`), row i from centers[i], the net's
     `centers_in_order()`.  The strong diameters are certified from those
-    rows: a sparse-cover cluster must equal its center's oracle ball at
-    alpha*delta, a partition-cover `net` cluster its center's ball at
-    alpha*delta/2, and a `singleton` must hold its center alone (module
-    docstring).
+    rows (module docstring).
     """
     if isinstance(cover, SparseCover):
         return _verify_sparse_cover(g, cover, alpha, delta, host_dist, packing_counts, center_dist, centers)
     return _verify_partition_cover(g, cover, alpha, delta, host_dist, packing_counts, center_dist, centers)
 
 
-def _ball_certificate(center_dist, centers, clusters, singleton, radius, mask):
+def _ball_certificate(center_dist, centers, cluster_centers, singleton, radius, mask):
     """(measured, fault) of a cover's strong-diameter check.
 
-    Cluster i, with members mask[i], must hold exactly its center when
-    singleton[i], and else exactly its center's oracle ball at `radius`.
+    Cluster i, with members mask[i] and center cluster_centers[i], must hold
+    exactly its center when singleton[i], and else exactly its center's
+    oracle ball at `radius`.
     With no fault, measured is twice the largest oracle distance of a member
     from its center (0 for a singleton).  Otherwise measured is None and
     fault is the first cluster that differs from what it must equal, as
     (index, text) naming its smallest differing vertex.
     """
-    n = mask.shape[1]
+    n, cc = mask.shape[1], cluster_centers
     row_of = {c: i for i, c in enumerate(centers.tolist())}
-    row = np.array([-1 if s else row_of.get(c.center, -1) for c, s in zip(clusters, singleton)], dtype=np.int64)
+    row = np.array([-1 if s else row_of.get(c, -1) for c, s in zip(cc.tolist(), singleton.tolist())], dtype=np.int64)
     balls = np.flatnonzero(row >= 0)
     dist = center_dist[row[balls]]
     expect = np.zeros_like(mask)
     expect[balls] = dist <= radius
-    lone = [(i, c.center) for i, c in enumerate(clusters) if singleton[i] and 0 <= c.center < n]
-    expect[tuple(np.array(lone, dtype=np.int64).reshape(-1, 2).T)] = True
+    lone = np.flatnonzero(singleton & (cc >= 0) & (cc < n))
+    expect[lone, cc[lone]] = True
     differ = expect != mask
     differ[(row < 0) & ~singleton] = True  # no net center: the cluster differs throughout
     if not differ.any():
         return 2 * float(np.where(mask[balls], dist, 0.0).max(initial=0.0)), None
     i, v = divmod(int(np.argmax(differ)), n)
-    c = clusters[i].center
+    c = cc[i]
     if row[i] < 0 and not singleton[i]:
         return None, (i, f"center {c} is no net center")
     what = f"{{{c}}}" if singleton[i] else f"the oracle ball of center {c}"
@@ -771,52 +775,43 @@ def _ball_containment(
     return False, f"ball around vertex {int(np.argmin(fitted))} fits in no cluster"
 
 
-def _verify_sparse_cover(g, cover, alpha, delta, host_dist, packing_counts, center_dist, centers):
-    checks: list[CheckResult] = []
-    owner, member, dropped = _memberships([c.members for c in cover.clusters], g.n)
-    mask = np.zeros((len(cover.clusters), g.n), dtype=bool)
+def _cover_memberships(cover, n: int):
+    """(owner, member, dropped) of a cover's CSR table, as `_in_range` keeps
+    them, and its (clusters, n) membership mask."""
+    owner = np.repeat(np.arange(len(cover.centers)), np.diff(cover.starts))
+    owner, member, dropped = _in_range(owner, cover.members, n, cover.members)
+    mask = np.zeros((len(cover.centers), n), dtype=bool)
     mask[owner, member] = True
-    per_vertex = mask.sum(axis=0)
-    checks.append(
-        _check(
-            "cover-every-vertex-covered",
-            dropped is None and bool((per_vertex >= 1).all()),
-            measured=int(per_vertex.min()),
-            bound=1,
-            witness=dropped and f"cluster {dropped[0]}: member {dropped[1]} outside vertices 0..{g.n - 1}",
-        )
-    )
-    ok = bool((per_vertex <= packing_counts).all())
-    checks.append(
-        _check(
-            "cover-sparsity-vs-packing",
-            ok,
-            measured=int(per_vertex.max()),
-            bound=int(packing_counts.max()),
-            witness=None if ok else f"vertex {int(np.flatnonzero(per_vertex > packing_counts)[0])}",
-        )
-    )
+    return owner, member, dropped, mask
 
-    bound = 2 * alpha * delta + TOL
-    singleton = np.zeros(len(cover.clusters), dtype=bool)
-    worst, fault = _ball_certificate(center_dist, centers, cover.clusters, singleton, alpha * delta, mask)
+
+def _verify_sparse_cover(g, cover, alpha, delta, host_dist, packing_counts, center_dist, centers):
+    _, _, dropped, mask = _cover_memberships(cover, g.n)
+    per_vertex = mask.sum(axis=0)
+    covered = dropped is None and bool((per_vertex >= 1).all())
+    witness = dropped and f"cluster {dropped[0]}: member {dropped[1]} outside vertices 0..{g.n - 1}"
+    checks = [_check("cover-every-vertex-covered", covered, int(per_vertex.min()), 1, witness)]
+    over = np.flatnonzero(per_vertex > packing_counts)
+    witness = f"vertex {int(over[0])}" if over.size else None
+    most, bound = int(per_vertex.max()), int(packing_counts.max())
+    checks.append(_check("cover-sparsity-vs-packing", not over.size, most, bound, witness))
+
+    bound, singleton = 2 * alpha * delta + TOL, np.zeros(len(cover.centers), dtype=bool)
+    worst, fault = _ball_certificate(center_dist, centers, cover.centers, singleton, alpha * delta, mask)
     witness = fault and f"cluster {fault[0]}: {fault[1]}"
     checks.append(_check("cover-strong-diameter", fault is None and worst <= bound, worst, bound, witness))
 
     radius = (alpha - 1) * delta / 2
     ok, witness = _ball_containment(host_dist, mask, radius)
-    checks.append(
-        _check("cover-ball-containment", ok, measured=radius, witness=witness)
-    )
+    checks.append(_check("cover-ball-containment", ok, radius, witness=witness))
     return VerificationReport(checks)
 
 
 def _verify_partition_cover(g, cover, alpha, delta, host_dist, packing_counts, center_dist, centers):
-    checks: list[CheckResult] = []
-    clusters = [c for part in cover.partitions for c in part]
-    owner, member, dropped = _memberships([c.members for c in clusters], g.n)
-    part_of = np.repeat(np.arange(len(cover.partitions)), [len(p) for p in cover.partitions])
-    seen = np.zeros((len(cover.partitions), g.n), dtype=np.int64)  # clusters per (partition, vertex)
+    owner, member, dropped, mask = _cover_memberships(cover, g.n)
+    count, first = len(cover.partition_starts) - 1, cover.partition_starts
+    part_of = np.repeat(np.arange(count), np.diff(first))
+    seen = np.zeros((count, g.n), dtype=np.int64)  # clusters per (partition, vertex)
     np.add.at(seen, (part_of[owner], member), 1)
     bad = None
     if dropped:
@@ -824,37 +819,21 @@ def _verify_partition_cover(g, cover, alpha, delta, host_dist, packing_counts, c
     elif (seen != 1).any():
         pi, v = np.argwhere(seen != 1)[0]
         bad = f"partition {pi}: vertex {v} in {seen[pi, v]} clusters"
-    checks.append(_check("partition-cover-partitions-valid", bad is None, witness=bad))
+    checks = [_check("partition-cover-partitions-valid", bad is None, witness=bad)]
 
-    count, tau = len(cover.partitions), int(packing_counts.max())
-    checks.append(
-        _check(
-            "partition-cover-count",
-            count <= tau,
-            measured=count,
-            bound=tau,
-            witness=f"{count} partitions",
-            warn=count <= tau + 1,
-        )
-    )
+    tau = int(packing_counts.max())
+    checks.append(_check("partition-cover-count", count <= tau, count, tau, f"{count} partitions", warn=count <= tau + 1))
 
-    mask = np.zeros((len(clusters), g.n), dtype=bool)
-    mask[owner, member] = True
     bound = alpha * delta + TOL
-    singleton = np.array([c.kind == "singleton" for c in clusters], dtype=bool)
-    worst, fault = _ball_certificate(center_dist, centers, clusters, singleton, alpha * delta / 2, mask)
+    worst, fault = _ball_certificate(center_dist, centers, cover.centers, ~cover.is_net, alpha * delta / 2, mask)
     if fault:  # name the cluster by its partition and its index there
         i, p = fault[0], part_of[fault[0]]
-        fault = f"partition {p} cluster {i - np.searchsorted(part_of, p)}: {fault[1]}"
-    checks.append(
-        _check("partition-cover-diameter", fault is None and worst <= bound, worst, bound, fault)
-    )
+        fault = f"partition {p} cluster {i - first[p]}: {fault[1]}"
+    checks.append(_check("partition-cover-diameter", fault is None and worst <= bound, worst, bound, fault))
 
     radius = (alpha - 2) * delta / 4
     ok, witness = _ball_containment(host_dist, mask, radius)
-    checks.append(
-        _check("partition-cover-ball-containment", ok, measured=radius, witness=witness)
-    )
+    checks.append(_check("partition-cover-ball-containment", ok, radius, witness=witness))
     return VerificationReport(checks)
 
 
@@ -919,9 +898,8 @@ def full_report(
         fail = f"seed {seed}" + (f": {c.witness}" if c.witness else "")
         bound = c.bound if c.name == "partition-weak-diameter" else None
         checks.append(_check(c.name, c.status == "pass", bound=bound, witness=fail))
-    replayed = replay_decomposition(net, list(part.trace), seed=part.seed)
-    fields = ("assignment", "centers", "trace")
-    same = all(np.array_equal(getattr(replayed, f), getattr(part, f)) for f in fields)
+    trace = list(zip(part.ordered_centers.tolist(), part.radii.tolist()))
+    same = replay_decomposition(net, trace, seed=part.seed) == part
     checks.append(_check("partition-replay-identical", same, witness="replayed partition differs"))
 
     # the padding counts run last and their checks are spliced in here: perfbench's
@@ -937,16 +915,8 @@ def full_report(
     checks.extend(verify_cover(host, cover, alpha, delta, dh, pk_counts, *rows).checks)
     if alpha <= 2:
         # the partition cover's padding radius (alpha-2)*delta/4 needs alpha > 2
-        checks.append(
-            _check(
-                "partition-cover-skipped",
-                False,
-                measured=alpha,
-                bound=2,
-                witness=f"partition cover needs alpha > 2, got {alpha}; section not run",
-                warn=True,
-            )
-        )
+        witness = f"partition cover needs alpha > 2, got {alpha}; section not run"
+        checks.append(_check("partition-cover-skipped", False, alpha, 2, witness, warn=True))
     else:
         pcover = build_partition_cover(host, net, delta)
         checks.extend(verify_cover(host, pcover, alpha, delta, dh, pk_counts, *rows).checks)

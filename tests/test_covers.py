@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from conftest import built
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from fixtures import (
     acceptance_fixtures,
     binary_tree_fixture,
@@ -16,12 +19,7 @@ from fixtures import (
     weighted_path_fixture,
 )
 
-from padnet.covers import (
-    PartitionCluster,
-    PartitionCover,
-    build_partition_cover,
-    build_sparse_cover,
-)
+from padnet.covers import CoverCluster, PartitionCluster, build_partition_cover, build_sparse_cover
 from padnet.decomposition import DecompositionParams
 from padnet.graph import WeightedGraph
 from padnet.ordered_net import build_tree_ordered_net
@@ -165,14 +163,40 @@ def test_verify_cover_integration():
     assert rep.ok, rep.format_table()
 
 
+def test_covers_compare_by_value():
+    # a rebuilt cover is equal; a copy with one array entry or scalar changed is not
+    b = built(BY_NAME["grid-5"])
+    cover, pcover = build_sparse_cover(b.host, b.net, b.delta), build_partition_cover(b.host, b.net, b.delta)
+    assert cover == build_sparse_cover(b.host, b.net, b.delta)
+    assert pcover == build_partition_cover(b.host, b.net, b.delta)
+    members = cover.members.copy()
+    members[0] += 1
+    for bad in (
+        dataclasses.replace(cover, members=members),
+        dataclasses.replace(cover, starts=cover.starts[:-1]),
+        dataclasses.replace(cover, sparsity=cover.sparsity + 1),
+    ):
+        assert cover != bad
+    first = pcover.partition_starts.copy()
+    first[1] -= 1
+    for bad in (
+        dataclasses.replace(pcover, is_net=~pcover.is_net),
+        dataclasses.replace(pcover, partition_starts=first),
+        dataclasses.replace(pcover, delta=2 * pcover.delta),
+    ):
+        assert pcover != bad
+    assert cover != pcover
+
+
 # --- partition cover against the original greedy --------------------------------
 
 
-def reference_partition_cover(g, net, delta) -> PartitionCover:
+def reference_partition_cover(g, net, delta) -> tuple[tuple[PartitionCluster, ...], ...]:
     """The original greedy: every pick rescans all candidate pairs, O(k^2).
 
     Its pick is the lowest-rank candidate, asserted to be maximal among the
-    candidates: the invariant the count's tau bound needs.
+    candidates: the invariant the count's tau bound needs.  Returns the
+    partial partitions as frozenset clusters.
     """
     alpha = net.alpha
     centers = net.centers_in_order()
@@ -213,7 +237,33 @@ def reference_partition_cover(g, net, delta) -> PartitionCover:
         for v in np.flatnonzero(~occupied).tolist():
             part.append(PartitionCluster("singleton", v, 0.0, frozenset([v])))
         partitions.append(tuple(part))
-    return PartitionCover(tuple(partitions), alpha, delta, 4 * alpha / (alpha - 2), alpha * delta)
+    return tuple(partitions)
+
+
+def reference_partition_cover_json(partitions, alpha, delta) -> dict:
+    """A partition cover's JSON written from its frozenset clusters, members sorted."""
+    return {
+        "params": {"alpha": alpha, "delta": delta},
+        "guarantees": {
+            "padding_ratio": 4 * alpha / (alpha - 2),
+            "diameter_bound": alpha * delta,
+            "partition_count": len(partitions),
+        },
+        "partitions": [
+            [
+                {"kind": c.kind, "center": c.center, "radius": c.radius, "members": sorted(c.members)}
+                for c in part
+            ]
+            for part in partitions
+        ],
+    }
+
+
+def reference_sparse_cover(net, delta) -> tuple[CoverCluster, ...]:
+    """One frozenset cluster per row of the dense center table: the row's
+    entries within alpha*delta."""
+    rows = zip(net.centers_in_order().tolist(), net.center_distance_matrix())
+    return tuple(CoverCluster(c, frozenset(np.flatnonzero(row <= net.alpha * delta).tolist())) for c, row in rows)
 
 
 def fixture_net(fixture, alpha):
@@ -251,7 +301,42 @@ COVER_FIXTURES = (
 def test_partition_cover_matches_original_greedy(fixture, alpha):
     host, net = fixture_net(fixture, alpha)
     got = build_partition_cover(host, net, fixture.delta).to_json_dict()
-    assert got == reference_partition_cover(host, net, fixture.delta).to_json_dict()
+    want = reference_partition_cover(host, net, fixture.delta)
+    assert got == reference_partition_cover_json(want, alpha, fixture.delta)
+
+
+@given(
+    fixture=st.one_of(
+        st.sampled_from([p.values[0] for p in COVER_FIXTURES]),
+        st.builds(
+            partial_ktree_fixture,
+            n=st.integers(6, 60),
+            k=st.integers(1, 4),
+            seed=st.integers(0, 2**32 - 1),
+            drop=st.sampled_from([0.0, 0.3]),
+            weighted=st.booleans(),
+            delta=st.sampled_from([1.0, 2.0, 4.0]),
+        ),
+    ),
+    alpha=st.sampled_from([2.5, 3.0, 5.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_cover_views_equal_frozenset_references(fixture, alpha):
+    # the covers are arrays; their frozenset views equal the references',
+    # built on first access and once, and the JSON lists the same members
+    host, net = fixture_net(fixture, alpha)
+    cover = build_sparse_cover(host, net, fixture.delta)
+    assert "clusters" not in cover.__dict__
+    assert cover.clusters == reference_sparse_cover(net, fixture.delta)
+    assert cover.clusters is cover.clusters
+    listed = [(c["center"], c["members"]) for c in cover.to_json_dict()["clusters"]]
+    assert listed == [(c.center, sorted(c.members)) for c in cover.clusters]
+    pcover = build_partition_cover(host, net, fixture.delta)
+    assert "partitions" not in pcover.__dict__
+    want = reference_partition_cover(host, net, fixture.delta)
+    assert pcover.partitions == want
+    assert pcover.partitions is pcover.partitions
+    assert pcover.to_json_dict() == reference_partition_cover_json(want, alpha, fixture.delta)
 
 
 @pytest.mark.parametrize("alpha", [2.5, 3.0, 5.0])

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import json
 import math
@@ -446,15 +447,15 @@ def reference_decomposition(net, delta, seed) -> tuple[PaddedPartition, tuple[Pa
             renumber[i] = len(clusters)
             cluster = PaddedCluster(int(centers[i]), float(radii[i]), frozenset(members.tolist()))
             clusters.append(cluster)
-    trace = tuple((int(centers[i]), float(radii[i])) for i in range(len(centers)))
     centers_used = np.array([c.center for c in clusters], dtype=np.int64)
-    return PaddedPartition(renumber[raw], centers_used, seed, params, trace), tuple(clusters)
+    return PaddedPartition(renumber[raw], centers_used, seed, params, radii, centers), tuple(clusters)
 
 
 def assert_matches_reference(got, expected):
-    """got equals a reference_decomposition result: its JSON, and its derived
+    """got equals a reference_decomposition result: its arrays, its JSON, and its derived
     clusters equal the reference's frozensets, which its JSON lists sorted."""
     part, clusters = expected
+    assert got == part
     assert json.dumps(got.to_json_dict()) == json.dumps(part.to_json_dict())
     assert got.clusters == clusters
     listed = [(c["center"], c["radius"], c["members"]) for c in got.to_json_dict()["clusters"]]
@@ -572,6 +573,81 @@ def test_clusters_view_equals_brute_force_partition_of_the_assignment(name):
         )
         assert part.clusters == brute
         assert part.clusters is part.clusters  # built once
+
+
+def test_partitions_compare_by_value():
+    # a replay of the recorded radii is the same partition; a copy with one
+    # array entry or one scalar changed is not
+    b = built(BY_NAME["grid-5"])
+    for part in sample_padded_decompositions(b.net, range(5)):
+        assert part == replay_decomposition(b.net, list(part.trace), seed=part.seed)
+        assert part == dataclasses.replace(part, assignment=part.assignment.copy())
+        radii, assignment = part.radii.copy(), part.assignment.copy()
+        radii[-1] = np.nextafter(radii[-1], 0.0)
+        assignment[0] = len(part.centers)
+        tampered = [
+            dataclasses.replace(part, radii=radii),
+            dataclasses.replace(part, assignment=assignment),
+            dataclasses.replace(part, centers=part.centers[:-1]),
+            dataclasses.replace(part, ordered_centers=part.ordered_centers[::-1]),
+            dataclasses.replace(part, seed=part.seed + 1),
+        ]
+        for bad in tampered:
+            assert part != bad and not part == bad
+    assert part != part.trace
+
+
+def first_claims_by_slot_scan(prefix, n, radii):
+    """`_first_claims` as one scan of the whole prefix per slot, last slot
+    first, reading neither the entries' order nor the slot bounds."""
+    vertex, rank, dist, slot = prefix[:4]
+    first = np.full((n, radii.shape[1]), -1, dtype=np.intp)
+    for s in range(int(slot.max()) if slot.size else -1, -1, -1):
+        at = np.flatnonzero(slot == s)
+        held = first[vertex[at]]
+        np.copyto(held, rank[at, None], where=dist[at, None] <= radii[rank[at]])
+        first[vertex[at]] = held
+    return first.T
+
+
+@pytest.mark.parametrize("trials", [1, 256])
+@pytest.mark.parametrize("name", [p.id for p in PREFIX_FIXTURES])
+def test_slot_grouped_first_claims_equal_a_per_slot_scan(name, trials):
+    net = sampler_net(name)
+    vertex, rank, dist, slot, sure, bounds = net.claim_prefix
+    # grouped by slot, last slot first, each group in vertex order
+    assert (np.diff(slot) <= 0).all() and bounds[-1] == slot.size
+    last = len(bounds) - 2
+    assert all((slot[a:b] == s).all() for s, a, b in zip(range(last, -1, -1), bounds, bounds[1:]))
+    assert all((np.diff(vertex[a:b]) > 0).all() for a, b in zip(bounds, bounds[1:]))
+    radii = decomposition._radii(net, DecompositionParams.from_net(net, net.delta), 3, 0, trials)
+    want = first_claims_by_slot_scan(net.claim_prefix, net.n, radii)
+    assert np.array_equal(decomposition._first_claims(net.claim_prefix, net.n, radii), want)
+    # the batch sampler over some vertices regroups its filtered rows
+    assert np.array_equal(next(sample_assignments(net, 3, trials)), want)
+    for keep in (0.1, 0.5):
+        vertices = np.flatnonzero(np.random.default_rng(trials).random(net.n) < keep)
+        got = next(sample_assignments(net, 3, trials, vertices=vertices))
+        assert np.array_equal(got, want[:, vertices])
+
+
+def old_claim_classes(net):
+    """`_claim_classes` as np.unique's inverse over the rows of the same table."""
+    vertex, rank, dist, slot, sure, _ = net.claim_prefix
+    prefix = np.full((net.n, 2 * (int(slot.max()) + 1 if slot.size else 1)), -1, dtype=np.int64)
+    prefix[vertex, 2 * slot] = rank
+    prefix[vertex, 2 * slot + 1] = np.where(sure, -1, dist.view(np.int64))
+    return np.unique(prefix, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+@pytest.mark.parametrize(
+    "fixture", [pytest.param(f, id=f.name) for f in acceptance_fixtures()] + PREFIX_FIXTURES
+)
+def test_claim_classes_equal_the_unique_row_inverse(fixture):
+    net = fixture_net(fixture)[1]
+    cls = decomposition._claim_classes(net)
+    assert cls.dtype == np.intp
+    assert np.array_equal(cls, old_claim_classes(net))
 
 
 def test_sweep_rejects_seeds_as_the_single_sampler_does():

@@ -405,7 +405,7 @@ def test_sweep_checks_report_their_own_failures(monkeypatch):
 
     def out_of_range_radii(*args):
         part = sample(*args)
-        return dataclasses.replace(part, trace=tuple((x, 99.0) for x, _ in part.trace))
+        return dataclasses.replace(part, radii=np.full_like(part.radii, 99.0))
 
     monkeypatch.setattr(verify, "sample_padded_decomposition", out_of_range_radii)
     checks = {c.name: c for c in full_report(g, td, 2.0, seed=7, trials=200).checks}

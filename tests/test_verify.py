@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 import padnet.oracle
 import padnet.verify as verify
-from padnet.covers import CoverCluster, PartitionCluster, build_partition_cover, build_sparse_cover
+from padnet.covers import build_partition_cover, build_sparse_cover
 from padnet.decomposition import sample_padded_decomposition
 from padnet.graph import GraphFormatError, WeightedGraph, ball, shortest_paths
 from padnet.ordered_net import (
@@ -559,8 +559,9 @@ def test_partition_checks_and_fault_injection():
     assert find(rep, "partition-weak-diameter").witness == "cluster 0"
 
     # out-of-range recorded radius
-    bad_trace = ((part.trace[0][0], 100.0 * b.delta),) + part.trace[1:]
-    bad = dataclasses.replace(part, trace=bad_trace)
+    radii = part.radii.copy()
+    radii[0] = 100.0 * b.delta
+    bad = dataclasses.replace(part, radii=radii)
     rep = verify_partition(b.host, bad, 3.0, b.delta, dist_matrix=b.host_dist)
     assert find(rep, "partition-radius-range").status == "fail"
 
@@ -690,13 +691,45 @@ def test_ball_containment_matches_the_per_vertex_loop(name):
             assert got == _containment_by_loop(b.host_dist, m, radius)
 
 
-def _cover_diameter(b, clusters, replace):
-    """The cover-strong-diameter entry of the sparse cover with clusters[i]'s
-    members replaced by replace[i]."""
-    moved = tuple(
-        dataclasses.replace(c, members=frozenset(replace.get(i, c.members))) for i, c in enumerate(clusters)
+def _members(cover, i) -> list[int]:
+    """Cluster i's members in a cover's CSR table."""
+    return cover.members[cover.starts[i] : cover.starts[i + 1]].tolist()
+
+
+def _with_members(cover, replace):
+    """cover with cluster i's members replaced by the ids replace[i]: its CSR
+    table rebuilt, every other array kept."""
+    groups = [sorted(replace[i]) if i in replace else _members(cover, i) for i in range(len(cover.starts) - 1)]
+    members = np.array([v for m in groups for v in m], dtype=np.int64)
+    return dataclasses.replace(cover, members=members, starts=np.cumsum([0, *map(len, groups)]))
+
+
+def _with_cluster(cover, i, center, members, **fields):
+    """cover with a cluster of `center` and `members` inserted before cluster
+    i in its centers and CSR table, and `fields` replaced."""
+    members = np.asarray(members, dtype=np.int64)
+    return dataclasses.replace(
+        cover,
+        centers=np.insert(cover.centers, i, center),
+        members=np.insert(cover.members, cover.starts[i], members),
+        starts=np.concatenate([cover.starts[: i + 1], cover.starts[i:] + members.size]),
+        **fields,
     )
-    cover = dataclasses.replace(build_sparse_cover(b.host, b.net, b.delta), clusters=moved)
+
+
+def _renamed_member(cover, old, new):
+    """cover with the first entry of member old renamed new, and the index of
+    that entry's cluster."""
+    members = cover.members.copy()
+    at = int(np.flatnonzero(members == old)[0])
+    members[at] = new
+    return int(np.searchsorted(cover.starts, at, side="right")) - 1, dataclasses.replace(cover, members=members)
+
+
+def _cover_diameter(b, replace):
+    """The cover-strong-diameter entry of the sparse cover with cluster i's
+    members replaced by replace[i]."""
+    cover = _with_members(build_sparse_cover(b.host, b.net, b.delta), replace)
     rep = verify_cover(b.host, cover, 3.0, b.delta, b.host_dist, b.packing_counts, *b.rows)
     return find(rep, "cover-strong-diameter")
 
@@ -704,9 +737,9 @@ def _cover_diameter(b, clusters, replace):
 def test_cover_diameter_fault():
     # path-8's cluster 1 is center 1's ball at 3 * delta, vertices 1..13
     b = built(BY_NAME["path-8"])
-    clusters = build_sparse_cover(b.host, b.net, b.delta).clusters
-    assert (clusters[1].center, sorted(clusters[1].members)) == (1, list(range(1, 14)))
-    got = _cover_diameter(b, clusters, {1: set(range(1, 13))})
+    cover = build_sparse_cover(b.host, b.net, b.delta)
+    assert (cover.centers[1], _members(cover, 1)) == (1, list(range(1, 14)))
+    got = _cover_diameter(b, {1: range(1, 13)})
     assert got.status == "fail"
     assert got.witness == "cluster 1: vertex 13 is in the oracle ball of center 1, not a member"
 
@@ -714,9 +747,9 @@ def test_cover_diameter_fault():
 def test_cover_diameter_names_a_far_member():
     # vertex 0 lies outside center 22's descendant subgraph, so no row reaches it
     b = built(BY_NAME["cycle-16"])
-    clusters = build_sparse_cover(b.host, b.net, b.delta).clusters
-    assert clusters[5].center == 22 and 0 not in clusters[5].members
-    got = _cover_diameter(b, clusters, {5: clusters[5].members | {0}})
+    cover = build_sparse_cover(b.host, b.net, b.delta)
+    assert cover.centers[5] == 22 and 0 not in _members(cover, 5)
+    got = _cover_diameter(b, {5: _members(cover, 5) + [0]})
     assert got.status == "fail"
     assert got.witness == "cluster 5: vertex 0 is a member, not in the oracle ball of center 22"
     assert got.measured is None
@@ -728,22 +761,27 @@ def test_cover_diameter_fails_a_small_cluster_that_is_no_ball():
     # far inside the bound, but it is not center 11's ball: no certificate
     # reads it, so the check fails where a diameter alone would pass
     b = built(BY_NAME["cycle-16"])
-    clusters = build_sparse_cover(b.host, b.net, b.delta).clusters
-    assert clusters[3].center == 11 and {11, 13, 14} <= clusters[3].members
+    cover = build_sparse_cover(b.host, b.net, b.delta)
+    assert cover.centers[3] == 11 and {11, 13, 14} <= set(_members(cover, 3))
     assert oracle_all_pairs(b.host, [11, 13]).max() == 0.0
-    got = _cover_diameter(b, clusters, {3: {11, 13}})
+    got = _cover_diameter(b, {3: {11, 13}})
     assert got.status == "fail"
     assert got.witness == "cluster 3: vertex 14 is in the oracle ball of center 11, not a member"
     assert (got.measured, got.bound) == (None, 2 * 3.0 * b.delta + verify.TOL)
 
 
-def _partition_cover_diameter(b, p, j, **changes):
-    """The partition-cover-diameter entry with cluster j of partition p changed."""
+def _partition_cover_diameter(b, p, j, center=None, members=None):
+    """The partition-cover-diameter entry with cluster j of partition p given
+    another center or other members."""
     pcover = build_partition_cover(b.host, b.net, b.delta)
-    partitions = [list(part) for part in pcover.partitions]
-    partitions[p][j] = dataclasses.replace(partitions[p][j], **changes)
-    bad = dataclasses.replace(pcover, partitions=tuple(map(tuple, partitions)))
-    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, *b.rows)
+    i = pcover.partition_starts[p] + j
+    if center is not None:
+        centers = pcover.centers.copy()
+        centers[i] = center
+        pcover = dataclasses.replace(pcover, centers=centers)
+    if members is not None:
+        pcover = _with_members(pcover, {i: members})
+    rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, b.packing_counts, *b.rows)
     return find(rep, "partition-cover-diameter")
 
 
@@ -751,17 +789,18 @@ def test_partition_cover_diameter_faults():
     # cycle-16's partition 0 holds net clusters at 0, 11 and 23, then the
     # singletons 8 and 10; vertex 13 is in 11's cluster and no net center
     b = built(BY_NAME["cycle-16"])
-    part = build_partition_cover(b.host, b.net, b.delta).partitions[0]
-    kinds = [(c.kind, c.center) for c in part[:5]]
-    assert kinds == [("net", 0), ("net", 11), ("net", 23), ("singleton", 8), ("singleton", 10)]
+    pcover = build_partition_cover(b.host, b.net, b.delta)
+    assert pcover.partition_starts[1] >= 5
+    kinds = list(zip(pcover.is_net[:5].tolist(), pcover.centers[:5].tolist()))
+    assert kinds == [(True, 0), (True, 11), (True, 23), (False, 8), (False, 10)]
     assert 13 not in b.net.centers_in_order()
     got = _partition_cover_diameter(b, 0, 1, center=13)
     assert (got.status, got.witness) == ("fail", "partition 0 cluster 1: center 13 is no net center")
-    got = _partition_cover_diameter(b, 0, 3, members=frozenset([8, 10]))
+    got = _partition_cover_diameter(b, 0, 3, members=[8, 10])
     assert (got.status, got.witness) == ("fail", "partition 0 cluster 3: vertex 10 is a member, not in {8}")
-    got = _partition_cover_diameter(b, 0, 3, members=frozenset())
+    got = _partition_cover_diameter(b, 0, 3, members=[])
     assert (got.status, got.witness) == ("fail", "partition 0 cluster 3: vertex 8 is in {8}, not a member")
-    got = _partition_cover_diameter(b, 0, 2, members=part[2].members - {34})
+    got = _partition_cover_diameter(b, 0, 2, members=set(_members(pcover, 2)) - {34})
     assert got.status == "fail"
     assert got.witness == "partition 0 cluster 2: vertex 34 is in the oracle ball of center 23, not a member"
 
@@ -769,16 +808,17 @@ def test_partition_cover_diameter_faults():
 def test_partition_cover_warn_band_and_fail():
     b = built(BY_NAME["grid-5"])
     pcover = build_partition_cover(b.host, b.net, b.delta)
-    count = len(pcover.partitions)
+    count = len(pcover.partition_starts) - 1
     rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, np.full(b.host.n, count - 1), *b.rows)
     assert find(rep, "partition-cover-count").status == "warn"
     rep = verify_cover(b.host, pcover, 3.0, b.delta, b.host_dist, np.full(b.host.n, count - 2), *b.rows)
     assert find(rep, "partition-cover-count").status == "fail"
 
-    # duplicated vertex inside one partition
-    first = pcover.partitions[0]
-    dupe = PartitionCluster(kind="singleton", center=0, radius=0.0, members=frozenset([0]))
-    bad = dataclasses.replace(pcover, partitions=(first + (dupe,),) + pcover.partitions[1:])
+    # duplicated vertex inside one partition: a singleton {0} after partition 0's last cluster
+    first = pcover.partition_starts.copy()
+    first[1:] += 1
+    i = pcover.partition_starts[1]
+    bad = _with_cluster(pcover, i, 0, [0], is_net=np.insert(pcover.is_net, i, False), partition_starts=first)
     rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, *b.rows)
     assert find(rep, "partition-cover-partitions-valid").status == "fail"
 
@@ -1057,9 +1097,7 @@ def _partition_record(b, v):
 
 
 def _sparse_cover_record(b, v):
-    cover = build_sparse_cover(b.host, b.net, b.delta)
-    i, clusters = _renamed(cover.clusters, b.host.n - 1, v)
-    bad = dataclasses.replace(cover, clusters=clusters)
+    i, bad = _renamed_member(build_sparse_cover(b.host, b.net, b.delta), b.host.n - 1, v)
     rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, *b.rows)
     witness = f"cluster {i}: member {v} outside vertices 0..{b.host.n - 1}"
     return rep.checks, {"cover-every-vertex-covered": witness}
@@ -1067,10 +1105,8 @@ def _sparse_cover_record(b, v):
 
 def _partition_cover_record(b, v):
     pcover = build_partition_cover(b.host, b.net, b.delta)
-    p = next(p for p, part in enumerate(pcover.partitions) if any(b.host.n - 1 in c.members for c in part))
-    partitions = list(pcover.partitions)
-    partitions[p] = _renamed(partitions[p], b.host.n - 1, v)[1]
-    bad = dataclasses.replace(pcover, partitions=tuple(partitions))
+    i, bad = _renamed_member(pcover, b.host.n - 1, v)
+    p = int(np.searchsorted(pcover.partition_starts, i, side="right")) - 1
     rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, *b.rows)
     witness = f"partition {p}: member {v} outside vertices 0..{b.host.n - 1}"
     return rep.checks, {"partition-cover-partitions-valid": witness}
@@ -1321,17 +1357,14 @@ def test_component_bag_outside_partition_fails_without_raising(bag):
 
 @pytest.mark.parametrize("member", [2**64, -(2**63) - 1])
 def test_member_beyond_int64_fails_without_raising(member):
-    # a cover cluster's frozenset can hold any int; a partition's int64
-    # assignment cannot, so the sparse cover stands for the sets
+    # a core's frozenset can hold any int; the int64 arrays of a partition
+    # and of both covers cannot, so a core stands for the sets
     b = built(BY_NAME["path-8"])
-    cover = build_sparse_cover(b.host, b.net, b.delta)
-    first = dataclasses.replace(cover.clusters[0], members=cover.clusters[0].members | {member})
-    bad = dataclasses.replace(cover, clusters=(first, *cover.clusters[1:]))
-    rep = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, *b.rows)
-    assert find(rep, "cover-every-vertex-covered").status == "fail"
-    assert find(rep, "cover-every-vertex-covered").witness == (
-        f"cluster 0: member {member} outside vertices 0..{b.host.n - 1}"
-    )
+    checks, expected = _core_record(b, member)
+    for name, witness in expected.items():
+        assert find_check(checks, name).status == "fail", name
+        if witness is not None:
+            assert find_check(checks, name).witness == witness, name
 
 
 @pytest.mark.parametrize("kind", ["partition", "sparse-cover", "partition-cover"])
@@ -1349,15 +1382,18 @@ def test_cluster_of_outside_members_only_fails_without_raising(kind):
         name, witness = "partition-total-disjoint", f"cluster {len(part.centers)} has no member"
     elif kind == "sparse-cover":
         cover = build_sparse_cover(b.host, b.net, b.delta)
-        bad = dataclasses.replace(cover, clusters=cover.clusters + (CoverCluster(n, outside),))
+        k = len(cover.centers)
+        bad = _with_cluster(cover, k, n, sorted(outside))
         checks = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, *b.rows).checks
-        name, witness = "cover-every-vertex-covered", f"cluster {len(cover.clusters)}: {witness}"
+        name, witness = "cover-every-vertex-covered", f"cluster {k}: {witness}"
     else:
         pcover = build_partition_cover(b.host, b.net, b.delta)
-        extra = (PartitionCluster(kind="net", center=n, radius=0.0, members=outside),)
-        bad = dataclasses.replace(pcover, partitions=pcover.partitions + (extra,))
+        first, k = pcover.partition_starts, len(pcover.centers)
+        bad = _with_cluster(
+            pcover, k, n, sorted(outside), is_net=np.append(pcover.is_net, True), partition_starts=np.append(first, k + 1)
+        )
         checks = verify_cover(b.host, bad, 3.0, b.delta, b.host_dist, b.packing_counts, *b.rows).checks
-        name, witness = "partition-cover-partitions-valid", f"partition {len(pcover.partitions)}: {witness}"
+        name, witness = "partition-cover-partitions-valid", f"partition {len(first) - 1}: {witness}"
     assert find_check(checks, name).status == "fail"
     assert find_check(checks, name).witness == witness
 
