@@ -7,18 +7,18 @@ induced by its descendants.  The rate lambda = 4/(alpha-1) * ln(2 tau) uses
 the measured packing value tau, which is what the padding guarantee
 exp(-16 (alpha+1)/(alpha-1) ln(2 tau) * gamma) actually depends on.
 
-Randomness: one counter-based Philox4x64-10 stream per center, keyed by
-(seed, center id), as numpy's Philox generator draws it.  A single sample
-reads draw 0 of each stream; trial t of a batch reads draw t, so trials are
-independent, reproducible, and chunkable.  Draw t of a stream is a pure
-function of (seed, center, t), so `center_uniforms` evaluates the draws of
-every center, and of several seeds, at once in numpy, bit for bit equal to
-per-center generators.  Both samplers draw radii through `_radii`: one call
-per chunk of trials of a batch, and one per chunk of seeds of a sweep of
-partitions (a single sample is a sweep of one).  Both read the first claims
-through the net's `claim_prefix`, built once per net.  A partition is arrays
-(assignment, cluster centers, radii): one stable argsort gives the members,
-and `PaddedPartition.clusters` and `trace` are views built on first access.
+Randomness: one counter-based Philox4x64-10 stream per seed, numpy's Philox
+generator keyed by (seed, 0).  With k ordered centers, trial t's center of
+rank i reads 64-bit word t*k + i, so a single sample reads words 0..k-1
+(trial 0) and trials are independent, reproducible, and chunkable: any
+range of trials starts at its own counter block, with no draw before it
+generated (`stream_uniforms`).  Both samplers draw radii through `_radii`:
+one call per chunk of trials of a batch, and one per chunk of seeds of a
+sweep of partitions (a single sample is a sweep of one).  Both read the
+first claims through the net's `claim_prefix`, built once per net.  A
+partition is arrays (assignment, cluster centers, radii): one stable argsort
+gives the members, and `PaddedPartition.clusters` and `trace` are views
+built on first access.
 """
 
 from __future__ import annotations
@@ -190,62 +190,23 @@ def seeded_generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-# Philox4x64-10 multipliers and Weyl key bumps (Salmon et al., SC 2011;
-# numpy's philox.h), one per word pair (x0, x2) of a counter block
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
-_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
+def stream_uniforms(seed: int, k: int, start: int, stop: int) -> np.ndarray:
+    """The uniforms of trials start..stop-1 of the seed's stream, as (k, trials).
 
-
-def center_uniforms(seed, streams, start: int, stop: int) -> np.ndarray:
-    """Draws start..stop-1 of every stream keyed by (seed, stream), as (streams, draws).
-
-    Row i equals seeded_generator(seed, streams[i]).random(stop)[start:] bit for
-    bit.  seed may also be a sequence of seeds, which vary the key's seed
-    word per column: the result is then
-    np.hstack([center_uniforms(s, streams, start, stop) for s in seed]), the
-    columns of one seed after those of the seed before it.  Philox is
-    counter-based: the generator's counter block c (c = 1, 2, ...) yields its
-    uint64 draws 4(c-1)..4(c-1)+3, so the blocks covering start..stop-1 are
-    evaluated for all seeds and streams at once in uint64 numpy, and each
-    draw becomes (x >> 11) * 2**-53 as in Generator.random.
+    The stream is numpy's Philox4x64-10 generator keyed by (seed, 0): trial
+    t's center of rank i reads its 64-bit word t*k + i, which becomes
+    (x >> 11) * 2**-53 as in Generator.random.  Philox is counter-based:
+    counter block c (c = 1, 2, ...) yields words 4(c-1)..4(c-1)+3, so the
+    range starts at counter (start*k) // 4, skips (start*k) % 4 words, and
+    reads none of the trials before it.
     """
-    seeds = [seed] if np.isscalar(seed) else list(seed)
-    for s in seeds:
-        _check_seed(s)
-    if not 0 <= start <= stop:
-        raise ValueError(f"need 0 <= start <= stop, got {start}, {stop}")
-    streams = np.asarray(streams, dtype=np.uint64).reshape(-1)
-    first, last = start // 4, -(-stop // 4)  # counter blocks first+1 .. last
-    # words (x0, x2) and (x1, x3) of each block as (2, streams, seeds x
-    # blocks); the constants are spelled out at that shape, as numpy's
-    # uint64 operations on equal shapes cost least per call
-    blocks = last - first
-    shape = (2, len(streams), len(seeds) * blocks)
-    even = np.zeros(shape, dtype=np.uint64)
-    even[0] = np.tile(np.arange(first + 1, last + 1, dtype=np.uint64), len(seeds))
-    odd = np.zeros(shape, dtype=np.uint64)
-    key = np.empty(shape, dtype=np.uint64)
-    key[0] = np.repeat(np.array(seeds, dtype=np.uint64), blocks)
-    key[1] = streams[:, None]
-    bump = np.broadcast_to(_PHILOX_W, shape).copy()
-    m = np.broadcast_to(_PHILOX_M, shape).copy()
-    low32, s32 = np.full(shape, 0xFFFFFFFF, dtype=np.uint64), np.full(shape, 32, dtype=np.uint64)
-    m_lo, m_hi = m & low32, m >> s32
-    for r in range(10):
-        if r:
-            key += bump  # wraps mod 2**64
-        # the 128-bit product m * even from 32-bit halves; no partial sum wraps
-        x_lo, x_hi = even & low32, even >> s32
-        t = m_hi * x_lo + ((m_lo * x_lo) >> s32)
-        u = m_lo * x_hi + (t & low32)
-        hi = m_hi * x_hi + (t >> s32) + (u >> s32)
-        # x0, x1, x2, x3 <- hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-        even, odd = hi[::-1] ^ odd ^ key, (m * even)[::-1]
-    words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1)
-    words = words.reshape(len(streams), len(seeds), 4 * blocks)
-    words = words[:, :, start - 4 * first : stop - 4 * first]
-    words = words.reshape(len(streams), len(seeds) * (stop - start))
-    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    _check_seed(seed)
+    if k < 0 or not 0 <= start <= stop:
+        raise ValueError(f"need k >= 0 and 0 <= start <= stop, got {k}, {start}, {stop}")
+    block, skip = divmod(start * k, 4)
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64), counter=block)
+    words = bits.random_raw(skip + (stop - start) * k)[skip:]
+    return ((words >> np.uint64(11)) * 2.0**-53).reshape(stop - start, k).T
 
 
 def _first_claims(
@@ -323,18 +284,22 @@ CHUNK = 256  # trials per block of sample_assignments, seeds per block of sample
 
 
 def _radii(net: TreeOrderedNet, params: DecompositionParams, seed, start: int, stop: int):
-    """Each ordered center's radius F^-1(u) * delta for draws u start..stop-1
-    of its stream, as (centers, draws); seed is read as `center_uniforms` reads it."""
+    """Each ordered center's radius F^-1(u) * delta for the uniforms u of
+    trials start..stop-1 of the seed's stream, as (centers, trials).  seed
+    may also be a sequence of seeds, each read from its own stream: the
+    columns of one seed then follow those of the seed before it."""
     law = TruncatedExp(1.0, params.beta_internal, params.lam)
-    u = center_uniforms(seed, net.centers_in_order(), start, stop)
+    k = len(net.centers_in_order())
+    seeds = [seed] if np.isscalar(seed) else seed
+    u = np.hstack([stream_uniforms(s, k, start, stop) for s in seeds])
     return sample_truncated_exp(law, u) * params.delta
 
 
 def sample_padded_decompositions(net: TreeOrderedNet, seeds) -> Iterator[PaddedPartition]:
     """Yield the partition of each seed in `seeds`, in order, at the net's own delta.
 
-    Seeds are taken CHUNK at a time: one `_radii` call draws draw 0 of every
-    (seed, center) stream of a chunk, and one `_first_claims` call gives the
+    Seeds are taken CHUNK at a time: one `_radii` call draws trial 0 of
+    every seed's stream of a chunk, and one `_first_claims` call gives the
     first claims of all its seeds, with radii shaped (centers, seeds).  Only
     the partitions are built per seed, and each is yielded before the next
     is built.  A seed outside [0, 2**64) raises ValueError.
@@ -390,9 +355,9 @@ def sample_assignments(
     """Yield (t, n) first-claiming center ranks, CHUNK trials at a time,
     for trials 0..trials-1 at the net's own delta.
 
-    Trial t uses draw t of each per-center stream, so trial 0 reproduces
-    sample_padded_decomposition(seed) cluster-for-cluster.  Each chunk draws
-    only its own trials' radii, draws start..stop-1 of every stream, with one
+    Trial t reads the t-th k words of the seed's stream, so trial 0
+    reproduces sample_padded_decomposition(seed) cluster-for-cluster.  Each
+    chunk draws only its own trials' radii, trials start..stop-1, with one
     `_radii` call; every chunk reads the net's `claim_prefix`.  Given
     `vertices`, strictly ascending ids in 0..n-1, only their rows of the
     prefix are read and each block is (t, len(vertices)), equal to the full
@@ -508,9 +473,14 @@ def padded_trial_counts(
     cls = _claim_classes(net)
     if dist_matrix is None:
         rows, near, pair_d = ball_pairs(g, cls, r_max)
-    else:  # row z's minimum over each class's columns, with no n x n copy
-        nearest = np.full((g.n, cls.max() + 1), np.inf)
-        np.minimum.at(nearest.T, cls, dist_matrix.T)
+    else:  # row z's minimum over each class's columns, in row blocks of at most 2**13 entries
+        by_class = np.argsort(cls, kind="stable")
+        starts = np.searchsorted(cls[by_class], np.arange(cls.max() + 1))
+        nearest = np.empty((g.n, starts.size))
+        step = max(1, 8192 // g.n)
+        for a in range(0, g.n, step):
+            block = dist_matrix[a : a + step][:, by_class]
+            nearest[a : a + step] = np.minimum.reduceat(block, starts, axis=1)
         rows, near = np.nonzero(nearest <= r_max)
         pair_d = nearest[rows, near]
     # z's own class is never cut from z.  Members of a class share a label

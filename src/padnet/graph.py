@@ -133,11 +133,14 @@ def reach(
     A tentative distance above `limit` is never recorded.  Weights are
     nonnegative, so every vertex within `limit` is reached along a path whose
     prefixes are all within `limit`, and each recorded distance is bit for
-    bit the one of the unbounded search.  `key` is read per relaxed
-    neighbour, as a bytes mask (lo, hi = 1, 2) or a list of preorder
-    numbers (lo, hi = a subtree's interval), so the search costs the size
-    of its ball, not n.  Sources are taken as given: `shortest_paths`
-    checks them.
+    bit the one of the unbounded search.  A vertex reached at the distance d
+    of the vertex being expanded (over a zero-weight edge, d + 0.0 == d) is
+    final at once, and is expanded in turn without a trip through the heap,
+    as the chained copies of a copy-expanded host are.  `key` is read per
+    relaxed neighbour, as a bytes mask (lo, hi = 1, 2) or a list of preorder
+    numbers (lo, hi = a subtree's interval), so the search costs the size of
+    its ball, not n.  Sources are taken as given: `shortest_paths` checks
+    them.
     """
     nbrs = g._nbrs
     dist: dict[int, float] = {}
@@ -151,11 +154,24 @@ def reach(
         d, u = pop(heap)
         if d > dist[u]:
             continue
-        for v, w in nbrs[u]:
-            nd = d + w
-            if nd < known(v, INF) and nd <= limit and lo <= key[v] < hi:
-                dist[v] = nd
-                push(heap, (nd, v))
+        # d is final, and no vertex left is nearer: a neighbour reached at d
+        # itself (over a zero-weight edge) is final too, and is expanded from
+        # a stack, made on first use, rather than pushed
+        stack = None
+        while True:
+            for v, w in nbrs[u]:
+                nd = d + w
+                if nd < known(v, INF) and nd <= limit and lo <= key[v] < hi:
+                    dist[v] = nd
+                    if nd > d:
+                        push(heap, (nd, v))
+                    elif stack is None:
+                        stack = [v]
+                    else:
+                        stack.append(v)
+            if not stack:
+                break
+            u = stack.pop()
     return dist
 
 

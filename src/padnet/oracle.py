@@ -92,4 +92,4 @@ def oracle_all_pairs(g, restrict: Sequence[int]) -> np.ndarray:
     np.minimum.at(d, (b, a), w)
     for k in range(c):  # ascending classes: the sums, and so every bit, depend on this order
         np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
-    return d[np.ix_(cls, cls)]
+    return d[cls][:, cls]

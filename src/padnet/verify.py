@@ -302,13 +302,20 @@ def _embedding_checks(
     bad = None
     if dropped:
         bad = f"vertex {dropped[0]}: copy {dropped[1]} outside host vertices 0..{host.n - 1}"
-    for v, copies in enumerate(_split(owner, member, len(emb.copies))):
-        if bad:
-            break
-        d = dh[np.ix_(copies, copies)]
-        if (d != 0.0).any():
-            i, j = np.argwhere(d != 0.0)[0]
-            bad = f"copies {copies[i]},{copies[j]} of vertex {v} at distance {d[i, j]}"
+    else:
+        # every (vertex, copy, copy) triple in one gather: vertex by vertex,
+        # each vertex's (copies x copies) block row by row; owner ascends, so
+        # membership p's block row runs over its vertex's memberships from start[p]
+        size = np.bincount(owner)[owner]
+        start = np.searchsorted(owner, owner)
+        row = np.repeat(np.arange(owner.size), size)
+        col = np.arange(row.size) - np.repeat(np.cumsum(size) - size - start, size)
+        d = dh[member[row], member[col]]
+        nonzero = np.flatnonzero(d != 0.0)
+        if nonzero.size:
+            i = nonzero[0]
+            v, a, b = owner[row[i]], member[row[i]], member[col[i]]
+            bad = f"copies {a},{b} of vertex {v} at distance {d[i]}"
     checks.append(_check("copy-zero-distance", bad is None, witness=bad))
 
     checks.append(

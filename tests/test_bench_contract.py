@@ -56,9 +56,9 @@ LAYER_COUNTERS = {
 ARTIFACTS = {
     "path-chain": (
         "artifact decompose/seed-0: sha256 "
-        "8c5ac39409dad33d773f7f0a424728a6fd5c8f1398c40570d3d715f60e2cb1a3 (109137 bytes)",
+        "fe2acfb9d4b9bbd651de5d315f9c41ad0d13e95f465480e5e728682b60a73699 (109755 bytes)",
         "artifact decompose/seed-49: sha256 "
-        "68f1485f0360b3b1f46e958104dc07ba150a0d36cb3cde4c91e22511883c2267 (109194 bytes)",
+        "5d96bb1ece393f6b8e09297495cfc379a6863861f471bd3330d137d915579eb8 (109461 bytes)",
         "artifact sparse_cover: sha256 "
         "9f50f4a30bcc395dcbf06a7ae72039617cd18fc5d98cf82d8705e888743077af (102274 bytes)",
         "artifact partition_cover: sha256 "
@@ -66,7 +66,7 @@ ARTIFACTS = {
     ),
     "grid-padding": (
         "artifact padding_counts: sha256 "
-        "0295d74af71a558c5f7772a5dc9c02a4ef4090ad68771d729c8e8903453a164a (14499 bytes)",
+        "29d20ec0329df542fa4bda6873a83176bee7c101daa8b07e056962d3a766bf9f (14499 bytes)",
     ),
     "verify-mix": (
         "artifact verify/ktree3-50-drop25: sha256 "
@@ -74,7 +74,7 @@ ARTIFACTS = {
         "artifact verify/ktree4-30-drop20: sha256 "
         "a922271305c31390aa88c66ba83fa970ce5bbf2c8bd163bc006b2740fe80ddbb (5718 bytes)",
         "artifact verify/sp-40-int7: sha256 "
-        "e14aefea7e75df5367e775ba3e43666a61dee9bea9a7447ef9866b67bb093347 (5717 bytes)",
+        "6a4dd7aea573c7f76de0eba2fe5ca3aea1aad2f38a7e6b37ef1ed609966d6eff (5717 bytes)",
         "artifact verify/ktree3-50-dec: sha256 "
         "9d854ab26a6f953c1e64eb4242a808b770a10bc6c6d827c775f30bb4606d4abf (5718 bytes)",
     ),

@@ -18,13 +18,13 @@ SEEDED = {"decompose", "verify", "padding-estimate"}
 
 GOLDEN = {
     ("net", "grid4"): "ee3413feb65000d4819b1c9268f224ddcffe70fc5c8537fea5c647e376fff43c",
-    ("decompose", "grid4"): "03a1ecef472fb0395805dc9c93d71f52ea1608c8d110ed320c9756d3473873a9",
+    ("decompose", "grid4"): "4fe7e0ebc41dcfa3f8bd1736f359114bbf6c1b0944946418679ae48a88641d2e",
     ("cover", "grid4"): "8223a843bb01a558c88c6ccb02a266aad9ae629f6fb0fc23a0aa8d144bcbb956",
     ("partition-cover", "grid4"): "659cb837a741eed5a49b995c75096479066ecf931cecc47aee0bb749a305e9e8",
     ("padding-estimate", "grid4"): "c18ca398220fa4f190399af924c8ca99e7482887345a712a71dfa97a420b6830",
     ("verify", "grid4"): "06414aa6824297492819bc538440f03e5faf65127aba2e983d74c6b3f78cfd86",
     ("net", "path8"): "c7191a6bbcb4ef54e19c934595b7fbd3cf0a4ab2c80a376a5e1a9c4d72b577cf",
-    ("decompose", "path8"): "de950c7de0606b940fb36b2107dba659a82570e7a2e79e4fd31fa0de7e41bb18",
+    ("decompose", "path8"): "0362fd0475db668c353f3163cf7d32af16e2817e117a37275adb35cccecbbf3e",
     ("cover", "path8"): "a9a06718c9d0980d576002865794ab8eec090f678cb7ee1636d66d43d76bc036",
     ("partition-cover", "path8"): "2e18789415daf41ddccdee149cc5cb81283f2e269b9c6a468b75a5dea14585e3",
     ("padding-estimate", "path8"): "39a4610d05fb5ddf31b5e080d663ed74a7c996ed5f7a06702c5adee768788a0f",
@@ -44,8 +44,8 @@ def test_cli_json_bytes_pinned(command, data, tmp_path, capsys):
 
 # `decompose --trials 50 --seed 7 --delta 2`: the seed sweep, fifty partitions in one artifact
 GOLDEN_TRIALS = {
-    "grid4": "eaef23d6438f2103ed82ea559a251fde8b82807f50ade837a9af2b3bcf038ee4",
-    "path8": "46203930e91ae65125b021811ad2bbbc12c650f496b53a9246ed2448b6ab3180",
+    "grid4": "e9ae35a23dc7775f24ee6cb30295b32eb223ae6d5e1963b8b05b3028aa88d176",
+    "path8": "8c534792b33622a3fc6d17d33d2b6253fe04e33dc045f315c7c1b73ec2e9b9f1",
 }
 
 

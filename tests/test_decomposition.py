@@ -30,7 +30,6 @@ from padnet.decomposition import (
     PaddedCluster,
     PaddedPartition,
     TruncatedExp,
-    center_uniforms,
     padded_trial_counts,
     replay_decomposition,
     sample_assignments,
@@ -38,6 +37,7 @@ from padnet.decomposition import (
     sample_padded_decompositions,
     sample_truncated_exp,
     seeded_generator,
+    stream_uniforms,
     wilson_lower_bound,
 )
 from padnet.graph import WeightedGraph, parse_edge_list
@@ -340,10 +340,10 @@ def test_radius_equal_to_distance_claims(monkeypatch):
     g, net = single_center_net()
     assert len(replay_decomposition(net, [(0, 1.0)]).clusters) == 1
 
-    def zeros(seed, streams, start, stop):
-        return np.zeros((len(streams), stop - start))
+    def zeros(seed, k, start, stop):
+        return np.zeros((k, stop - start))
 
-    monkeypatch.setattr(decomposition, "center_uniforms", zeros)
+    monkeypatch.setattr(decomposition, "stream_uniforms", zeros)
     part = sample_padded_decomposition(g, net, 1.0, 0)
     assert part.trace == ((0, 1.0),)
     assert sorted(part.clusters[0].members) == list(range(5))
@@ -360,83 +360,86 @@ def test_sampler_input_validation():
         next(sample_assignments(net, 0, trials=0))
 
 
-# --- vectorised Philox draws and the original per-center sampler ---------------
+# --- the seed's Philox stream and the original sampler --------------------------
+
+
+def whole_stream_uniforms(seed, k, start, stop):
+    """Trials start..stop-1 of the seed's stream, read from its first word on
+    with numpy's own Philox bit generator, as (k, trials)."""
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    words = bits.random_raw(stop * k)[start * k :]
+    return ((words >> np.uint64(11)) * 2.0**-53).reshape(stop - start, k).T
 
 
 @given(
     seed=st.integers(0, 2**64 - 1),
-    streams=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    k=st.sampled_from([0, 1, 3, 620]),
     start=st.integers(0, 23),
     count=st.integers(0, 23),
 )
-@example(seed=0, streams=[0], start=0, count=1)
-@example(seed=2**64 - 1, streams=[2**64 - 1, 0, 7], start=0, count=1)
-@example(seed=2**64 - 1, streams=[3], start=5, count=1)
-@example(seed=0, streams=[1, 2], start=3, count=6)
+@example(seed=0, k=1, start=0, count=1)
+@example(seed=2**64 - 1, k=3, start=5, count=6)
+@example(seed=0, k=620, start=255, count=2)
+@example(seed=2**64 - 1, k=0, start=3, count=4)
 @settings(max_examples=150, deadline=None)
-def test_center_uniforms_match_numpy_philox(seed, streams, start, count):
+def test_stream_uniforms_match_numpy_philox(seed, k, start, count):
     stop = start + count
-    got = center_uniforms(seed, streams, start, stop)
-    expected = np.stack([seeded_generator(seed, s).random(stop)[start:] for s in streams])
-    assert got.shape == (len(streams), count)
+    got = stream_uniforms(seed, k, start, stop)
+    assert got.shape == (k, count)
     assert got.dtype == np.float64
-    assert got.tobytes() == expected.tobytes()
+    assert got.tobytes() == whole_stream_uniforms(seed, k, start, stop).tobytes()
 
 
-@given(
-    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=0, max_size=4),
-    streams=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
-    start=st.integers(0, 9),
-    count=st.integers(0, 9),
-)
-@example(seeds=[0, 2**64 - 1, 0], streams=[7, 0], start=0, count=1)
-@example(seeds=[5], streams=[1], start=3, count=6)
-@settings(max_examples=100, deadline=None)
-def test_center_uniforms_over_a_seed_vector(seeds, streams, start, count):
-    # the columns of each seed, in seed order, as its own generators draw them
-    stop = start + count
-    got = center_uniforms(seeds, streams, start, stop)
-    expected = np.zeros((len(streams), 0))
-    for seed in seeds:
-        rows = np.stack([seeded_generator(seed, s).random(stop)[start:] for s in streams])
-        expected = np.hstack([expected, rows])
-    assert got.shape == (len(streams), len(seeds) * count)
-    assert got.tobytes() == expected.tobytes()
+def test_stream_uniforms_across_the_chunk_edge():
+    # ranges around the 256-trial chunk, starting and stopping off multiples of 4
+    for seed in (0, 7, 2**63 + 5, 2**64 - 1):
+        for k in (1, 3, 620):
+            for start, stop in ((0, 257), (253, 259), (255, 256), (256, 300), (1, 1001)):
+                want = whole_stream_uniforms(seed, k, start, stop)
+                assert stream_uniforms(seed, k, start, stop).tobytes() == want.tobytes()
+    # a trial's uniforms are Generator.random's draws of the same words
+    want = seeded_generator(5, 0).random(3 * 7).reshape(7, 3).T
+    assert stream_uniforms(5, 3, 0, 7).tobytes() == want.tobytes()
 
 
-def test_center_uniforms_long_streams():
-    # more than one 256-trial chunk, counts not multiples of 4
-    streams = [0, 5, 123456789]
-    for seed in (7, 2**63 + 5):
-        for start, stop in ((0, 1001), (253, 2000), (999, 1003)):
-            expected = np.stack([seeded_generator(seed, s).random(stop)[start:] for s in streams])
-            assert center_uniforms(seed, streams, start, stop).tobytes() == expected.tobytes()
-
-
-def test_center_uniforms_rejects_bad_seeds_and_ranges():
+def test_stream_uniforms_rejects_bad_seeds_and_ranges():
     for seed in (-1, 2**64, 2**70):
-        with pytest.raises(ValueError):
-            center_uniforms(seed, [0], 0, 1)
-        with pytest.raises(ValueError):
-            center_uniforms([3, seed], [0], 0, 1)
-    with pytest.raises(ValueError):
-        center_uniforms(0, [0], 5, 4)
-    with pytest.raises(ValueError):
-        center_uniforms(0, [0], -1, 4)
+        with pytest.raises(ValueError, match="seed must lie in"):
+            stream_uniforms(seed, 3, 0, 1)
+    for k, start, stop in ((3, 5, 4), (3, -1, 4), (-1, 0, 1)):
+        with pytest.raises(ValueError, match="need k >= 0"):
+            stream_uniforms(0, k, start, stop)
     g, net = single_center_net()
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             next(sample_assignments(net, seed, trials=3))
 
 
+@pytest.mark.parametrize("trials", [1, 256, 257, 600])
+def test_chunked_assignments_equal_one_pass(trials):
+    # the chunks, each from its own counter block, equal one pass over the
+    # whole stream's radii
+    net = sampler_net("wpath-120-seed3")
+    params = DecompositionParams.from_net(net, net.delta)
+    law = TruncatedExp(1.0, params.beta_internal, params.lam)
+    k = len(net.centers_in_order())
+    radii = sample_truncated_exp(law, whole_stream_uniforms(13, k, 0, trials)) * net.delta
+    blocks = list(sample_assignments(net, 13, trials))
+    assert [len(b) for b in blocks] == [min(256, trials - s) for s in range(0, trials, 256)]
+    whole = decomposition._first_claims(net.claim_prefix, net.n, radii)
+    assert np.array_equal(np.concatenate(blocks), whole)
+
+
 def reference_decomposition(net, delta, seed) -> tuple[PaddedPartition, tuple[PaddedCluster, ...]]:
-    """The original sampler: one Philox generator and one scalar draw per
-    center, then one full scan of the assignment per cluster.  Returns the
-    partition and its clusters as frozensets, built by those scans."""
+    """The original sampler: one scalar draw per center, in rank order, from
+    the seed's generator, then one full scan of the assignment per cluster.
+    Returns the partition and its clusters as frozensets, built by those
+    scans."""
     params = DecompositionParams.from_net(net, delta)
     texp = TruncatedExp(1.0, params.beta_internal, params.lam)
     centers = net.centers_in_order()
-    draws = [float(seeded_generator(seed, int(x)).random(1)[0]) for x in centers]
+    rng = seeded_generator(seed, 0)
+    draws = [float(rng.random()) for _ in centers]
     radii = np.array([sample_truncated_exp(texp, u) for u in draws]) * delta
     raw = np.argmax(net.center_distance_matrix() <= radii[:, None], axis=0)
     clusters = []
@@ -463,11 +466,12 @@ def assert_matches_reference(got, expected):
 
 
 def reference_assignments(net, delta, seed, trials) -> np.ndarray:
-    """(trials, n) first-claiming center ranks from whole per-center streams."""
+    """(trials, n) first-claiming center ranks from the seed's whole stream,
+    drawn by its generator trial after trial."""
     params = DecompositionParams.from_net(net, delta)
     texp = TruncatedExp(1.0, params.beta_internal, params.lam)
-    centers = net.centers_in_order()
-    uniforms = np.stack([seeded_generator(seed, int(x)).random(trials) for x in centers])
+    k = len(net.centers_in_order())
+    uniforms = seeded_generator(seed, 0).random((trials, k)).T
     radii = sample_truncated_exp(texp, uniforms) * delta  # (k, trials)
     claimed = net.center_distance_matrix()[:, :, None] <= radii[:, None, :]
     return np.argmax(claimed, axis=0).T

@@ -327,10 +327,10 @@ PINNED_REPORTS = {
     # decimal weights, where the oracle's zero-weight classes associate its
     # sums unlike the plain recurrence: its hash was taken with the plain one
     ("sp-20d", 0): "ea59dbcbc6356cfb644a4dfa345de52cca1faa91edf7a649abbb8f982b9dfb1b",
-    ("sp-50w", 0): "f8acf1cff25c3f5571571fbbdead881fd6b8fe5d6ad38d9b3d0cd8f64dc267cd",
-    ("sp-50w", 1): "cb3ec37504fe5ac4db2cfc9e6643bdfc259928978b23a9344ba3bef7f52b8bf7",
-    ("sp-60w", 0): "fd0d43d9a32d0ff3ac6b16030c62ea9d8743bd0def1bb8394ba0d89225d3bc8d",
-    ("sp-60w", 1): "9cf6973bc90aa8446f1a970dd507f722467af300a4b10a21a916b6e496f76b1a",
+    ("sp-50w", 0): "3d07482c5639295ac52729c064f6d5bb14bdcf8214e5fead82d28bca855125b0",
+    ("sp-50w", 1): "4afb4b803aeae3b9f1ff8524b86fa23af3cbdb751af0f6d11e4ddf54825543d3",
+    ("sp-60w", 0): "1ee45cda20abde9ea0d1a8ede12b7bb4b9473448e3b8a0598049483425c4b37d",
+    ("sp-60w", 1): "9f3eea444a5c4cb5b2278f9f196ef9557ae2c50f4210f0eaac67b0f68248c2c3",
     ("ktree3-30-dec", 0): "d9a11277e092a162f2db8a466c530e3fd9ca16443ac841a23aa5f0755615fc35",
     ("ktree3-250d-dec", 0): "d60beb8acd071bc7ec40150bb0e3f3856ed2b57f2e2147e48db83ef4c582adaa",
 }

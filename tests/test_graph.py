@@ -1,3 +1,4 @@
+import heapq
 import math
 import tracemalloc
 
@@ -337,6 +338,62 @@ def test_reach_is_the_thresholded_row(g, rnd, by_interval):
         (inside,) = np.nonzero((free <= limit) & (free < INF))
         assert sorted(found) == inside.tolist()
         assert np.array([found[v] for v in inside.tolist()]).tobytes() == free[inside].tobytes()
+
+
+def heap_only_reach(g, sources, limit, key, lo, hi):
+    """`reach` with every relaxed vertex pushed, zero-weight neighbours too."""
+    dist = {s: 0.0 for s in sources}
+    heap = [(0.0, s) for s in sources]
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w in g._nbrs[u]:
+            nd = d + w
+            if nd < dist.get(v, INF) and nd <= limit and lo <= key[v] < hi:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+# copy-expanded hosts chain each vertex's copies with zero-weight edges
+COPY_EXPANDED_HOSTS = st.sampled_from(
+    [
+        td_to_tree_partition(f.graph, f.td).host
+        for f in [
+            *acceptance_fixtures()[:6],
+            partial_ktree_fixture(30, 3, seed=4, drop=0.3),
+            decimal_weight_fixture(partial_ktree_fixture(30, 3, seed=21, delta=1.0), seed=4),
+        ]
+    ]
+)
+
+
+@given(
+    st.one_of(
+        COPY_EXPANDED_HOSTS,
+        graphs_weighted_from(st.sampled_from([0.0, -0.0, 0.1, 0.3, 1.0, 2.0])),
+        graphs_weighted_from(st.sampled_from([0.0, -0.0])),
+    ),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=80, deadline=None)
+def test_reach_settles_zero_weight_neighbours_as_the_heap_does(g, rnd):
+    # same keys and the same distance bits as the search that pushes every
+    # relaxed vertex, at every limit, over preorder-like key intervals
+    lo = rnd.randrange(g.n)
+    hi = rnd.randint(lo + 1, g.n)
+    key = [rnd.randrange(g.n + 1) for _ in range(g.n)]
+    members = [v for v in range(g.n) if lo <= key[v] < hi] or [rnd.randrange(g.n)]
+    key[members[0]] = lo
+    sources = [rnd.choice(members) for _ in range(rnd.randint(1, 3))]  # repeats allowed
+    free = heap_only_reach(g, sources, INF, key, lo, hi)
+    for limit in {0.0, INF, rnd.uniform(0, 5), *free.values()}:
+        want = heap_only_reach(g, sources, limit, key, lo, hi)
+        got = reach(g, sources, limit, key, lo, hi)
+        assert sorted(got) == sorted(want)
+        assert np.array([got[v] for v in want]).tobytes() == np.array(list(want.values())).tobytes()
 
 
 def test_limit_on_copy_expanded_host():

@@ -1166,6 +1166,37 @@ def test_embedding_entry_outside_host_fails_without_raising(outside):
     assert find_check(checks, "isometry-exact").status == "pass"
 
 
+def copy_zero_witness_by_vertex(dh, copies):
+    """The copy-zero-distance witness as a scan of each vertex's (copies x
+    copies) block of the host matrix, vertex by vertex."""
+    for v, ids in enumerate(copies):
+        ids = np.asarray(ids, dtype=np.int64)
+        d = dh[np.ix_(ids, ids)]
+        if (d != 0.0).any():
+            i, j = np.argwhere(d != 0.0)[0]
+            return f"copies {ids[i]},{ids[j]} of vertex {v} at distance {d[i, j]}"
+    return None
+
+
+@pytest.mark.parametrize("name", ["cycle-16", "grid-5", "wpath-12", "ktree3-40d"])
+def test_copy_zero_witness_is_the_first_nonzero_copy_pair(name):
+    # copies of other vertices added to, or repeated in, some vertices'
+    # copies: the witness is the first nonzero pair of the per-vertex scan
+    b = built(BY_NAME[name])
+    emb, n = b.embedding, b.host.n
+    dh = verify.oracle_all_pairs(b.host, range(n))
+    rng = np.random.default_rng(len(emb.copies))
+    for _ in range(8):
+        copies = [list(c) for c in emb.copies]
+        for v in rng.choice(len(copies), size=2, replace=False).tolist():
+            copies[v].insert(int(rng.integers(len(copies[v]) + 1)), int(rng.integers(n)))
+        copies = tuple(map(tuple, copies))
+        checks = verify_embedding(b.graph, b.td, dataclasses.replace(emb, copies=copies), n)
+        want = copy_zero_witness_by_vertex(dh, copies)
+        assert find_check(checks, "copy-zero-distance").witness == want
+        assert find_check(checks, "copy-zero-distance").status == ("pass" if want is None else "fail")
+
+
 def test_isometry_witness_names_input_vertices():
     # forward[0] points at vertex 1's copy: condition (a), no measured value
     b = built(BY_NAME["path-8"])
