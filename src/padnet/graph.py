@@ -15,7 +15,9 @@ checked form over a mask, with an n-entry row as the result; the carving
 and the center table call `reach` directly with preorder intervals.  The
 adjacency is a tuple of per-vertex tuples of (neighbour, weight) pairs,
 built once at construction, so the loop reads Python ints and floats rather
-than numpy scalars.
+than numpy scalars.  Construction itself is whole-array: the edges become
+arrays once, are checked, collapsed and sorted in numpy, and only the
+stored edge list and adjacency are written back as Python tuples.
 
 Vertices are dense integer ids 0..n-1.  Input files use 1-indexed labels; the
 parser maps label k to id k-1.  Zero-weight edges are first class (the tree
@@ -44,11 +46,24 @@ class GraphFormatError(ValueError):
         self.line = line
 
 
+def int_array(ids) -> np.ndarray:
+    """Integer ids as an int64 array, or as an object array when one of them
+    is beyond int64: such an id is compared, not indexed with."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        return np.array(ids, dtype=object)
+
+
 class WeightedGraph:
     """Immutable connected undirected graph with nonnegative edge weights.
 
-    Parallel edges are collapsed to the minimum weight, self-loops are
-    rejected, and connectivity is enforced at construction.  Safe to share
+    Parallel edges are collapsed to the minimum weight (the first given on a
+    tie, such as 0.0 against -0.0), self-loops are rejected, and
+    connectivity is enforced at construction.  A bad edge is reported as
+    the first one in input order, named by the first check it fails: its
+    ids, then a self-loop, then its weight.  `edges` is sorted, each (u, v)
+    with u < v, and each vertex's neighbours are ascending.  Safe to share
     across threads; all operations on it are pure.
     """
 
@@ -57,37 +72,44 @@ class WeightedGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
         if n < 1:
             raise GraphFormatError(f"vertex count must be >= 1, got {n}")
-        collapsed: dict[tuple[int, int], float] = {}
-        for u, v, w in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"edge ({u},{v}) references vertex outside 0..{n - 1}")
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}")
-            w = float(w)
-            if not (w >= 0.0) or math.isinf(w):
-                raise GraphFormatError(f"edge ({u},{v}) has invalid weight {w}")
-            key = (u, v) if u < v else (v, u)
-            if key in collapsed:
-                collapsed[key] = min(collapsed[key], w)
-            else:
-                collapsed[key] = w
-        # plain sum: it overflows to inf where math.fsum would raise
-        if not math.isfinite(sum(collapsed.values())):
+        ids_u, ids_v, weights = tuple(zip(*edges)) or ((), (), ())
+        u, v = int_array((ids_u, ids_v))
+        w = np.array(weights, dtype=np.float64)
+        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v) | ~(w >= 0.0) | (w == INF)
+        if bad.any():  # the first bad edge, named by the first check it fails
+            i = int(np.argmax(bad))
+            a, b, x = ids_u[i], ids_v[i], float(w[i])
+            if not (0 <= a < n and 0 <= b < n):
+                raise GraphFormatError(f"edge ({a},{b}) references vertex outside 0..{n - 1}")
+            if a == b:
+                raise GraphFormatError(f"self-loop at vertex {a}")
+            raise GraphFormatError(f"edge ({a},{b}) has invalid weight {x}")
+        # parallel edges: the lightest, the first given on ties (0.0 against -0.0)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        by_pair = np.lexsort((w, hi, lo))
+        lo, hi, w = lo[by_pair], hi[by_pair], w[by_pair]
+        new_pair = np.ones(lo.size, dtype=bool)
+        new_pair[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        starts = np.flatnonzero(new_pair)
+        lo, hi, w = lo[starts], hi[starts], w[starts]
+        # plain sum, over the pairs in the order first given: it overflows to
+        # inf where math.fsum would raise
+        first_given = np.minimum.reduceat(by_pair, starts) if starts.size else starts
+        if not math.isfinite(sum(w[np.argsort(first_given)].tolist())):
             raise GraphFormatError("total edge weight overflows a float")
-        if len(collapsed) < n - 1:  # too few edges to connect n vertices: no n-sized array yet
+        if lo.size < n - 1:  # too few edges to connect n vertices: no n-sized array yet
             raise GraphFormatError("graph is not connected")
         self.n = n
-        self.edges = tuple(sorted((u, v, w) for (u, v), w in collapsed.items()))
-        self._build_adjacency()
+        self.edges = tuple(zip(lo.tolist(), hi.tolist(), w.tolist()))
+        # appends in edge order, cheaper than slicing a lexsorted array of
+        # both directions on a 1200-vertex host; each vertex's neighbours ascend
+        nbrs: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        for a, b, x in self.edges:
+            nbrs[a].append((b, x))
+            nbrs[b].append((a, x))
+        self._nbrs = tuple(map(tuple, nbrs))
         if not self._is_connected():
             raise GraphFormatError("graph is not connected")
-
-    def _build_adjacency(self):
-        nbrs: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            nbrs[u].append((v, w))
-            nbrs[v].append((u, w))
-        self._nbrs = tuple(map(tuple, nbrs))
 
     def _is_connected(self) -> bool:
         seen = [False] * self.n

@@ -18,13 +18,20 @@ radius at Delta and only relaxing the packing radius.
 Ties are broken deterministically everywhere: components by root bag id,
 bag picks by (level, bag id), path expansion by vertex id.  Identical inputs
 therefore produce identical cores, orders, and nets.
+
+The searches are `graph.reach`, one per core and one per center; the
+bookkeeping around them is numpy passes per round, list and bytearray
+updates per core, and one lexsort for the whole path expansion, whose
+order tree takes its levels and preorder intervals from the bag tree's.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -33,7 +40,7 @@ from .graph import (
     reach,
     shortest_paths,  # unused here; perfbench's tracer wraps ordered_net's binding
 )
-from .trees import TreePartition, rooted_tree_arrays
+from .trees import TreePartition
 
 
 @dataclass(frozen=True)
@@ -82,6 +89,11 @@ def _cut(items: list, starts: np.ndarray) -> list[list]:
     """items[starts[i] : starts[i + 1]] for each i: a CSR table's rows."""
     at = starts.tolist()
     return [items[a:b] for a, b in zip(at, at[1:])]
+
+
+def _run_bounds(labels: np.ndarray) -> np.ndarray:
+    """The bounds of the runs of equal labels, 0 and len(labels) included."""
+    return np.concatenate(([0], np.flatnonzero(np.diff(labels)) + 1, [labels.size]))
 
 
 def _run_starts(vertex: np.ndarray, n: int) -> np.ndarray:
@@ -138,6 +150,10 @@ class TreeOrderedNet:
     one `reach` over the vertices whose tin lies in its interval, so the
     table costs the size of the balls, with no mask or n-entry row per
     center.
+
+    `order_tree` is (level, tin, tout) of every order node, as
+    `trees.rooted_tree_arrays(order_parent, 0)` gives them; the net keeps
+    the intervals of the vertices' nodes and orders its centers by level.
     """
 
     def __init__(
@@ -151,6 +167,7 @@ class TreeOrderedNet:
         tp_width: int,
         cores: tuple[Core, ...],
         g: WeightedGraph,
+        order_tree: tuple[np.ndarray, np.ndarray, np.ndarray],
     ):
         self.net = np.array(net, dtype=bool)
         self.net.flags.writeable = False
@@ -161,17 +178,13 @@ class TreeOrderedNet:
         self.delta = delta
         self.tp_width = tp_width
         self.cores = cores
-        node_level, tin, tout = rooted_tree_arrays(order_parent, 0)
-        self._vertex_tin = np.asarray(tin)[assign]
-        self._vertex_tout = np.asarray(tout)[assign]
+        node_level, tin, tout = map(np.asarray, order_tree)
+        self._vertex_tin = tin[assign]
+        self._vertex_tout = tout[assign]
         self._vertex_tin.flags.writeable = False
         self._vertex_tout.flags.writeable = False
-        self._centers = np.asarray(
-            sorted(
-                np.flatnonzero(self.net).tolist(), key=lambda x: (node_level[assign[x]], x)
-            ),
-            dtype=np.int64,
-        )
+        centers = np.flatnonzero(self.net)
+        self._centers = centers[np.lexsort((centers, node_level[assign[centers]]))]
         self._entries = self._compute_center_entries(g)
         self.tau_bound = tp_width**4 + tp_width**2
         self.tau_emp = int(self.packing_counts(alpha).max()) if len(self._centers) else 0
@@ -180,14 +193,16 @@ class TreeOrderedNet:
         limit = self.center_radius
         # x's descendant subgraph is the vertices whose tin lies in x's interval
         tin, tout = self._vertex_tin.tolist(), self._vertex_tout.tolist()
-        # seeded with one empty entry list each, for a net of no centers
-        vertices, dists = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+        vertices: list[int] = []
+        dists: list[float] = []
+        sizes: list[int] = []
         for x in self._centers.tolist():
             found = reach(g, [x], limit, tin, tin[x], tout[x])
-            vertices.append(np.fromiter(found, np.int64, len(found)))
-            dists.append(np.fromiter(found.values(), np.float64, len(found)))
-        vertex, dist = np.concatenate(vertices), np.concatenate(dists)
-        rank = np.repeat(np.arange(len(self._centers)), [v.size for v in vertices[1:]])
+            vertices += found
+            dists += found.values()
+            sizes.append(len(found))
+        vertex, dist = np.array(vertices, dtype=np.int64), np.array(dists, dtype=np.float64)
+        rank = np.repeat(np.arange(len(sizes)), sizes)
         by_vertex = np.lexsort((rank, vertex))
         entries = (vertex[by_vertex], rank[by_vertex], dist[by_vertex])
         for a in entries:
@@ -321,8 +336,8 @@ def construct_cores_trace(g: WeightedGraph, tp: TreePartition, delta: float) -> 
     effective bag is its own bag while it is uncovered and its attachment
     once it is covered, and a core's support is the vertices whose effective
     bag lies in the component, inside the center bag's preorder interval.
-    Bag arrays carry a spare slot `nb` that no test selects, so no index
-    wraps.
+    The round-level bag arrays carry a spare slot `nb` that no test selects,
+    so no index wraps.
     """
     _check_delta(delta)
     tp.validate(g)
@@ -334,21 +349,26 @@ def construct_cores_trace(g: WeightedGraph, tp: TreePartition, delta: float) -> 
     tin, tout = tp.bag_intervals()
     bag_tin, bag_tout = tin.tolist(), tout.tolist()
 
-    covered = np.zeros(n, dtype=bool)
-    attached = np.full(n, nb)
-    visited = np.zeros(nb + 1, dtype=bool)
+    # per-vertex state, written a core at a time through the bytearray and
+    # the array, read a round at a time through numpy views of their memory
+    covered = bytearray(n)
+    attached = array("q", [nb]) * n
+    covered_view = np.frombuffer(covered, dtype=bool)
+    attached_view = np.frombuffer(attached, dtype=np.int64)
+    vertex_bag = bag_of.tolist()
+    visited = bytearray(nb)
     # tin of v's effective bag while v's component is carved, -1 otherwise
     key = [-1] * n
     cores: list[Core] = []
     comps: list[ComponentTrace] = []
     round_no = 0
 
-    while not covered.all():
+    while not covered_view.all():
         round_no += 1
         if round_no > n + 1:
             raise AssertionError("carving failed to terminate")
         uncov = np.zeros(nb + 1, dtype=bool)
-        uncov[bag_of[~covered]] = True
+        uncov[bag_of[~covered_view]] = True
         # label each uncovered bag with its topmost uncovered ancestor by
         # pointer doubling; the root's parent -1 reads the spare slot
         label = np.where(uncov & uncov[parent], parent, np.arange(nb + 1))
@@ -360,21 +380,23 @@ def construct_cores_trace(g: WeightedGraph, tp: TreePartition, delta: float) -> 
         # each component's cluster: the vertices whose effective bag is one
         # of its bags, by id.  A core's members and their new attachments
         # stay in its own component, so the grouping holds all round.
-        eff = np.where(covered, attached, bag_of)
+        eff = np.where(covered_view, attached_view, bag_of)
         held = np.flatnonzero(uncov[eff])
         held = held[np.argsort(label[eff[held]], kind="stable")]
-        clusters = np.split(held, np.flatnonzero(np.diff(label[eff[held]])) + 1)
-        for comp, cluster in zip(
-            np.split(todo, np.flatnonzero(np.diff(label[todo])) + 1), clusters
+        held_tin = tin[eff[held]].tolist()
+        comp_starts = _run_bounds(label[todo])
+        cluster_starts = _run_bounds(label[eff[held]])
+        for bags, cluster_ids, cluster_tin in zip(
+            _cut(todo.tolist(), comp_starts), _cut(held.tolist(), cluster_starts),
+            _cut(held_tin, cluster_starts),
         ):
-            bags = comp.tolist()
             root = bags[0]
-            cluster_ids = cluster.tolist()
             comps.append(ComponentTrace(round_no, root, frozenset(bags), frozenset(cluster_ids)))
-            for v, t in zip(cluster_ids, tin[eff[cluster]].tolist()):
+            for v, t in zip(cluster_ids, cluster_tin):
                 key[v] = t
             # a core's attached members can sit in another component's bags
-            visited[comp] = False
+            for b in bags:
+                visited[b] = False
             for center_bag in bags:
                 if visited[center_bag]:
                     continue
@@ -392,13 +414,12 @@ def construct_cores_trace(g: WeightedGraph, tp: TreePartition, delta: float) -> 
                         rank=round_no,
                     )
                 )
-                members = np.array(found, dtype=np.int64)
                 home = nb if center_bag == root else tp.parent[center_bag]
-                covered[members] = True
-                visited[bag_of[members]] = True
-                attached[members] = home
                 t = -1 if home == nb else bag_tin[home]
                 for v in found:
+                    covered[v] = True
+                    visited[vertex_bag[v]] = True
+                    attached[v] = home
                     key[v] = t
             for v in cluster_ids:
                 key[v] = -1
@@ -413,18 +434,16 @@ def build_semi_tree_order(cores: list[Core], tp: TreePartition) -> tuple[np.ndar
     vertex is its smallest-rank core.  Several vertices may share a bag.
     """
     n = tp.n
-    assign = np.full(n, -1, dtype=np.int64)
-    for core in cores:
-        for v in core.members:
-            if assign[v] == -1:
-                assign[v] = core.center_bag
+    sizes = [len(c.members) for c in cores]
+    member = np.fromiter(chain.from_iterable(c.members for c in cores), np.int64, sum(sizes))
+    first = np.full(n, len(cores))  # each vertex's first core; len(cores), bag -1, for none
+    np.minimum.at(first, member, np.repeat(np.arange(len(cores)), sizes))
+    assign = np.array([c.center_bag for c in cores] + [-1], dtype=np.int64)[first]
     if (assign == -1).any():
         missing = int(np.flatnonzero(assign == -1)[0])
         raise AssertionError(f"vertex {missing} is covered by no core")
     net_mask = np.zeros(n, dtype=bool)
-    for core in cores:
-        for v in core.centers:
-            net_mask[v] = True
+    net_mask[list(chain.from_iterable(c.centers for c in cores))] = True
     net_mask.flags.writeable = False
     return assign, net_mask
 
@@ -444,7 +463,9 @@ def semi_to_tree_order(
     Vertices sharing a bag become a chain ordered by (non-net last, vertex
     id); an empty preimage keeps a placeholder node so the tree shape
     survives.  Child paths hang off the parent path's leaf.  `net` is the
-    net's bool vertex mask.
+    net's bool vertex mask.  Nodes are numbered bag by bag in (level, id)
+    order, and their levels and intervals come from the bag tree's, so the
+    order tree is built without a walk.
     """
     _check_delta(delta)
     if not (math.isfinite(alpha) and alpha > 0):
@@ -460,42 +481,59 @@ def semi_to_tree_order(
             raise ValueError(f"radius {name} overflows at alpha={alpha}, delta={delta}")
     n = assign.shape[0]
     nb = len(tp.parent)
-    preimage: list[list[int]] = [[] for _ in range(nb)]
-    for v in range(n):
-        preimage[assign[v]].append(v)
+    level = np.asarray(tp.level)
+    bag_tin, bag_tout = tp.bag_intervals()
+    # one node per vertex, then one placeholder (vertex -1) per empty bag,
+    # numbered by (bag level, bag, non-net, vertex): each bag's path is a run
+    size = np.bincount(assign, minlength=nb)
+    empty = np.flatnonzero(size == 0)
+    bag = np.append(assign, empty)
+    vertex = np.append(np.arange(n), np.full(empty.size, -1))
+    later = np.append(~np.asarray(net, dtype=bool), np.zeros(empty.size, dtype=bool))
+    node = np.lexsort((vertex, later, bag, level[bag]))
+    bag, vertex = bag[node], vertex[node]
+    size[empty] = 1
+    by_level = np.lexsort((np.arange(nb), level))
+    start = np.empty(nb, dtype=np.int64)
+    start[by_level] = np.cumsum(size[by_level]) - size[by_level]
+    # a path hangs off the last node of its parent bag's path (slot nb: none)
+    last = np.append(start + size - 1, -1)
+    index = np.arange(node.size)
+    place = index - start[bag]  # each node's place on its bag's path
+    order_parent = np.where(place == 0, last[np.asarray(tp.parent)[bag]], index - 1)
+    node_of = np.empty(node.size, dtype=np.int64)
+    node_of[node] = index
+    node_vertex: list[int | None] = vertex.tolist()
+    for i in np.flatnonzero(vertex < 0).tolist():
+        node_vertex[i] = None
 
-    bag_order = sorted(range(nb), key=lambda b: (tp.level[b], b))
-    order_parent: list[int] = []
-    node_vertex: list[int | None] = []
-    node_of = np.full(n, -1, dtype=np.int64)
-    path_leaf = [-1] * nb
-    for b in bag_order:
-        members = preimage[b]
-        seq: list[int | None] = sorted(
-            (v for v in members if net[v])
-        ) + sorted(v for v in members if not net[v])
-        if not seq:
-            seq = [None]
-        prev = path_leaf[tp.parent[b]] if tp.parent[b] != -1 else -1
-        for item in seq:
-            node = len(node_vertex)
-            node_vertex.append(item)
-            order_parent.append(prev)
-            if item is not None:
-                node_of[item] = node
-            prev = node
-        path_leaf[b] = prev
+    # the order tree's preorder visits each bag's path as one run, in the bag
+    # tree's preorder: a node's interval starts at its place in the run and
+    # ends where its bag's subtree does.  Its level adds the path sizes of
+    # the bags above its bag: an Euler-tour prefix sum, +size at a bag's tin
+    # and -size at its tout, read at the bag's own tin.
+    before = np.zeros(nb + 1, dtype=np.int64)  # nodes in bags entered before time t
+    before[bag_tin + 1] = size
+    before = np.cumsum(before)
+    tin = before[bag_tin[bag]] + place
+    tout = before[bag_tout[bag]]
+    tour = np.zeros(nb + 1, dtype=np.int64)
+    tour[bag_tin] = size
+    np.subtract.at(tour, bag_tout, size)
+    above = np.cumsum(tour)[bag_tin] - size
+    node_level = above[bag] + place
 
     return TreeOrderedNet(
         net=net,
-        order_parent=tuple(order_parent),
+        order_parent=tuple(order_parent.tolist()),
         node_vertex=tuple(node_vertex),
-        assign=node_of,
+        assign=node_of[:n],
         alpha=alpha,
         delta=delta,
         tp_width=tp.width,
         cores=tuple(cores),
         g=g,
+        order_tree=(node_level, tin, tout),
     )
 
 

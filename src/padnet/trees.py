@@ -5,16 +5,25 @@ tree partition has pairwise-disjoint bags.  The conversion replaces a vertex
 that lives in k bags by k copies chained with zero-weight edges, producing a
 host graph whose shortest-path metric restricted to designated copies equals
 the original metric exactly, and whose max bag size equals the source's.
+
+Validation and conversion work on one table, the decomposition's (vertex,
+bag) memberships sorted by vertex and then bag (`HoldingIndex`): edge
+coverage, the connected-subtree test, the chain edges and each edge's bag
+are `searchsorted` lookups in it, so neither step loops over bags or edges
+in Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
-from .graph import GraphFormatError, WeightedGraph
+from .graph import GraphFormatError, WeightedGraph, int_array
+from .oracle import _edge_arrays
 
 
 class TdValidationError(ValueError):
@@ -83,14 +92,29 @@ class _BagTree:
         return np.asarray(self._tin), np.asarray(self._tout)
 
 
-def _common_bags(
-    bags: tuple[frozenset[int], ...], holding: list[list[int]], u: int, v: int
-) -> list[int]:
-    """The bags holding both u and v, found by scanning the holding list of
-    whichever endpoint lies in fewer bags."""
-    if len(holding[v]) < len(holding[u]):
-        u, v = v, u
-    return [b for b in holding[u] if v in bags[b]]
+class HoldingIndex(NamedTuple):
+    """A decomposition's (vertex, bag) memberships, sorted by vertex and
+    then bag, as read-only arrays.  `up[i]` is the index of the membership
+    of vertex[i] in the parent of bag[i], -1 where that parent does not hold
+    the vertex: a vertex's bags form a connected subtree exactly when one of
+    its memberships has up == -1, the one of its top bag."""
+
+    vertex: np.ndarray
+    bag: np.ndarray
+    up: np.ndarray
+
+
+def _find(key: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Index of each wanted membership in the non-empty ascending keys
+    vertex * nb + bag of a table over bags 0..nb-1; -1 where it is absent."""
+    at = np.minimum(np.searchsorted(key, want), key.size - 1)
+    return np.where(key[at] == want, at, -1)
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """start[i], start[i] + 1, ..., start[i] + count[i] - 1 for each i, in turn."""
+    end = np.cumsum(count)
+    return np.arange(end[-1] if end.size else 0) + np.repeat(start - end + count, count)
 
 
 class TreeDecomposition(_BagTree):
@@ -106,17 +130,19 @@ class TreeDecomposition(_BagTree):
     def max_bag_size(self) -> int:
         return max(len(b) for b in self.bags)
 
-    def validate(self, g: WeightedGraph) -> list[list[int]]:
+    def validate(self, g: WeightedGraph) -> HoldingIndex:
         """Check the three tree-decomposition axioms against g.
 
-        Each vertex's holding bags are indexed once; an edge is covered when
-        a holding bag of its endpoint in fewer bags holds the other one; and
-        a vertex's bags form a connected subtree exactly when one of them
-        has a parent that does not hold the vertex.  Returns that index:
-        each vertex's holding bags in increasing order.  The index is kept
-        for the graph object last accepted, and returned again for that
-        object while the bags and parents are the ones checked; graphs and
-        bags are immutable, so the axioms still hold.
+        The (vertex, bag) memberships are sorted once; an edge is covered
+        when a bag of its end in fewer bags holds the other end; and a
+        vertex's bags form a connected subtree exactly when one of them has
+        a parent that does not hold the vertex.  Each test is a lookup in
+        the sorted memberships, and each failure names the first bag entry,
+        vertex or edge (in g.edges order) that breaks its axiom.  Returns
+        the memberships as a `HoldingIndex`.  The index is kept for the
+        graph object last accepted, and returned again for that object
+        while the bags and parents are the ones checked; graphs and bags
+        are immutable, so the axioms still hold.
         """
         accepted = self._accepted
         if accepted and accepted[0] is g and accepted[1] is self.bags and accepted[2] is self.parent:
@@ -125,29 +151,44 @@ class TreeDecomposition(_BagTree):
         self._accepted = (g, self.bags, self.parent, holding)
         return holding
 
-    def _holding_index(self, g: WeightedGraph) -> list[list[int]]:
+    def _holding_index(self, g: WeightedGraph) -> HoldingIndex:
         """`validate`'s index, checked from scratch; raises on a violated axiom."""
-        holding: list[list[int]] = [[] for _ in range(g.n)]
-        for i, bag in enumerate(self.bags):
-            for v in bag:
-                if not 0 <= v < g.n:
-                    raise TdValidationError(f"bag {i + 1} references unknown vertex {v + 1}")
-                holding[v].append(i)
-        for x in range(g.n):
-            if not holding[x]:
-                raise TdValidationError(f"vertex {x + 1} appears in no bag")
-        for u, v, _ in g.edges:
-            if not _common_bags(self.bags, holding, u, v):
-                raise TdValidationError(f"edge ({u + 1},{v + 1}) is covered by no bag")
-        for x in range(g.n):
-            tops = sum(
-                1 for b in holding[x] if self.parent[b] == -1 or x not in self.bags[self.parent[b]]
+        nb = len(self.bags)
+        entries = list(chain.from_iterable(self.bags))  # each bag in its iteration order
+        vertex = int_array(entries)
+        bag = np.repeat(np.arange(nb), [len(b) for b in self.bags])
+        unknown = (vertex < 0) | (vertex >= g.n)
+        if unknown.any():
+            i = int(np.argmax(unknown))
+            raise TdValidationError(f"bag {bag[i] + 1} references unknown vertex {entries[i] + 1}")
+        by_vertex = np.argsort(vertex, kind="stable")  # bags ascend in each vertex's run
+        vertex, bag = vertex[by_vertex], bag[by_vertex]
+        count = np.bincount(vertex, minlength=g.n)
+        if not count.all():
+            raise TdValidationError(f"vertex {int(np.argmin(count)) + 1} appears in no bag")
+        key = vertex * nb + bag
+        # an edge is covered when a bag of its end in fewer bags holds the other end
+        u, v, _ = _edge_arrays(g)
+        swap = count[v] < count[u]
+        few, other = np.where(swap, v, u), np.where(swap, u, v)
+        edge = np.repeat(np.arange(u.size), count[few])
+        entry = _ranges((np.cumsum(count) - count)[few], count[few])  # the bags of few
+        held = _find(key, other[edge] * nb + bag[entry]) >= 0
+        uncovered = np.bincount(edge[held], minlength=u.size) == 0
+        if uncovered.any():
+            i = int(np.argmax(uncovered))
+            raise TdValidationError(f"edge ({u[i] + 1},{v[i] + 1}) is covered by no bag")
+        parent = np.asarray(self.parent)[bag]
+        up = np.where(parent >= 0, _find(key, key - bag + parent), -1)
+        tops = np.bincount(vertex[up < 0], minlength=g.n)
+        if (tops != 1).any():
+            x = int(np.argmax(tops != 1))
+            raise TdValidationError(
+                f"bags containing vertex {x + 1} do not form a connected subtree"
             )
-            if tops != 1:
-                raise TdValidationError(
-                    f"bags containing vertex {x + 1} do not form a connected subtree"
-                )
-        return holding
+        for a in (vertex, bag, up):
+            a.flags.writeable = False
+        return HoldingIndex(vertex, bag, up)
 
 
 class TreePartition(_BagTree):
@@ -237,6 +278,8 @@ def load_tree_decomposition(text: str, g: WeightedGraph) -> TreeDecomposition:
                 header = (int(parts[2]), int(parts[3]), int(parts[4]))
             except ValueError:
                 raise GraphFormatError(f"non-integer header fields in {line!r}", lineno)
+            if header[0] < 1:
+                raise GraphFormatError(f"bag count must be >= 1, got {header[0]}", lineno)
         elif parts[0] == "b":
             if header is None:
                 raise GraphFormatError("bag line before 's td' header", lineno)
@@ -302,48 +345,51 @@ def load_tree_decomposition(text: str, g: WeightedGraph) -> TreeDecomposition:
 def td_to_tree_partition(g: WeightedGraph, td: TreeDecomposition) -> IsometricEmbedding:
     """Copy-expand a tree decomposition into an isometric tree-partition host.
 
-    One copy of a vertex per bag holding it; zero-weight edges chain copies of
-    adjacent bags; each original edge is placed once, in the common bag
-    nearest the root (ties by smaller bag id); the designated copy of a vertex
-    is likewise its root-most one.
+    One copy of a vertex per bag holding it, numbered bag by bag and by
+    vertex inside a bag; zero-weight edges chain copies of adjacent bags;
+    each original edge is placed once, in the common bag nearest the root
+    (ties by smaller bag id); the designated copy of a vertex is likewise
+    its root-most one, the copy in its top bag.
+
+    The common bag nearest the root is the deeper of the two ends' top
+    bags.  In a valid decomposition the bags of u form a subtree T_u with
+    top t_u, and every bag of T_u lies below t_u.  A common bag c lies
+    below both t_u and t_v, so the two tops are on c's root path; say t_v
+    is the deeper.  The path from t_u down to c stays in T_u, so t_v is in
+    T_u and is a common bag, and every common bag lies below it.  So t_v is
+    the one common bag of least level, and no tie arises.  The argument
+    needs both subtrees connected, which `validate` checks first.
     """
     # a td with one vertex's bags disconnected still converts to a valid
     # partition, over a host that is not isometric; only this check sees it
     # (on a td that load_tree_decomposition read from g, it returns the index
     # that load computed)
-    holding = td.validate(g)
+    vertex, bag, up = td.validate(g)
     nb = len(td.bags)
-    order_key = lambda b: (td.level[b], b)
+    size = vertex.size
+    copy = np.empty(size, dtype=np.int64)  # each membership's copy
+    copy[np.lexsort((vertex, bag))] = np.arange(size)
+    top = np.flatnonzero(up < 0)  # each vertex's top-bag membership, by vertex
+    # host edges: every copy to its vertex's copy in the parent bag, then
+    # every edge of g between its ends' copies in the deeper top bag
+    (chained,) = np.nonzero(up >= 0)
+    u, v, w = _edge_arrays(g)
+    level = np.asarray(td.level)
+    top_u, top_v = bag[top[u]], bag[top[v]]
+    home = np.where(level[top_u] >= level[top_v], top_u, top_v)
+    key = vertex * nb + bag
+    a = np.append(copy[chained], copy[_find(key, u * nb + home)])
+    b = np.append(copy[up[chained]], copy[_find(key, v * nb + home)])
+    weight = np.append(np.zeros(chained.size), w)
+    host = WeightedGraph(size, zip(a.tolist(), b.tolist(), weight.tolist()))
+    bounds = np.append(0, np.cumsum(np.bincount(bag, minlength=nb))).tolist()
+    tp = TreePartition.on_tree_of(td, tuple(frozenset(range(a, b)) for a, b in zip(bounds, bounds[1:])))
 
-    copy_id: dict[tuple[int, int], int] = {}
-    host_bag: list[frozenset[int]] = []
-    for b in range(nb):
-        ids = []
-        for v in sorted(td.bags[b]):
-            ids.append(len(copy_id))
-            copy_id[(v, b)] = ids[-1]
-        host_bag.append(frozenset(ids))
-
-    host_edges: list[tuple[int, int, float]] = []
-    for b in range(nb):
-        p = td.parent[b]
-        if p == -1:
-            continue
-        for v in td.bags[b] & td.bags[p]:
-            host_edges.append((copy_id[(v, b)], copy_id[(v, p)], 0.0))
-    for u, v, w in g.edges:
-        b = min(_common_bags(td.bags, holding, u, v), key=order_key)
-        host_edges.append((copy_id[(u, b)], copy_id[(v, b)], w))
-
-    host = WeightedGraph(len(copy_id), host_edges)
-    tp = TreePartition.on_tree_of(td, tuple(host_bag))
-
-    forward = np.zeros(g.n, dtype=np.int64)
-    copies: list[tuple[int, ...]] = []
-    for v in range(g.n):
-        forward[v] = copy_id[(v, min(holding[v], key=order_key))]
-        copies.append(tuple(copy_id[(v, b)] for b in sorted(holding[v])))
-
+    runs = np.append(0, np.cumsum(np.bincount(vertex, minlength=g.n))).tolist()
+    copies = copy.tolist()
     return IsometricEmbedding(
-        host=host, tree_partition=tp, forward=forward, copies=tuple(copies)
+        host=host,
+        tree_partition=tp,
+        forward=copy[top],
+        copies=tuple(tuple(copies[a:b]) for a, b in zip(runs, runs[1:])),
     )

@@ -9,11 +9,14 @@ representable; oracle-vs-search comparisons can then demand equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
-from padnet.graph import WeightedGraph, shortest_paths
-from padnet.trees import TreeDecomposition, TreePartition
+from padnet.graph import WeightedGraph, parse_edge_list, shortest_paths
+from padnet.trees import TreeDecomposition, TreePartition, load_tree_decomposition
 from padnet.verify import oracle_all_pairs
 
 
@@ -295,3 +298,32 @@ def shuffled_ids(f: Fixture, seed: int) -> Fixture:
             parent[new_bag[b]] = new_bag[f.td.parent[b]]
     g = WeightedGraph(f.graph.n, [(perm[u], perm[v], w) for u, v, w in f.graph.edges])
     return Fixture(f"{f.name}-shuffled", g, _td(bags, parent), f.delta)
+
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+
+
+@cache
+def data_instances() -> list[tuple[WeightedGraph, TreeDecomposition]]:
+    """The data/ instances, read as the CLI reads them."""
+    out = []
+    for name in ("path8", "grid4"):
+        g = parse_edge_list((DATA / f"{name}.gr").read_text())
+        out.append((g, load_tree_decomposition((DATA / f"{name}.td").read_text(), g)))
+    return out
+
+
+@st.composite
+def decompositions(draw):
+    """(g, td): a random partial k-tree with its construction's decomposition,
+    or a data/ instance; bag and vertex ids shuffled half the time."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(data_instances()))
+    k = draw(st.integers(1, 4))
+    f = partial_ktree_fixture(
+        draw(st.integers(k + 1, 30)), k, seed=draw(st.integers(0, 2**16)),
+        drop=draw(st.sampled_from([0.0, 0.3, 0.6])), weighted=draw(st.booleans()),
+    )
+    if draw(st.booleans()):
+        f = shuffled_ids(f, draw(st.integers(0, 2**16)))
+    return f.graph, f.td

@@ -194,6 +194,8 @@ NAMED_CASES = {
     "b-names-vertex-n+1": ("td", "b 7 7 8", "b 7 7 9", "bag 7 references unknown vertex 9"),
     "b-repeated": ("td", "b 2 2 3", "b 2 2 3\nb 2 2 3", "line 5: duplicate bag id 2"),
     "tree-edge-to-unknown-bag": ("td", "6 7", "6 8", "tree edge (6,8) references unknown bag"),
+    "s-no-bags": ("td", "s td 7 2 8", "s td 0 2 8", "line 2: bag count must be >= 1, got 0"),
+    "s-negative-bags": ("td", "s td 7 2 8", "s td -3 2 8", "line 2: bag count must be >= 1, got -3"),
 }
 
 

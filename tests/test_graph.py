@@ -13,8 +13,9 @@ from fixtures import (
     partial_ktree_fixture,
     vertex_mask,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from loop_references import graph_loop
 
 from padnet.graph import (
     GraphFormatError,
@@ -136,6 +137,72 @@ def test_total_weight_must_be_finite(w):
     with pytest.raises(GraphFormatError, match="total edge weight overflows"):
         WeightedGraph(3, [(0, 1, w), (1, 2, w)])
     assert WeightedGraph(2, [(0, 1, w)]).edges == ((0, 1, w),)
+
+
+# --- construction against its loop form ---------------------------------------
+
+
+GOOD_WEIGHTS = st.sampled_from([0.0, -0.0, 0.1, 0.5, 1.0, 3.0, 9e307, 1e308])
+BAD_WEIGHTS = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -5e-324])
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges): often a spanning tree plus parallel edges and self-loops,
+    in any order, with at most one edge given an id outside 0..n-1 or a bad
+    weight."""
+    n = draw(st.integers(1, 9))
+    ids = st.integers(0, n - 1)
+    edges = []
+    if draw(st.booleans()):
+        edges += [(i, draw(st.integers(0, i - 1)), draw(GOOD_WEIGHTS)) for i in range(1, n)]
+    edges += draw(st.lists(st.tuples(ids, ids, GOOD_WEIGHTS), max_size=2 * n))
+    edges = draw(st.permutations(edges))
+    if edges and draw(st.booleans()):
+        i = draw(st.integers(0, len(edges) - 1))
+        u, v, w = edges[i]
+        outside = st.sampled_from([-1, n, n + 3, 10**20, -(10**20)])
+        fault = draw(st.sampled_from(["u", "v", "w"]))
+        edges[i] = (
+            draw(outside) if fault == "u" else u,
+            draw(outside) if fault == "v" else v,
+            draw(BAD_WEIGHTS) if fault == "w" else w,
+        )
+    return n, edges
+
+
+def built_or_error(build) -> str:
+    """repr of the (edges, neighbour lists) built, or the error's message;
+    repr tells -0.0 from 0.0."""
+    try:
+        return repr(build())
+    except GraphFormatError as exc:
+        return str(exc)
+
+
+@given(edge_lists())
+@example((2, [(0, 1, 0.0), (1, 0, -0.0)]))  # tied parallel edges: the first given is kept
+@example((2, [(0, 1, -0.0), (1, 0, 0.0)]))
+@example((3, [(0, 1, 1.0), (1, 1, 1.0), (1, 2, math.nan)]))  # the first bad edge is named
+@example((3, [(0, 1, math.inf), (0, 5, 1.0)]))
+@example((3, [(0, 1, 1.0), (1, 2, 10**20)]))  # a weight read as a float
+@example((3, [(0, 10**20, 1.0)]))  # an id beyond int64
+@example((10**20, [(0, 10**19, 1.0)]))  # an id beyond int64 inside 0..n-1
+@example((4, [(0, 1, 1.0), (2, 3, 1.0), (3, 2, 2.0)]))  # too few distinct edges
+@example((4, [(0, 1, 1.0), (2, 3, 1.0), (3, 2, 2.0), (0, 1, 2.0)]))  # enough, yet disconnected
+@example((3, [(0, 1, 1e308), (1, 2, 1e308), (2, 1, 1.0)]))  # overflow after collapsing
+# the total is summed in the order the pairs are first given: this one
+# overflows, and the same weights summed in sorted order do not
+@example((4, [(2, 3, 2.0**969), (1, 2, 2.0**969), (0, 1, 1.7976931348623157e308)]))
+@settings(max_examples=300, deadline=None)
+def test_construction_matches_edge_loop(case):
+    n, edges = case
+
+    def arrays():
+        g = WeightedGraph(n, iter(edges))
+        return g.edges, g._nbrs
+
+    assert built_or_error(arrays) == built_or_error(lambda: graph_loop(n, edges))
 
 
 # --- randomized cross-checks -------------------------------------------------

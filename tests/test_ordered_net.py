@@ -7,6 +7,7 @@ import pytest
 from conftest import built
 from fixtures import (
     acceptance_fixtures,
+    decompositions,
     dense_oracle,
     descendant_mask,
     heavy_path5,
@@ -16,6 +17,9 @@ from fixtures import (
     vertex_mask,
     weighted_path_fixture,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from loop_references import expansion_loop, semi_order_loop
 
 from padnet.covers import build_partition_cover, build_sparse_cover
 from padnet.decomposition import sample_assignments, sample_padded_decomposition
@@ -376,3 +380,52 @@ def test_center_table_stays_sparse_at_scale():
     assert len(net.center_entries()[0]) <= 16 * net.n
     assert setup_peak < 64 * 2**20
     assert max(op_peaks) < 32 * 2**20, op_peaks
+
+
+# --- the array passes against their loop forms ---------------------------------
+
+
+def assert_expansion_matches_loop(tp, assign, net, g, delta):
+    ref = expansion_loop(tp, assign.tolist(), net.tolist())
+    ton = semi_to_tree_order(tp, assign, net, g, delta)
+    tin, tout = ton.vertex_intervals()
+    assert ton.order_parent == ref["order_parent"]
+    assert ton.node_vertex == ref["node_vertex"]
+    assert ton.assign.tolist() == ref["assign"]
+    assert (tin.tolist(), tout.tolist()) == (ref["tin"], ref["tout"])
+    assert ton.centers_in_order().tolist() == ref["centers"]
+
+
+@given(decompositions(), st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+@settings(max_examples=60, deadline=None)
+def test_semi_order_and_expansion_match_their_loops(case, delta):
+    g, td = case
+    emb = td_to_tree_partition(g, td)
+    host, tp = emb.host, emb.tree_partition
+    cores = construct_cores_trace(host, tp, delta).cores
+    assign, net = build_semi_tree_order(cores, tp)
+    assert (assign.tolist(), net.tolist()) == semi_order_loop(cores, host.n)
+    assert_expansion_matches_loop(tp, assign, net, host, delta)
+
+
+@st.composite
+def semi_orders(draw):
+    """A random rooted bag tree (root 0, other ids shuffled), a semi order of
+    a path's vertices on it that leaves some bags empty, and a net mask."""
+    nb = draw(st.integers(1, 12))
+    ids = [0, *draw(st.permutations(range(1, nb)))]
+    parent = [-1] * nb
+    for i in range(1, nb):
+        parent[ids[i]] = ids[draw(st.integers(0, i - 1))]
+    n = draw(st.integers(1, 15))
+    assign = np.array(draw(st.lists(st.integers(0, nb - 1), min_size=n, max_size=n)))
+    net = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    bags = tuple(frozenset(np.flatnonzero(assign == b).tolist()) for b in range(nb))
+    g = WeightedGraph(n, [(v, v + 1, 1.0) for v in range(n - 1)])
+    return TreePartition(bags=bags, parent=tuple(parent)), assign, net, g
+
+
+@given(semi_orders())
+@settings(max_examples=150, deadline=None)
+def test_expansion_matches_its_loop_on_any_semi_order(case):
+    assert_expansion_matches_loop(*case, 1.0)

@@ -2,7 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from fixtures import acceptance_fixtures, is_ancestor
+from fixtures import acceptance_fixtures, decompositions, is_ancestor
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from loop_references import conversion_loop, holding_loop
 
 from padnet import trees
 from padnet.graph import GraphFormatError, WeightedGraph
@@ -67,6 +70,17 @@ def test_malformed_td_lines():
         load_tree_decomposition("s td 2 2 3\nb 1 1 2\nb 1 2 3\n1 2\n", PATH3)  # dup bag
     with pytest.raises(GraphFormatError):
         load_tree_decomposition("s td 2 2 3\nb 1 1 2\nb 2 2 3\n", PATH3)  # missing edge
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_bag_count_below_one_rejected_at_its_header(count):
+    # before the check, 0 bags read as "expected -1 tree edges" and -3 as
+    # "bag id 1 outside 1..-3", both past the header
+    text = f"c no bags\ns td {count} 2 3\nb 1 1 2\n"
+    with pytest.raises(GraphFormatError, match=rf"^line 2: bag count must be >= 1, got {count}$"):
+        load_tree_decomposition(text, PATH3)
+    with pytest.raises(GraphFormatError, match=rf"^line 1: bag count must be >= 1, got {count}$"):
+        load_tree_decomposition(f"s td {count} 2 3\n", PATH3)
 
 
 def test_inflated_bag_count_rejected_before_allocating():
@@ -271,3 +285,96 @@ def test_invalid_decomposition_raises_every_time():
     for _ in range(2):
         with pytest.raises(TdValidationError, match=r"edge \(2,3\) is covered by no bag"):
             td_to_tree_partition(PATH3, td)
+
+
+# --- the array passes against their loop forms ---------------------------------
+
+
+def holding_lists(index: trees.HoldingIndex, n: int) -> list[list[int]]:
+    bounds = np.cumsum(np.bincount(index.vertex, minlength=n))[:-1]
+    return [b.tolist() for b in np.split(index.bag, bounds)]
+
+
+def index_or_error(build) -> list[list[int]] | str:
+    try:
+        return build()
+    except TdValidationError as exc:
+        return str(exc)
+
+
+@given(decompositions(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_holding_index_matches_bag_loop(case, rnd):
+    g, td = case
+    bags = [set(b) for b in td.bags]
+    for _ in range(rnd.choice([0, 0, 1, 2])):  # tamper, as test_validate_matches_quadratic_reference does
+        b = rnd.randrange(len(bags))
+        action = rnd.randrange(4)
+        if action == 0:
+            bags[b].add(rnd.choice([-1, g.n, g.n + 2, 10**20]))
+        elif action == 1:
+            x = rnd.randrange(g.n)
+            bags = [bag - {x} for bag in bags]
+        elif action == 2 and bags[b]:
+            bags[b].discard(rnd.choice(sorted(bags[b])))
+        else:
+            bags[b].add(rnd.randrange(g.n))
+    tampered = TreeDecomposition(tuple(map(frozenset, bags)), td.parent)
+    expected = index_or_error(lambda: holding_loop(tampered, g))
+    index = index_or_error(lambda: tampered._holding_index(g))
+    if isinstance(expected, str):
+        assert index == expected
+        return
+    assert holding_lists(index, g.n) == expected
+    # up: the vertex's membership of the parent bag, -1 at its top bag
+    parent = np.asarray(td.parent)[index.bag]
+    start = np.cumsum([0] + [len(held) for held in expected])
+    for i, (x, p) in enumerate(zip(index.vertex.tolist(), parent.tolist())):
+        held = p != -1 and x in tampered.bags[p]
+        assert index.up[i] == (start[x] + expected[x].index(p) if held else -1)
+
+
+@given(decompositions())
+@example((WeightedGraph(3, [(0, 1, -0.0), (1, 2, 0.0)]),
+          TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), (-1, 0))))
+@settings(max_examples=80, deadline=None)
+def test_conversion_matches_copy_loop(case):
+    g, td = case
+    ref = conversion_loop(g, td)
+    emb = td_to_tree_partition(g, td)
+    assert repr(emb.host.edges) == repr(ref["edges"])
+    assert repr(emb.host._nbrs) == repr(ref["nbrs"])
+    assert emb.tree_partition.bags == ref["bags"]
+    assert emb.forward.tolist() == ref["forward"]
+    assert emb.copies == ref["copies"]
+
+
+@given(decompositions())
+@settings(max_examples=80, deadline=None)
+def test_edge_lands_in_the_deeper_top_bag(case):
+    # the conversion places each edge in the deeper of its ends' top bags;
+    # on a valid decomposition that is the common bag of least (level, id)
+    g, td = case
+    top = [next(b for b in range(len(td.bags)) if x in td.bags[b] and
+                (td.parent[b] == -1 or x not in td.bags[td.parent[b]])) for x in range(g.n)]
+    emb = td_to_tree_partition(g, td)
+    bag_of = emb.tree_partition.bag_of()
+    host = {(a, b): w for a, b, w in emb.host.edges}
+    for u, v, w in g.edges:
+        common = [b for b in range(len(td.bags)) if {u, v} <= td.bags[b]]
+        home = min(common, key=lambda b: (td.level[b], b))
+        deeper = top[u] if td.level[top[u]] >= td.level[top[v]] else top[v]
+        assert deeper == home
+        assert td.level[top[u]] != td.level[top[v]] or top[u] == top[v]  # no tie to break
+        cu, cv = (next(c for c in emb.copies[x] if bag_of[c] == home) for x in (u, v))
+        assert host[min(cu, cv), max(cu, cv)] == w
+
+
+def test_disconnected_vertex_subtree_raises_before_conversion(monkeypatch):
+    # vertex 1's bags, 1 and 3, are apart: it has two top bags, and the
+    # deeper-top placement would be undefined; nothing is built
+    g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
+    td = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2, 3}), frozenset({3, 0})), (-1, 0, 1))
+    monkeypatch.setattr(trees, "WeightedGraph", None)
+    with pytest.raises(TdValidationError, match="bags containing vertex 1 do not form a connected subtree"):
+        td_to_tree_partition(g, td)

@@ -41,7 +41,13 @@ from padnet.ordered_net import (
     build_tree_ordered_net,
     semi_to_tree_order,
 )
-from padnet.trees import IsometricEmbedding, TreeDecomposition, TreePartition, td_to_tree_partition
+from padnet.trees import (
+    IsometricEmbedding,
+    TreeDecomposition,
+    TreePartition,
+    rooted_tree_arrays,
+    td_to_tree_partition,
+)
 from padnet.verify import (
     _bellman_ford_rows,
     _edge_lists,
@@ -245,6 +251,7 @@ def order_over(g, parent, node_of) -> TreeOrderedNet:
     return TreeOrderedNet(
         net=vertex_mask(g.n), order_parent=tuple(parent), node_vertex=(None,) * len(parent),
         assign=np.asarray(node_of), alpha=3.0, delta=1.0, tp_width=1, cores=(), g=g,
+        order_tree=rooted_tree_arrays(tuple(parent), 0),
     )
 
 
@@ -288,6 +295,7 @@ def test_fake_tight_bound_fails_packing():
         tp_width=1,
         cores=(),
         g=b.host,
+        order_tree=rooted_tree_arrays(b.net.order_parent, 0),
     )
     rep = verify_net(b.host, lied, b.delta, _oracle_center_distances(b.host, lied))
     assert find(rep, "net-packing-2delta").status == "fail"
@@ -306,6 +314,7 @@ def test_invalid_order_fails_validity_and_maximum():
         tp_width=1,
         cores=(),
         g=g,
+        order_tree=rooted_tree_arrays((-1, 0, 0), 0),
     )
     rep = verify_net(g, broken, 1.0, _oracle_center_distances(g, broken))
     for name in ("order-valid-for-edges", "connected-subset-unique-maximum"):
@@ -942,7 +951,7 @@ def test_center_rows_of_a_net_without_centers():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     empty = TreeOrderedNet(
         net=vertex_mask(3), order_parent=(-1,), node_vertex=(None,), assign=np.zeros(3, dtype=int),
-        alpha=3.0, delta=1.0, tp_width=1, cores=(), g=g,
+        alpha=3.0, delta=1.0, tp_width=1, cores=(), g=g, order_tree=rooted_tree_arrays((-1,), 0),
     )
     assert _oracle_center_distances(g, empty).shape == (0, 3)
 
